@@ -25,7 +25,6 @@
 
 use std::collections::BTreeMap;
 
-use memento_obs::selfprof;
 use memento_simcore::pool::map_ordered;
 
 use crate::arrival::{Arrival, WorkloadMix};
@@ -137,7 +136,6 @@ pub(crate) fn simulate_sharded(
     arrivals: &[Arrival],
     jobs: usize,
 ) -> ClusterResult {
-    let _prof = selfprof::span("cluster.shard.simulate");
     let plans = plan(cfg, arrivals, jobs);
     let shards: Vec<ClusterResult> = map_ordered(jobs, &plans, |p| {
         run_shard(costs, &p.cfg, mix, &p.arrivals, &p.assign, p.node_offset)
@@ -146,7 +144,6 @@ pub(crate) fn simulate_sharded(
 }
 
 fn merge(cfg: &ClusterConfig, shards: Vec<ClusterResult>) -> ClusterResult {
-    let _prof = selfprof::span("cluster.shard.merge");
     let (timeline, peak, final_level) = merge_timelines(&shards);
 
     let mut submitted = 0;

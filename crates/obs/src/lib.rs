@@ -19,8 +19,8 @@
 //! - [`profile`] — [`ProfileSample`] snapshots (live-heap bytes, pool
 //!   occupancy, HOT residency) taken every N simulated cycles.
 //! - [`selfprof`] — wall-clock spans over the *simulator's own* hot loops
-//!   (event engine, calibration, shard merge), harness-gated and off by
-//!   default; the bench harness reports them next to `BENCH_*.json`.
+//!   (`cluster.sim.run` and `cluster.sim.finish`), harness-gated and off
+//!   by default; `perfbench` reports them as its `selfprof.*` rows.
 //!
 //! # Invariants
 //!

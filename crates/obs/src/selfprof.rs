@@ -2,11 +2,11 @@
 //!
 //! Everything else in this crate measures the simulated machine on the
 //! simulated clock. This module points the instrumentation at ourselves:
-//! how much real time does the cluster event loop, calibration, or shard
-//! merge take? The bench harness (`memento-bench`) enables it around the
-//! pinned workload set and writes per-span totals into `BENCH_*.json`, so
-//! perf regressions name the hot loop that regressed instead of just the
-//! end-to-end wall time.
+//! how much real time do the cluster event loop and its drain take? The
+//! repo benchmark (`perfbench`) enables it around a traced run and
+//! reports per-span totals as `selfprof.*` rows, so a perf regression
+//! names the hot loop that regressed instead of just the end-to-end wall
+//! time.
 //!
 //! # Determinism
 //!

@@ -70,6 +70,14 @@ fn main() {
     println!();
     println!("{}", sensitivity::multiprocess(&ctx));
     println!();
+    // Cold-start and allocator tuning build fresh machines per row, so
+    // they run on representative subsets rather than the whole suite.
+    let cold_specs = ["html", "US", "bfs-go"].map(|name| ctx.workload(name));
+    print!("{}", sensitivity::coldstart_for(&mut ctx, &cold_specs));
+    println!();
+    let tune_specs = ["html", "mk"].map(|name| ctx.workload(name));
+    print!("{}", sensitivity::tuning_for(&mut ctx, &tune_specs));
+    println!();
     println!(
         "{}",
         ablation::run_for_jobs(&["html", "US", "bfs-go"], 2, jobs).expect("suite workloads")

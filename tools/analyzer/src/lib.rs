@@ -303,10 +303,6 @@ const RUNNER: &str = "crates/experiments/src/runner.rs";
 /// so any new one still needs a justification).
 const TIMED_FILES: [&str; 1] = [RUNNER];
 
-/// Path prefixes sanctioned to read the wall clock: the bench harness
-/// *is* a wall-time measurement tool.
-const TIMED_PREFIXES: [&str; 1] = ["crates/bench/src/"];
-
 /// Files allowed to spawn threads.
 const THREADED_FILES: [&str; 2] = [RUNNER, "crates/simcore/src/pool.rs"];
 
@@ -340,7 +336,7 @@ pub fn classify(rel: &str) -> FileProfile {
         test,
         sim_lib: rel.starts_with("crates/") && rel.contains("/src/") && !test,
         tool_lib: rel.starts_with("tools/") && rel.contains("/src/") && !test,
-        timed: TIMED_FILES.contains(&rel) || TIMED_PREFIXES.iter().any(|p| rel.starts_with(p)),
+        timed: TIMED_FILES.contains(&rel),
         threaded: THREADED_FILES.contains(&rel),
         hot_flat: HOT_FLAT_FILES.contains(&rel),
         hot_cast: HOT_CAST_FILES.contains(&rel),
@@ -1263,14 +1259,9 @@ mod tests {
         let threads = "fn f() { thread::spawn(|| {}); }\n";
         assert!(rules_hit(RUNNER, &format!("{clock}{threads}")).is_empty());
         assert!(rules_hit("crates/simcore/src/pool.rs", threads).is_empty());
-        assert!(rules_hit("crates/bench/src/main.rs", clock).is_empty());
         assert_eq!(
             rules_hit("crates/simcore/src/pool.rs", clock),
             vec![Rule::WallClock]
-        );
-        assert_eq!(
-            rules_hit("crates/bench/src/main.rs", threads),
-            vec![Rule::ThreadSpawn]
         );
     }
 
