@@ -18,6 +18,7 @@ use crate::size_class::SizeClass;
 use memento_cache::{AccessKind, MemSystem};
 use memento_simcore::addr::{PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
 use memento_simcore::cycles::Cycles;
+use memento_simcore::hash::BuildIntHasher;
 use memento_simcore::physmem::PhysMem;
 use memento_vm::tlb::Tlb;
 use std::collections::{BTreeMap, HashMap};
@@ -176,7 +177,7 @@ struct SavedClass {
 pub struct MementoProcess {
     /// Paging state (region registers, MPTR table, bump pointers).
     pub paging: ProcessPaging,
-    saved: HashMap<(usize, u8), SavedClass>,
+    saved: HashMap<(usize, u8), SavedClass, BuildIntHasher>,
 }
 
 impl MementoProcess {
@@ -424,7 +425,7 @@ impl MementoDevice {
             paging: self
                 .page_alloc
                 .attach_process(mem, backend, cores, region)?,
-            saved: HashMap::new(),
+            saved: HashMap::default(),
         })
     }
 

@@ -623,22 +623,18 @@ impl HardwarePageAllocator {
         let mut reclaimed = 0u64;
         for i in 0..class.arena_pages() as u64 {
             let va = arena_base.add(i * PAGE_SIZE as u64);
-            if let Some(t) = proc.page_table.translate(mem, va) {
-                cycles += mem_sys.access(core, AccessKind::Write, t.pte_addr).cycles;
-                let res = proc.page_table.unmap(mem, va);
-                if let Some(frame) = res.leaf_frame {
-                    mem.release_frame(frame);
-                    proc.in_use.remove(&frame.number());
-                    self.pool.push(frame);
-                    reclaimed += 1;
-                    unmapped.push(va);
-                }
-                for table in res.freed_tables {
-                    mem.release_frame(table);
-                    proc.in_use.remove(&table.number());
-                    self.pool.push(table);
-                    reclaimed += 1;
-                }
+            let res = proc.page_table.unmap(mem, va);
+            let Some(leaf) = res.leaf else { continue };
+            cycles += mem_sys
+                .access(core, AccessKind::Write, leaf.pte_addr)
+                .cycles;
+            mem.release_frame(leaf.frame);
+            unmapped.push(va);
+            // `unmap` already released the emptied tables' storage.
+            for frame in std::iter::once(leaf.frame).chain(res.freed_tables) {
+                proc.in_use.remove(&frame.number());
+                self.pool.push(frame);
+                reclaimed += 1;
             }
         }
         debug_assert!(self.frames_mapped >= reclaimed);

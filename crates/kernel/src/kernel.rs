@@ -14,7 +14,7 @@ use memento_obs::Log2Hist;
 use memento_simcore::addr::{PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
 use memento_simcore::cycles::Cycles;
 use memento_simcore::physmem::{Frame, PhysMem};
-use memento_vm::pagetable::PtePerms;
+use memento_vm::pagetable::{PageTable, PtePerms};
 use memento_vm::tlb::Tlb;
 use std::fmt;
 
@@ -273,6 +273,34 @@ impl Kernel {
         cycles
     }
 
+    /// Clears the PTE for `va` with one table walk, returns its frame and
+    /// any emptied table pages to the buddy allocator, and shoots the page
+    /// out of the TLB. `None` (nothing charged) when `va` is not mapped.
+    fn reclaim_page(
+        &mut self,
+        mem: &mut PhysMem,
+        mem_sys: &mut MemSystem,
+        tlb: &mut Tlb,
+        core: usize,
+        page_table: &mut PageTable,
+        va: VirtAddr,
+    ) -> Option<Cycles> {
+        let res = page_table.unmap(mem, va);
+        let leaf = res.leaf?;
+        let mut cycles = Cycles::new(self.costs.munmap_per_page + self.costs.buddy_free);
+        cycles += mem_sys
+            .access(core, AccessKind::Write, leaf.pte_addr)
+            .cycles;
+        mem.release_frame(leaf.frame);
+        self.buddy.free(leaf.frame, FrameUse::UserHeap);
+        for table in res.freed_tables {
+            self.buddy.free(table, FrameUse::PageTable);
+            cycles += Cycles::new(self.costs.buddy_free);
+        }
+        tlb.shootdown(va);
+        Some(cycles)
+    }
+
     fn map_page(
         &mut self,
         mem: &mut PhysMem,
@@ -374,20 +402,10 @@ impl Kernel {
         let mut released = 0;
         let mut va = vma.start;
         while va < vma.end {
-            if let Some(t) = proc.addr_space.page_table.translate(mem, va) {
-                cycles += Cycles::new(self.costs.munmap_per_page + self.costs.buddy_free);
-                cycles += mem_sys.access(core, AccessKind::Write, t.pte_addr).cycles;
-                let res = proc.addr_space.page_table.unmap(mem, va);
-                if let Some(frame) = res.leaf_frame {
-                    mem.release_frame(frame);
-                    self.buddy.free(frame, FrameUse::UserHeap);
-                    released += 1;
-                }
-                for table in res.freed_tables {
-                    self.buddy.free(table, FrameUse::PageTable);
-                    cycles += Cycles::new(self.costs.buddy_free);
-                }
-                tlb.shootdown(va);
+            let table = &mut proc.addr_space.page_table;
+            if let Some(c) = self.reclaim_page(mem, mem_sys, tlb, core, table, va) {
+                cycles += c;
+                released += 1;
             }
             va = va.add(PAGE_SIZE as u64);
         }
@@ -432,24 +450,22 @@ impl Kernel {
         let mut va = addr.page_base();
         let end = addr.add(len);
         while va < end {
-            if let Some(t) = proc.addr_space.page_table.translate(mem, va) {
+            // Every `reclaim_stride`-th resident page is reclaimed, so
+            // whether this one would be is known before its walk.
+            let table = &mut proc.addr_space.page_table;
+            let resident = if reclaim_stride > 0 && (marked + 1).is_multiple_of(reclaim_stride) {
+                let reclaim = self.reclaim_page(mem, mem_sys, tlb, core, table, va);
+                if let Some(c) = reclaim {
+                    cycles += c;
+                    reclaimed += 1;
+                }
+                reclaim.is_some()
+            } else {
+                table.translate(mem, va).is_some()
+            };
+            if resident {
                 cycles += Cycles::new(self.costs.madvise_per_page);
                 marked += 1;
-                if reclaim_stride > 0 && marked.is_multiple_of(reclaim_stride) {
-                    cycles += Cycles::new(self.costs.munmap_per_page + self.costs.buddy_free);
-                    cycles += mem_sys.access(core, AccessKind::Write, t.pte_addr).cycles;
-                    let res = proc.addr_space.page_table.unmap(mem, va);
-                    if let Some(frame) = res.leaf_frame {
-                        mem.release_frame(frame);
-                        self.buddy.free(frame, FrameUse::UserHeap);
-                        reclaimed += 1;
-                    }
-                    for table in res.freed_tables {
-                        self.buddy.free(table, FrameUse::PageTable);
-                        cycles += Cycles::new(self.costs.buddy_free);
-                    }
-                    tlb.shootdown(va);
-                }
             }
             va = va.add(PAGE_SIZE as u64);
         }

@@ -10,6 +10,7 @@
 //! - [`cycles`] — the [`Cycles`](cycles::Cycles) quantity and the
 //!   [`CycleAccount`](cycles::CycleAccount) attribution ledger used to split
 //!   execution time into the buckets the paper reports (Table 2, Fig. 9).
+//! - [`hash`] — a seedless integer hasher for the simulator's hot maps.
 //! - [`physmem`] — a sparse model of simulated physical memory holding real
 //!   bytes, so page tables and allocator metadata are genuine data structures
 //!   rather than abstract counters.
@@ -38,6 +39,7 @@
 
 pub mod addr;
 pub mod cycles;
+pub mod hash;
 pub mod json;
 pub mod physmem;
 pub mod pool;

@@ -8,6 +8,7 @@
 //! latency; this crate only provides storage and capacity accounting.
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
+use crate::hash::BuildIntHasher;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -74,7 +75,7 @@ impl std::error::Error for OutOfMemory {}
 /// ```
 #[derive(Clone)]
 pub struct PhysMem {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildIntHasher>,
     total_frames: u64,
     boot_next: u64,
 }
@@ -93,7 +94,7 @@ impl PhysMem {
             "physical memory must hold at least one page"
         );
         PhysMem {
-            pages: HashMap::new(),
+            pages: HashMap::default(),
             total_frames,
             boot_next: 0,
         }
@@ -199,6 +200,15 @@ impl PhysMem {
         self.page_mut(addr.page_number())[off] = value;
     }
 
+    /// Whether every byte of `frame` is zero, with one page lookup rather
+    /// than one per word. Untouched and released frames are zero.
+    pub fn frame_is_zero(&self, frame: Frame) -> bool {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        self.pages
+            .get(&frame.number())
+            .is_none_or(|page| **page == ZERO_PAGE)
+    }
+
     /// Zero-fills an entire frame (used when recycling pages and when the
     /// Memento page allocator zeroes fresh page-table pages).
     pub fn zero_frame(&mut self, frame: Frame) {
@@ -270,6 +280,29 @@ mod tests {
         mem.release_frame(f);
         assert_eq!(mem.touched_frames(), 0);
         assert_eq!(mem.read_u64(f.base_addr()), 0);
+    }
+
+    #[test]
+    fn frame_is_zero_cases() {
+        let mut mem = PhysMem::new(4 * PAGE_SIZE as u64);
+        let f = mem.alloc_frame().unwrap();
+        assert!(mem.frame_is_zero(f), "untouched frame");
+        let last_word = f.base_addr().add(PAGE_SIZE as u64 - 8);
+        mem.write_u64(last_word, 1 << 63);
+        assert!(!mem.frame_is_zero(f), "nonzero last word");
+        mem.write_u64(last_word, 0);
+        assert_eq!(mem.touched_frames(), 1);
+        assert!(mem.frame_is_zero(f), "materialized but rewritten to zero");
+        mem.write_u8(f.base_addr(), 3);
+        assert!(!mem.frame_is_zero(f), "nonzero first byte");
+        mem.release_frame(f);
+        assert!(mem.frame_is_zero(f), "released frame");
+        let other = mem.alloc_frame().unwrap();
+        mem.write_u64(other.base_addr(), 5);
+        assert!(
+            mem.frame_is_zero(f),
+            "a neighbour's data is not this frame's"
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@ use memento_obs::{Log2Hist, ProfileSample};
 use memento_sanitizer::{HeapSanitizer, SanitizerReport, ShadowPid};
 use memento_simcore::addr::{VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
 use memento_simcore::cycles::{CycleAccount, CycleBucket, Cycles};
+use memento_simcore::hash::BuildIntHasher;
 use memento_simcore::physmem::{Frame, PhysMem};
 use memento_softalloc::go::GoAlloc;
 use memento_softalloc::je::{JeConfig, JeMalloc};
@@ -86,7 +87,7 @@ pub struct FunctionRun {
     mproc: Option<MementoProcess>,
     shadow_pid: Option<ShadowPid>,
     soft: Box<dyn SoftwareAllocator>,
-    objects: HashMap<u64, (VirtAddr, u32)>,
+    objects: HashMap<u64, (VirtAddr, u32), BuildIntHasher>,
     gc: Option<GoGcState>,
     account: CycleAccount,
     gc_runs: u64,
@@ -98,7 +99,7 @@ pub struct FunctionRun {
     live_bytes: u64,
     // Malloc-free distance bookkeeping, maintained only when tracing is on.
     alloc_seq: u64,
-    born: HashMap<u64, u64>,
+    born: HashMap<u64, u64, BuildIntHasher>,
 }
 
 /// Sample arena occupancy every this many allocations (fragmentation
@@ -245,7 +246,7 @@ impl Machine {
             mproc,
             shadow_pid,
             soft: build_allocator(spec, self.cfg.populate),
-            objects: HashMap::new(),
+            objects: HashMap::default(),
             gc,
             account,
             gc_runs: 0,
@@ -256,7 +257,7 @@ impl Machine {
             finished: false,
             live_bytes: 0,
             alloc_seq: 0,
-            born: HashMap::new(),
+            born: HashMap::default(),
         }
     }
 

@@ -155,12 +155,13 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// Result of an unmap: the data frame (if any) plus table pages that became
-/// empty and were freed.
+/// Result of an unmap: the removed mapping (if any) plus table pages that
+/// became empty and were freed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UnmapResult {
-    /// The previously mapped data frame.
-    pub leaf_frame: Option<Frame>,
+    /// The removed mapping: data frame, permissions and the address of the
+    /// leaf PTE that was cleared. `None` when nothing was mapped.
+    pub leaf: Option<Translation>,
     /// Table pages freed because they became empty.
     pub freed_tables: Vec<Frame>,
 }
@@ -289,63 +290,58 @@ impl PageTable {
     pub fn translate(&self, mem: &PhysMem, va: VirtAddr) -> Option<Translation> {
         let leaf_addr = self.entry_addr(mem, va, 0)?;
         let pte = Pte::from_raw(mem.read_u64(leaf_addr));
-        if !pte.present() {
-            return None;
-        }
-        Some(Translation {
-            frame: pte.frame(),
+        pte.present().then(|| Self::translation(pte, leaf_addr))
+    }
+
+    fn translation(leaf: Pte, pte_addr: PhysAddr) -> Translation {
+        Translation {
+            frame: leaf.frame(),
             perms: PtePerms {
-                writable: pte.writable(),
-                executable: !pte.no_execute(),
+                writable: leaf.writable(),
+                executable: !leaf.no_execute(),
             },
-            pte_addr: leaf_addr,
-        })
+            pte_addr,
+        }
     }
 
     fn table_is_empty(mem: &PhysMem, table: Frame) -> bool {
-        (0..ENTRIES_PER_TABLE as u64).all(|i| mem.read_u64(table.base_addr().add(i * 8)) == 0)
+        mem.frame_is_zero(table)
     }
 
-    /// Unmaps `va`, returning the data frame and any table pages freed
+    /// Unmaps `va`, returning the removed mapping and any table pages freed
     /// because they became empty. Missing mappings unmap to an empty result.
+    /// One walk serves both: callers charge the leaf-PTE write at
+    /// `leaf.pte_addr` instead of translating first.
     pub fn unmap(&mut self, mem: &mut PhysMem, va: VirtAddr) -> UnmapResult {
-        // Record the walk path: (table frame, entry address) per level.
-        let mut path: Vec<(Frame, PhysAddr)> = Vec::with_capacity(4);
+        // The walk path, root first: (table frame, entry address) per level.
+        let mut path = [(self.root, PhysAddr::new(0)); 4];
         let mut table = self.root;
-        for lvl in (0..=3).rev() {
+        let mut pte = Pte::EMPTY;
+        for (depth, lvl) in (0..=3).rev().enumerate() {
             let addr = table.base_addr().add(va.pt_index(lvl) as u64 * 8);
-            path.push((table, addr));
-            if lvl == 0 {
-                break;
-            }
-            let pte = Pte::from_raw(mem.read_u64(addr));
+            path[depth] = (table, addr);
+            pte = Pte::from_raw(mem.read_u64(addr));
             if !pte.present() {
                 return UnmapResult::default();
             }
             table = pte.frame();
         }
-        let (_, leaf_addr) = *path.last().expect("leaf level present");
-        let leaf = Pte::from_raw(mem.read_u64(leaf_addr));
-        if !leaf.present() {
-            return UnmapResult::default();
-        }
+        let leaf_addr = path[3].1;
         mem.write_u64(leaf_addr, 0);
         let mut result = UnmapResult {
-            leaf_frame: Some(leaf.frame()),
+            leaf: Some(Self::translation(pte, leaf_addr)),
             freed_tables: Vec::new(),
         };
         // Free empty tables bottom-up (never the root).
-        for window in (1..path.len()).rev() {
-            let (table_frame, _) = path[window];
-            let (_, parent_entry) = path[window - 1];
-            if Self::table_is_empty(mem, table_frame) {
-                mem.write_u64(parent_entry, 0);
-                mem.release_frame(table_frame);
-                result.freed_tables.push(table_frame);
-                self.table_pages -= 1;
-            } else {
+        for depth in (1..path.len()).rev() {
+            let (table_frame, _) = path[depth];
+            if !Self::table_is_empty(mem, table_frame) {
                 break;
             }
+            mem.write_u64(path[depth - 1].1, 0);
+            mem.release_frame(table_frame);
+            result.freed_tables.push(table_frame);
+            self.table_pages -= 1;
         }
         result
     }
@@ -410,8 +406,12 @@ mod tests {
         let va = VirtAddr::new(0x6000_0000_0000);
         pt.map_boot(&mut mem, va, frame, PtePerms::rw()).unwrap();
         assert_eq!(pt.table_pages(), 4);
+        let leaf_addr = pt.translate(&mem, va).unwrap().pte_addr;
         let res = pt.unmap(&mut mem, va);
-        assert_eq!(res.leaf_frame, Some(frame));
+        let leaf = res.leaf.unwrap();
+        assert_eq!(leaf.frame, frame);
+        assert_eq!(leaf.pte_addr, leaf_addr, "unmap reports the cleared PTE");
+        assert!(leaf.perms.writable && !leaf.perms.executable);
         assert_eq!(res.freed_tables.len(), 3, "all intermediates emptied");
         assert_eq!(pt.table_pages(), 1);
         assert!(pt.translate(&mem, va).is_none());
@@ -427,7 +427,7 @@ mod tests {
         pt.map_boot(&mut mem, va1, f1, PtePerms::rw()).unwrap();
         pt.map_boot(&mut mem, va2, f2, PtePerms::rw()).unwrap();
         let res = pt.unmap(&mut mem, va1);
-        assert_eq!(res.leaf_frame, Some(f1));
+        assert_eq!(res.leaf.map(|t| t.frame), Some(f1));
         assert!(res.freed_tables.is_empty(), "leaf table still holds va2");
         assert!(pt.translate(&mem, va2).is_some());
     }
@@ -437,6 +437,92 @@ mod tests {
         let (mut mem, mut pt) = setup();
         let res = pt.unmap(&mut mem, VirtAddr::new(0x0dea_d000));
         assert_eq!(res, UnmapResult::default());
+    }
+
+    /// The 512-word scan `table_is_empty` used before
+    /// [`PhysMem::frame_is_zero`]: the oracle for which tables are empty.
+    fn table_is_empty_by_words(mem: &PhysMem, table: Frame) -> bool {
+        (0..ENTRIES_PER_TABLE as u64).all(|i| mem.read_u64(table.base_addr().add(i * 8)) == 0)
+    }
+
+    /// Non-root tables reachable from the root, by reading every entry.
+    fn reachable_tables(mem: &PhysMem, table: Frame, level: u8) -> u64 {
+        if level == 0 {
+            return 0;
+        }
+        (0..ENTRIES_PER_TABLE as u64)
+            .map(|i| Pte::from_raw(mem.read_u64(table.base_addr().add(i * 8))))
+            .filter(|pte| pte.present())
+            .map(|pte| 1 + reachable_tables(mem, pte.frame(), level - 1))
+            .sum()
+    }
+
+    #[test]
+    fn unmap_frees_exactly_the_tables_the_word_scan_calls_empty() {
+        for seed in 1..=6u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let (mut mem, mut pt) = setup();
+            let mut freed = [0; 4];
+            for step in 0..400u64 {
+                let r = next();
+                // Two slots per level, the first and the last of the table,
+                // so tables empty out often and a scan that skips either
+                // end of a page misses live entries.
+                let slot = |bits: u64| (bits & 1) * (ENTRIES_PER_TABLE as u64 - 1);
+                let va = VirtAddr::new(
+                    (slot(r) << 12)
+                        | (slot(r >> 8) << 21)
+                        | (slot(r >> 16) << 30)
+                        | (((r >> 24) & 1) * 255) << 39,
+                );
+                // Alternate map-heavy and unmap-heavy phases of 50 steps, so
+                // whole subtrees fill and then drain.
+                let map_heavy = step / 50 % 2 == 0;
+                if map_heavy == ((r >> 40) % 8 != 0) {
+                    let frame = Frame::from_number(100_000 + step);
+                    let _ = pt.map_boot(&mut mem, va, frame, PtePerms::rw());
+                } else {
+                    // Predict the frees with the oracle on a copy: clear the
+                    // leaf, then walk up while the word scan finds the table
+                    // empty.
+                    let mut oracle = mem.clone();
+                    let mut expected = Vec::new();
+                    if let Some(t) = pt.translate(&mem, va) {
+                        oracle.write_u64(t.pte_addr, 0);
+                        for level in 0..3 {
+                            let entry = pt.entry_addr(&mem, va, level).unwrap();
+                            let table = Frame::containing(entry);
+                            if !table_is_empty_by_words(&oracle, table) {
+                                break;
+                            }
+                            let parent = pt.entry_addr(&mem, va, level + 1).unwrap();
+                            oracle.write_u64(parent, 0);
+                            expected.push(table);
+                        }
+                    }
+                    let before = pt.table_pages();
+                    let res = pt.unmap(&mut mem, va);
+                    assert_eq!(res.freed_tables, expected, "seed {seed} step {step}");
+                    assert_eq!(pt.table_pages(), before - expected.len() as u64);
+                    freed[expected.len()] += 1;
+                }
+                assert_eq!(
+                    pt.table_pages(),
+                    1 + reachable_tables(&mem, pt.root(), 3),
+                    "seed {seed} step {step}: table_pages() vs the tree"
+                );
+            }
+            assert!(
+                freed.iter().all(|&n| n > 0),
+                "seed {seed}: unmaps by tables freed {freed:?}"
+            );
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ proptest! {
                 PtOp::Unmap(n) => {
                     let va = page_va(n);
                     let res = pt.unmap(&mut mem, va);
-                    prop_assert_eq!(res.leaf_frame, model.remove(&va.raw()));
+                    prop_assert_eq!(res.leaf.map(|t| t.frame), model.remove(&va.raw()));
                 }
             }
             prop_assert!(pt.table_pages() >= 1, "root always allocated");
