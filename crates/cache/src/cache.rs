@@ -26,9 +26,15 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `size_bytes` is a multiple of `assoc * 64` and the set
-    /// count is a power of two (or 1).
+    /// Panics unless `assoc` is non-zero, `size_bytes` is a multiple of
+    /// `assoc * 64` and the set count is a power of two (or 1).
     pub fn new(name: &str, size_bytes: usize, assoc: usize, latency: u64) -> Self {
+        assert!(assoc > 0, "cache {name}: associativity must be at least 1");
+        assert!(
+            size_bytes.is_multiple_of(assoc * CACHE_LINE_SIZE),
+            "cache {name}: size {size_bytes} B is not a multiple of assoc * 64 = {} B",
+            assoc * CACHE_LINE_SIZE
+        );
         let cfg = CacheConfig {
             name: name.to_owned(),
             size_bytes,
@@ -72,15 +78,68 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+/// Tag of an invalid way. Tags are line numbers (`addr >> 6`) shifted right
+/// by the set bits, so a real tag is below 2^58 and never equals it.
+const INVALID: u64 = u64::MAX;
+/// `Line::meta` bit 0: the line is dirty.
+const DIRTY: u64 = 1;
+/// Width of the owner field, `Line::meta` bits 1..=8.
+const OWNER_BITS: u32 = 8;
+/// `Line::meta` bits above the owner hold the LRU stamp.
+const STAMP_SHIFT: u32 = 1 + OWNER_BITS;
+/// The dirty bit and the owner field: what an LRU refresh keeps.
+const LOW_BITS: u64 = (1 << STAMP_SHIFT) - 1;
+
+/// Owners (cores) the packed owner field of a line can name.
+pub const MAX_OWNERS: usize = 1 << OWNER_BITS;
+
+/// One way of a set, 16 bytes.
+#[derive(Clone, Copy, Debug)]
 struct Line {
+    /// The line's tag, or [`INVALID`].
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-    /// Core that last filled this line (fair-share accounting in the LLC;
-    /// always 0 in private levels).
-    owner: usize,
+    /// LRU stamp (high 55 bits), then the core that last filled the line
+    /// (fair-share accounting in the LLC; always 0 in private levels),
+    /// then the dirty bit. Valid lines of one cache carry distinct stamps,
+    /// so ordering by stamp is ordering by recency.
+    meta: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Line>() == 16);
+
+impl Line {
+    const EMPTY: Line = Line {
+        tag: INVALID,
+        meta: 0,
+    };
+
+    fn new(tag: u64, dirty: bool, stamp: u64, owner: usize) -> Line {
+        Line {
+            tag,
+            meta: (stamp << STAMP_SHIFT) | ((owner as u64) << 1) | dirty as u64,
+        }
+    }
+
+    fn valid(&self) -> bool {
+        self.tag != INVALID
+    }
+
+    fn dirty(&self) -> bool {
+        self.meta & DIRTY != 0
+    }
+
+    fn owner(&self) -> usize {
+        ((self.meta & LOW_BITS) >> 1) as usize
+    }
+
+    fn stamp(&self) -> u64 {
+        self.meta >> STAMP_SHIFT
+    }
+
+    /// Marks the line most recently used, merging `dirty` into its dirty bit.
+    fn touch(&mut self, stamp: u64, dirty: bool) {
+        self.meta = (stamp << STAMP_SHIFT) | (self.meta & LOW_BITS) | dirty as u64;
+    }
 }
 
 /// Per-level statistics.
@@ -123,11 +182,14 @@ pub enum Eviction {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set in one allocation: set `s` is
+    /// `lines[s * assoc..(s + 1) * assoc]`.
+    lines: Vec<Line>,
+    assoc: usize,
     stamp: u64,
     stats: CacheStats,
     set_mask: u64,
-    set_shift: u32,
+    set_bits: u32,
 }
 
 impl SetAssocCache {
@@ -135,11 +197,12 @@ impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         SetAssocCache {
-            sets: vec![vec![Line::default(); cfg.assoc]; num_sets],
+            lines: vec![Line::EMPTY; num_sets * cfg.assoc],
+            assoc: cfg.assoc,
             stamp: 0,
             stats: CacheStats::default(),
             set_mask: num_sets as u64 - 1,
-            set_shift: CACHE_LINE_SHIFT,
+            set_bits: num_sets.trailing_zeros(),
             cfg,
         }
     }
@@ -155,24 +218,39 @@ impl SetAssocCache {
     }
 
     fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
-        let line = addr.raw() >> self.set_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let line = addr.raw() >> CACHE_LINE_SHIFT;
+        ((line & self.set_mask) as usize, line >> self.set_bits)
+    }
+
+    /// Where set `set_idx` starts in `lines`.
+    fn set_base(&self, set_idx: usize) -> usize {
+        set_idx * self.assoc
+    }
+
+    /// Base address of the line with `tag` in set `set_idx`.
+    fn line_addr(set_bits: u32, tag: u64, set_idx: usize) -> PhysAddr {
+        PhysAddr::new(((tag << set_bits) | set_idx as u64) << CACHE_LINE_SHIFT)
+    }
+
+    fn next_stamp(&mut self) -> u64 {
+        self.stamp += 1;
+        debug_assert!(
+            self.stamp < 1 << (u64::BITS - STAMP_SHIFT),
+            "LRU stamp outgrew its {}-bit field",
+            u64::BITS - STAMP_SHIFT
+        );
+        self.stamp
     }
 
     /// Looks up the line holding `addr`. On a hit the LRU stamp is refreshed
     /// and the line is marked dirty when `write`. Records demand stats.
     pub fn access(&mut self, addr: PhysAddr, write: bool) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set = &mut self.sets[set_idx];
-        for line in set.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.lru = stamp;
-                line.dirty |= write;
+        let stamp = self.next_stamp();
+        let base = self.set_base(set_idx);
+        for line in &mut self.lines[base..base + self.assoc] {
+            if line.tag == tag {
+                line.touch(stamp, write);
                 self.stats.demand.hit();
                 return true;
             }
@@ -184,7 +262,10 @@ impl SetAssocCache {
     /// Probes without updating LRU or stats (used by coherence-style checks).
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let base = self.set_base(set_idx);
+        self.lines[base..base + self.assoc]
+            .iter()
+            .any(|l| l.tag == tag)
     }
 
     /// Installs the line holding `addr`, evicting the LRU way if needed.
@@ -204,6 +285,10 @@ impl SetAssocCache {
     /// than `fair_ways` ways in this set: cores that overflow their fair
     /// share of the set are evicted first, approximating way-partitioned
     /// occupancy without hard partitioning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owner >= MAX_OWNERS`.
     pub fn fill_owned(
         &mut self,
         addr: PhysAddr,
@@ -211,61 +296,55 @@ impl SetAssocCache {
         owner: usize,
         fair_ways: usize,
     ) -> Eviction {
+        assert!(owner < MAX_OWNERS, "owner {owner} exceeds {MAX_OWNERS}");
         let (set_idx, tag) = self.set_and_tag(addr);
-        self.stamp += 1;
-        let stamp = self.stamp;
+        let stamp = self.next_stamp();
         self.stats.fills += 1;
-        let set_bits = self.set_mask.count_ones();
-        let set_shift = self.set_shift;
-        let set = &mut self.sets[set_idx];
+        let base = self.set_base(set_idx);
+        let set = &mut self.lines[base..base + self.assoc];
 
         // Already present (e.g. racing fill): refresh in place. The last
         // filler takes ownership of the line.
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = stamp;
-            line.dirty |= dirty;
-            line.owner = owner;
-            return Eviction::None;
+        let mut first_invalid = None;
+        for (i, line) in set.iter_mut().enumerate() {
+            if line.tag == tag {
+                *line = Line::new(tag, dirty || line.dirty(), stamp, owner);
+                return Eviction::None;
+            }
+            if first_invalid.is_none() && !line.valid() {
+                first_invalid = Some(i);
+            }
         }
 
-        let victim_idx = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => Self::pick_victim(set, fair_ways),
-        };
-        let victim = set[victim_idx];
-        let eviction = if victim.valid {
-            let victim_line = (victim.tag << set_bits) | set_idx as u64;
-            let victim_addr = PhysAddr::new(victim_line << set_shift);
-            if victim.dirty {
-                self.stats.writebacks += 1;
-                Eviction::Dirty(victim_addr)
-            } else {
-                Eviction::Clean(victim_addr)
-            }
+        let victim_idx = first_invalid.unwrap_or_else(|| Self::pick_victim(set, fair_ways));
+        let victim = std::mem::replace(&mut set[victim_idx], Line::new(tag, dirty, stamp, owner));
+        if !victim.valid() {
+            return Eviction::None;
+        }
+        let victim_addr = Self::line_addr(self.set_bits, victim.tag, set_idx);
+        if victim.dirty() {
+            self.stats.writebacks += 1;
+            Eviction::Dirty(victim_addr)
         } else {
-            Eviction::None
-        };
-        set[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty,
-            lru: stamp,
-            owner,
-        };
-        eviction
+            Eviction::Clean(victim_addr)
+        }
     }
 
     /// Victim way for a full set: LRU among over-quota owners when fair-share
     /// partitioning is on, plain LRU otherwise.
     fn pick_victim(set: &[Line], fair_ways: usize) -> usize {
         if fair_ways > 0 {
-            let over_quota =
-                |l: &Line| set.iter().filter(|o| o.valid && o.owner == l.owner).count() > fair_ways;
+            let over_quota = |l: &Line| {
+                set.iter()
+                    .filter(|o| o.valid() && o.owner() == l.owner())
+                    .count()
+                    > fair_ways
+            };
             if let Some(i) = set
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| over_quota(l))
-                .min_by_key(|(_, l)| l.lru)
+                .min_by_key(|(_, l)| l.stamp())
                 .map(|(i, _)| i)
             {
                 return i;
@@ -273,7 +352,7 @@ impl SetAssocCache {
         }
         set.iter()
             .enumerate()
-            .min_by_key(|(_, l)| l.lru)
+            .min_by_key(|(_, l)| l.stamp())
             .map(|(i, _)| i)
             .expect("non-empty set")
     }
@@ -281,43 +360,34 @@ impl SetAssocCache {
     /// Number of valid lines currently owned by `owner` (LLC fair-share
     /// observability; private levels report everything under owner 0).
     pub fn owner_occupancy(&self, owner: usize) -> usize {
-        self.sets
+        self.lines
             .iter()
-            .flat_map(|set| set.iter())
-            .filter(|l| l.valid && l.owner == owner)
+            .filter(|l| l.valid() && l.owner() == owner)
             .count()
     }
 
     /// Total number of valid lines resident in the cache.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter())
-            .filter(|l| l.valid)
-            .count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 
     /// Line capacity of the cache (sets × ways).
     pub fn capacity_lines(&self) -> usize {
-        self.cfg.num_sets() * self.cfg.assoc
+        self.lines.len()
     }
 
     /// Invalidates every line, returning the base addresses of dirty lines
     /// that must be written back. Models a flush at context switch.
     pub fn flush(&mut self) -> Vec<PhysAddr> {
-        let set_bits = self.set_mask.count_ones();
-        let set_shift = self.set_shift;
+        let set_bits = self.set_bits;
         let mut dirty = Vec::new();
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
-            for line in set.iter_mut() {
-                if line.valid {
-                    self.stats.flushed += 1;
-                    if line.dirty {
-                        let victim_line = (line.tag << set_bits) | set_idx as u64;
-                        dirty.push(PhysAddr::new(victim_line << set_shift));
-                    }
-                    *line = Line::default();
+        for (set_idx, set) in self.lines.chunks_exact_mut(self.assoc).enumerate() {
+            for line in set.iter_mut().filter(|l| l.valid()) {
+                self.stats.flushed += 1;
+                if line.dirty() {
+                    dirty.push(Self::line_addr(set_bits, line.tag, set_idx));
                 }
+                *line = Line::EMPTY;
             }
         }
         dirty
@@ -327,15 +397,14 @@ impl SetAssocCache {
     /// it was dirty.
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
         let (set_idx, tag) = self.set_and_tag(addr);
-        for line in self.sets[set_idx].iter_mut() {
-            if line.valid && line.tag == tag {
-                let was_dirty = line.dirty;
-                *line = Line::default();
-                self.stats.flushed += 1;
-                return Some(was_dirty);
-            }
-        }
-        None
+        let base = self.set_base(set_idx);
+        let line = self.lines[base..base + self.assoc]
+            .iter_mut()
+            .find(|l| l.tag == tag)?;
+        let was_dirty = line.dirty();
+        *line = Line::EMPTY;
+        self.stats.flushed += 1;
+        Some(was_dirty)
     }
 }
 
@@ -358,6 +427,36 @@ mod tests {
         assert_eq!(CacheConfig::paper_l2().num_sets(), 512);
         assert_eq!(CacheConfig::paper_llc().num_sets(), 2048);
         assert_eq!(CacheConfig::iso_storage_l1d().num_sets(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache X: size 1124 B is not a multiple of assoc * 64 = 512 B")]
+    fn size_must_be_a_multiple_of_the_set_size() {
+        CacheConfig::new("X", 1124, 8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache X: associativity must be at least 1")]
+    fn assoc_must_be_non_zero() {
+        CacheConfig::new("X", 1024, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "owner 256 exceeds 256")]
+    fn owner_must_fit_the_packed_field() {
+        tiny().fill_owned(addr(0, 1), false, MAX_OWNERS, 0);
+    }
+
+    #[test]
+    fn high_owner_and_huge_tag_round_trip() {
+        // The widest owner and the largest tag a 64-bit address can carry
+        // share the 16-byte line without disturbing each other.
+        let mut c = tiny();
+        let top = PhysAddr::new(u64::MAX).line_base();
+        c.fill_owned(top, true, MAX_OWNERS - 1, 0);
+        assert_eq!(c.owner_occupancy(MAX_OWNERS - 1), 1);
+        assert!(c.access(top, false));
+        assert_eq!(c.flush(), vec![top]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The assembled memory hierarchy: per-core L1I/L1D/L2, shared LLC, DRAM.
 
-use crate::cache::{CacheConfig, CacheStats, Eviction, SetAssocCache};
+use crate::cache::{CacheConfig, CacheStats, Eviction, SetAssocCache, MAX_OWNERS};
 use crate::dram::{Dram, DramConfig, DramStats};
 use memento_obs::Log2Hist;
 use memento_simcore::addr::PhysAddr;
@@ -168,9 +168,15 @@ impl MemSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cores == 0`.
+    /// Panics if `cfg.cores` is 0 or more than the LLC's packed line owner
+    /// field can name ([`MAX_OWNERS`]).
     pub fn new(cfg: MemSystemConfig) -> Self {
         assert!(cfg.cores > 0, "need at least one core");
+        assert!(
+            cfg.cores <= MAX_OWNERS,
+            "{} cores exceed the {MAX_OWNERS} LLC line owners",
+            cfg.cores
+        );
         let cores = (0..cfg.cores)
             .map(|_| CoreCaches {
                 l1i: SetAssocCache::new(cfg.l1i.clone()),
@@ -550,6 +556,12 @@ mod tests {
         assert_eq!(m.active_cores(), 2);
         m.set_active_cores(0);
         assert_eq!(m.active_cores(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 cores exceed the 256 LLC line owners")]
+    fn cores_must_fit_the_llc_owner_field() {
+        MemSystem::new(MemSystemConfig::paper_default(MAX_OWNERS + 1));
     }
 
     #[test]

@@ -971,7 +971,7 @@ impl Machine {
         let mut tlb_lat = Log2Hist::default();
         let mut ts = memento_vm::tlb::TlbStats::default();
         for tlb in &self.tlbs {
-            tlb_lat.merge(tlb.hit_latency());
+            tlb_lat.merge(&tlb.hit_latency());
             let s = tlb.stats();
             ts.l1.hits += s.l1.hits;
             ts.l1.misses += s.l1.misses;

@@ -57,17 +57,36 @@ impl Default for TlbConfig {
     }
 }
 
+/// `vpn` of an invalid entry. Page numbers are virtual addresses shifted
+/// right by 12, so a real one is below 2^52 and never equals it.
+const INVALID_VPN: u64 = u64::MAX;
+
 #[derive(Clone, Copy, Debug)]
 struct TlbEntry {
+    /// The cached page number, or [`INVALID_VPN`].
     vpn: u64,
     frame: Frame,
-    valid: bool,
     lru: u64,
+}
+
+impl TlbEntry {
+    const EMPTY: TlbEntry = TlbEntry {
+        vpn: INVALID_VPN,
+        frame: Frame::from_number(0),
+        lru: 0,
+    };
 }
 
 #[derive(Clone, Debug)]
 struct TlbArray {
-    sets: Vec<Vec<TlbEntry>>,
+    /// Every way of every set in one allocation: set `s` is
+    /// `entries[s * assoc..(s + 1) * assoc]`.
+    entries: Vec<TlbEntry>,
+    assoc: usize,
+    num_sets: u64,
+    /// `num_sets - 1` when the set count is a power of two, so the set
+    /// index is a mask; `None` falls back to `%`.
+    set_mask: Option<u64>,
     stamp: u64,
     latency: Cycles,
 }
@@ -78,51 +97,43 @@ impl TlbArray {
         // round the set count up — matching how sliced TLBs are built.
         let num_sets = cfg.entries.div_ceil(cfg.assoc).max(1);
         TlbArray {
-            sets: vec![
-                vec![
-                    TlbEntry {
-                        vpn: 0,
-                        frame: Frame::from_number(0),
-                        valid: false,
-                        lru: 0,
-                    };
-                    cfg.assoc
-                ];
-                num_sets
-            ],
+            entries: vec![TlbEntry::EMPTY; num_sets * cfg.assoc],
+            assoc: cfg.assoc,
+            num_sets: num_sets as u64,
+            set_mask: num_sets.is_power_of_two().then_some(num_sets as u64 - 1),
             stamp: 0,
             latency: cfg.latency,
         }
     }
 
-    fn set_index(&self, vpn: u64) -> usize {
-        (vpn % self.sets.len() as u64) as usize
+    /// The ways of the set `vpn` maps to.
+    fn set_mut(&mut self, vpn: u64) -> &mut [TlbEntry] {
+        let set = match self.set_mask {
+            Some(mask) => vpn & mask,
+            None => vpn % self.num_sets,
+        } as usize;
+        let base = set * self.assoc;
+        &mut self.entries[base..base + self.assoc]
     }
 
     fn lookup(&mut self, vpn: u64) -> Option<Frame> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let idx = self.set_index(vpn);
-        for e in self.sets[idx].iter_mut() {
-            if e.valid && e.vpn == vpn {
-                e.lru = stamp;
-                return Some(e.frame);
-            }
-        }
-        None
+        let e = self.set_mut(vpn).iter_mut().find(|e| e.vpn == vpn)?;
+        e.lru = stamp;
+        Some(e.frame)
     }
 
     fn insert(&mut self, vpn: u64, frame: Frame) {
         self.stamp += 1;
         let stamp = self.stamp;
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        if let Some(e) = set.iter_mut().find(|e| e.valid && e.vpn == vpn) {
+        let set = self.set_mut(vpn);
+        if let Some(e) = set.iter_mut().find(|e| e.vpn == vpn) {
             e.frame = frame;
             e.lru = stamp;
             return;
         }
-        let victim = match set.iter().position(|e| !e.valid) {
+        let victim = match set.iter().position(|e| e.vpn == INVALID_VPN) {
             Some(i) => i,
             None => set
                 .iter()
@@ -134,29 +145,21 @@ impl TlbArray {
         set[victim] = TlbEntry {
             vpn,
             frame,
-            valid: true,
             lru: stamp,
         };
     }
 
     fn invalidate(&mut self, vpn: u64) -> bool {
-        let idx = self.set_index(vpn);
         let mut any = false;
-        for e in self.sets[idx].iter_mut() {
-            if e.valid && e.vpn == vpn {
-                e.valid = false;
-                any = true;
-            }
+        for e in self.set_mut(vpn).iter_mut().filter(|e| e.vpn == vpn) {
+            *e = TlbEntry::EMPTY;
+            any = true;
         }
         any
     }
 
     fn flush(&mut self) {
-        for set in &mut self.sets {
-            for e in set.iter_mut() {
-                e.valid = false;
-            }
-        }
+        self.entries.fill(TlbEntry::EMPTY);
     }
 }
 
@@ -188,7 +191,6 @@ pub struct Tlb {
     l1: TlbArray,
     l2: TlbArray,
     stats: TlbStats,
-    lat: Log2Hist,
 }
 
 impl Tlb {
@@ -198,7 +200,6 @@ impl Tlb {
             l1: TlbArray::new(cfg.l1),
             l2: TlbArray::new(cfg.l2),
             stats: TlbStats::default(),
-            lat: Log2Hist::default(),
         }
     }
 
@@ -208,8 +209,18 @@ impl Tlb {
     }
 
     /// Distribution of lookup latencies (cycles; bucket 0 = free L1 hits).
-    pub fn hit_latency(&self) -> &Log2Hist {
-        &self.lat
+    ///
+    /// A lookup costs the L1 latency on an L1 hit and the L1 plus L2
+    /// latency otherwise, so the histogram follows from the L1 counters
+    /// and is built on demand rather than recorded per lookup.
+    pub fn hit_latency(&self) -> Log2Hist {
+        let mut hist = Log2Hist::new();
+        hist.record_n(self.l1.latency.raw(), self.stats.l1.hits);
+        hist.record_n(
+            (self.l1.latency + self.l2.latency).raw(),
+            self.stats.l1.misses,
+        );
+        hist
     }
 
     /// Looks up the page containing `va` in both levels; promotes L2 hits
@@ -218,7 +229,6 @@ impl Tlb {
         let vpn = va.page_number();
         if let Some(frame) = self.l1.lookup(vpn) {
             self.stats.l1.hit();
-            self.lat.record(self.l1.latency.raw());
             return TlbLookup {
                 frame: Some(frame),
                 cycles: self.l1.latency,
@@ -226,7 +236,6 @@ impl Tlb {
         }
         self.stats.l1.miss();
         let cycles = self.l1.latency + self.l2.latency;
-        self.lat.record(cycles.raw());
         if let Some(frame) = self.l2.lookup(vpn) {
             self.stats.l2.hit();
             self.l1.insert(vpn, frame);
@@ -343,6 +352,57 @@ mod tests {
             assert_eq!(tlb.lookup(page(n)).frame, None);
         }
         assert_eq!(tlb.stats().flushes, 1);
+    }
+
+    /// The per-lookup recording `hit_latency` replaced: one sample per
+    /// lookup at the latency the lookup returned.
+    fn recorded_per_lookup(tlb: &mut Tlb, pages: &[u64]) -> Log2Hist {
+        let mut hist = Log2Hist::new();
+        for &n in pages {
+            hist.record(tlb.lookup(page(n)).cycles.raw());
+        }
+        hist
+    }
+
+    #[test]
+    fn hit_latency_equals_per_lookup_recording() {
+        let slow_l1 = TlbConfig {
+            l1: TlbLevelConfig {
+                latency: Cycles::new(1),
+                ..TlbConfig::paper_default().l1
+            },
+            ..TlbConfig::paper_default()
+        };
+        for cfg in [TlbConfig::paper_default(), slow_l1] {
+            // No lookups: an empty histogram, not zero-count buckets.
+            assert_eq!(Tlb::new(cfg).hit_latency(), Log2Hist::new());
+
+            // All misses: only the L1+L2 bucket exists.
+            let mut tlb = Tlb::new(cfg);
+            let want = recorded_per_lookup(&mut tlb, &[1, 2, 3, 2]);
+            assert_eq!(tlb.hit_latency(), want);
+            let miss = (cfg.l1.latency + cfg.l2.latency).raw();
+            assert_eq!(want.buckets().len(), miss.ilog2() as usize + 2);
+
+            // All hits: the bucket vector stops at the L1 latency's bucket.
+            let mut tlb = Tlb::new(cfg);
+            tlb.insert(page(5), Frame::from_number(5));
+            let want = recorded_per_lookup(&mut tlb, &[5, 5, 5]);
+            assert_eq!(tlb.hit_latency(), want);
+            let l1_buckets = if cfg.l1.latency == Cycles::ZERO { 1 } else { 2 };
+            assert_eq!(want.buckets().len(), l1_buckets);
+
+            // A mix: L1 hits, L2 hits after L1 evictions, and misses.
+            let mut tlb = Tlb::new(cfg);
+            for n in 0..300 {
+                tlb.insert(page(n), Frame::from_number(n));
+            }
+            let pages: Vec<u64> = (0..600).map(|i| (i * 37) % 400).collect();
+            let want = recorded_per_lookup(&mut tlb, &pages);
+            assert_eq!(tlb.hit_latency(), want);
+            assert!(tlb.stats().l1.hits > 0 && tlb.stats().l2.hits > 0);
+            assert!(tlb.stats().l2.misses > 0);
+        }
     }
 
     #[test]
