@@ -29,6 +29,11 @@ pub enum ClusterError {
     /// A keep-alive policy is malformed (zero budget or an empty TTL
     /// clamp range).
     InvalidKeepAlive(String),
+    /// A Measured-engine fleet was configured to write a Perfetto trace
+    /// file. Each container machine would write it at teardown, so the
+    /// file would hold an arbitrary container's trace; trace in memory
+    /// instead.
+    MeasuredTraceFile(std::path::PathBuf),
 }
 
 impl fmt::Display for ClusterError {
@@ -54,6 +59,12 @@ impl fmt::Display for ClusterError {
             ClusterError::InvalidKeepAlive(why) => {
                 write!(f, "invalid keep-alive policy: {why}")
             }
+            ClusterError::MeasuredTraceFile(path) => write!(
+                f,
+                "a Measured fleet cannot write a per-machine trace file ({}): \
+                 every container would overwrite it; trace in memory instead",
+                path.display()
+            ),
         }
     }
 }

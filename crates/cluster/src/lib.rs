@@ -36,7 +36,9 @@
 //!   quantiles, and drain-time conservation audits from
 //!   `memento_sanitizer::fleet`. [`sim::simulate_jobs`] fans node
 //!   execution across worker threads when the run decomposes per node,
-//!   with byte-identical output to the serial reference.
+//!   with byte-identical output to the serial reference. Its Measured
+//!   engine simulates each (function, op history) once per fleet and
+//!   serves repeats from a shared lineage store.
 //! - [`error`] — typed construction/validation errors.
 //!
 //! # Examples
@@ -75,6 +77,7 @@
 pub mod arrival;
 pub mod error;
 pub mod event_heap;
+mod lineage;
 pub mod policy;
 pub mod profile;
 mod shard;

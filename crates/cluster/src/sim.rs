@@ -37,6 +37,16 @@
 //! The serial path is the reference; `serial_and_sharded_runs_agree`
 //! asserts byte-identical tables, timelines, and peaks.
 //!
+//! # Measured containers
+//!
+//! The Measured engine keeps no machine per container. A container slot
+//! holds its place in a lineage store (`crate::lineage`): one recorded
+//! op history per (workload, boot kind), with one live machine at its
+//! tip. An op some other container already ran at the same depth reads
+//! the recorded values, so each (function, op history) is simulated
+//! once per fleet, and outputs are identical to one machine per
+//! container.
+//!
 //! # Accounting
 //!
 //! The scheduler tracks the fleet memory footprint *incrementally*: each
@@ -45,8 +55,9 @@
 //! idle level when warm, and zeroed at retirement. Footprint means
 //! *unreclaimable* frames — mapped data plus page tables; the hardware
 //! pool's free reserve is shed back to the OS when a container parks
-//! ([`WarmContainer::park`]) and excluded while serving, because free
-//! staging is reclaimable at any instant exactly like the OS free list.
+//! ([`memento_system::WarmContainer::park`]) and excluded while
+//! serving, because free staging is reclaimable at any instant exactly
+//! like the OS free list.
 //! The running total drives the footprint timeline and peak; the peak is
 //! taken over *timestamp-settled* footprints (all events at one simulated
 //! instant apply before the maximum is sampled), so it is independent of
@@ -63,20 +74,24 @@ use memento_obs::metrics::{Log2Hist, MetricsRegistry};
 use memento_obs::selfprof;
 use memento_sanitizer::fleet::{FleetAuditor, InvocationCounts};
 use memento_sanitizer::SanitizerReport;
-use memento_system::{SystemConfig, WarmContainer};
+use memento_system::SystemConfig;
 
 use crate::arrival::{Arrival, WorkloadMix};
 use crate::error::ClusterError;
 use crate::event_heap::EventHeap;
+use crate::lineage::{Lineages, Op, Pos};
 use crate::policy::{Autoscaler, ColdStart, KeepAlive, Placement, Reclamation, RejectReason};
 use crate::profile::ProfileTable;
 
 /// How the simulator obtains service times and frame footprints.
 pub enum Engine {
-    /// Every container wraps a live [`WarmContainer`] machine: exact
-    /// per-invocation simulation of the full memory hierarchy. Use for
-    /// tests and small fleets (boxed: a `SystemConfig` is much larger
-    /// than a profile-table handle).
+    /// Every container runs on an exact [`memento_system::WarmContainer`]
+    /// simulation of the full memory hierarchy. Containers of one
+    /// function that receive the same ops share one op history, so the
+    /// engine simulates each (function, op history) once per fleet (see
+    /// DESIGN.md §10, "Shared container histories"). The config must not
+    /// name a trace file. Boxed: a `SystemConfig` is much larger than a
+    /// profile-table handle.
     Measured(Box<SystemConfig>),
     /// Containers replay calibrated [`crate::profile::ServiceProfile`]
     /// costs. Use to scale the same scheduler/keep-alive dynamics to
@@ -236,8 +251,9 @@ impl ClusterResult {
     }
 }
 
-/// Validates a run's inputs: a non-empty fleet and mix, and (for the
-/// Profiled engine) a calibrated profile for every workload in the mix.
+/// Validates a run's inputs: a non-empty fleet and mix, a calibrated
+/// profile for every workload in the mix (Profiled engine), and no
+/// trace file (Measured engine).
 fn validate(engine: &Engine, cfg: &ClusterConfig, mix: &WorkloadMix) -> Result<(), ClusterError> {
     if cfg.nodes == 0 || cfg.cores_per_node == 0 {
         return Err(ClusterError::NoNodes);
@@ -299,10 +315,19 @@ fn validate(engine: &Engine, cfg: &ClusterConfig, mix: &WorkloadMix) -> Result<(
             ));
         }
     }
-    if let Engine::Profiled(table) = engine {
-        for spec in mix.specs() {
-            if table.get(&spec.name).is_none() {
-                return Err(ClusterError::MissingProfile(spec.name.clone()));
+    match engine {
+        Engine::Profiled(table) => {
+            for spec in mix.specs() {
+                if table.get(&spec.name).is_none() {
+                    return Err(ClusterError::MissingProfile(spec.name.clone()));
+                }
+            }
+        }
+        // Container machines share op histories, so a machine's outputs
+        // must depend on nothing but that history: no file side effects.
+        Engine::Measured(sys) => {
+            if let Some(path) = sys.trace.as_ref().and_then(|t| t.path.as_ref()) {
+                return Err(ClusterError::MeasuredTraceFile(path.clone()));
             }
         }
     }
@@ -410,14 +435,14 @@ pub(crate) fn resolve_profiles(table: &ProfileTable, mix: &WorkloadMix) -> Vec<P
 
 /// The engine with lookups pre-resolved for the hot path.
 pub(crate) enum Costs {
-    Measured(Box<SystemConfig>),
+    Measured(Lineages),
     Profiled(Vec<ProfileCosts>),
 }
 
 impl Costs {
     fn resolve(engine: Engine, mix: &WorkloadMix) -> Costs {
         match engine {
-            Engine::Measured(cfg) => Costs::Measured(cfg),
+            Engine::Measured(cfg) => Costs::Measured(Lineages::new(cfg, mix)),
             Engine::Profiled(table) => Costs::Profiled(resolve_profiles(&table, mix)),
         }
     }
@@ -425,10 +450,6 @@ impl Costs {
 
 /// Sentinel for "no warm container" in a node's dense warm array.
 const NO_WARM: u32 = u32::MAX;
-
-/// Sentinel for "no live machine" in a slot's machine-arena index —
-/// every Profiled-engine slot, and Measured slots between tenants.
-const NO_MACHINE: u32 = u32::MAX;
 
 /// A scheduled keep-alive expiry — the only event kind that still needs
 /// its own queue. Arrivals are a cursor over the (sorted) arrival slice
@@ -555,11 +576,11 @@ struct Slot {
     /// (its DRAM contribution is the profile's `pm_idle_frames`); cleared
     /// by the next warm start, which pays the PM restore premium.
     pm_parked: bool,
-    /// Index of the live machine in the sim's machine arena
-    /// ([`NO_MACHINE`] on Profiled slots). Keeping the multi-KB
-    /// [`WarmContainer`] out of line leaves the slot a compact POD, so
-    /// the Profiled engine's slab walks stay cache-dense.
-    machine: u32,
+    /// The container's place in the Measured engine's lineage store
+    /// (unused on Profiled slots). Machines live in the store, not in
+    /// the slot, which keeps the slot a compact POD and the Profiled
+    /// engine's slab walks cache-dense.
+    pos: Pos,
 }
 
 pub(crate) struct Sim<'a> {
@@ -637,11 +658,6 @@ pub(crate) struct Sim<'a> {
     pm_persist_cycles: u64,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Slab arena of live Measured machines, indexed by [`Slot::machine`]
-    /// and recycled through `machine_free` — the big per-container state
-    /// lives here, not inline in the slot slab. Empty on Profiled runs.
-    machines: Vec<Option<WarmContainer>>,
-    machine_free: Vec<u32>,
     /// Sanitizer findings absorbed from retired Measured machines (plus
     /// the ones still live at drain), merged into the fleet audit — a
     /// machine-level violation (e.g. a failed PM recovery audit) must
@@ -699,6 +715,16 @@ pub(crate) fn radix_sort_u64(v: &mut Vec<u64>) {
             return;
         }
     }
+}
+
+/// Folds a machine's sanitizer report into the fleet-level audit
+/// accumulator.
+fn absorb(acc: &mut SanitizerReport, r: &SanitizerReport) {
+    acc.violations.extend(r.violations.iter().cloned());
+    acc.events += r.events;
+    acc.ops += r.ops;
+    acc.audits += r.audits;
+    acc.oracle_ops += r.oracle_ops;
 }
 
 const REJECT_REASONS: [RejectReason; 2] = [RejectReason::QueueFull, RejectReason::ClusterSaturated];
@@ -780,8 +806,6 @@ impl<'a> Sim<'a> {
             pm_persist_cycles: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            machines: Vec::new(),
-            machine_free: Vec::new(),
             machine_audit: SanitizerReport::default(),
             live_count: 0,
             rr: 0,
@@ -1037,13 +1061,10 @@ impl<'a> Sim<'a> {
             (warm_slot, cycles)
         } else {
             self.cold_starts += 1;
-            let (slot, cycles, active) = match self.cfg.cold_start {
-                ColdStart::Boot => self.cold_start(node, workload),
-                ColdStart::Snapshot => {
-                    self.restores += 1;
-                    self.restore_start(node, workload)
-                }
-            };
+            if self.cfg.cold_start == ColdStart::Snapshot {
+                self.restores += 1;
+            }
+            let (slot, cycles, active) = self.boot(node, workload, self.cfg.cold_start);
             self.set_contrib(slot, active);
             (slot, cycles)
         };
@@ -1066,40 +1087,10 @@ impl<'a> Sim<'a> {
         };
     }
 
-    /// Parks a fresh Measured machine in the machine arena (recycling
-    /// freed entries) and returns its index.
-    fn attach_machine(&mut self, m: WarmContainer) -> u32 {
-        if let Some(i) = self.machine_free.pop() {
-            debug_assert!(self.machines[i as usize].is_none(), "free entry is empty");
-            self.machines[i as usize] = Some(m);
-            i
-        } else {
-            self.machines.push(Some(m));
-            // lint:allow(narrowing-cast-in-hot-path): machine count is bounded by live containers < 2^32
-            (self.machines.len() - 1) as u32
-        }
-    }
-
-    fn machine(&self, idx: u32) -> &WarmContainer {
-        self.machines[idx as usize]
-            .as_ref()
-            .expect("measured containers carry machines")
-    }
-
-    fn machine_mut(&mut self, idx: u32) -> &mut WarmContainer {
-        self.machines[idx as usize]
-            .as_mut()
-            .expect("measured containers carry machines")
-    }
-
     /// Allocates a slab slot for a fresh container (recycling retired
     /// slots; `gen` survives recycling so stale expiries miss).
-    fn alloc_slot(&mut self, workload: u32, node: usize, measured: Option<WarmContainer>) -> u32 {
+    fn alloc_slot(&mut self, workload: u32, node: usize, pos: Pos) -> u32 {
         self.live_count += 1;
-        let machine = match measured {
-            Some(m) => self.attach_machine(m),
-            None => NO_MACHINE,
-        };
         if let Some(slot) = self.free.pop() {
             let c = &mut self.slots[slot as usize];
             debug_assert!(!c.live, "free list must only hold retired slots");
@@ -1113,7 +1104,7 @@ impl<'a> Sim<'a> {
             c.squeeze_floor = 0;
             c.squeeze_refault = 0;
             c.pm_parked = false;
-            c.machine = machine;
+            c.pos = pos;
             slot
         } else {
             self.slots.push(Slot {
@@ -1128,47 +1119,34 @@ impl<'a> Sim<'a> {
                 squeeze_floor: 0,
                 squeeze_refault: 0,
                 pm_parked: false,
-                machine,
+                pos,
             });
             // lint:allow(narrowing-cast-in-hot-path): slot count is bounded by live containers < 2^32
             (self.slots.len() - 1) as u32
         }
     }
 
-    fn cold_start(&mut self, node: usize, workload: u32) -> (u32, u64, u64) {
-        let (measured, cycles, active) = match &self.costs {
-            Costs::Measured(cfg) => {
-                let spec = self.mix.spec(workload as usize);
-                let (c, stats) = WarmContainer::cold_start(cfg.as_ref().clone(), spec);
-                let active = c.serving_peak_pages();
-                (Some(c), stats.total_cycles().raw(), active)
+    /// Brings up a fresh container: a full cold boot, or a REAP-style
+    /// snapshot restore whose stable working set is prefetched instead
+    /// of rebuilt, so its service time lands strictly between a warm hit
+    /// and a cold boot. Returns the slot, the service cycles and the
+    /// serving footprint.
+    fn boot(&mut self, node: usize, workload: u32, kind: ColdStart) -> (u32, u64, u64) {
+        let (pos, cycles, active) = match &mut self.costs {
+            Costs::Measured(lineages) => {
+                let (pos, r) = lineages.boot(workload, kind);
+                (pos, r.cycles, r.serving_peak_pages)
             }
             Costs::Profiled(costs) => {
                 let p = &costs[workload as usize];
-                (None, p.cold_cycles, p.active_frames)
+                let cycles = match kind {
+                    ColdStart::Boot => p.cold_cycles,
+                    ColdStart::Snapshot => p.restore_cycles,
+                };
+                (Pos::default(), cycles, p.active_frames)
             }
         };
-        let slot = self.alloc_slot(workload, node, measured);
-        (slot, cycles, active)
-    }
-
-    /// REAP-style snapshot restore of a fresh container: the stable
-    /// working set is prefetched instead of rebuilt, so the charged
-    /// service time lands strictly between a warm hit and a cold boot.
-    fn restore_start(&mut self, node: usize, workload: u32) -> (u32, u64, u64) {
-        let (measured, cycles, active) = match &self.costs {
-            Costs::Measured(cfg) => {
-                let spec = self.mix.spec(workload as usize);
-                let (c, restore) = WarmContainer::restore_start(cfg.as_ref().clone(), spec);
-                let active = c.serving_peak_pages();
-                (Some(c), restore, active)
-            }
-            Costs::Profiled(costs) => {
-                let p = &costs[workload as usize];
-                (None, p.restore_cycles, p.active_frames)
-            }
-        };
-        let slot = self.alloc_slot(workload, node, measured);
+        let slot = self.alloc_slot(workload, node, pos);
         (slot, cycles, active)
     }
 
@@ -1188,21 +1166,17 @@ impl<'a> Sim<'a> {
         // sealed-image replay (or demand refault on baselines) on top of
         // the warm service time.
         let pm_parked = std::mem::take(&mut c.pm_parked);
-        let (workload, machine) = (c.workload, c.machine);
+        let workload = c.workload;
         if pm_parked {
             self.pm_restores += 1;
         }
-        match &self.costs {
-            Costs::Measured(_) => {
-                let m = self.machines[machine as usize]
-                    .as_mut()
-                    .expect("measured containers carry machines");
-                let pm_extra = if pm_parked { m.restore_from_pm() } else { 0 };
-                let stats = m.invoke();
-                (
-                    stats.total_cycles().raw() + refault + pm_extra,
-                    m.serving_peak_pages(),
-                )
+        match &mut self.costs {
+            Costs::Measured(lineages) => {
+                let op = Op::Invoke {
+                    pm_restore: pm_parked,
+                };
+                let r = lineages.apply(&mut self.slots[slot as usize].pos, op);
+                (r.cycles + refault, r.serving_peak_pages)
             }
             Costs::Profiled(costs) => {
                 let p = &costs[workload as usize];
@@ -1219,17 +1193,10 @@ impl<'a> Sim<'a> {
     /// Parks the container (sheds the pool's free reserve on Measured
     /// machines) and returns its idle-warm unreclaimable footprint.
     fn park_idle(&mut self, slot: u32) -> u64 {
-        let (workload, machine) = {
-            let c = &self.slots[slot as usize];
-            (c.workload, c.machine)
-        };
-        match &self.costs {
-            Costs::Measured(_) => {
-                let m = self.machine_mut(machine);
-                m.park();
-                m.unreclaimable_pages()
-            }
-            Costs::Profiled(costs) => costs[workload as usize].idle_frames,
+        let c = &mut self.slots[slot as usize];
+        match &mut self.costs {
+            Costs::Measured(lineages) => lineages.apply(&mut c.pos, Op::Park).unreclaimable_pages,
+            Costs::Profiled(costs) => costs[c.workload as usize].idle_frames,
         }
     }
 
@@ -1252,7 +1219,7 @@ impl<'a> Sim<'a> {
             };
         }
         match &self.costs {
-            Costs::Measured(_) => self.machine(c.machine).unreclaimable_pages(),
+            Costs::Measured(lineages) => lineages.record(c.pos).unreclaimable_pages,
             Costs::Profiled(costs) => costs[c.workload as usize].idle_frames,
         }
     }
@@ -1264,14 +1231,13 @@ impl<'a> Sim<'a> {
     /// idle footprint. The persist cycles are background PM write traffic,
     /// accumulated off the latency path.
     fn park_to_pm_slot(&mut self, slot: u32) {
-        let (persist, pm_idle) = match &self.costs {
-            Costs::Measured(_) => {
-                let machine = self.slots[slot as usize].machine;
-                let m = self.machine_mut(machine);
+        let (persist, pm_idle) = match &mut self.costs {
+            Costs::Measured(lineages) => {
+                let pos = &mut self.slots[slot as usize].pos;
                 // Seed the crash-injection audit from the container's own
                 // checkpoint history — deterministic and shard-independent.
-                let seed = m.pm_sealed_epoch().map(|e| e.raw()).unwrap_or(0);
-                (m.park_to_pm(seed), 0)
+                let seed = lineages.record(*pos).pm_sealed_epoch.unwrap_or(0);
+                (lineages.apply(pos, Op::ParkToPm { seed }).cycles, 0)
             }
             Costs::Profiled(costs) => {
                 let p = &costs[self.slots[slot as usize].workload as usize];
@@ -1318,12 +1284,12 @@ impl<'a> Sim<'a> {
                     p.squeeze_refault_cycles,
                 )
             }
-            Costs::Measured(_) => {
+            Costs::Measured(lineages) => {
                 let c = &self.slots[slot as usize];
-                let m = self.machine(c.machine);
+                let r = lineages.record(c.pos);
                 let idle = c.contrib;
-                let floor = m.squeeze_floor_pages().min(idle);
-                (floor, (idle - floor) * m.squeeze_refault_unit_cycles())
+                let floor = r.squeeze_floor_pages.min(idle);
+                (floor, (idle - floor) * r.squeeze_refault_unit_cycles)
             }
         };
         let c = &mut self.slots[slot as usize];
@@ -1648,17 +1614,6 @@ impl<'a> Sim<'a> {
         self.retire(slot);
     }
 
-    /// Folds a machine's sanitizer report into the fleet-level audit
-    /// accumulator (no-op when the sanitizer is off).
-    fn absorb_machine_report(&mut self, report: Option<memento_sanitizer::SanitizerReport>) {
-        let Some(r) = report else { return };
-        self.machine_audit.violations.extend(r.violations);
-        self.machine_audit.events += r.events;
-        self.machine_audit.ops += r.ops;
-        self.machine_audit.audits += r.audits;
-        self.machine_audit.oracle_ops += r.oracle_ops;
-    }
-
     fn retire(&mut self, slot: u32) {
         self.set_contrib(slot, 0);
         let c = &mut self.slots[slot as usize];
@@ -1667,14 +1622,10 @@ impl<'a> Sim<'a> {
         c.squeezed = false;
         c.pm_parked = false;
         c.gen = c.gen.wrapping_add(1);
-        let machine = std::mem::replace(&mut c.machine, NO_MACHINE);
-        if machine != NO_MACHINE {
-            let m = self.machines[machine as usize]
-                .take()
-                .expect("measured containers carry machines");
-            let (_, report) = m.finish_with_report();
-            self.absorb_machine_report(report);
-            self.machine_free.push(machine);
+        if let Costs::Measured(lineages) = &mut self.costs {
+            if let Some(report) = lineages.release(c.pos) {
+                absorb(&mut self.machine_audit, &report);
+            }
         }
         self.free.push(slot);
         self.live_count -= 1;
@@ -1739,11 +1690,11 @@ impl<'a> Sim<'a> {
         // Machines still live at drain keep their sanitizer findings too:
         // fold them in so fleet cleanliness covers every container, not
         // just the retired ones.
-        for slot in 0..self.slots.len() {
-            let (live, machine) = (self.slots[slot].live, self.slots[slot].machine);
-            if live && machine != NO_MACHINE {
-                let report = self.machine(machine).machine().sanitizer_report().cloned();
-                self.absorb_machine_report(report);
+        if let Costs::Measured(lineages) = &self.costs {
+            for c in self.slots.iter().filter(|c| c.live) {
+                if let Some(report) = lineages.report(c.pos) {
+                    absorb(&mut self.machine_audit, report);
+                }
             }
         }
 
@@ -1771,6 +1722,15 @@ impl<'a> Sim<'a> {
             metrics.add("cluster.scale_ups", self.scale_ups);
             metrics.add("cluster.scale_downs", self.scale_downs);
             metrics.set("cluster.peak_active_nodes", self.peak_active_nodes);
+        }
+        // Measured runs show how much of the op stream lineage sharing
+        // served from records; Profiled renders stay byte-identical.
+        if let Costs::Measured(lineages) = &self.costs {
+            metrics.add("cluster.measured.steps", lineages.steps());
+            metrics.add(
+                "cluster.measured.steps_simulated",
+                lineages.steps_simulated(),
+            );
         }
         metrics.set("cluster.peak_fleet_frames", self.fleet_peak);
         metrics.set("cluster.final_fleet_frames", self.fleet_now);
@@ -2891,5 +2851,198 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn measured_trace_file_is_a_typed_error() {
+        let mix = two_mix();
+        let arrivals = generate_arrivals(
+            &ArrivalConfig {
+                seed: 3,
+                count: 4,
+                mean_interarrival_cycles: 200_000.0,
+            },
+            &mix,
+        )
+        .expect("valid arrivals");
+        let cfg = ClusterConfig::default();
+        // In-memory tracing writes nothing, so it stays allowed.
+        let mut sys = SystemConfig::memento().traced_in_memory();
+        let r = simulate(
+            Engine::Measured(Box::new(sys.clone())),
+            &cfg,
+            &mix,
+            &arrivals,
+        )
+        .expect("in-memory tracing is fine");
+        assert_eq!(r.completed, 4);
+        let path = std::env::temp_dir().join("memento-fleet-trace.json");
+        sys.trace.as_mut().expect("traced").path = Some(path.clone());
+        let want = ClusterError::MeasuredTraceFile(path);
+        let engine = || Engine::Measured(Box::new(sys.clone()));
+        assert_eq!(
+            simulate(engine(), &cfg, &mix, &arrivals).err(),
+            Some(want.clone())
+        );
+        assert_eq!(
+            simulate_jobs(engine(), &cfg, &mix, &arrivals, 4).err(),
+            Some(want)
+        );
+    }
+
+    /// Runs a Measured fleet with one private lineage per container: one
+    /// live machine per container, the engine before lineages were
+    /// shared.
+    fn run_per_container(
+        sys: &SystemConfig,
+        cfg: &ClusterConfig,
+        mix: &WorkloadMix,
+        arrivals: &[Arrival],
+    ) -> ClusterResult {
+        let sys = if cfg.cores_per_node > 1 {
+            sys.clone().with_cores(cfg.cores_per_node)
+        } else {
+            sys.clone()
+        };
+        let costs = Costs::Measured(Lineages::per_container(Box::new(sys), mix));
+        let mut sim = Sim::new(costs, cfg, mix, None, 0, cfg.record_timeline);
+        sim.run(arrivals);
+        sim.finish()
+    }
+
+    /// Every observable output of two runs, except the count of ops that
+    /// ran a machine (the one number sharing is meant to change).
+    fn observable(r: &ClusterResult) -> String {
+        let counters: Vec<(&str, u64)> = r
+            .metrics
+            .counters()
+            .filter(|(name, _)| *name != "cluster.measured.steps_simulated")
+            .collect();
+        let hists: Vec<_> = r.metrics.hists().collect();
+        format!(
+            "{:?}",
+            (
+                (r.submitted, r.completed, r.rejected, &r.rejected_by),
+                (r.cold_starts, r.warm_starts, r.expired, r.retired),
+                (r.live_containers, r.restores, r.squeezed, r.pm_parks),
+                (r.pm_restores, r.peak_active_nodes, r.makespan_cycles),
+                (r.peak_fleet_frames, r.final_fleet_frames, &r.timeline),
+                (&r.latencies, counters, hists, &r.audit),
+            )
+        )
+    }
+
+    #[test]
+    fn shared_lineages_match_per_container_machines() {
+        let mix = two_mix();
+        let arrivals = generate_arrivals(
+            &ArrivalConfig {
+                seed: 23,
+                count: 40,
+                mean_interarrival_cycles: 120_000.0,
+            },
+            &mix,
+        )
+        .expect("valid arrivals");
+        let fixed = ClusterConfig {
+            nodes: 2,
+            queue_capacity: 4,
+            keep_alive: KeepAlive::Fixed(400_000),
+            ..ClusterConfig::default()
+        };
+        let policies = [
+            fixed.clone(),
+            ClusterConfig {
+                keep_alive: KeepAlive::None,
+                ..fixed.clone()
+            },
+            ClusterConfig {
+                keep_alive: KeepAlive::Infinite,
+                cold_start: ColdStart::Snapshot,
+                ..fixed.clone()
+            },
+            ClusterConfig {
+                keep_alive: KeepAlive::SizeAware {
+                    budget_frame_cycles: 100_000_000,
+                    min_cycles: 50_000,
+                    max_cycles: 2_000_000,
+                },
+                ..fixed.clone()
+            },
+            ClusterConfig {
+                keep_alive: KeepAlive::ParkToPM {
+                    ttl_cycles: 2_000_000,
+                },
+                cold_start: ColdStart::Snapshot,
+                ..fixed.clone()
+            },
+            ClusterConfig {
+                keep_alive: KeepAlive::Infinite,
+                reclamation: Reclamation::Squeeze {
+                    watermark_frames: 64,
+                },
+                ..fixed.clone()
+            },
+            ClusterConfig {
+                nodes: 1,
+                autoscaler: Autoscaler::TargetUtilization(AutoscalerConfig {
+                    interval_cycles: 100_000,
+                    target_load_pct: 70,
+                    min_nodes: 1,
+                    max_nodes: 4,
+                    spinup_cycles: 200_000,
+                }),
+                ..fixed.clone()
+            },
+            ClusterConfig {
+                cores_per_node: 2,
+                placement: Placement::RoundRobin,
+                ..fixed
+            },
+        ];
+        let mut shared_any = false;
+        for sys in [SystemConfig::memento(), SystemConfig::memento_sanitized()] {
+            for cfg in &policies {
+                let shared = simulate(
+                    Engine::Measured(Box::new(sys.clone())),
+                    cfg,
+                    &mix,
+                    &arrivals,
+                )
+                .expect("valid cluster run");
+                let private = run_per_container(&sys, cfg, &mix, &arrivals);
+                assert_eq!(
+                    observable(&shared),
+                    observable(&private),
+                    "sharing changed an output under {cfg:?}"
+                );
+                let steps = |r: &ClusterResult| {
+                    (
+                        r.metrics.counter("cluster.measured.steps"),
+                        r.metrics.counter("cluster.measured.steps_simulated"),
+                    )
+                };
+                let (ops, ran) = steps(&private);
+                assert_eq!(ops, ran, "a private machine runs every op");
+                let (ops, ran) = steps(&shared);
+                shared_any |= ran < ops;
+            }
+        }
+        assert!(shared_any, "some fleet must serve ops from records");
+    }
+
+    #[test]
+    fn profiled_runs_carry_no_lineage_counters() {
+        let mix = two_mix();
+        let arrival = ArrivalConfig {
+            seed: 5,
+            count: 50,
+            mean_interarrival_cycles: 20_000.0,
+        };
+        let r = run_profiled(&ClusterConfig::default(), &arrival, &mix);
+        assert!(r
+            .metrics
+            .counters()
+            .all(|(name, _)| !name.starts_with("cluster.measured.")));
     }
 }

@@ -719,9 +719,15 @@ impl Machine {
                 let Some(&(addr, size)) = run.objects.get(&id.0) else {
                     return;
                 };
-                debug_assert!(offset + len <= size);
-                let start = addr.add(*offset as u64);
-                let end = addr.add((*offset + *len - 1) as u64);
+                // A span that is empty or runs past its object (possible
+                // only in a hand-built or loaded trace) is dropped, like a
+                // touch of an unknown id.
+                let (offset, len) = (u64::from(*offset), u64::from(*len));
+                if len == 0 || offset + len > u64::from(size) {
+                    return;
+                }
+                let start = addr.add(offset);
+                let end = addr.add(offset + len - 1);
                 let mut line = start.line_base();
                 while line <= end {
                     self.data_access(run, core, line, *write);

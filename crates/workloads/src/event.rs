@@ -122,15 +122,24 @@ impl Event {
             "Free" => Ok(Event::Free {
                 id: ObjectId(field("id")?),
             }),
-            "Touch" => Ok(Event::Touch {
-                id: ObjectId(field("id")?),
-                offset: narrow("offset")?,
-                len: narrow("len")?,
-                write: body
-                    .get("write")
-                    .and_then(Value::as_bool)
-                    .ok_or("Touch: missing or bad field 'write'")?,
-            }),
+            "Touch" => {
+                let (offset, len) = (narrow("offset")?, narrow("len")?);
+                if len == 0 {
+                    return Err("Touch: 'len' must be positive".into());
+                }
+                if offset.checked_add(len).is_none() {
+                    return Err("Touch: 'offset' + 'len' out of range".into());
+                }
+                Ok(Event::Touch {
+                    id: ObjectId(field("id")?),
+                    offset,
+                    len,
+                    write: body
+                        .get("write")
+                        .and_then(Value::as_bool)
+                        .ok_or("Touch: missing or bad field 'write'")?,
+                })
+            }
             "Compute" => Ok(Event::Compute {
                 instructions: narrow("instructions")?,
             }),
@@ -315,5 +324,23 @@ mod tests {
             let doc = json::parse(&e.to_json().to_string()).unwrap();
             assert_eq!(Event::from_json(&doc).unwrap(), e);
         }
+    }
+
+    #[test]
+    fn touch_spans_must_be_nonempty_and_addressable() {
+        let touch = |offset: u64, len: u64| {
+            let text =
+                format!(r#"{{"Touch":{{"id":1,"offset":{offset},"len":{len},"write":false}}}}"#);
+            Event::from_json(&json::parse(&text).unwrap())
+        };
+        let empty = touch(0, 0).unwrap_err();
+        assert!(empty.contains("'len' must be positive"), "{empty}");
+        let max = u64::from(u32::MAX);
+        let wraps = touch(max - 7, 8).unwrap_err();
+        assert!(wraps.contains("out of range"), "{wraps}");
+        assert!(
+            touch(max - 8, 8).is_ok(),
+            "a span ending at u32::MAX is addressable"
+        );
     }
 }

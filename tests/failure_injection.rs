@@ -87,6 +87,37 @@ fn touch_of_dead_object_is_dropped() {
 }
 
 #[test]
+fn out_of_bounds_touches_are_dropped() {
+    // Hand-built traces can hold touches no generator emits: an empty
+    // span, a span past the object's end, one past u32::MAX. The machine
+    // drops each (no panic, no access to neighbouring lines), so the run
+    // costs exactly what it costs without them.
+    let events = |bad: bool| {
+        let alloc = |id| Event::Alloc {
+            id: ObjectId(id),
+            size: 128,
+        };
+        let touch = |offset, len| Event::Touch {
+            id: ObjectId(1),
+            offset,
+            len,
+            write: true,
+        };
+        let mut v = vec![alloc(1), alloc(2), touch(0, 64)];
+        if bad {
+            v.extend([touch(0, 0), touch(120, 64), touch(u32::MAX - 8, 8)]);
+            v.push(touch(u32::MAX, u32::MAX));
+        }
+        v.extend([touch(64, 64), Event::Free { id: ObjectId(1) }, Event::Exit]);
+        trace(v)
+    };
+    for cfg in [SystemConfig::baseline(), SystemConfig::memento()] {
+        let run = |bad| Machine::new(cfg.clone()).run_trace(&tiny_spec(), &events(bad));
+        assert_eq!(run(true).total_cycles(), run(false).total_cycles());
+    }
+}
+
+#[test]
 fn empty_trace_still_tears_down() {
     let t = trace(vec![Event::Exit]);
     let stats = Machine::new(SystemConfig::baseline()).run_trace(&tiny_spec(), &t);
