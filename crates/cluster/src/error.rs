@@ -34,6 +34,9 @@ pub enum ClusterError {
     /// file would hold an arbitrary container's trace; trace in memory
     /// instead.
     MeasuredTraceFile(std::path::PathBuf),
+    /// The arrival slice is not time-sorted, or an arrival names a
+    /// workload outside the mix.
+    InvalidArrivals(String),
 }
 
 impl fmt::Display for ClusterError {
@@ -65,6 +68,7 @@ impl fmt::Display for ClusterError {
                  every container would overwrite it; trace in memory instead",
                 path.display()
             ),
+            ClusterError::InvalidArrivals(why) => write!(f, "invalid arrivals: {why}"),
         }
     }
 }

@@ -13,9 +13,9 @@
 use memento_obs::MetricsRegistry;
 use std::time::{Duration, Instant};
 
-// The pool itself lives in `memento_simcore::pool` so lower layers (the
-// cluster simulator's node-sharded engine) can parallelize under the same
-// contract; the experiments-facing names are re-exported here unchanged.
+// The pool itself lives in `memento_simcore::pool`, next to the other
+// dependency-free simulation primitives; the experiments-facing names are
+// re-exported here unchanged.
 pub use memento_simcore::pool::{effective_jobs, map_ordered, JOBS_ENV};
 
 /// Timing of one executed shard (one simulation point).

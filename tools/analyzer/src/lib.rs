@@ -189,7 +189,7 @@ impl Rule {
             }
             Rule::FloatAccumulationOrder => {
                 "f64 addition is not associative, so shard-result reductions belong in \
-                 the sanctioned merge sites (experiments runner.rs, cluster shard.rs); \
+                 the sanctioned merge site (experiments runner.rs); \
                  elsewhere, waive with why the fold order is fixed and deterministic"
             }
             Rule::UnjustifiedWaiver => {
@@ -284,10 +284,9 @@ pub struct FileProfile {
     pub timed: bool,
     /// Sanctioned to spawn threads.
     pub threaded: bool,
-    /// Flattened per-event hot path (BTreeMap + SeqCst bans).
+    /// Flattened per-event hot path (BTreeMap, SeqCst and narrowing-cast
+    /// checks).
     pub hot_flat: bool,
-    /// Hot path for narrowing-cast purposes (adds `shard.rs`).
-    pub hot_cast: bool,
     /// Sanctioned shard-result merge site (float reductions allowed).
     pub merge_site: bool,
     /// Inside `crates/experiments/` (ignore-hygiene escalation).
@@ -306,23 +305,17 @@ const TIMED_FILES: [&str; 1] = [RUNNER];
 /// Files allowed to spawn threads.
 const THREADED_FILES: [&str; 2] = [RUNNER, "crates/simcore/src/pool.rs"];
 
-/// Per-event hot-path files: `BTreeMap` and gratuitous `SeqCst` banned.
+/// Per-event hot-path files (the packed-u64 argmin engine and its event
+/// heap): `BTreeMap` and gratuitous `SeqCst` banned, and a truncating
+/// `as` cast needs a bound.
 const HOT_FLAT_FILES: [&str; 2] = [
     "crates/cluster/src/sim.rs",
     "crates/cluster/src/event_heap.rs",
 ];
 
-/// Hot-path files where a truncating `as` cast needs a bound: the
-/// packed-u64 argmin engine plus the shard planner that feeds it.
-const HOT_CAST_FILES: [&str; 3] = [
-    "crates/cluster/src/sim.rs",
-    "crates/cluster/src/event_heap.rs",
-    "crates/cluster/src/shard.rs",
-];
-
 /// Sanctioned shard-result merge sites: the only places f64 reductions
 /// over parallel results may live un-waived.
-const MERGE_SITES: [&str; 2] = [RUNNER, "crates/cluster/src/shard.rs"];
+const MERGE_SITES: [&str; 1] = [RUNNER];
 
 /// Classifies a repo-relative (`/`-separated) path.
 pub fn classify(rel: &str) -> FileProfile {
@@ -339,7 +332,6 @@ pub fn classify(rel: &str) -> FileProfile {
         timed: TIMED_FILES.contains(&rel),
         threaded: THREADED_FILES.contains(&rel),
         hot_flat: HOT_FLAT_FILES.contains(&rel),
-        hot_cast: HOT_CAST_FILES.contains(&rel),
         merge_site: MERGE_SITES.contains(&rel),
         experiments: rel.starts_with("crates/experiments/"),
     }
@@ -618,14 +610,14 @@ fn token_passes(lx: &Lexed, profile: &FileProfile, in_test: &[bool], hits: &mut 
                             rule: Rule::AtomicOrderingAudit,
                         });
                     }
-                } else if v.text == "SeqCst" && profile.hot_cast {
+                } else if v.text == "SeqCst" && profile.hot_flat {
                     hits.push(Hit {
                         line: v.line,
                         rule: Rule::AtomicOrderingAudit,
                     });
                 }
             }
-            "as" if profile.hot_cast => {
+            "as" if profile.hot_flat => {
                 if let Some(target) = code_tokens.get(i + 1) {
                     if target.kind == TokenKind::Ident
                         && NARROW_TARGETS.contains(&target.text.as_str())
@@ -1228,8 +1220,8 @@ mod tests {
         // Same reduction in a file that never touches shard results: fine.
         let local = "fn f(rows: &[f64]) -> f64 { rows.iter().sum::<f64>() }\n";
         assert!(rules_hit("crates/experiments/src/cluster.rs", local).is_empty());
-        // Sanctioned merge sites are exempt.
-        assert!(rules_hit("crates/cluster/src/shard.rs", consumer).is_empty());
+        // The sanctioned merge site is exempt.
+        assert!(rules_hit(RUNNER, consumer).is_empty());
     }
 
     #[test]
