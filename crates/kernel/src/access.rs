@@ -8,7 +8,7 @@
 
 use crate::kernel::{Kernel, KernelError, Process};
 use memento_cache::{AccessKind, MemSystem};
-use memento_simcore::addr::VirtAddr;
+use memento_simcore::addr::{PhysAddr, VirtAddr};
 use memento_simcore::cycles::Cycles;
 use memento_simcore::physmem::PhysMem;
 use memento_vm::tlb::Tlb;
@@ -26,6 +26,10 @@ pub struct DemandAccess {
     pub kernel_cycles: Cycles,
     /// Whether a page fault was taken.
     pub faulted: bool,
+    /// The physical address the access reached (from the TLB, the walk or
+    /// the fault), so callers can read or write the word without
+    /// translating `va` again.
+    pub pa: PhysAddr,
 }
 
 /// Performs a demand access at `va` through the full baseline path.
@@ -90,6 +94,7 @@ pub fn demand_access(
         access_cycles,
         kernel_cycles,
         faulted,
+        pa,
     })
 }
 

@@ -131,46 +131,22 @@ impl PyMalloc {
         (POOL_BYTES - POOL_HEADER_BYTES) / ((class as u64 + 1) * 8)
     }
 
-    /// Reads a header field with a timed access.
-    fn hdr_read(
-        ctx: &mut AllocCtx<'_>,
-        pool: u64,
-        field: u64,
-        cycles: &mut (Cycles, Cycles),
-    ) -> u64 {
-        let (u, k) = ctx.touch(VirtAddr::new(pool + field), AccessKind::Read);
+    /// Reads the word at `va` with a timed access, through the
+    /// translation that access made.
+    fn load(ctx: &mut AllocCtx<'_>, va: u64, cycles: &mut (Cycles, Cycles)) -> u64 {
+        let (pa, u, k) = ctx.touch_pa(VirtAddr::new(va), AccessKind::Read);
         cycles.0 += u;
         cycles.1 += k;
-        // The translation is now warm; read the actual value.
-        let t = ctx
-            .proc
-            .addr_space
-            .page_table
-            .translate(ctx.mem, VirtAddr::new(pool + field))
-            .expect("pool page mapped after touch");
-        ctx.mem
-            .read_u64(t.frame.base_addr().add((pool + field) % 4096))
+        ctx.mem.read_u64(pa)
     }
 
-    /// Writes a header field with a timed access.
-    fn hdr_write(
-        ctx: &mut AllocCtx<'_>,
-        pool: u64,
-        field: u64,
-        value: u64,
-        cycles: &mut (Cycles, Cycles),
-    ) {
-        let (u, k) = ctx.touch(VirtAddr::new(pool + field), AccessKind::Write);
+    /// Writes the word at `va` with a timed access, through the
+    /// translation that access made.
+    fn store(ctx: &mut AllocCtx<'_>, va: u64, value: u64, cycles: &mut (Cycles, Cycles)) {
+        let (pa, u, k) = ctx.touch_pa(VirtAddr::new(va), AccessKind::Write);
         cycles.0 += u;
         cycles.1 += k;
-        let t = ctx
-            .proc
-            .addr_space
-            .page_table
-            .translate(ctx.mem, VirtAddr::new(pool + field))
-            .expect("pool page mapped after touch");
-        ctx.mem
-            .write_u64(t.frame.base_addr().add((pool + field) % 4096), value);
+        ctx.mem.write_u64(pa, value);
     }
 
     fn arena_of(&self, pool: u64) -> u64 {
@@ -242,35 +218,26 @@ impl SoftwareAllocator for PyMalloc {
 
         loop {
             if let Some(&pool) = self.usedpools[class].last() {
-                let freelist = Self::hdr_read(ctx, pool, HDR_FREELIST, &mut cycles);
+                let freelist = Self::load(ctx, pool + HDR_FREELIST, &mut cycles);
                 let addr;
-                let used = Self::hdr_read(ctx, pool, HDR_USED, &mut cycles);
+                let used = Self::load(ctx, pool + HDR_USED, &mut cycles);
                 if freelist != 0 {
                     // Pop the free-list head (Fig. 1 step 2).
-                    let (u, k) = ctx.touch(VirtAddr::new(freelist), AccessKind::Read);
-                    cycles.0 += u;
-                    cycles.1 += k;
-                    let t = ctx
-                        .proc
-                        .addr_space
-                        .page_table
-                        .translate(ctx.mem, VirtAddr::new(freelist))
-                        .expect("object page mapped");
-                    let next = ctx.mem.read_u64(t.frame.base_addr().add(freelist % 4096));
-                    Self::hdr_write(ctx, pool, HDR_FREELIST, next, &mut cycles);
+                    let next = Self::load(ctx, freelist, &mut cycles);
+                    Self::store(ctx, pool + HDR_FREELIST, next, &mut cycles);
                     addr = freelist;
                 } else {
-                    let next_off = Self::hdr_read(ctx, pool, HDR_NEXT_OFFSET, &mut cycles);
+                    let next_off = Self::load(ctx, pool + HDR_NEXT_OFFSET, &mut cycles);
                     if next_off + obj <= POOL_BYTES {
                         addr = pool + next_off;
-                        Self::hdr_write(ctx, pool, HDR_NEXT_OFFSET, next_off + obj, &mut cycles);
+                        Self::store(ctx, pool + HDR_NEXT_OFFSET, next_off + obj, &mut cycles);
                     } else {
                         // Exhausted virgin space and free list: pool full.
                         self.usedpools[class].pop();
                         continue;
                     }
                 }
-                Self::hdr_write(ctx, pool, HDR_USED, used + 1, &mut cycles);
+                Self::store(ctx, pool + HDR_USED, used + 1, &mut cycles);
                 if used + 1 >= Self::capacity(class) {
                     self.usedpools[class].pop();
                 }
@@ -286,9 +253,9 @@ impl SoftwareAllocator for PyMalloc {
             self.stats.slow_allocs += 1;
             cycles.0 += Cycles::new(self.costs.pool_init);
             let pool = self.take_free_pool(ctx, &mut cycles);
-            Self::hdr_write(ctx, pool, HDR_FREELIST, 0, &mut cycles);
-            Self::hdr_write(ctx, pool, HDR_NEXT_OFFSET, POOL_HEADER_BYTES, &mut cycles);
-            Self::hdr_write(ctx, pool, HDR_USED, 0, &mut cycles);
+            Self::store(ctx, pool + HDR_FREELIST, 0, &mut cycles);
+            Self::store(ctx, pool + HDR_NEXT_OFFSET, POOL_HEADER_BYTES, &mut cycles);
+            Self::store(ctx, pool + HDR_USED, 0, &mut cycles);
             self.usedpools[class].push(pool);
         }
     }
@@ -309,22 +276,12 @@ impl SoftwareAllocator for PyMalloc {
         let mut cycles = (Cycles::new(self.costs.free_fast), Cycles::ZERO);
 
         // Link the object into the pool free list (Fig. 1 step 5).
-        let freelist = Self::hdr_read(ctx, pool, HDR_FREELIST, &mut cycles);
-        let (u, k) = ctx.touch(addr, AccessKind::Write);
-        cycles.0 += u;
-        cycles.1 += k;
-        let t = ctx
-            .proc
-            .addr_space
-            .page_table
-            .translate(ctx.mem, addr)
-            .expect("freed object page mapped");
-        ctx.mem
-            .write_u64(t.frame.base_addr().add(addr.raw() % 4096), freelist);
-        Self::hdr_write(ctx, pool, HDR_FREELIST, addr.raw(), &mut cycles);
-        let used = Self::hdr_read(ctx, pool, HDR_USED, &mut cycles);
+        let freelist = Self::load(ctx, pool + HDR_FREELIST, &mut cycles);
+        Self::store(ctx, addr.raw(), freelist, &mut cycles);
+        Self::store(ctx, pool + HDR_FREELIST, addr.raw(), &mut cycles);
+        let used = Self::load(ctx, pool + HDR_USED, &mut cycles);
         debug_assert!(used >= 1, "free from an empty pool");
-        Self::hdr_write(ctx, pool, HDR_USED, used - 1, &mut cycles);
+        Self::store(ctx, pool + HDR_USED, used - 1, &mut cycles);
 
         if used == Self::capacity(class) {
             // Pool was full; it has space again.
@@ -467,6 +424,87 @@ mod tests {
         let pool0 = addrs[0].raw() & !(POOL_BYTES - 1);
         let pool_last = addrs[cap].raw() & !(POOL_BYTES - 1);
         assert_ne!(pool0, pool_last, "rolled into a second pool");
+    }
+
+    /// A seeded alloc/free mix over several classes that commissions and
+    /// retires pools, spills into a second arena, drains until every
+    /// arena is `munmap`ed, then keeps going in a fresh one. Every returned address and every user and
+    /// kernel cycle value is folded into one pinned digest, so any change
+    /// to what the model reads, writes or charges shows up here.
+    #[test]
+    fn seeded_mix_pins_addresses_and_cycles() {
+        const SIZES: [usize; 6] = [8, 64, 248, 384, 496, 512];
+        let mut owner = CtxOwner::new();
+        let mut py = PyMalloc::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let (mut user, mut kernel) = (0u64, 0u64);
+        let mut live: Vec<(VirtAddr, usize)> = Vec::new();
+        // Allocates when `next() % 6 < allocs_in_6`, else frees a random
+        // live object.
+        let mut step = |py: &mut PyMalloc, live: &mut Vec<(VirtAddr, usize)>, allocs_in_6: u64| {
+            let r = next();
+            if r % 6 < allocs_in_6 || live.is_empty() {
+                let size = SIZES[((r >> 16) % SIZES.len() as u64) as usize];
+                let out = py.alloc(&mut owner.ctx(), size);
+                fold(out.addr.raw());
+                fold(out.user_cycles.raw());
+                fold(out.kernel_cycles.raw());
+                user += out.user_cycles.raw();
+                kernel += out.kernel_cycles.raw();
+                live.push((out.addr, size));
+            } else {
+                let (addr, size) = live.swap_remove((r >> 8) as usize % live.len());
+                let out = py.free(&mut owner.ctx(), addr, size);
+                fold(out.user_cycles.raw());
+                fold(out.kernel_cycles.raw());
+                user += out.user_cycles.raw();
+                kernel += out.kernel_cycles.raw();
+            }
+        };
+        // Grow: five allocations per free.
+        for _ in 0..1300 {
+            step(&mut py, &mut live, 5);
+        }
+        assert!(py.stats().mmaps >= 2, "the mix spills into a second arena");
+        // Drain: every pool retires and every arena is munmapped.
+        while !live.is_empty() {
+            step(&mut py, &mut live, 0);
+        }
+        assert_eq!(py.stats().munmaps, py.stats().mmaps, "every arena returned");
+        // Churn in a fresh arena.
+        for _ in 0..300 {
+            step(&mut py, &mut live, 3);
+        }
+        let s = py.stats();
+        assert!(s.frees + s.fast_allocs >= 2000, "{s:?}");
+        assert_eq!(
+            (
+                digest,
+                user,
+                kernel,
+                s.fast_allocs,
+                s.slow_allocs,
+                s.mmaps,
+                s.munmaps
+            ),
+            (
+                17_294_910_212_472_410_944,
+                221_597,
+                341_550,
+                1237,
+                129,
+                10,
+                9
+            )
+        );
     }
 
     #[test]

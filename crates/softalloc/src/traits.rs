@@ -4,7 +4,7 @@
 use memento_cache::{AccessKind, MemSystem};
 use memento_kernel::access::demand_access;
 use memento_kernel::kernel::{Kernel, MmapFlags, Process};
-use memento_simcore::addr::VirtAddr;
+use memento_simcore::addr::{PhysAddr, VirtAddr};
 use memento_simcore::cycles::Cycles;
 use memento_simcore::physmem::PhysMem;
 use memento_vm::tlb::Tlb;
@@ -38,6 +38,19 @@ impl AllocCtx<'_> {
     /// Panics on a segfault — allocators only touch memory they mapped, so
     /// a fault here is a simulator bug.
     pub fn touch(&mut self, va: VirtAddr, kind: AccessKind) -> (Cycles, Cycles) {
+        let (_, user, kernel) = self.touch_pa(va, kind);
+        (user, kernel)
+    }
+
+    /// [`AllocCtx::touch`] that also returns the physical address the
+    /// access reached, so a model that reads or writes the metadata word
+    /// goes through the translation its timed access already made.
+    /// Returns (physical address, user cycles, kernel cycles).
+    ///
+    /// # Panics
+    ///
+    /// As [`AllocCtx::touch`].
+    pub fn touch_pa(&mut self, va: VirtAddr, kind: AccessKind) -> (PhysAddr, Cycles, Cycles) {
         let acc = demand_access(
             self.kernel,
             self.walker,
@@ -50,7 +63,16 @@ impl AllocCtx<'_> {
             kind,
         )
         .expect("allocator touched unmapped memory");
-        (acc.user_cycles, acc.kernel_cycles)
+        debug_assert_eq!(
+            Some(acc.pa),
+            self.proc
+                .addr_space
+                .page_table
+                .translate(self.mem, va)
+                .map(|t| t.frame.base_addr().add(va.page_offset())),
+            "demand access at {va} reached a frame the page table does not map there"
+        );
+        (acc.pa, acc.user_cycles, acc.kernel_cycles)
     }
 
     /// Calls `mmap` on behalf of the allocator; returns (addr, kernel

@@ -29,6 +29,7 @@ use memento_workloads::event::{Event, Trace};
 use memento_workloads::generator::generate;
 use memento_workloads::spec::{AllocatorKind, Language, WorkloadSpec};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Memento's threshold: requests above this go to the software allocator.
 const HW_MAX_SIZE: usize = 512;
@@ -803,7 +804,7 @@ impl Machine {
         seed: u64,
         mut hook: impl FnMut(&mut Scheduler, u64),
     ) -> (Vec<RunStats>, SchedStats) {
-        let traces: Vec<Trace> = specs.iter().map(generate).collect();
+        let traces = traces_for(specs);
         let mut runs: Vec<Option<FunctionRun>> = specs.iter().map(|_| None).collect();
         let mut cursors = vec![0usize; specs.len()];
         let mut sched = Scheduler::new(self.cfg.cores, specs.len(), seed);
@@ -1350,7 +1351,7 @@ impl Machine {
         specs: &[WorkloadSpec],
         quantum_events: usize,
     ) -> Vec<RunStats> {
-        let traces: Vec<Trace> = specs.iter().map(generate).collect();
+        let traces = traces_for(specs);
         let mut runs: Vec<FunctionRun> = specs.iter().map(|s| self.start(s)).collect();
         let mut cursors = vec![0usize; specs.len()];
         loop {
@@ -1683,6 +1684,21 @@ const _: () = {
     assert_send::<RunStats>();
 };
 
+/// Per-job traces for a batch. [`generate`] depends only on the spec, so
+/// each distinct spec is generated once and jobs with equal specs share
+/// its trace.
+fn traces_for(specs: &[WorkloadSpec]) -> Vec<Rc<Trace>> {
+    let mut traces: Vec<Rc<Trace>> = Vec::with_capacity(specs.len());
+    for (i, spec) in specs.iter().enumerate() {
+        let trace = match specs[..i].iter().position(|s| s == spec) {
+            Some(j) => Rc::clone(&traces[j]),
+            None => Rc::new(generate(spec)),
+        };
+        traces.push(trace);
+    }
+    traces
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1884,6 +1900,46 @@ mod tests {
         // Both cores did work and paid DRAM queueing while co-resident.
         assert!(sa.per_core_jobs.iter().all(|&j| j > 0));
         assert!(a.iter().map(|s| s.mem.dram_queue_cycles).sum::<u64>() > 0);
+    }
+
+    /// Every field of `stats` but the workload name, for equality checks.
+    fn unnamed(stats: &[RunStats]) -> Vec<String> {
+        stats
+            .iter()
+            .map(|s| {
+                format!(
+                    "{:?}",
+                    RunStats {
+                        name: String::new(),
+                        ..s.clone()
+                    }
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batches_sharing_a_trace_match_separately_generated_ones() {
+        // `a, b, a, a`: the repeated `a`s share one trace. Renamed, they
+        // are distinct specs and each gets a trace of its own.
+        let a = small_spec_n("aes", 200_000);
+        let b = small_spec_n("jl", 200_000);
+        let shared = vec![a.clone(), b, a.clone(), a];
+        let mut cloned = shared.clone();
+        cloned[2].name = "aes-2".into();
+        cloned[3].name = "aes-3".into();
+        assert_eq!(Rc::strong_count(&traces_for(&shared)[0]), 3);
+        assert_eq!(Rc::strong_count(&traces_for(&cloned)[0]), 1);
+        for cfg in [SystemConfig::baseline(), SystemConfig::memento()] {
+            let cfg = cfg.with_cores(2);
+            let (a, sa) = Machine::new(cfg.clone()).run_scheduled(&shared, 3);
+            let (b, sb) = Machine::new(cfg.clone()).run_scheduled(&cloned, 3);
+            assert_eq!(sa, sb);
+            assert_eq!(unnamed(&a), unnamed(&b));
+            let a = Machine::new(cfg.clone()).run_timeshared(&shared, 500);
+            let b = Machine::new(cfg).run_timeshared(&cloned, 500);
+            assert_eq!(unnamed(&a), unnamed(&b));
+        }
     }
 
     #[test]

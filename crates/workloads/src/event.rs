@@ -115,10 +115,16 @@ impl Event {
             u32::try_from(field(name)?).map_err(|_| format!("{tag}: '{name}' out of range"))
         };
         match tag.as_str() {
-            "Alloc" => Ok(Event::Alloc {
-                id: ObjectId(field("id")?),
-                size: narrow("size")?,
-            }),
+            "Alloc" => {
+                let size = narrow("size")?;
+                if size == 0 {
+                    return Err("Alloc: 'size' must be positive".into());
+                }
+                Ok(Event::Alloc {
+                    id: ObjectId(field("id")?),
+                    size,
+                })
+            }
             "Free" => Ok(Event::Free {
                 id: ObjectId(field("id")?),
             }),
@@ -324,6 +330,23 @@ mod tests {
             let doc = json::parse(&e.to_json().to_string()).unwrap();
             assert_eq!(Event::from_json(&doc).unwrap(), e);
         }
+    }
+
+    #[test]
+    fn alloc_sizes_must_be_positive() {
+        let alloc = |size: u64| {
+            let text = format!(r#"{{"Alloc":{{"id":1,"size":{size}}}}}"#);
+            Event::from_json(&json::parse(&text).unwrap())
+        };
+        let empty = alloc(0).unwrap_err();
+        assert!(empty.contains("'size' must be positive"), "{empty}");
+        assert_eq!(
+            alloc(1).unwrap(),
+            Event::Alloc {
+                id: ObjectId(1),
+                size: 1
+            }
+        );
     }
 
     #[test]
