@@ -334,16 +334,16 @@ impl SetAssocCache {
     /// partitioning is on, plain LRU otherwise.
     fn pick_victim(set: &[Line], fair_ways: usize) -> usize {
         if fair_ways > 0 {
-            let over_quota = |l: &Line| {
-                set.iter()
-                    .filter(|o| o.valid() && o.owner() == l.owner())
-                    .count()
-                    > fair_ways
-            };
+            // Count each owner's valid ways once, then scan for the LRU
+            // line of an owner over its quota.
+            let mut held = [0u32; MAX_OWNERS];
+            for l in set.iter().filter(|l| l.valid()) {
+                held[l.owner()] += 1;
+            }
             if let Some(i) = set
                 .iter()
                 .enumerate()
-                .filter(|(_, l)| over_quota(l))
+                .filter(|(_, l)| held[l.owner()] as usize > fair_ways)
                 .min_by_key(|(_, l)| l.stamp())
                 .map(|(i, _)| i)
             {

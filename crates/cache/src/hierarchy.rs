@@ -154,7 +154,16 @@ pub struct MemSystem {
     llc: SetAssocCache,
     dram: Dram,
     bypassed_fills: u64,
-    demand_lat: Log2Hist,
+    /// Demand accesses served without DRAM, per `[instruction fetch?]
+    /// [L1, L2, LLC or bypass]`: each pair has one fixed latency, so
+    /// [`Self::demand_latency`] rebuilds their histogram from counts.
+    demand_hits: [[u64; 3]; 2],
+    /// Latencies of demand accesses filled from DRAM, the only variable
+    /// ones (row buffer state, queueing).
+    dram_fill_lat: Log2Hist,
+    /// The per-access recording `demand_latency` replaced (test oracle).
+    #[cfg(test)]
+    demand_lat_oracle: Log2Hist,
     /// Cores with an invocation in flight right now. Contention (LLC
     /// fair-share eviction, DRAM queueing) is inert at 1, so a machine
     /// running one invocation at a time behaves exactly like the
@@ -189,7 +198,10 @@ impl MemSystem {
             llc: SetAssocCache::new(cfg.llc.clone()),
             dram: Dram::new(cfg.dram.clone()),
             bypassed_fills: 0,
-            demand_lat: Log2Hist::default(),
+            demand_hits: [[0; 3]; 2],
+            dram_fill_lat: Log2Hist::default(),
+            #[cfg(test)]
+            demand_lat_oracle: Log2Hist::default(),
             active_cores: 1,
             dram_queue_cycles: 0,
             cfg,
@@ -215,8 +227,45 @@ impl MemSystem {
 
     /// Distribution of demand-access latencies (cycles per access, both
     /// plain and bypass-eligible).
-    pub fn demand_latency(&self) -> &Log2Hist {
-        &self.demand_lat
+    ///
+    /// An access that stops above DRAM costs the fixed latencies of the
+    /// levels it looked up, so that part of the histogram follows from
+    /// per-level hit counters and is built on demand; only DRAM fills are
+    /// recorded per access.
+    pub fn demand_latency(&self) -> Log2Hist {
+        let mut hist = self.dram_fill_lat.clone();
+        for (instr, hits) in self.demand_hits.iter().enumerate() {
+            let l1 = if instr == 1 {
+                &self.cfg.l1i
+            } else {
+                &self.cfg.l1d
+            };
+            let mut latency = Cycles::ZERO;
+            for (level, n) in [&l1.latency, &self.cfg.l2.latency, &self.cfg.llc.latency]
+                .into_iter()
+                .zip(hits)
+            {
+                latency += *level;
+                hist.record_n(latency.raw(), *n);
+            }
+        }
+        hist
+    }
+
+    /// Counts one demand access toward [`Self::demand_latency`].
+    fn note_demand(&mut self, kind: AccessKind, out: AccessOutcome) {
+        #[cfg(test)]
+        self.demand_lat_oracle.record(out.cycles.raw());
+        let level = match out.level {
+            HitLevel::L1 => 0,
+            HitLevel::L2 => 1,
+            HitLevel::Llc | HitLevel::Bypass => 2,
+            HitLevel::Dram => {
+                self.dram_fill_lat.record(out.cycles.raw());
+                return;
+            }
+        };
+        self.demand_hits[usize::from(kind == AccessKind::InstrFetch)][level] += 1;
     }
 
     /// The configuration in force.
@@ -382,7 +431,7 @@ impl MemSystem {
     /// Panics if `core_id` is out of range.
     pub fn access(&mut self, core_id: usize, kind: AccessKind, addr: PhysAddr) -> AccessOutcome {
         let out = self.access_inner(core_id, kind, addr, false);
-        self.demand_lat.record(out.cycles.raw());
+        self.note_demand(kind, out);
         out
     }
 
@@ -396,7 +445,7 @@ impl MemSystem {
         addr: PhysAddr,
     ) -> AccessOutcome {
         let out = self.access_inner(core_id, kind, addr, true);
-        self.demand_lat.record(out.cycles.raw());
+        self.note_demand(kind, out);
         out
     }
 
@@ -600,6 +649,42 @@ mod tests {
             llc.occupancy(),
             llc.owner_occupancy(0) + llc.owner_occupancy(1)
         );
+    }
+
+    #[test]
+    fn demand_latency_equals_per_access_recording() {
+        // Distinct L1I/L1D latencies, two cores, contention toggling (DRAM
+        // queueing) and bypass-eligible accesses: every (kind, level)
+        // latency pair and a spread of DRAM fill latencies occur.
+        let mut m = MemSystem::new(MemSystemConfig {
+            cores: 2,
+            l1i: CacheConfig::new("L1I", 512, 2, 1),
+            l1d: CacheConfig::new("L1D", 512, 2, 3),
+            l2: CacheConfig::new("L2", 2048, 2, 14),
+            llc: CacheConfig::new("LLC", 8192, 4, 40),
+            dram: DramConfig::ddr4_3200(),
+        });
+        assert_eq!(m.demand_latency(), Log2Hist::new(), "no accesses");
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut levels = std::collections::BTreeSet::new();
+        for i in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let kind =
+                [AccessKind::Read, AccessKind::Write, AccessKind::InstrFetch][(x % 3) as usize];
+            let addr = PhysAddr::new((x >> 8) % 512 * 64);
+            let core = (x >> 20) as usize % 2;
+            m.set_active_cores(1 + (i / 1000) as usize % 2);
+            let out = if x >> 40 & 1 == 1 {
+                m.access_bypassed(core, kind, addr)
+            } else {
+                m.access(core, kind, addr)
+            };
+            levels.insert((kind == AccessKind::InstrFetch, out.level));
+        }
+        assert_eq!(levels.len(), 10, "every kind meets every level: {levels:?}");
+        assert_eq!(m.demand_latency(), m.demand_lat_oracle);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::page_alloc::{
     HardwarePageAllocator, PageAllocStats, PageAllocatorConfig, PoolAudit, PoolBackend,
     PoolExhausted, ProcessPaging,
 };
-use crate::region::MementoRegion;
+use crate::region::{MementoRegion, ObjectLocation};
 use crate::size_class::SizeClass;
 use memento_cache::{AccessKind, MemSystem};
 use memento_simcore::addr::{PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
@@ -958,12 +958,20 @@ impl MementoDevice {
     /// arena's bypass counter. Only consults the HOT — cold arenas are not
     /// fetched just to answer this.
     pub fn bypass_check(&mut self, core: usize, proc: &MementoProcess, va: VirtAddr) -> bool {
+        match proc.paging.region.locate(va) {
+            Some(loc) => self.bypass_check_at(core, loc, va),
+            None => false,
+        }
+    }
+
+    /// [`Self::bypass_check`] with `va` already located: `loc` must be
+    /// where the region places `va` (its class and arena; the object index
+    /// is not read). A caller touching many lines of one object locates
+    /// once, since every line of an object shares its class and arena.
+    pub fn bypass_check_at(&mut self, core: usize, loc: ObjectLocation, va: VirtAddr) -> bool {
         if !self.cfg.bypass_enabled {
             return false;
         }
-        let Some(loc) = proc.paging.region.locate(va) else {
-            return false;
-        };
         let entry = self.hots[core].entry_mut(loc.class);
         if !entry.valid || entry.header.va != loc.arena_base {
             return false;

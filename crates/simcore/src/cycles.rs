@@ -151,6 +151,9 @@ impl fmt::Display for CycleBucket {
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct CycleAccount {
     buckets: [u64; CycleBucket::ALL.len()],
+    /// Sum of `buckets`, kept by [`Self::charge`] and [`Self::merge`] so
+    /// [`Self::total`] is one load (the scheduler reads it every event).
+    total: u64,
 }
 
 impl CycleAccount {
@@ -159,16 +162,15 @@ impl CycleAccount {
         Self::default()
     }
 
+    /// `bucket`'s slot: `ALL` lists the buckets in declaration order.
     fn index(bucket: CycleBucket) -> usize {
-        CycleBucket::ALL
-            .iter()
-            .position(|b| *b == bucket)
-            .expect("bucket present in ALL")
+        bucket as usize
     }
 
     /// Adds `cycles` to `bucket`.
     pub fn charge(&mut self, bucket: CycleBucket, cycles: Cycles) {
         self.buckets[Self::index(bucket)] += cycles.raw();
+        self.total += cycles.raw();
     }
 
     /// Returns the cycles attributed to `bucket`.
@@ -178,7 +180,7 @@ impl CycleAccount {
 
     /// Returns the sum over all buckets.
     pub fn total(&self) -> Cycles {
-        Cycles(self.buckets.iter().sum())
+        Cycles(self.total)
     }
 
     /// Returns the sum over the memory-management buckets.
@@ -209,6 +211,7 @@ impl CycleAccount {
         for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *dst += *src;
         }
+        self.total += other.total;
     }
 
     /// Iterates over `(bucket, cycles)` pairs in reporting order.
@@ -239,6 +242,34 @@ impl fmt::Display for CycleAccount {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The running total equals the bucket sum after any sequence of
+        /// charges and merges (a merge folds in a ledger charged with the
+        /// same op's bucket and amount, plus its own running total).
+        #[test]
+        fn total_is_the_bucket_sum(
+            ops in proptest::collection::vec((any::<bool>(), 0usize..8, 0u64..1 << 40), 0..64)
+        ) {
+            let mut acct = CycleAccount::new();
+            for (merge, bucket, cycles) in ops {
+                let (bucket, cycles) = (CycleBucket::ALL[bucket], Cycles::new(cycles));
+                if merge {
+                    let mut other = CycleAccount::new();
+                    other.charge(bucket, cycles);
+                    other.charge(CycleBucket::Setup, Cycles::new(cycles.raw() / 3));
+                    acct.merge(&other);
+                } else {
+                    acct.charge(bucket, cycles);
+                }
+                let sum: Cycles = acct.iter().map(|(_, c)| c).sum();
+                prop_assert_eq!(acct.total(), sum);
+            }
+        }
+    }
 
     #[test]
     fn charge_and_total() {
@@ -297,6 +328,13 @@ mod tests {
         acct.charge(CycleBucket::HwAlloc, Cycles::new(2));
         assert_eq!(format!("{acct}"), "hw-alloc=2");
         assert_eq!(format!("{}", Cycles::new(9)), "9 cy");
+    }
+
+    #[test]
+    fn all_lists_buckets_in_declaration_order() {
+        for (i, b) in CycleBucket::ALL.iter().enumerate() {
+            assert_eq!(CycleAccount::index(*b), i, "{b}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::stats::RunStats;
 use memento_cache::{AccessKind, MemSystem};
 use memento_core::device::{DeviceEvent, MementoDevice, MementoProcess};
 use memento_core::page_alloc::PoolBackend;
-use memento_core::region::MementoRegion;
+use memento_core::region::{MementoRegion, ObjectLocation};
 use memento_kernel::access::demand_access;
 use memento_kernel::buddy::FrameUse;
 use memento_kernel::kernel::{Kernel, Process};
@@ -88,7 +88,7 @@ pub struct FunctionRun {
     mproc: Option<MementoProcess>,
     shadow_pid: Option<ShadowPid>,
     soft: Box<dyn SoftwareAllocator>,
-    objects: HashMap<u64, (VirtAddr, u32), BuildIntHasher>,
+    objects: ObjectTable,
     gc: Option<GoGcState>,
     account: CycleAccount,
     gc_runs: u64,
@@ -106,6 +106,63 @@ pub struct FunctionRun {
 /// Sample arena occupancy every this many allocations (fragmentation
 /// study §6.6 measures slot utilization during execution).
 const FRAG_SAMPLE_EVERY: u64 = 2048;
+
+/// The slot of an id that is not live. No allocator hands out the last
+/// byte of the address space.
+const FREED: (VirtAddr, u32) = (VirtAddr::new(u64::MAX), 0);
+
+/// A run's live objects as `(address, size)`, indexed by object id. Trace
+/// ids are dense from 0 (the generator issues them in order and
+/// `Trace::from_json` bounds them by the trace's length), so a vector
+/// replaces a hash map. Re-allocating a live id replaces its object, as a
+/// map insert would; only a hand-built trace does that.
+#[derive(Default)]
+struct ObjectTable {
+    slots: Vec<(VirtAddr, u32)>,
+    /// Bytes of live objects of at most [`HW_MAX_SIZE`] bytes.
+    small_bytes: u64,
+    /// Pages of live larger objects, each rounded up to whole pages.
+    large_pages: u64,
+}
+
+impl ObjectTable {
+    fn get(&self, id: u64) -> Option<(VirtAddr, u32)> {
+        let slot = *self.slots.get(usize::try_from(id).ok()?)?;
+        (slot != FREED).then_some(slot)
+    }
+
+    fn insert(&mut self, id: u64, addr: VirtAddr, size: u32) {
+        self.remove(id);
+        let i = usize::try_from(id).expect("object id fits the address space");
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, FREED);
+        }
+        self.slots[i] = (addr, size);
+        self.count(size, true);
+    }
+
+    fn remove(&mut self, id: u64) -> Option<(VirtAddr, u32)> {
+        let slot = self.get(id)?;
+        self.slots[id as usize] = FREED;
+        self.count(slot.1, false);
+        Some(slot)
+    }
+
+    /// Adds or takes `size` from the running fragmentation sums.
+    fn count(&mut self, size: u32, live: bool) {
+        let (sum, n) = if size as usize <= HW_MAX_SIZE {
+            (&mut self.small_bytes, u64::from(size))
+        } else {
+            let pages = VirtAddr::new(u64::from(size)).page_align_up().raw() / PAGE_SIZE as u64;
+            (&mut self.large_pages, pages)
+        };
+        if live {
+            *sum += n;
+        } else {
+            *sum -= n;
+        }
+    }
+}
 
 impl FunctionRun {
     /// The cycle ledger accumulated so far.
@@ -144,6 +201,9 @@ pub struct Machine {
     device: Option<MementoDevice>,
     san: Option<HeapSanitizer>,
     obs: Option<MachineObs>,
+    /// Touch through the per-line oracle loop instead of spans.
+    #[cfg(test)]
+    per_line_touch: bool,
 }
 
 impl Machine {
@@ -187,6 +247,8 @@ impl Machine {
             obs,
             mem,
             cfg,
+            #[cfg(test)]
+            per_line_touch: false,
         }
     }
 
@@ -247,7 +309,7 @@ impl Machine {
             mproc,
             shadow_pid,
             soft: build_allocator(spec, self.cfg.populate),
-            objects: HashMap::default(),
+            objects: ObjectTable::default(),
             gc,
             account,
             gc_runs: 0,
@@ -444,22 +506,31 @@ impl Machine {
         }
     }
 
+    /// Cycles of a data access left on the critical path once out-of-order
+    /// overlap (`touch_overlap`) hides the rest.
+    fn discount(&self, c: Cycles) -> Cycles {
+        Cycles::new((c.raw() as f64 * self.cfg.touch_overlap).ceil() as u64)
+    }
+
     /// One demand data access at `va` for a run, honouring the configured
-    /// design (baseline fault path vs. Memento walk + bypass).
-    fn data_access(&mut self, run: &mut FunctionRun, core: usize, va: VirtAddr, write: bool) {
-        let kind = if write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
+    /// design (baseline fault path vs. Memento walk + bypass). `loc` is
+    /// where the Memento region places `va` (`None` outside it). Returns
+    /// the frame backing `va`'s page and whether the access took the
+    /// Memento path, which is what [`Self::repeat_access`] needs for the
+    /// page's later lines.
+    fn data_access(
+        &mut self,
+        run: &mut FunctionRun,
+        core: usize,
+        va: VirtAddr,
+        kind: AccessKind,
+        loc: Option<ObjectLocation>,
+    ) -> (Frame, bool) {
         let in_region = run
             .mproc
             .as_ref()
             .map(|mp| mp.region().contains(va))
             .unwrap_or(false);
-
-        let overlap = self.cfg.touch_overlap;
-        let discount = |c: Cycles| Cycles::new((c.raw() as f64 * overlap).ceil() as u64);
         if !in_region {
             // Baseline path (also used for software-managed memory under
             // Memento). The data access itself is discounted by the MLP
@@ -477,19 +548,8 @@ impl Machine {
             )
             .expect("data access within mapped memory");
             let serial = acc.user_cycles - acc.access_cycles;
-            run.account
-                .charge(CycleBucket::Compute, serial + discount(acc.access_cycles));
-            run.account.charge(CycleBucket::KernelMm, acc.kernel_cycles);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.charge(
-                    core,
-                    CycleBucket::Compute,
-                    "user",
-                    serial + discount(acc.access_cycles),
-                );
-                obs.charge(core, CycleBucket::KernelMm, "kernel", acc.kernel_cycles);
-            }
-            return;
+            self.charge_baseline_access(run, core, serial, acc.access_cycles, acc.kernel_cycles);
+            return (Frame::containing(acc.pa), false);
         }
 
         // Memento region: TLB → Memento walk (never faults) → bypass check.
@@ -524,17 +584,129 @@ impl Machine {
                 frame
             }
         };
+        self.memento_line_access(run, core, va, kind, frame, loc);
+        (frame, true)
+    }
+
+    /// A later line `va` of the page whose first line [`Self::data_access`]
+    /// just reached through `page`: the same charges as that full path
+    /// given its TLB lookup is an L1 hit on the entry the first line left
+    /// most recently used — no region check, translation or set search.
+    fn repeat_access(
+        &mut self,
+        run: &mut FunctionRun,
+        core: usize,
+        va: VirtAddr,
+        kind: AccessKind,
+        page: (Frame, bool),
+        loc: Option<ObjectLocation>,
+    ) {
+        let (frame, memento) = page;
+        debug_assert_eq!(
+            memento,
+            run.mproc
+                .as_ref()
+                .is_some_and(|mp| mp.region().contains(va)),
+            "a page lies wholly inside or outside the Memento region"
+        );
+        let tlb = self.tlbs[core].hit_mru(va);
+        if memento {
+            run.account.charge(CycleBucket::Compute, tlb);
+            if let Some(obs) = self.obs.as_mut() {
+                obs.charge(core, CycleBucket::Compute, "user", tlb);
+            }
+            self.memento_line_access(run, core, va, kind, frame, loc);
+        } else {
+            let pa = frame.base_addr().add(va.page_offset());
+            let access = self.mem_sys.access(core, kind, pa).cycles;
+            self.charge_baseline_access(run, core, tlb, access, Cycles::ZERO);
+        }
+    }
+
+    /// Charges a baseline demand access: translation (and fault) work on
+    /// the critical path, the data access discounted by the MLP factor.
+    fn charge_baseline_access(
+        &mut self,
+        run: &mut FunctionRun,
+        core: usize,
+        serial: Cycles,
+        access: Cycles,
+        kernel: Cycles,
+    ) {
+        let user = serial + self.discount(access);
+        run.account.charge(CycleBucket::Compute, user);
+        run.account.charge(CycleBucket::KernelMm, kernel);
+        if let Some(obs) = self.obs.as_mut() {
+            obs.charge(core, CycleBucket::Compute, "user", user);
+            obs.charge(core, CycleBucket::KernelMm, "kernel", kernel);
+        }
+    }
+
+    /// The cache access of a Memento-region line translated to `frame`,
+    /// main-memory bypass included.
+    fn memento_line_access(
+        &mut self,
+        run: &mut FunctionRun,
+        core: usize,
+        va: VirtAddr,
+        kind: AccessKind,
+        frame: Frame,
+        loc: Option<ObjectLocation>,
+    ) {
+        let mproc = run.mproc.as_ref().expect("memento process");
+        debug_assert_eq!(
+            loc.map(|l| (l.class, l.arena_base)),
+            mproc.region().locate(va).map(|l| (l.class, l.arena_base)),
+            "every line of an object shares its class and arena"
+        );
+        let dev = self.device.as_mut().expect("memento mode");
         let pa = frame.base_addr().add(va.page_offset());
-        let bypass = dev.bypass_check(core, mproc, va);
+        let bypass = loc.is_some_and(|loc| dev.bypass_check_at(core, loc, va));
         let out = if bypass {
             self.mem_sys.access_bypassed(core, kind, pa)
         } else {
             self.mem_sys.access(core, kind, pa)
         };
-        run.account
-            .charge(CycleBucket::Compute, discount(out.cycles));
+        let cycles = self.discount(out.cycles);
+        run.account.charge(CycleBucket::Compute, cycles);
         if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::Compute, "user", discount(out.cycles));
+            obs.charge(core, CycleBucket::Compute, "user", cycles);
+        }
+    }
+
+    /// Touches every cache line of `[start, end]`, bytes of one live
+    /// object. Per page, the first line takes the full demand path
+    /// ([`Self::data_access`]) and the rest reuse its translation
+    /// ([`Self::repeat_access`]). All lines of an object share a size
+    /// class and an arena, so the span locates itself in the Memento
+    /// region once.
+    fn touch_span(
+        &mut self,
+        run: &mut FunctionRun,
+        core: usize,
+        start: VirtAddr,
+        end: VirtAddr,
+        write: bool,
+    ) {
+        #[cfg(test)]
+        if self.per_line_touch {
+            return self.touch_per_line(run, core, start, end, write);
+        }
+        let kind = if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let mut line = start.line_base();
+        let loc = run.mproc.as_ref().and_then(|mp| mp.region().locate(line));
+        while line <= end {
+            let page_last = line.page_base().add(PAGE_SIZE as u64 - 1).min(end);
+            let page = self.data_access(run, core, line, kind, loc);
+            line = line.add(CACHE_LINE_SIZE as u64);
+            while line <= page_last {
+                self.repeat_access(run, core, line, kind, page, loc);
+                line = line.add(CACHE_LINE_SIZE as u64);
+            }
         }
     }
 
@@ -552,16 +724,7 @@ impl Machine {
         }
         // Baseline: live small bytes over user-heap pages backing them
         // (large objects' page-rounded footprint excluded).
-        let mut live_small = 0u64;
-        let mut large_pages = 0u64;
-        // lint:allow(unordered-iter): commutative sums over sizes only.
-        for (_, (_, size)) in run.objects.iter() {
-            if *size as usize <= HW_MAX_SIZE {
-                live_small += *size as u64;
-            } else {
-                large_pages += VirtAddr::new(*size as u64).page_align_up().raw() / PAGE_SIZE as u64;
-            }
-        }
+        let (live_small, large_pages) = (run.objects.small_bytes, run.objects.large_pages);
         let heap_pages = self
             .kernel
             .frame_stats()
@@ -653,7 +816,7 @@ impl Machine {
                 } else {
                     self.soft_alloc(run, core, size_us)
                 };
-                run.objects.insert(id.0, (addr, *size));
+                run.objects.insert(id.0, addr, *size);
                 run.live_bytes += *size as u64;
                 if self.obs.is_some() {
                     run.alloc_seq += 1;
@@ -669,9 +832,8 @@ impl Machine {
                 self.maybe_collect(run, core);
             }
             Event::Free { id } => {
-                let (addr, size) = match run.objects.remove(&id.0) {
-                    Some(v) => v,
-                    None => return, // tolerated: double-free in a trace
+                let Some((addr, size)) = run.objects.remove(id.0) else {
+                    return; // tolerated: double-free in a trace
                 };
                 run.live_bytes = run.live_bytes.saturating_sub(size as u64);
                 if let Some(obs) = self.obs.as_mut() {
@@ -717,7 +879,7 @@ impl Machine {
                 len,
                 write,
             } => {
-                let Some(&(addr, size)) = run.objects.get(&id.0) else {
+                let Some((addr, size)) = run.objects.get(id.0) else {
                     return;
                 };
                 // A span that is empty or runs past its object (possible
@@ -727,13 +889,13 @@ impl Machine {
                 if len == 0 || offset + len > u64::from(size) {
                     return;
                 }
-                let start = addr.add(offset);
-                let end = addr.add(offset + len - 1);
-                let mut line = start.line_base();
-                while line <= end {
-                    self.data_access(run, core, line, *write);
-                    line = line.add(CACHE_LINE_SIZE as u64);
-                }
+                self.touch_span(
+                    run,
+                    core,
+                    addr.add(offset),
+                    addr.add(offset + len - 1),
+                    *write,
+                );
             }
             Event::Exit => {
                 self.finish_run(run, core);
@@ -789,9 +951,19 @@ impl Machine {
     }
 
     /// [`Machine::run_scheduled`] with a fault-injection hook called once
-    /// per scheduler iteration (before job acquisition) with the scheduler
-    /// and the iteration number — tests use it to stall and release cores
+    /// per trace event (and once per idle spin while every core with work
+    /// is stalled), before job acquisition, with the scheduler and the
+    /// iteration number — tests use it to stall and release cores
     /// mid-invocation.
+    ///
+    /// The scheduler re-decides — acquires jobs for idle cores, recounts
+    /// the active cores for contention, and picks the lowest-clock core —
+    /// only when one of those inputs can have changed: at the start, after
+    /// a job completes, when the hook mutated the scheduler (its
+    /// [`Scheduler::generation`] moved), or when the running core's
+    /// `(clock, index)` reaches its horizon, the smallest one among the
+    /// other runnable cores. Otherwise the running core keeps the CPU,
+    /// which is exactly what a per-event re-decision would pick.
     ///
     /// # Panics
     ///
@@ -804,64 +976,92 @@ impl Machine {
         seed: u64,
         mut hook: impl FnMut(&mut Scheduler, u64),
     ) -> (Vec<RunStats>, SchedStats) {
-        let traces = traces_for(specs);
-        let mut runs: Vec<Option<FunctionRun>> = specs.iter().map(|_| None).collect();
-        let mut cursors = vec![0usize; specs.len()];
-        let mut sched = Scheduler::new(self.cfg.cores, specs.len(), seed);
+        let mut batch = Batch::new(specs, self.cfg.cores, seed);
         let mut steps: u64 = 0;
         let mut idle_spins: u32 = 0;
-        while !sched.all_done() {
-            hook(&mut sched, steps);
+        // The core holding the CPU, its job, and its horizon; `None` makes
+        // the next iteration re-decide.
+        let mut holder: Option<(usize, usize, (u64, usize))> = None;
+        loop {
+            if holder.is_none() && batch.sched.all_done() {
+                break;
+            }
+            let generation = batch.sched.generation();
+            hook(&mut batch.sched, steps);
             steps += 1;
-            sched.acquire_jobs();
-            // Contention tracks how many cores hold in-flight work right
-            // now; one active core makes both shared-resource penalties
-            // exactly zero-cost.
-            self.mem_sys.set_active_cores(sched.active_cores().max(1));
-            let Some(core) = sched.next_core() else {
-                assert!(
-                    sched.has_stalled_work(),
-                    "scheduler wedged: no runnable core and no stalled work"
-                );
-                idle_spins += 1;
-                assert!(
-                    idle_spins < 1 << 20,
-                    "stalled work never released (hook missing an unstall?)"
-                );
-                continue;
+            if batch.sched.generation() != generation {
+                holder = None;
+            }
+            let (core, job) = match holder {
+                Some((core, job, horizon)) if (batch.sched.clock(core), core) < horizon => {
+                    (core, job)
+                }
+                _ => {
+                    batch.sched.acquire_jobs();
+                    // Contention tracks how many cores hold in-flight work
+                    // right now; one active core makes both shared-resource
+                    // penalties exactly zero-cost.
+                    self.mem_sys
+                        .set_active_cores(batch.sched.active_cores().max(1));
+                    let Some((core, horizon)) = batch.sched.next_core_and_horizon() else {
+                        holder = None;
+                        batch.assert_stalled(&mut idle_spins);
+                        continue;
+                    };
+                    idle_spins = 0;
+                    let job = batch.sched.current(core).expect("running core has a job");
+                    holder = Some((core, job, horizon));
+                    (core, job)
+                }
             };
-            idle_spins = 0;
-            let job = sched.current(core).expect("running core has a job");
-            if runs[job].is_none() {
-                // Lazy start at first dispatch, so bring-up cycles land on
-                // the core that actually executes the invocation.
-                let run = self.start(&specs[job]);
-                sched.advance(core, run.account.total().raw());
-                runs[job] = Some(run);
-            }
-            let run = runs[job].as_mut().expect("started above");
-            let before = run.account.total();
-            let events = &traces[job].events;
-            if cursors[job] < events.len() {
-                let event = events[cursors[job]];
-                cursors[job] += 1;
-                self.step_on(run, &event, core);
-            }
-            if !run.finished && cursors[job] >= events.len() {
-                // Traces end with Exit, but tolerate truncated ones.
-                self.finish_run(run, core);
-            }
-            sched.advance(core, (run.account.total() - before).raw());
-            if run.finished {
-                sched.complete(core);
+            if self.step_job(&mut batch, core, job) {
+                holder = None;
             }
         }
+        self.finish_batch(batch)
+    }
+
+    /// Runs `job`'s next trace event on `core` (starting the job at its
+    /// first dispatch) and advances the core's clock by the cycles it
+    /// charged. Returns whether the job completed.
+    fn step_job(&mut self, batch: &mut Batch<'_>, core: usize, job: usize) -> bool {
+        if batch.runs[job].is_none() {
+            // Lazy start at first dispatch, so bring-up cycles land on
+            // the core that actually executes the invocation.
+            let run = self.start(&batch.specs[job]);
+            batch.sched.advance(core, run.account.total().raw());
+            batch.runs[job] = Some(run);
+        }
+        let run = batch.runs[job].as_mut().expect("started above");
+        let before = run.account.total();
+        let events = &batch.traces[job].events;
+        let cursor = &mut batch.cursors[job];
+        if *cursor < events.len() {
+            let event = events[*cursor];
+            *cursor += 1;
+            self.step_on(run, &event, core);
+        }
+        if !run.finished && *cursor >= events.len() {
+            // Traces end with Exit, but tolerate truncated ones.
+            self.finish_run(run, core);
+        }
+        batch
+            .sched
+            .advance(core, (run.account.total() - before).raw());
+        if run.finished {
+            batch.sched.complete(core);
+        }
+        run.finished
+    }
+
+    fn finish_batch(&mut self, batch: Batch<'_>) -> (Vec<RunStats>, SchedStats) {
         self.mem_sys.set_active_cores(1);
-        let stats = runs
+        let stats = batch
+            .runs
             .iter()
             .map(|r| self.collect(r.as_ref().expect("scheduler runs every job")))
             .collect();
-        (stats, sched.stats().clone())
+        (stats, batch.sched.stats().clone())
     }
 
     pub(crate) fn finish_run(&mut self, run: &mut FunctionRun, core: usize) {
@@ -953,6 +1153,9 @@ impl Machine {
         if let Some(obs) = self.obs.as_mut() {
             obs.charge(core, CycleBucket::KernelMm, "kernel", cs);
         }
+        // Nothing reads the object table after Exit; a finished run kept
+        // for its statistics should not hold a slot per object it made.
+        run.objects = ObjectTable::default();
 
         // Observability epilogue: fold layer statistics into the registry,
         // check span balance, and emit the Perfetto file if configured.
@@ -1010,7 +1213,7 @@ impl Machine {
         m.set("walk.pte_reads", ws.pte_reads);
 
         let ms = self.mem_sys.stats();
-        m.set_hist("mem.demand_latency", self.mem_sys.demand_latency().clone());
+        m.set_hist("mem.demand_latency", self.mem_sys.demand_latency());
         m.set("mem.dram.row_hits", ms.dram.row_hits);
         m.set("mem.dram.row_misses", ms.dram.row_misses);
         m.set("mem.dram.read_lines", ms.dram.read_lines);
@@ -1177,13 +1380,11 @@ impl Machine {
         // Remaining live objects die at function return. Free them through
         // the active design so fully-dead arenas are reclaimed into the
         // pool (hardware) and the software heap can decay — instead of
-        // leaking every request's peak into the next one. Sorted by id:
-        // `objects` is a HashMap and free order must be deterministic.
-        // lint:allow(unordered-iter): sorted on the next line.
-        let mut ids: Vec<u64> = run.objects.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let (addr, size) = run.objects.remove(&id).expect("key just listed");
+        // leaking every request's peak into the next one. In id order.
+        for id in 0..run.objects.slots.len() as u64 {
+            let Some((addr, size)) = run.objects.remove(id) else {
+                continue;
+            };
             run.live_bytes = run.live_bytes.saturating_sub(size as u64);
             if self.obs.is_some() {
                 if let Some(b) = run.born.remove(&id) {
@@ -1684,6 +1885,43 @@ const _: () = {
     assert_send::<RunStats>();
 };
 
+/// The state of one scheduled batch (see [`Machine::run_scheduled_with`]).
+struct Batch<'a> {
+    specs: &'a [WorkloadSpec],
+    traces: Vec<Rc<Trace>>,
+    /// Each job's run, started at its first dispatch.
+    runs: Vec<Option<FunctionRun>>,
+    /// Each job's next trace event.
+    cursors: Vec<usize>,
+    sched: Scheduler,
+}
+
+impl<'a> Batch<'a> {
+    fn new(specs: &'a [WorkloadSpec], cores: usize, seed: u64) -> Self {
+        Batch {
+            specs,
+            traces: traces_for(specs),
+            runs: specs.iter().map(|_| None).collect(),
+            cursors: vec![0; specs.len()],
+            sched: Scheduler::new(cores, specs.len(), seed),
+        }
+    }
+
+    /// No core can run: only stalled work may explain that, and only for
+    /// so long.
+    fn assert_stalled(&self, idle_spins: &mut u32) {
+        assert!(
+            self.sched.has_stalled_work(),
+            "scheduler wedged: no runnable core and no stalled work"
+        );
+        *idle_spins += 1;
+        assert!(
+            *idle_spins < 1 << 20,
+            "stalled work never released (hook missing an unstall?)"
+        );
+    }
+}
+
 /// Per-job traces for a batch. [`generate`] depends only on the spec, so
 /// each distinct spec is generated once and jobs with equal specs share
 /// its trace.
@@ -1698,6 +1936,9 @@ fn traces_for(specs: &[WorkloadSpec]) -> Vec<Rc<Trace>> {
     }
     traces
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -15,6 +15,14 @@
 //! dictate. A core can be stalled mid-invocation (fault injection, or
 //! modeling a hiccup): its in-flight job stays pinned, but the jobs still
 //! queued behind it are stolen back by its siblings.
+//!
+//! The machine re-decides (acquire, count active cores, pick the next
+//! core) only when a decision input can have changed: a job completed,
+//! or a caller mutated the scheduler, which [`Scheduler::generation`]
+//! reveals. In between, the running core keeps the CPU while its
+//! `(clock, index)` stays below its horizon
+//! ([`Scheduler::next_core_and_horizon`]), which is exactly the core
+//! [`Scheduler::next_core`] would pick.
 
 use std::collections::VecDeque;
 
@@ -45,6 +53,8 @@ pub struct Scheduler {
     /// xorshift64 state for victim selection (never zero).
     rng: u64,
     stats: SchedStats,
+    /// Bumped by every mutating method (see [`Self::generation`]).
+    generation: u64,
 }
 
 impl Scheduler {
@@ -72,7 +82,16 @@ impl Scheduler {
                 per_core_jobs: vec![0; cores],
                 per_core_cycles: vec![0; cores],
             },
+            generation: 0,
         }
+    }
+
+    /// A counter that every mutating method bumps. Equal values before
+    /// and after a call into foreign code (the machine's fault-injection
+    /// hook) prove the scheduler was left untouched, so the machine can
+    /// keep its last decision instead of re-deciding.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -90,6 +109,7 @@ impl Scheduler {
     /// non-empty queue (stalled victims included — that is the steal-back
     /// path). Cores acquire in index order, so one call is deterministic.
     pub fn acquire_jobs(&mut self) {
+        self.generation += 1;
         for core in 0..self.queues.len() {
             if self.stalled[core] || self.current[core].is_some() {
                 continue;
@@ -128,9 +148,32 @@ impl Scheduler {
     /// whose simulated clock is lowest (ties break to the lowest index).
     /// `None` when no core can execute right now.
     pub fn next_core(&self) -> Option<usize> {
-        (0..self.queues.len())
-            .filter(|&c| !self.stalled[c] && self.current[c].is_some())
-            .min_by_key(|&c| self.clock[c])
+        self.next_core_and_horizon().map(|(core, _)| core)
+    }
+
+    /// [`Self::next_core`] plus its horizon: the smallest `(clock, index)`
+    /// among the *other* runnable cores (`(u64::MAX, usize::MAX)` when
+    /// there is none). Until the scheduler is mutated by anything but
+    /// [`Self::advance`] on the chosen core, `next_core` keeps choosing
+    /// that core exactly while its `(clock, index)` is below the horizon.
+    pub fn next_core_and_horizon(&self) -> Option<(usize, (u64, usize))> {
+        let mut best: Option<(u64, usize)> = None;
+        let mut horizon = (u64::MAX, usize::MAX);
+        for c in 0..self.queues.len() {
+            if self.stalled[c] || self.current[c].is_none() {
+                continue;
+            }
+            let key = (self.clock[c], c);
+            match best {
+                None => best = Some(key),
+                Some(b) if key < b => {
+                    horizon = horizon.min(b);
+                    best = Some(key);
+                }
+                Some(_) => horizon = horizon.min(key),
+            }
+        }
+        best.map(|(_, core)| (core, horizon))
     }
 
     /// Cores with in-flight work (stalled or not) — the machine's
@@ -142,6 +185,7 @@ impl Scheduler {
 
     /// Advances `core`'s simulated clock by `delta` cycles.
     pub fn advance(&mut self, core: usize, delta: u64) {
+        self.generation += 1;
         self.clock[core] += delta;
         self.stats.per_core_cycles[core] += delta;
     }
@@ -149,17 +193,20 @@ impl Scheduler {
     /// Marks `core`'s in-flight job complete, freeing the core.
     pub fn complete(&mut self, core: usize) {
         debug_assert!(self.current[core].is_some(), "complete on idle core");
+        self.generation += 1;
         self.current[core] = None;
     }
 
     /// Stalls `core`: its in-flight job stays pinned but executes nothing
     /// until [`Self::unstall`]; its queued jobs remain stealable.
     pub fn stall(&mut self, core: usize) {
+        self.generation += 1;
         self.stalled[core] = true;
     }
 
     /// Clears a stall injected with [`Self::stall`].
     pub fn unstall(&mut self, core: usize) {
+        self.generation += 1;
         self.stalled[core] = false;
     }
 
@@ -300,6 +347,51 @@ mod tests {
         sched.advance(0, 10);
         sched.complete(0);
         assert!(sched.all_done());
+    }
+
+    #[test]
+    fn horizon_is_the_next_runnable_key() {
+        let mut sched = Scheduler::new(3, 3, 5);
+        sched.acquire_jobs();
+        assert_eq!(sched.next_core_and_horizon(), Some((0, (0, 1))));
+        sched.advance(0, 10);
+        sched.advance(1, 10);
+        // Core 2 leads; the tie between cores 0 and 1 breaks to core 0.
+        assert_eq!(sched.next_core_and_horizon(), Some((2, (10, 0))));
+        sched.advance(2, 10);
+        assert_eq!(sched.next_core_and_horizon(), Some((0, (10, 1))));
+        // A stalled core is no horizon; a lone runnable core has none.
+        sched.stall(1);
+        sched.stall(2);
+        assert_eq!(
+            sched.next_core_and_horizon(),
+            Some((0, (u64::MAX, usize::MAX)))
+        );
+        sched.stall(0);
+        assert_eq!(sched.next_core_and_horizon(), None);
+    }
+
+    #[test]
+    fn every_mutation_bumps_the_generation() {
+        let mut sched = Scheduler::new(2, 2, 1);
+        let mut last = sched.generation();
+        let mut bumped = |sched: &Scheduler| {
+            let moved = sched.generation() != last;
+            last = sched.generation();
+            moved
+        };
+        sched.acquire_jobs();
+        assert!(bumped(&sched));
+        sched.advance(0, 1);
+        assert!(bumped(&sched));
+        sched.stall(1);
+        assert!(bumped(&sched));
+        sched.unstall(1);
+        assert!(bumped(&sched));
+        sched.complete(0);
+        assert!(bumped(&sched));
+        let _ = (sched.next_core(), sched.active_cores(), sched.all_done());
+        assert!(!bumped(&sched), "reads leave the generation alone");
     }
 
     #[test]

@@ -88,6 +88,9 @@ struct TlbArray {
     /// index is a mask; `None` falls back to `%`.
     set_mask: Option<u64>,
     stamp: u64,
+    /// Index of the entry the last hit or insert stamped: the most
+    /// recently used one while nothing has invalidated it since.
+    mru: usize,
     latency: Cycles,
 }
 
@@ -102,51 +105,69 @@ impl TlbArray {
             num_sets: num_sets as u64,
             set_mask: num_sets.is_power_of_two().then_some(num_sets as u64 - 1),
             stamp: 0,
+            mru: 0,
             latency: cfg.latency,
         }
     }
 
-    /// The ways of the set `vpn` maps to.
-    fn set_mut(&mut self, vpn: u64) -> &mut [TlbEntry] {
+    /// Where the set `vpn` maps to starts in `entries`.
+    fn set_base(&self, vpn: u64) -> usize {
         let set = match self.set_mask {
             Some(mask) => vpn & mask,
             None => vpn % self.num_sets,
         } as usize;
-        let base = set * self.assoc;
+        set * self.assoc
+    }
+
+    /// The ways of the set `vpn` maps to.
+    fn set_mut(&mut self, vpn: u64) -> &mut [TlbEntry] {
+        let base = self.set_base(vpn);
         &mut self.entries[base..base + self.assoc]
     }
 
     fn lookup(&mut self, vpn: u64) -> Option<Frame> {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let e = self.set_mut(vpn).iter_mut().find(|e| e.vpn == vpn)?;
-        e.lru = stamp;
-        Some(e.frame)
+        let base = self.set_base(vpn);
+        let set = &mut self.entries[base..base + self.assoc];
+        let way = set.iter().position(|e| e.vpn == vpn)?;
+        set[way].lru = self.stamp;
+        self.mru = base + way;
+        Some(set[way].frame)
+    }
+
+    /// Repeats a hit on the most recently used entry, which must hold
+    /// `vpn`: the same LRU refresh as [`Self::lookup`], without the search.
+    fn refresh_mru(&mut self, vpn: u64) {
+        self.stamp += 1;
+        let e = &mut self.entries[self.mru];
+        debug_assert_eq!(e.vpn, vpn, "repeat hit on a page that is not the MRU entry");
+        debug_assert_eq!(e.lru + 1, self.stamp, "MRU entry was not stamped last");
+        e.lru = self.stamp;
     }
 
     fn insert(&mut self, vpn: u64, frame: Frame) {
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = self.set_mut(vpn);
-        if let Some(e) = set.iter_mut().find(|e| e.vpn == vpn) {
-            e.frame = frame;
-            e.lru = stamp;
-            return;
-        }
-        let victim = match set.iter().position(|e| e.vpn == INVALID_VPN) {
+        let base = self.set_base(vpn);
+        let set = &mut self.entries[base..base + self.assoc];
+        let way = match set.iter().position(|e| e.vpn == vpn) {
             Some(i) => i,
-            None => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty set"),
+            None => match set.iter().position(|e| e.vpn == INVALID_VPN) {
+                Some(i) => i,
+                None => set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.lru)
+                    .map(|(i, _)| i)
+                    .expect("non-empty set"),
+            },
         };
-        set[victim] = TlbEntry {
+        set[way] = TlbEntry {
             vpn,
             frame,
             lru: stamp,
         };
+        self.mru = base + way;
     }
 
     fn invalidate(&mut self, vpn: u64) -> bool {
@@ -249,6 +270,18 @@ impl Tlb {
             frame: None,
             cycles,
         }
+    }
+
+    /// Counts a repeat lookup of the page the last [`Self::lookup`] or
+    /// [`Self::insert`] of this TLB left most recently used in L1, as when
+    /// the later lines of one page follow its first: an L1 hit at the L1
+    /// latency with an LRU refresh, exactly what `lookup` would record,
+    /// but without searching the set. The entry must still be there and
+    /// still most recently used (debug-asserted).
+    pub fn hit_mru(&mut self, va: VirtAddr) -> Cycles {
+        self.l1.refresh_mru(va.page_number());
+        self.stats.l1.hit();
+        self.l1.latency
     }
 
     /// Installs a translation into both levels (post-walk insert).
@@ -403,6 +436,47 @@ mod tests {
             assert!(tlb.stats().l1.hits > 0 && tlb.stats().l2.hits > 0);
             assert!(tlb.stats().l2.misses > 0);
         }
+    }
+
+    #[test]
+    fn hit_mru_matches_a_repeated_lookup() {
+        // Two TLBs see the same stream; one answers each repeat of the
+        // previous page with `lookup`, the other with `hit_mru`. Later
+        // evictions depend on the LRU refreshes, so every lookup of a
+        // second pass must agree too.
+        let mut searched = Tlb::default();
+        let mut repeated = Tlb::default();
+        for i in 0..4000u64 {
+            let n = (i * 7919) % 700;
+            for tlb in [&mut searched, &mut repeated] {
+                if tlb.lookup(page(n)).frame.is_none() {
+                    tlb.insert(page(n), Frame::from_number(n));
+                }
+            }
+            for _ in 0..i % 4 {
+                let want = searched.lookup(page(n).add(64));
+                assert_eq!(want.frame, Some(Frame::from_number(n)));
+                assert_eq!(repeated.hit_mru(page(n).add(64)), want.cycles);
+            }
+        }
+        assert_eq!(searched.stats(), repeated.stats());
+        for n in 0..700u64 {
+            assert_eq!(
+                searched.lookup(page(n)),
+                repeated.lookup(page(n)),
+                "page {n}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "repeat hit on a page that is not the MRU entry")]
+    fn hit_mru_of_another_page_is_caught() {
+        let mut tlb = Tlb::default();
+        tlb.insert(page(1), Frame::from_number(1));
+        tlb.insert(page(2), Frame::from_number(2));
+        tlb.hit_mru(page(1));
     }
 
     #[test]

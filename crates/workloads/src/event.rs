@@ -176,9 +176,14 @@ impl Trace {
 
     /// Parses a value produced by [`Trace::to_json`].
     ///
+    /// Object ids must be usable as indices of the machine's object table:
+    /// every `Alloc` id is below the trace's event count (generated traces
+    /// number objects densely from 0), and no `Alloc` reuses an id that is
+    /// still live, which would orphan the earlier object.
+    ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Returns a description of the first malformed field or id.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         let name = v
             .get("name")
@@ -192,6 +197,37 @@ impl Trace {
             .iter()
             .map(Event::from_json)
             .collect::<Result<Vec<_>, _>>()?;
+        // The event at which each id below the event count was allocated,
+        // while it is live.
+        let mut live: Vec<Option<usize>> = vec![None; events.len()];
+        for (i, event) in events.iter().enumerate() {
+            match *event {
+                Event::Alloc { id, .. } => {
+                    let slot = usize::try_from(id.0)
+                        .ok()
+                        .and_then(|n| live.get_mut(n))
+                        .ok_or_else(|| {
+                            format!(
+                                "event {i}: Alloc id {} is not below the trace's {} events",
+                                id.0,
+                                events.len()
+                            )
+                        })?;
+                    if let Some(at) = slot.replace(i) {
+                        return Err(format!(
+                            "event {i}: Alloc of id {} while it is live (allocated at event {at})",
+                            id.0
+                        ));
+                    }
+                }
+                Event::Free { id } => {
+                    if let Some(slot) = usize::try_from(id.0).ok().and_then(|n| live.get_mut(n)) {
+                        *slot = None;
+                    }
+                }
+                _ => {}
+            }
+        }
         Ok(Trace { name, events })
     }
 
@@ -347,6 +383,51 @@ mod tests {
                 size: 1
             }
         );
+    }
+
+    fn parse_trace(events: &str) -> Result<Trace, String> {
+        Trace::from_json(&json::parse(&format!(r#"{{"name":"t","events":[{events}]}}"#)).unwrap())
+    }
+
+    #[test]
+    fn alloc_ids_must_be_below_the_event_count() {
+        let alloc = |id: u64| format!(r#"{{"Alloc":{{"id":{id},"size":8}}}}"#);
+        let ok = parse_trace(&format!(r#"{},{},"Exit""#, alloc(0), alloc(2))).unwrap();
+        assert_eq!(ok.alloc_count(), 2);
+        let huge = parse_trace(&format!(r#"{},"Exit""#, alloc(u64::MAX))).unwrap_err();
+        assert!(
+            huge.contains(
+                "event 0: Alloc id 18446744073709551615 is not below the trace's 2 events"
+            ),
+            "{huge}"
+        );
+        let edge = parse_trace(&format!(r#"{},{}"#, alloc(0), alloc(2))).unwrap_err();
+        assert!(edge.contains("event 1: Alloc id 2 is not below"), "{edge}");
+    }
+
+    #[test]
+    fn alloc_of_a_live_id_is_rejected() {
+        let alloc = r#"{"Alloc":{"id":1,"size":8}}"#;
+        let free = r#"{"Free":{"id":1}}"#;
+        let twice = parse_trace(&format!(r#"{alloc},"Exit",{alloc}"#)).unwrap_err();
+        assert!(
+            twice.contains("event 2: Alloc of id 1 while it is live (allocated at event 0)"),
+            "{twice}"
+        );
+        // Freed ids may be reused; frees of unknown ids are tolerated.
+        let reused = parse_trace(&format!(r#"{alloc},{free},{alloc},{free},{free},"Exit""#));
+        assert_eq!(reused.unwrap().alloc_count(), 2);
+    }
+
+    #[test]
+    fn generated_traces_pass_the_id_checks() {
+        for name in ["html", "aes-go", "CM"] {
+            let mut spec = crate::suite::by_name(name).expect("workload exists");
+            spec.total_instructions = 200_000;
+            let trace = crate::generator::generate(&spec);
+            let back = Trace::from_json(&trace.to_json()).expect("generated ids are valid");
+            assert_eq!(back.events, trace.events, "{name}");
+        }
     }
 
     #[test]
