@@ -2,8 +2,8 @@
 //! out): the optional eager-replenish optimization of §3.1, the hardware
 //! page-pool refill batch, and the AAC pointer-slot capacity.
 
-use crate::error::{scaled_specs, ExperimentError};
-use crate::runner;
+use crate::context::EvalContext;
+use crate::error::ExperimentError;
 use crate::table::{f3, Table};
 use memento_core::device::MementoConfig;
 use memento_core::page_alloc::PageAllocatorConfig;
@@ -105,17 +105,14 @@ fn variants() -> Vec<(String, MementoConfig)> {
     v
 }
 
-/// Runs the ablation suite over `names` (scaled by `scale_divisor`) on
-/// `jobs` worker threads. Every (variant, workload) pair is one shard and
-/// each baseline runs once (shared across variants, which a serial
-/// per-variant sweep would re-run); aggregation is in fixed variant order,
-/// so output is identical at any jobs count.
-pub fn run_for_jobs(
-    names: &[&str],
-    scale_divisor: u64,
-    jobs: usize,
-) -> Result<AblationResult, ExperimentError> {
-    let specs: Vec<WorkloadSpec> = scaled_specs(names, scale_divisor)?;
+/// Runs the ablation suite over `names` at half the context's size
+/// ([`crate::context::HALF_SIZE_DIVISOR`]) on its worker pool. Every
+/// (variant, workload) pair is one shard and each baseline runs once
+/// (shared across variants, which a serial per-variant sweep would
+/// re-run); aggregation is in fixed variant order, so output is identical
+/// at any jobs count.
+pub fn run(ctx: &mut EvalContext, names: &[&str]) -> Result<AblationResult, ExperimentError> {
+    let specs: Vec<WorkloadSpec> = ctx.try_half_size_workloads(names)?;
     let variants = variants();
 
     // One work item per simulation: the shared baselines first, then every
@@ -127,9 +124,7 @@ pub fn run_for_jobs(
     for (_, mcfg) in &variants {
         points.extend(specs.iter().map(|s| (memento_with(*mcfg), s.clone())));
     }
-    let results = runner::map_ordered(jobs, &points, |(cfg, spec)| {
-        Machine::new(cfg.clone()).run(spec)
-    });
+    let results = ctx.map(&points, |(cfg, spec)| Machine::new(cfg.clone()).run(spec));
 
     let (baselines, variant_runs) = results.split_at(specs.len());
     let rows = variants
@@ -147,17 +142,6 @@ pub fn run_for_jobs(
     Ok(AblationResult { rows })
 }
 
-/// Runs the ablation suite over `names` (worker count from the
-/// environment).
-pub fn run_for(names: &[&str], scale_divisor: u64) -> Result<AblationResult, ExperimentError> {
-    run_for_jobs(names, scale_divisor, runner::effective_jobs(None))
-}
-
-/// Default ablation set.
-pub fn run() -> Result<AblationResult, ExperimentError> {
-    run_for(&["html", "US", "bfs-go"], 2)
-}
-
 /// §4 future-work extension study: an enhanced GC that proactively frees
 /// dead ephemeral objects through `obj-free` instead of deferring to the
 /// sweep, on the Golang workloads.
@@ -168,12 +152,13 @@ pub struct ProactiveGcResult {
     pub rows: Vec<(String, f64, f64, f64)>,
 }
 
-/// Runs the proactive-GC extension comparison over Go workloads.
-pub fn proactive_gc_for(
+/// Runs the proactive-GC extension comparison over the Go workloads
+/// `names`, at half the context's size, on its worker pool.
+pub fn proactive_gc(
+    ctx: &mut EvalContext,
     names: &[&str],
-    scale_divisor: u64,
 ) -> Result<ProactiveGcResult, ExperimentError> {
-    let specs: Vec<WorkloadSpec> = scaled_specs(names, scale_divisor)?;
+    let specs: Vec<WorkloadSpec> = ctx.try_half_size_workloads(names)?;
     // Three independent systems per workload; each is one shard.
     let points: Vec<(SystemConfig, WorkloadSpec)> = specs
         .iter()
@@ -186,9 +171,7 @@ pub fn proactive_gc_for(
             .map(|cfg| (cfg, spec.clone()))
         })
         .collect();
-    let results = runner::map_ordered(runner::effective_jobs(None), &points, |(cfg, spec)| {
-        Machine::new(cfg.clone()).run(spec)
-    });
+    let results = ctx.map(&points, |(cfg, spec)| Machine::new(cfg.clone()).run(spec));
     let rows = specs
         .iter()
         .zip(results.chunks(3))
@@ -205,11 +188,6 @@ pub fn proactive_gc_for(
         })
         .collect();
     Ok(ProactiveGcResult { rows })
-}
-
-/// Default proactive-GC study over the Go functions.
-pub fn proactive_gc() -> Result<ProactiveGcResult, ExperimentError> {
-    proactive_gc_for(&["html-go", "bfs-go", "aes-go"], 2)
 }
 
 impl fmt::Display for ProactiveGcResult {
@@ -247,14 +225,16 @@ mod tests {
 
     #[test]
     fn unknown_workload_is_a_typed_error() {
-        let err = run_for(&["nope"], 8).expect_err("must fail");
+        let mut ctx = EvalContext::scaled(4);
+        let err = run(&mut ctx, &["nope"]).expect_err("must fail");
         assert_eq!(err, ExperimentError::UnknownWorkload("nope".into()));
-        assert!(proactive_gc_for(&["also-nope"], 8).is_err());
+        assert!(proactive_gc(&mut ctx, &["also-nope"]).is_err());
     }
 
     #[test]
     fn proactive_gc_is_sane() {
-        let result = proactive_gc_for(&["aes-go"], 8).expect("known workloads");
+        let result =
+            proactive_gc(&mut EvalContext::scaled(4), &["aes-go"]).expect("known workloads");
         let (_, memento, proactive, llc_ratio) = result.rows[0].clone();
         assert!(memento > 1.0);
         assert!(proactive > 1.0);
@@ -266,7 +246,7 @@ mod tests {
 
     #[test]
     fn ablations_order_sanely() {
-        let result = run_for(&["html"], 8).expect("known workloads");
+        let result = run(&mut EvalContext::scaled(4), &["html"]).expect("known workloads");
         let get = |label: &str| {
             result
                 .rows

@@ -30,7 +30,7 @@ pub struct ArenaListResult {
 }
 
 /// Runs Fig. 13 over `specs`.
-pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> ArenaListResult {
+pub fn run(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> ArenaListResult {
     let rows: Vec<ArenaListRow> = specs
         .iter()
         .map(|spec| {
@@ -50,12 +50,6 @@ pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> ArenaListResult
         max_free_rate: rows.iter().map(|r| r.free_rate).fold(0.0, f64::max),
         rows,
     }
-}
-
-/// Runs Fig. 13 over the full suite.
-pub fn run(ctx: &mut EvalContext) -> ArenaListResult {
-    let specs = ctx.workloads();
-    run_for(ctx, &specs)
 }
 
 impl fmt::Display for ArenaListResult {
@@ -90,7 +84,7 @@ mod tests {
     fn list_operations_are_rare() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("US"), ctx.workload("html")];
-        let result = run_for(&mut ctx, &specs);
+        let result = run(&mut ctx, &specs);
         // Paper bound: <1% of allocations, <0.6% of frees... allow slack
         // for the shrunk quick workloads.
         assert!(

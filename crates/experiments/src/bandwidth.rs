@@ -48,7 +48,7 @@ fn mean(rows: &[BandwidthRow], cat: Category) -> f64 {
 }
 
 /// Runs Fig. 10 over `specs`.
-pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> BandwidthResult {
+pub fn run(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> BandwidthResult {
     let rows: Vec<BandwidthRow> = specs
         .iter()
         .map(|spec| {
@@ -72,12 +72,6 @@ pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> BandwidthResult
         bypass_avg,
         rows,
     }
-}
-
-/// Runs Fig. 10 over the full suite.
-pub fn run(ctx: &mut EvalContext) -> BandwidthResult {
-    let specs = ctx.workloads();
-    run_for(ctx, &specs)
 }
 
 impl fmt::Display for BandwidthResult {
@@ -121,7 +115,7 @@ mod tests {
     fn bandwidth_reduction_positive_for_alloc_heavy() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("html")];
-        let result = run_for(&mut ctx, &specs);
+        let result = run(&mut ctx, &specs);
         let r = &result.rows[0];
         assert!(r.reduction > 0.0, "reduction {}", r.reduction);
         assert!(r.bypass_share >= 0.0);

@@ -107,7 +107,7 @@ fn avg_shares(rows: &[BreakdownRow], cat: Category) -> GainShares {
 }
 
 /// Runs Fig. 9 over `specs`.
-pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> BreakdownResult {
+pub fn run(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> BreakdownResult {
     let rows: Vec<BreakdownRow> = specs
         .iter()
         .map(|spec| BreakdownRow {
@@ -122,12 +122,6 @@ pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> BreakdownResult
         pltf_avg: avg_shares(&rows, Category::Platform),
         rows,
     }
-}
-
-/// Runs Fig. 9 over the full suite.
-pub fn run(ctx: &mut EvalContext) -> BreakdownResult {
-    let specs = ctx.workloads();
-    run_for(ctx, &specs)
 }
 
 impl fmt::Display for BreakdownResult {
@@ -171,7 +165,7 @@ mod tests {
     fn shares_sum_to_hundred() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("html")];
-        let result = run_for(&mut ctx, &specs);
+        let result = run(&mut ctx, &specs);
         let s = &result.rows[0].shares;
         let total = s.obj_alloc + s.obj_free + s.page_mgmt + s.bypass;
         assert!((total - 100.0).abs() < 1e-6, "total {total}");

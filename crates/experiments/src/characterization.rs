@@ -37,15 +37,14 @@ fn group_of(spec: &WorkloadSpec) -> &'static str {
     }
 }
 
-/// Runs the characterization over `specs` on `jobs` worker threads.
+/// Runs the characterization over `specs` on the context's worker pool.
 /// Trace generation + characterization per spec is pure and deterministic,
 /// and results merge in input order, so output is jobs-independent.
-pub fn run_for_jobs(specs: &[WorkloadSpec], jobs: usize) -> CharacterizationResult {
+pub fn run(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> CharacterizationResult {
     let order = ["Python", "C++", "Golang", "Data Proc", "Serverless Pltf"];
     let mut per_group: Vec<Vec<Characterization>> = vec![Vec::new(); order.len()];
     let mut function_chs = Vec::new();
-    let chs =
-        crate::runner::map_ordered(jobs, specs, |spec| analysis::characterize(&generate(spec)));
+    let chs = ctx.map(specs, |spec| analysis::characterize(&generate(spec)));
     for (spec, ch) in specs.iter().zip(chs) {
         let gi = order
             .iter()
@@ -70,17 +69,6 @@ pub fn run_for_jobs(specs: &[WorkloadSpec], jobs: usize) -> CharacterizationResu
         groups,
         function_quadrants,
     }
-}
-
-/// Runs the characterization over `specs` (worker count from the
-/// environment; see [`crate::runner::effective_jobs`]).
-pub fn run_for(specs: &[WorkloadSpec]) -> CharacterizationResult {
-    run_for_jobs(specs, crate::runner::effective_jobs(None))
-}
-
-/// Runs the characterization over the full suite.
-pub fn run(ctx: &EvalContext) -> CharacterizationResult {
-    run_for_jobs(&ctx.workloads(), ctx.jobs())
 }
 
 impl fmt::Display for CharacterizationResult {
@@ -171,7 +159,7 @@ pub struct MmBreakdownResult {
 }
 
 /// Runs Table 2 over `specs`.
-pub fn mm_breakdown_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MmBreakdownResult {
+pub fn mm_breakdown(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MmBreakdownResult {
     ctx.prefetch_kinds(specs, &[ConfigKind::Baseline]);
     let order = ["Python", "C++", "Golang", "FaaS Platform", "Data Proc."];
     let mut user: Vec<Vec<f64>> = vec![Vec::new(); order.len()];
@@ -206,12 +194,6 @@ pub fn mm_breakdown_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MmBrea
     MmBreakdownResult { rows }
 }
 
-/// Runs Table 2 over the full suite.
-pub fn mm_breakdown(ctx: &mut EvalContext) -> MmBreakdownResult {
-    let specs = ctx.workloads();
-    mm_breakdown_for(ctx, &specs)
-}
-
 impl fmt::Display for MmBreakdownResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -233,7 +215,7 @@ mod tests {
 
     #[test]
     fn characterization_matches_paper_shape() {
-        let result = run_for(&suite::all_workloads());
+        let result = run(&mut EvalContext::new(), &suite::all_workloads());
         assert_eq!(result.groups.len(), 5);
         // Fig. 2: small allocations dominate everywhere.
         for g in &result.groups {
@@ -263,7 +245,7 @@ mod tests {
 
     #[test]
     fn display_renders_all_sections() {
-        let result = run_for(&suite::function_workloads()[..3]);
+        let result = run(&mut EvalContext::new(), &suite::function_workloads()[..3]);
         let s = result.to_string();
         assert!(s.contains("Fig. 2"));
         assert!(s.contains("Fig. 3"));
@@ -274,7 +256,7 @@ mod tests {
     fn mm_breakdown_runs_on_subset() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("aes"), ctx.workload("US")];
-        let result = mm_breakdown_for(&mut ctx, &specs);
+        let result = mm_breakdown(&mut ctx, &specs);
         assert_eq!(result.rows.len(), 2);
         for (label, u, k) in &result.rows {
             assert!((u + k - 1.0).abs() < 1e-9, "{label}: shares must sum to 1");

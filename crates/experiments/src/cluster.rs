@@ -24,25 +24,36 @@
 //! allocator's cached free lists.
 //!
 //! The per-(workload, config) service costs come from
-//! [`memento_cluster::calibrate`]d real-machine profiles; calibrations and
-//! the per-(config, load) fleet simulations fan out across `--jobs`
-//! worker threads like every other experiment, and results are slotted by
-//! shard index so tables are byte-identical at any job count.
+//! [`memento_cluster::calibrate`]d real-machine profiles, memoized in the
+//! context ([`EvalContext::profiles`]) so the region study reuses them;
+//! calibrations and the per-(config, load) fleet simulations fan out
+//! across `--jobs` worker threads like every other experiment, and
+//! results are slotted by shard index so tables are byte-identical at any
+//! job count.
 
-use crate::error::{scaled_specs, ExperimentError};
-use crate::runner;
+use crate::context::{ConfigKind, EvalContext};
+use crate::error::ExperimentError;
 use crate::table::Table;
 use memento_cluster::{
-    calibrate, generate_arrivals, simulate, ArrivalConfig, ClusterConfig, Engine, KeepAlive,
-    Placement, ProfileTable, ServiceProfile, WorkloadMix,
+    generate_arrivals, simulate, ArrivalConfig, ClusterConfig, Engine, KeepAlive, Placement,
+    ProfileTable, ServiceProfile, WorkloadMix,
 };
-use memento_system::{stats, SystemConfig};
-use memento_workloads::spec::WorkloadSpec;
+use memento_system::stats;
 use std::fmt;
 
 /// Cycles per microsecond at the simulated core frequency.
-fn cycles_per_us() -> f64 {
+pub(crate) fn cycles_per_us() -> f64 {
     stats::CORE_FREQ_HZ / 1e6
+}
+
+/// Mean warm service time of `profiles`, in cycles.
+pub(crate) fn mean_warm_cycles(profiles: &[ServiceProfile]) -> f64 {
+    profiles
+        .iter()
+        .map(|p| p.warm_cycles as f64)
+        // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
+        .sum::<f64>()
+        / profiles.len().max(1) as f64
 }
 
 /// Fleet shape and traffic knobs for the cluster experiment.
@@ -130,9 +141,6 @@ impl ClusterReport {
 /// traffic just under its own capacity.
 const LOAD_LEVELS: [(&str, f64); 3] = [("0.5×", 0.5), ("0.9×", 0.9), ("1.15×", 1.15)];
 
-/// Warm invocations per calibration (the last is taken as steady state).
-const CALIBRATION_WARM_SAMPLES: usize = 3;
-
 fn summarize(result: &memento_cluster::ClusterResult) -> FleetSummary {
     let (p50, p95, p99) = result.latency_percentiles();
     FleetSummary {
@@ -148,26 +156,20 @@ fn summarize(result: &memento_cluster::ClusterResult) -> FleetSummary {
     }
 }
 
-/// Runs the cluster evaluation over already-scaled specs on `jobs` worker
-/// threads.
-pub fn run_specs(
-    specs: Vec<WorkloadSpec>,
-    jobs: usize,
+/// Runs the cluster evaluation over the workloads `names` at the
+/// context's scale, on its worker pool.
+pub fn run(
+    ctx: &mut EvalContext,
+    names: &[&str],
     params: ClusterParams,
 ) -> Result<ClusterReport, ExperimentError> {
+    let specs = ctx.try_workloads(names)?;
     let workloads: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
     let mix = WorkloadMix::uniform(specs.clone())?;
 
-    // Calibrate per-(config, workload) service profiles from real
-    // machines; each calibration is one shard.
-    let calib_points: Vec<(SystemConfig, WorkloadSpec)> =
-        [SystemConfig::baseline(), SystemConfig::memento()]
-            .iter()
-            .flat_map(|cfg| specs.iter().map(move |s| (cfg.clone(), s.clone())))
-            .collect();
-    let profiles: Vec<ServiceProfile> = runner::map_ordered(jobs, &calib_points, |(cfg, spec)| {
-        calibrate(cfg, spec, CALIBRATION_WARM_SAMPLES)
-    });
+    // Per-(config, workload) service profiles calibrated from real
+    // machines (memoized; each fresh calibration is one shard).
+    let profiles = ctx.profiles(&[ConfigKind::Baseline, ConfigKind::Memento], &specs);
     let (base_profiles, mem_profiles) = profiles.split_at(specs.len());
     let base_table = ProfileTable::from_profiles(base_profiles.to_vec());
     let mem_table = ProfileTable::from_profiles(mem_profiles.to_vec());
@@ -175,12 +177,7 @@ pub fn run_specs(
     // Baseline fleet capacity sets the load scale: with `nodes` servers
     // and mean warm service time S, saturation is one arrival every
     // S / nodes cycles.
-    let mean_service: f64 = base_profiles
-        .iter()
-        .map(|p| p.warm_cycles as f64)
-        // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
-        .sum::<f64>()
-        / base_profiles.len().max(1) as f64;
+    let mean_service = mean_warm_cycles(base_profiles);
     let keep_alive = KeepAlive::Fixed((mean_service * 20.0) as u64);
 
     // Both configs at a load see the same arrival sequence, so generate
@@ -203,7 +200,7 @@ pub fn run_specs(
     let sim_points: Vec<(usize, bool)> = (0..LOAD_LEVELS.len())
         .flat_map(|li| [(li, false), (li, true)])
         .collect();
-    let sim_results = runner::map_ordered(jobs, &sim_points, |&(li, memento)| {
+    let sim_results = ctx.map(&sim_points, |&(li, memento)| {
         let cluster = ClusterConfig {
             nodes: params.nodes,
             queue_capacity: params.queue_capacity,
@@ -247,31 +244,10 @@ pub fn run_specs(
     })
 }
 
-/// Runs the cluster evaluation over `names` (scaled by `scale_divisor`)
-/// on `jobs` worker threads.
-pub fn run_for_jobs(
-    names: &[&str],
-    scale_divisor: u64,
-    jobs: usize,
-    params: ClusterParams,
-) -> Result<ClusterReport, ExperimentError> {
-    run_specs(scaled_specs(names, scale_divisor)?, jobs, params)
-}
-
 /// The default cluster mix: the idle-heavy slice of the suite
 /// (data-processing, platform, and Go workloads) whose warm pools
 /// dominate a fleet's resident memory.
 pub const DEFAULT_MIX: [&str; 8] = ["html", "US", "CM", "MI", "Redis", "Silo", "SQLite3", "up"];
-
-/// Runs the default cluster evaluation at the context's scale and job
-/// count.
-pub fn run(ctx: &crate::context::EvalContext) -> Result<ClusterReport, ExperimentError> {
-    let specs = DEFAULT_MIX
-        .iter()
-        .map(|n| ctx.try_workload(n))
-        .collect::<Result<Vec<_>, _>>()?;
-    run_specs(specs, ctx.jobs(), ClusterParams::default())
-}
 
 impl fmt::Display for ClusterReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -330,7 +306,8 @@ mod tests {
         // The exact default configuration, scaled down 8× so the
         // acceptance assertions exercise what the shipped experiment
         // reports.
-        run_for_jobs(&DEFAULT_MIX, 8, 2, ClusterParams::default()).expect("known workloads")
+        let mut ctx = EvalContext::scaled(8).with_jobs(2);
+        run(&mut ctx, &DEFAULT_MIX, ClusterParams::default()).expect("known workloads")
     }
 
     #[test]
@@ -379,9 +356,13 @@ mod tests {
         let renders: Vec<String> = [1, 2, 5]
             .iter()
             .map(|&jobs| {
-                run_for_jobs(&["aes", "html"], 16, jobs, params)
-                    .expect("known workloads")
-                    .to_string()
+                run(
+                    &mut EvalContext::scaled(16).with_jobs(jobs),
+                    &["aes", "html"],
+                    params,
+                )
+                .expect("known workloads")
+                .to_string()
             })
             .collect();
         assert_eq!(renders[0], renders[1], "jobs=1 vs jobs=2");
@@ -390,7 +371,8 @@ mod tests {
 
     #[test]
     fn unknown_workload_is_a_typed_error() {
-        let err = run_for_jobs(&["ghost"], 8, 1, ClusterParams::default()).expect_err("must fail");
+        let mut ctx = EvalContext::scaled(8).with_jobs(1);
+        let err = run(&mut ctx, &["ghost"], ClusterParams::default()).expect_err("must fail");
         assert_eq!(err, ExperimentError::UnknownWorkload("ghost".into()));
     }
 }

@@ -3,7 +3,7 @@
 use crate::context::{ConfigKind, EvalContext};
 use crate::table::{f3, Table};
 use memento_system::stats;
-use memento_workloads::spec::{Language, WorkloadSpec};
+use memento_workloads::spec::{Category, Language, WorkloadSpec};
 use std::fmt;
 
 /// §6.1: what happens if the HOT's SRAM is given to the L1D instead
@@ -18,10 +18,15 @@ pub struct IsoStorageResult {
     pub memento_avg: f64,
 }
 
-/// Runs the iso-storage comparison over `specs`.
-pub fn iso_storage_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> IsoStorageResult {
+/// Runs the iso-storage comparison over the function members of `specs`.
+pub fn iso_storage(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> IsoStorageResult {
+    let specs: Vec<WorkloadSpec> = specs
+        .iter()
+        .filter(|s| s.category == Category::Function)
+        .cloned()
+        .collect();
     ctx.prefetch_kinds(
-        specs,
+        &specs,
         &[
             ConfigKind::Baseline,
             ConfigKind::IsoStorage,
@@ -47,16 +52,6 @@ pub fn iso_storage_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> IsoStor
         memento_avg: rows.iter().map(|r| r.2).sum::<f64>() / n,
         rows,
     }
-}
-
-/// Runs the iso-storage comparison over the function suite.
-pub fn iso_storage(ctx: &mut EvalContext) -> IsoStorageResult {
-    let specs: Vec<WorkloadSpec> = ctx
-        .workloads()
-        .into_iter()
-        .filter(|s| s.category == memento_workloads::spec::Category::Function)
-        .collect();
-    iso_storage_for(ctx, &specs)
 }
 
 impl fmt::Display for IsoStorageResult {
@@ -91,7 +86,7 @@ pub struct MallaccResult {
 }
 
 /// Runs the Mallacc comparison over the C++ members of `specs`.
-pub fn mallacc_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MallaccResult {
+pub fn mallacc(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MallaccResult {
     let cpp: Vec<WorkloadSpec> = specs
         .iter()
         .filter(|s| s.language == Language::Cpp)
@@ -126,15 +121,6 @@ pub fn mallacc_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MallaccResu
     }
 }
 
-/// Runs the Mallacc comparison over the DeathStarBench functions.
-pub fn mallacc(ctx: &mut EvalContext) -> MallaccResult {
-    let specs: Vec<WorkloadSpec> = ["US", "UM", "CM", "MI"]
-        .iter()
-        .map(|n| ctx.workload(n))
-        .collect();
-    mallacc_for(ctx, &specs)
-}
-
 impl fmt::Display for MallaccResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -162,7 +148,7 @@ mod tests {
     fn memento_beats_iso_storage() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("html")];
-        let result = iso_storage_for(&mut ctx, &specs);
+        let result = iso_storage(&mut ctx, &specs);
         let (_, iso, mem) = result.rows[0].clone();
         assert!(
             mem > iso,
@@ -175,7 +161,7 @@ mod tests {
     fn memento_beats_mallacc_on_cpp() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("US"), ctx.workload("MI")];
-        let result = mallacc_for(&mut ctx, &specs);
+        let result = mallacc(&mut ctx, &specs);
         assert_eq!(result.rows.len(), 2);
         for (name, mal, _mem) in &result.rows {
             assert!(*mal > 1.0, "{name}: mallacc {mal}");

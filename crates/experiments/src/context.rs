@@ -1,7 +1,11 @@
-//! Memoized evaluation context: one simulation per (workload, config).
+//! Memoized evaluation context: one simulation per (workload, config), one
+//! calibration per (workload, config, samples), and the wall-clock of
+//! every study.
 
-use crate::runner::{self, RunnerTiming};
-use crate::sharding::{self, SimPoint};
+use crate::error::ExperimentError;
+use crate::runner::{self, RunnerTiming, Timed};
+use crate::sharding::{self, SimPoint, SpecKey};
+use memento_cluster::{calibrate, ServiceProfile};
 use memento_system::{Machine, RunStats, SystemConfig};
 use memento_workloads::spec::{Category, WorkloadSpec};
 use memento_workloads::suite;
@@ -48,17 +52,33 @@ impl ConfigKind {
     }
 }
 
-/// Memoizing evaluation context shared by all experiment runners.
+/// Warm invocations per service-profile calibration (the last is taken
+/// as steady state). Part of the profile memo's key.
+pub const CALIBRATION_WARM_SAMPLES: usize = 3;
+
+/// Extra divisor for the studies that build fresh machines per cell
+/// instead of reading the memo (multicore, ablations, proactive GC): they
+/// run at half the context's workload size.
+pub const HALF_SIZE_DIVISOR: u64 = 2;
+
+/// Memoizing evaluation context: the one entry point every study takes.
 ///
-/// The context owns the harness's parallelism: [`EvalContext::prefetch`]
-/// fans uncached simulation points across `jobs` worker threads and fills
-/// the memo cache, after which every aggregation path reads the cache
-/// serially — so result tables are byte-identical at any `jobs` setting.
+/// The context owns the harness's scale (the divisor applied to every
+/// workload), its parallelism (every sweep fans across `jobs` worker
+/// threads through [`EvalContext::map`] or [`EvalContext::prefetch`]),
+/// two memos — simulation runs keyed by (spec, design point) and
+/// service-profile calibrations keyed by (spec, design point, samples) —
+/// and the wall-clock of every study run through [`EvalContext::study`].
+/// Sweeps slot results by input index and aggregation reads the memos
+/// serially, so result tables are byte-identical at any `jobs` setting.
 pub struct EvalContext {
-    cache: HashMap<(String, ConfigKind), RunStats>,
+    runs: HashMap<(SpecKey, ConfigKind), RunStats>,
+    profiles: HashMap<((SpecKey, ConfigKind), usize), ServiceProfile>,
     scale_divisor: u64,
-    jobs: usize,
+    /// Worker count (`timing.jobs`) and everything timed so far.
     timing: RunnerTiming,
+    /// Label of the study running now (empty outside any study).
+    study: &'static str,
 }
 
 impl EvalContext {
@@ -66,39 +86,32 @@ impl EvalContext {
     /// Worker count comes from `MEMENTO_JOBS` or the machine; override with
     /// [`EvalContext::with_jobs`].
     pub fn new() -> Self {
-        Self::at_scale(1)
+        Self::scaled(1)
     }
 
     /// Quick context for tests/CI: workloads shrunk 8× (shapes preserved,
     /// absolute numbers noisier).
     pub fn quick() -> Self {
-        Self::at_scale(8)
+        Self::scaled(8)
     }
 
     /// Context at an explicit scale divisor (golden-snapshot tests pin a
     /// small fixed scale so the fixture stays cheap to regenerate).
     pub fn scaled(scale_divisor: u64) -> Self {
-        Self::at_scale(scale_divisor.max(1))
-    }
-
-    fn at_scale(scale_divisor: u64) -> Self {
         EvalContext {
-            cache: HashMap::new(),
-            scale_divisor,
-            jobs: runner::effective_jobs(None),
+            runs: HashMap::new(),
+            profiles: HashMap::new(),
+            scale_divisor: scale_divisor.max(1),
             timing: RunnerTiming::default(),
+            study: "",
         }
+        .with_jobs(runner::effective_jobs(None))
     }
 
     /// Sets the worker-thread count for parallel sweeps (1 = serial).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+        self.timing.jobs = jobs.max(1);
         self
-    }
-
-    /// The worker-thread count parallel sweeps will use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// The divisor this context applies to every workload's instruction
@@ -107,9 +120,15 @@ impl EvalContext {
         self.scale_divisor
     }
 
-    /// Accumulated timing over every parallel sweep this context ran.
+    /// Wall-clock of every study and shard this context ran.
     pub fn timing(&self) -> &RunnerTiming {
         &self.timing
+    }
+
+    /// Number of memoized service-profile calibrations.
+    #[cfg(test)]
+    pub(crate) fn calibrations(&self) -> usize {
+        self.profiles.len()
     }
 
     /// The workload suite at this context's scale.
@@ -125,16 +144,24 @@ impl EvalContext {
 
     /// One workload by paper name, at this context's scale, with unknown
     /// names reported as a typed error.
-    pub fn try_workload(&self, name: &str) -> Result<WorkloadSpec, crate::error::ExperimentError> {
-        match suite::by_name(name) {
-            Some(mut s) => {
-                s.total_instructions /= self.scale_divisor;
-                Ok(s)
-            }
-            None => Err(crate::error::ExperimentError::UnknownWorkload(
-                name.to_owned(),
-            )),
-        }
+    pub fn try_workload(&self, name: &str) -> Result<WorkloadSpec, ExperimentError> {
+        Ok(self.try_workloads(&[name])?.remove(0))
+    }
+
+    /// Workloads by paper name, at this context's scale, failing on the
+    /// first unknown name.
+    pub fn try_workloads(&self, names: &[&str]) -> Result<Vec<WorkloadSpec>, ExperimentError> {
+        resolve(names, self.scale_divisor)
+    }
+
+    /// Workloads by paper name at half this context's size
+    /// ([`HALF_SIZE_DIVISOR`]), for the studies that build a fresh machine
+    /// per cell.
+    pub(crate) fn try_half_size_workloads(
+        &self,
+        names: &[&str],
+    ) -> Result<Vec<WorkloadSpec>, ExperimentError> {
+        resolve(names, self.scale_divisor.saturating_mul(HALF_SIZE_DIVISOR))
     }
 
     /// One workload by paper name, at this context's scale.
@@ -146,6 +173,47 @@ impl EvalContext {
     pub fn workload(&self, name: &str) -> WorkloadSpec {
         // lint:allow(panic-in-lib): documented panicking variant; fallible callers use try_workload
         self.try_workload(name).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Runs `f` as the study `label` and records its wall-clock. A study
+    /// run inside another is timed as part of the outer one.
+    pub fn study<R>(&mut self, label: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
+        let outer = std::mem::replace(&mut self.study, label);
+        let (result, wall) = runner::timed(|| f(self));
+        self.study = outer;
+        if outer.is_empty() {
+            self.timing.wall += wall;
+            self.timing.studies.push(Timed {
+                label: label.to_owned(),
+                wall,
+            });
+        }
+        result
+    }
+
+    /// Maps `f` over `items` on the context's worker pool, results in
+    /// input order; each item is timed as a shard of the current study.
+    pub fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let study = self.study;
+        self.map_labelled(items, |i, _| format!("{study}[{i}]"), f)
+    }
+
+    fn map_labelled<T: Sync, R: Send>(
+        &mut self,
+        items: &[T],
+        label: impl Fn(usize, &T) -> String,
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        let mut results = Vec::with_capacity(items.len());
+        let timed = runner::map_timed(self.timing.jobs, items, f);
+        for (i, (item, (r, wall))) in items.iter().zip(timed).enumerate() {
+            self.timing.shards.push(Timed {
+                label: label(i, item),
+                wall,
+            });
+            results.push(r);
+        }
+        results
     }
 
     /// Simulates one point from scratch (no memoization) — the worker body
@@ -165,45 +233,33 @@ impl EvalContext {
     }
 
     /// Fans the uncached members of `points` across the context's worker
-    /// pool and memoizes their results. Already-cached points cost nothing;
-    /// the plan (dedup + shard-id order) is independent of caller order and
-    /// thread scheduling, so any later cache read sees the same stats a
-    /// serial sweep would have produced.
-    pub fn prefetch(&mut self, points: Vec<SimPoint>) -> RunnerTiming {
+    /// pool and memoizes their results. Already-cached points cost
+    /// nothing; the plan (dedup + shard-id order) is independent of caller
+    /// order and thread scheduling, so any later cache read sees the same
+    /// stats a serial sweep would have produced.
+    pub fn prefetch(&mut self, points: Vec<SimPoint>) {
         let todo: Vec<SimPoint> = sharding::plan(points)
             .into_iter()
-            .filter(|p| !self.cache.contains_key(&p.key()))
+            .filter(|p| !self.runs.contains_key(&p.key()))
             .collect();
-        let (stats, timing) = runner::map_timed(
-            self.jobs,
-            &todo,
-            Self::simulate,
-            |p| format!("{}/{:?}", p.spec.name, p.kind),
-            |r| r.total_cycles().raw(),
-        );
+        let stats = self.map_labelled(&todo, |_, p| p.label(), Self::simulate);
         for (point, stat) in todo.iter().zip(stats) {
-            self.cache.insert(point.key(), stat);
+            self.runs.insert(point.key(), stat);
         }
-        self.timing.merge(&timing);
-        timing
     }
 
     /// Convenience: prefetches `specs` under every kind in `kinds`.
-    pub fn prefetch_kinds(&mut self, specs: &[WorkloadSpec], kinds: &[ConfigKind]) -> RunnerTiming {
-        let points = specs
-            .iter()
-            .flat_map(|s| kinds.iter().map(|k| SimPoint::new(s.clone(), *k)))
-            .collect();
-        self.prefetch(points)
+    pub fn prefetch_kinds(&mut self, specs: &[WorkloadSpec], kinds: &[ConfigKind]) {
+        self.prefetch(points(kinds, specs));
     }
 
     /// Runs (or returns the memoized run of) `spec` under `kind`.
     /// Long-running categories are measured at steady state.
     pub fn run(&mut self, spec: &WorkloadSpec, kind: ConfigKind) -> &RunStats {
-        let key = (spec.name.clone(), kind);
-        self.cache
-            .entry(key)
-            .or_insert_with(|| EvalContext::simulate(&SimPoint::new(spec.clone(), kind)))
+        let point = SimPoint::new(spec.clone(), kind);
+        self.runs
+            .entry(point.key())
+            .or_insert_with(|| EvalContext::simulate(&point))
     }
 
     /// Convenience: the (baseline, memento) pair for `spec`.
@@ -212,21 +268,62 @@ impl EvalContext {
         let mem = self.run(spec, ConfigKind::Memento).clone();
         (base, mem)
     }
+
+    /// Service profiles of every spec under every kind, kind-major:
+    /// memoized calibrations are reused, the rest fan across the worker
+    /// pool ([`calibrate`] with [`CALIBRATION_WARM_SAMPLES`]).
+    pub fn profiles(
+        &mut self,
+        kinds: &[ConfigKind],
+        specs: &[WorkloadSpec],
+    ) -> Vec<ServiceProfile> {
+        let key = |p: &SimPoint| (p.key(), CALIBRATION_WARM_SAMPLES);
+        let points = points(kinds, specs);
+        let todo: Vec<SimPoint> = sharding::plan(points.clone())
+            .into_iter()
+            .filter(|p| !self.profiles.contains_key(&key(p)))
+            .collect();
+        let fresh = self.map_labelled(
+            &todo,
+            |_, p| format!("calibrate {}", p.label()),
+            |p| calibrate(&p.kind.system_config(), &p.spec, CALIBRATION_WARM_SAMPLES),
+        );
+        for (point, profile) in todo.iter().zip(fresh) {
+            self.profiles.insert(key(point), profile);
+        }
+        points
+            .iter()
+            .map(|p| self.profiles[&key(p)].clone())
+            .collect()
+    }
+}
+
+/// Every spec under every kind, kind-major.
+fn points(kinds: &[ConfigKind], specs: &[WorkloadSpec]) -> Vec<SimPoint> {
+    kinds
+        .iter()
+        .flat_map(|&k| specs.iter().map(move |s| SimPoint::new(s.clone(), k)))
+        .collect()
+}
+
+/// Resolves `names` against the suite at `1/divisor` compute scale,
+/// failing on the first unknown name.
+fn resolve(names: &[&str], divisor: u64) -> Result<Vec<WorkloadSpec>, ExperimentError> {
+    names
+        .iter()
+        .map(|n| match suite::by_name(n) {
+            Some(mut s) => {
+                s.total_instructions /= divisor;
+                Ok(s)
+            }
+            None => Err(ExperimentError::UnknownWorkload((*n).to_owned())),
+        })
+        .collect()
 }
 
 impl Default for EvalContext {
     fn default() -> Self {
         EvalContext::new()
-    }
-}
-
-/// Group-average helper over workload categories, in the paper's reporting
-/// order (func-avg, data-avg, pltf-avg).
-pub fn group_label(cat: Category) -> &'static str {
-    match cat {
-        Category::Function => "func-avg",
-        Category::DataProc => "data-avg",
-        Category::Platform => "pltf-avg",
     }
 }
 
@@ -236,11 +333,14 @@ mod tests {
 
     #[test]
     fn quick_context_scales_workloads() {
-        let full = EvalContext::new();
-        let quick = EvalContext::quick();
-        let f = full.workload("aes");
-        let q = quick.workload("aes");
+        let f = EvalContext::new().workload("aes");
+        let q = EvalContext::quick().workload("aes");
         assert_eq!(f.total_instructions, q.total_instructions * 8);
+        let half = EvalContext::scaled(4).try_half_size_workloads(&["aes"]);
+        assert_eq!(
+            half.expect("known")[0].total_instructions,
+            f.total_instructions / (4 * HALF_SIZE_DIVISOR)
+        );
     }
 
     #[test]
@@ -251,7 +351,42 @@ mod tests {
         let a = ctx.run(&spec, ConfigKind::Baseline).total_cycles();
         let b = ctx.run(&spec, ConfigKind::Baseline).total_cycles();
         assert_eq!(a, b);
-        assert_eq!(ctx.cache.len(), 1);
+        assert_eq!(ctx.runs.len(), 1);
+    }
+
+    #[test]
+    fn resized_spec_is_not_served_a_stale_run() {
+        let mut ctx = EvalContext::quick();
+        let mut small = ctx.workload("aes");
+        small.total_instructions = 50_000;
+        let large = WorkloadSpec {
+            total_instructions: 400_000,
+            ..small.clone()
+        };
+        let small_cycles = ctx.run(&small, ConfigKind::Baseline).total_cycles();
+        let large_cycles = ctx.run(&large, ConfigKind::Baseline).total_cycles();
+        let fresh = EvalContext::quick()
+            .run(&large, ConfigKind::Baseline)
+            .total_cycles();
+        assert_eq!(large_cycles, fresh, "the larger spec must get its own run");
+        assert_ne!(small_cycles, large_cycles);
+        small.seed ^= 1;
+        ctx.run(&small, ConfigKind::Baseline);
+        assert_eq!(ctx.runs.len(), 3, "size and seed are part of the key");
+    }
+
+    #[test]
+    fn studies_are_timed_at_the_top_level_only() {
+        let mut ctx = EvalContext::quick().with_jobs(2);
+        let doubled = ctx.study("outer", |ctx| {
+            ctx.study("inner", |ctx| ctx.map(&[1u64, 2, 3], |x| x * 2))
+        });
+        assert_eq!(doubled, vec![2, 4, 6]);
+        let timing = ctx.timing();
+        assert_eq!(timing.studies.len(), 1);
+        assert_eq!(timing.studies[0].label, "outer");
+        assert_eq!(timing.wall, timing.studies[0].wall);
+        assert_eq!(timing.shards[0].label, "inner[0]");
     }
 
     #[test]
@@ -260,14 +395,11 @@ mod tests {
         let mut parallel = EvalContext::quick().with_jobs(4);
         let mut spec = serial.workload("aes");
         spec.total_instructions = 100_000;
-        let points: Vec<SimPoint> = [ConfigKind::Baseline, ConfigKind::Memento]
-            .into_iter()
-            .map(|k| SimPoint::new(spec.clone(), k))
-            .collect();
-        serial.prefetch(points.clone());
-        let timing = parallel.prefetch(points);
-        assert_eq!(timing.shards.len(), 2);
-        for kind in [ConfigKind::Baseline, ConfigKind::Memento] {
+        let kinds = [ConfigKind::Baseline, ConfigKind::Memento];
+        serial.prefetch_kinds(std::slice::from_ref(&spec), &kinds);
+        parallel.prefetch_kinds(std::slice::from_ref(&spec), &kinds);
+        assert_eq!(parallel.timing().shards.len(), 2);
+        for kind in kinds {
             assert_eq!(
                 serial.run(&spec, kind).total_cycles(),
                 parallel.run(&spec, kind).total_cycles(),
@@ -275,13 +407,8 @@ mod tests {
             );
         }
         // A second prefetch of the same points is a cached no-op.
-        let again = parallel.prefetch(
-            [ConfigKind::Baseline, ConfigKind::Memento]
-                .into_iter()
-                .map(|k| SimPoint::new(spec.clone(), k))
-                .collect(),
-        );
-        assert!(again.shards.is_empty());
+        parallel.prefetch_kinds(std::slice::from_ref(&spec), &kinds);
+        assert_eq!(parallel.timing().shards.len(), 2);
     }
 
     #[test]

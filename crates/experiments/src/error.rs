@@ -1,14 +1,14 @@
 //! Typed errors surfaced by experiment runners.
 //!
-//! Experiment entry points that take workload *names* (`multicore`,
-//! `ablation`, `cluster`) validate them up front and return
-//! [`ExperimentError::UnknownWorkload`] instead of panicking deep inside a
-//! worker thread, so callers (CLI examples, CI steps) can print the bad
-//! name and exit cleanly.
+//! Workload names resolve through the context
+//! ([`EvalContext::try_workloads`](crate::EvalContext::try_workloads)):
+//! the studies that take names (`multicore`, `ablation`, `cluster`,
+//! `region`) and [`report::run`](crate::report::run) validate them up
+//! front and return [`ExperimentError::UnknownWorkload`] instead of
+//! panicking deep inside a worker thread, so callers (CLI examples, CI
+//! steps) can print the bad name and exit cleanly.
 
 use memento_cluster::ClusterError;
-use memento_workloads::spec::WorkloadSpec;
-use memento_workloads::suite;
 use std::error::Error;
 use std::fmt;
 
@@ -43,31 +43,18 @@ impl From<ClusterError> for ExperimentError {
     }
 }
 
-/// Resolves workload names against the suite at `1/scale_divisor` compute
-/// scale, failing on the first unknown name.
-pub fn scaled_specs(
-    names: &[&str],
-    scale_divisor: u64,
-) -> Result<Vec<WorkloadSpec>, ExperimentError> {
-    names
-        .iter()
-        .map(|n| match suite::by_name(n) {
-            Some(mut s) => {
-                s.total_instructions /= scale_divisor.max(1);
-                Ok(s)
-            }
-            None => Err(ExperimentError::UnknownWorkload((*n).to_owned())),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::EvalContext;
+    use memento_workloads::suite;
+
     #[test]
     fn unknown_names_are_reported_not_panicked() {
-        let err = scaled_specs(&["aes", "no-such-fn"], 2).expect_err("must fail");
+        let err = EvalContext::scaled(2)
+            .try_workloads(&["aes", "no-such-fn"])
+            .expect_err("must fail");
         assert_eq!(err, ExperimentError::UnknownWorkload("no-such-fn".into()));
         assert!(err.to_string().contains("no-such-fn"));
     }
@@ -77,7 +64,9 @@ mod tests {
         let full = suite::by_name("aes")
             .expect("known workload")
             .total_instructions;
-        let specs = scaled_specs(&["aes"], 4).expect("valid names");
+        let specs = EvalContext::scaled(4)
+            .try_workloads(&["aes"])
+            .expect("valid names");
         assert_eq!(specs[0].total_instructions, full / 4);
     }
 

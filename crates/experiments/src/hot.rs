@@ -35,7 +35,7 @@ pub struct HotResult {
 }
 
 /// Runs Fig. 12 over `specs`.
-pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> HotResult {
+pub fn run(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> HotResult {
     let rows: Vec<HotRow> = specs
         .iter()
         .map(|spec| {
@@ -78,12 +78,6 @@ pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> HotResult {
     }
 }
 
-/// Runs Fig. 12 over the full suite.
-pub fn run(ctx: &mut EvalContext) -> HotResult {
-    let specs = ctx.workloads();
-    run_for(ctx, &specs)
-}
-
 impl fmt::Display for HotResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Fig. 12 — Hardware object table hit rate (%)")?;
@@ -114,7 +108,7 @@ mod tests {
     fn alloc_hit_rates_high() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("aes"), ctx.workload("US")];
-        let result = run_for(&mut ctx, &specs);
+        let result = run(&mut ctx, &specs);
         for r in &result.rows {
             assert!(r.alloc_hit > 0.95, "{}: alloc hit {}", r.name, r.alloc_hit);
             // The AAC is only exercised on arena allocations; tiny quick

@@ -22,8 +22,12 @@
 //! | [`ablation`] | extension: eager replenish / bypass / pool batch / AAC ablations |
 //! | [`profile`] | extension: traced run → flame table, metrics appendix, heap samples |
 //! | [`cluster`] | extension: fleet-scale traffic, tail latency + fleet footprint |
+//! | [`region`] | extension: region policy matrix (autoscaling, snapshot restores, squeeze, size-aware keep-alive), Pareto fronts |
+//! | [`report`] | the whole evaluation: every study above in one [`report::FullReport`] |
 //!
-//! Runs are memoized in an [`EvalContext`] so one sweep feeds every figure.
+//! Every study takes the [`EvalContext`] plus its own parameters. The
+//! context memoizes simulation runs and fleet calibrations, so one sweep
+//! feeds every figure, and it times every study.
 //!
 //! Independent simulation points fan out across a fixed worker pool
 //! ([`runner`]) following a deterministic shard plan ([`sharding`]):
@@ -36,7 +40,8 @@
 //! use memento_experiments::{speedup, EvalContext};
 //!
 //! let mut ctx = EvalContext::quick(); // shrunk workloads for CI
-//! let fig8 = speedup::run(&mut ctx);
+//! let suite = ctx.workloads();
+//! let fig8 = speedup::run(&mut ctx, &suite);
 //! println!("{fig8}");
 //! assert!(fig8.func_avg > 1.0);
 //! ```

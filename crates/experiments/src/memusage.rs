@@ -75,7 +75,7 @@ fn avg(rows: &[MemUsageRow], cat: Category) -> (f64, f64, f64) {
 }
 
 /// Runs Fig. 11 over `specs`.
-pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MemUsageResult {
+pub fn run(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MemUsageResult {
     let mut rows = Vec::new();
     let mut skipped = Vec::new();
     let mut pool = PoolCounters::default();
@@ -120,12 +120,6 @@ pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MemUsageResult 
         skipped,
         pool,
     }
-}
-
-/// Runs Fig. 11 over the full suite.
-pub fn run(ctx: &mut EvalContext) -> MemUsageResult {
-    let specs = ctx.workloads();
-    run_for(ctx, &specs)
 }
 
 impl fmt::Display for MemUsageResult {
@@ -178,7 +172,7 @@ mod tests {
         let mut ctx = EvalContext::new();
         let mut py = ctx.workload("aes");
         py.total_instructions = 2_000_000;
-        let result = run_for(&mut ctx, &[py]);
+        let result = run(&mut ctx, &[py]);
         // Paper §6.3: "Memento increases userspace memory usage for Python
         // and Golang workloads" (per-class arenas trade memory for a
         // simpler hardware design).
@@ -199,7 +193,7 @@ mod tests {
         // savings for data processing).
         let mut ctx = EvalContext::new();
         let steady = ctx.workload("Redis");
-        let result = run_for(&mut ctx, &[steady]);
+        let result = run(&mut ctx, &[steady]);
         let redis_row = &result.rows[0];
         assert!(
             redis_row.total < 1.0,
@@ -219,7 +213,7 @@ mod tests {
             .into_iter()
             .filter(|s| s.category == Category::DataProc)
             .collect();
-        let group = run_for(&mut quick, &data);
+        let group = run(&mut quick, &data);
         assert!(
             group.data_avg.2 < 1.0,
             "data-proc average total should show §6.3-direction savings, got {}",
@@ -229,7 +223,7 @@ mod tests {
 
     #[test]
     fn zero_page_baseline_skips_row_instead_of_faking_ratio() {
-        // The shared helper is what run_for consults; the m>0, b==0 case
+        // The shared helper is what `run` consults; the m>0, b==0 case
         // must be reported as undefined, never as an absolute count.
         assert_eq!(page_ratio(12, 0), None);
         assert_eq!(page_ratio(0, 0), Some(1.0));

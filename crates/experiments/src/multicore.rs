@@ -14,8 +14,8 @@
 //! the whole table one deterministic point: byte-identical at any `--jobs`
 //! and across repeated runs.
 
-use crate::error::{scaled_specs, ExperimentError};
-use crate::runner;
+use crate::context::EvalContext;
+use crate::error::ExperimentError;
 use crate::table::{f3, Table};
 use memento_system::{stats, Machine, SchedStats, SystemConfig};
 use memento_workloads::spec::WorkloadSpec;
@@ -61,17 +61,18 @@ pub struct MulticoreResult {
     pub dram_queue_cycles: u64,
 }
 
+/// The default four-function contention mix.
+pub const DEFAULT_MIX: [&str; 4] = ["html", "US", "bfs-go", "jl"];
+
 /// Work-stealing-schedules `names` over half as many cores on one shared
 /// machine, under baseline and Memento, and compares per-function speedups
-/// against their solo runs; simulations fan out over `jobs` worker
-/// threads. Unknown names fail with [`ExperimentError::UnknownWorkload`]
-/// before any simulation starts.
-pub fn run_for_jobs(
-    names: &[&str],
-    scale_divisor: u64,
-    jobs: usize,
-) -> Result<MulticoreResult, ExperimentError> {
-    let specs: Vec<WorkloadSpec> = scaled_specs(names, scale_divisor)?;
+/// against their solo runs. The study builds whole machines rather than
+/// reading the memo, so it runs at half the context's size
+/// ([`crate::context::HALF_SIZE_DIVISOR`]); simulations fan out over the
+/// context's worker pool. Unknown names fail with
+/// [`ExperimentError::UnknownWorkload`] before any simulation starts.
+pub fn run(ctx: &mut EvalContext, names: &[&str]) -> Result<MulticoreResult, ExperimentError> {
+    let specs: Vec<WorkloadSpec> = ctx.try_half_size_workloads(names)?;
     // Half as many cores as invocations (floor two once there are two):
     // the batch oversubscribes the machine, so the steal path genuinely
     // runs, and at least two invocations contend whenever two exist.
@@ -90,7 +91,7 @@ pub fn run_for_jobs(
         SystemConfig::baseline().with_cores(cores),
         SystemConfig::memento().with_cores(cores),
     ];
-    let mut trials = runner::map_ordered(jobs, &trial_cfgs, |cfg| {
+    let mut trials = ctx.map(&trial_cfgs, |cfg| {
         let mut machine = Machine::new(cfg.clone());
         let (runs, sched) = machine.run_scheduled(&specs, SCHED_SEED);
         (runs, sched, machine.mem_stats().dram_queue_cycles)
@@ -104,7 +105,7 @@ pub fn run_for_jobs(
             [SystemConfig::baseline(), SystemConfig::memento()].map(|cfg| (cfg, spec.clone()))
         })
         .collect();
-    let solo = runner::map_ordered(jobs, &solo_points, |(cfg, spec)| {
+    let solo = ctx.map(&solo_points, |(cfg, spec)| {
         Machine::new(cfg.clone()).run(spec)
     });
 
@@ -133,16 +134,6 @@ pub fn run_for_jobs(
         sched,
         dram_queue_cycles,
     })
-}
-
-/// Runs the contention study with the worker count from the environment.
-pub fn run_for(names: &[&str], scale_divisor: u64) -> Result<MulticoreResult, ExperimentError> {
-    run_for_jobs(names, scale_divisor, runner::effective_jobs(None))
-}
-
-/// Default four-function contention study.
-pub fn run() -> Result<MulticoreResult, ExperimentError> {
-    run_for(&["html", "US", "bfs-go", "jl"], 2)
 }
 
 impl fmt::Display for MulticoreResult {
@@ -194,7 +185,8 @@ mod tests {
 
     #[test]
     fn unknown_workload_is_a_typed_error() {
-        let err = run_for(&["aes", "definitely-not-real"], 8).expect_err("must fail");
+        let err = run(&mut EvalContext::scaled(4), &["aes", "definitely-not-real"])
+            .expect_err("must fail");
         assert_eq!(
             err,
             ExperimentError::UnknownWorkload("definitely-not-real".into())
@@ -203,7 +195,7 @@ mod tests {
 
     #[test]
     fn colocation_preserves_wins_under_contention() {
-        let result = run_for(&["aes", "jl"], 8).expect("known workloads");
+        let result = run(&mut EvalContext::scaled(4), &["aes", "jl"]).expect("known workloads");
         assert_eq!(result.rows.len(), 2);
         assert_eq!(result.cores, 2, "two invocations get two contending cores");
         for row in &result.rows {
@@ -237,7 +229,8 @@ mod tests {
     fn oversubscribed_batch_engages_the_scheduler() {
         // Four invocations on two cores: the short pair's core drains its
         // deque and steals from the long pair's backlog.
-        let result = run_for(&["aes", "jl", "aes", "jl"], 8).expect("known workloads");
+        let result =
+            run(&mut EvalContext::scaled(4), &["aes", "jl", "aes", "jl"]).expect("known workloads");
         assert_eq!(result.cores, 2);
         assert_eq!(result.sched.per_core_jobs.iter().sum::<u64>(), 4);
         assert!(

@@ -90,7 +90,7 @@ pub struct PricingResult {
 /// consumed-MB model additionally credits Memento's 15 % memory saving,
 /// which does not materialize at scaled-down heap sizes — see
 /// EXPERIMENTS.md.)
-pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> PricingResult {
+pub fn run(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> PricingResult {
     let pricing = AwsPricing::published();
     let rows: Vec<PricingRow> = specs
         .iter()
@@ -113,12 +113,6 @@ pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> PricingResult {
         end_to_end_saving_avg: rows.iter().map(|r| 1.0 - r.end_to_end_ratio).sum::<f64>() / n,
         rows,
     }
-}
-
-/// Runs Fig. 14 over the full suite's functions.
-pub fn run(ctx: &mut EvalContext) -> PricingResult {
-    let specs = ctx.workloads();
-    run_for(ctx, &specs)
 }
 
 impl fmt::Display for PricingResult {
@@ -173,7 +167,7 @@ mod tests {
     fn memento_cuts_runtime_cost() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("html")];
-        let result = run_for(&mut ctx, &specs);
+        let result = run(&mut ctx, &specs);
         assert_eq!(result.rows.len(), 1);
         assert!(
             result.rows[0].runtime_ratio < 1.0,

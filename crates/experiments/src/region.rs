@@ -38,22 +38,16 @@
 //! reclamation enabled sits on or inside the baseline front under the
 //! bursty trace.
 
-use crate::error::{scaled_specs, ExperimentError};
-use crate::runner;
+use crate::cluster::{cycles_per_us, mean_warm_cycles};
+use crate::context::{ConfigKind, EvalContext};
+use crate::error::ExperimentError;
 use crate::table::Table;
 use memento_cluster::{
-    calibrate, generate_trace, simulate, Arrival, ArrivalConfig, ArrivalTrace, Autoscaler,
-    AutoscalerConfig, ClusterConfig, ColdStart, DiurnalTrace, EmpiricalTrace, Engine, FlashCrowd,
-    KeepAlive, Placement, ProfileTable, Reclamation, ServiceProfile, UniformTrace, WorkloadMix,
+    generate_trace, simulate, Arrival, ArrivalConfig, ArrivalTrace, Autoscaler, AutoscalerConfig,
+    ClusterConfig, ColdStart, DiurnalTrace, EmpiricalTrace, Engine, FlashCrowd, KeepAlive,
+    Placement, ProfileTable, Reclamation, ServiceProfile, UniformTrace, WorkloadMix,
 };
-use memento_system::{stats, SystemConfig};
-use memento_workloads::spec::WorkloadSpec;
 use std::fmt;
-
-/// Cycles per microsecond at the simulated core frequency.
-fn cycles_per_us() -> f64 {
-    stats::CORE_FREQ_HZ / 1e6
-}
 
 /// Region shape and traffic knobs.
 #[derive(Clone, Copy, Debug)]
@@ -80,6 +74,20 @@ pub struct RegionParams {
     /// PR 9 "Azure-trace replay" follow-on). Off by default for the same
     /// golden-stability reason.
     pub empirical_trace: bool,
+}
+
+impl RegionParams {
+    /// The default matrix at a context's scale: invocations scale down
+    /// with the divisor (floor 10 000), so the full evaluation offers the
+    /// headline million-invocation matrix while smoke runs stay in CI
+    /// budget.
+    pub fn at_scale(scale_divisor: u64) -> Self {
+        let default = RegionParams::default();
+        RegionParams {
+            invocations: (default.invocations / scale_divisor.max(1)).max(10_000),
+            ..default
+        }
+    }
 }
 
 impl Default for RegionParams {
@@ -334,25 +342,20 @@ fn summarize(
     }
 }
 
-/// Runs the region matrix over already-scaled specs on `jobs` worker
-/// threads.
-pub fn run_specs(
-    specs: Vec<WorkloadSpec>,
-    jobs: usize,
+/// Runs the region matrix over the workloads `names` at the context's
+/// scale, on its worker pool.
+pub fn run(
+    ctx: &mut EvalContext,
+    names: &[&str],
     params: RegionParams,
 ) -> Result<RegionReport, ExperimentError> {
+    let specs = ctx.try_workloads(names)?;
     let workloads: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
     let mix = WorkloadMix::uniform(specs.clone())?;
 
-    // Calibrate per-(config, workload) profiles from real machines, one
-    // shard each — the same fan-out the cluster experiment uses.
-    let calib_points: Vec<(SystemConfig, WorkloadSpec)> =
-        [SystemConfig::baseline(), SystemConfig::memento()]
-            .iter()
-            .flat_map(|cfg| specs.iter().map(move |s| (cfg.clone(), s.clone())))
-            .collect();
-    let profiles: Vec<ServiceProfile> =
-        runner::map_ordered(jobs, &calib_points, |(cfg, spec)| calibrate(cfg, spec, 3));
+    // Per-(config, workload) profiles from the context's calibration memo:
+    // the cluster study over the same mix has usually filled it already.
+    let profiles = ctx.profiles(&[ConfigKind::Baseline, ConfigKind::Memento], &specs);
     let (base_profiles, mem_profiles) = profiles.split_at(specs.len());
     let tables = [
         (
@@ -370,12 +373,7 @@ pub fn run_specs(
     // Offered load is 0.9x the *baseline* fixed fleet's warm capacity —
     // the same scale the cluster study uses — so the diurnal trough
     // breathes easily and the flash bursts genuinely overload.
-    let mean_service: f64 = base_profiles
-        .iter()
-        .map(|p| p.warm_cycles as f64)
-        // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
-        .sum::<f64>()
-        / base_profiles.len().max(1) as f64;
+    let mean_service = mean_warm_cycles(base_profiles);
     let arrival = ArrivalConfig {
         seed: params.seed,
         count: params.invocations,
@@ -428,7 +426,7 @@ pub fn run_specs(
             (0..run_bundles.len()).flat_map(move |bi| (0..configs).map(move |ci| (ti, bi, ci)))
         })
         .collect();
-    let cell_results = runner::map_ordered(jobs, &cell_points, |&(ti, bi, ci)| {
+    let cell_results = ctx.map(&cell_points, |&(ti, bi, ci)| {
         let (trace_label, arrivals) = &arrival_sets[ti];
         let bundle = run_bundles[bi];
         let (config_label, k, table) = &tables[ci];
@@ -495,36 +493,9 @@ pub fn run_specs(
     })
 }
 
-/// Runs the region matrix over `names` (scaled by `scale_divisor`) on
-/// `jobs` worker threads.
-pub fn run_for_jobs(
-    names: &[&str],
-    scale_divisor: u64,
-    jobs: usize,
-    params: RegionParams,
-) -> Result<RegionReport, ExperimentError> {
-    run_specs(scaled_specs(names, scale_divisor)?, jobs, params)
-}
-
 /// The default region mix: the same idle-heavy slice the cluster study
 /// uses, so the two extensions read against each other.
 pub const DEFAULT_MIX: [&str; 8] = crate::cluster::DEFAULT_MIX;
-
-/// Runs the default region matrix at the context's scale and job count.
-/// Invocations scale down with the context's divisor (floor 10 000) so
-/// the full evaluation offers the headline million-invocation matrix
-/// while smoke runs stay in CI budget.
-pub fn run(ctx: &crate::context::EvalContext) -> Result<RegionReport, ExperimentError> {
-    let specs = DEFAULT_MIX
-        .iter()
-        .map(|n| ctx.try_workload(n))
-        .collect::<Result<Vec<_>, _>>()?;
-    let params = RegionParams {
-        invocations: (RegionParams::default().invocations / ctx.scale_divisor()).max(10_000),
-        ..RegionParams::default()
-    };
-    run_specs(specs, ctx.jobs(), params)
-}
 
 impl fmt::Display for RegionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -605,7 +576,8 @@ mod tests {
     }
 
     fn quick_report() -> RegionReport {
-        run_for_jobs(&DEFAULT_MIX, 16, 2, quick_params()).expect("known workloads")
+        let mut ctx = EvalContext::scaled(16).with_jobs(2);
+        run(&mut ctx, &DEFAULT_MIX, quick_params()).expect("known workloads")
     }
 
     #[test]
@@ -693,10 +665,9 @@ mod tests {
         let renders: Vec<String> = [1, 3, 7]
             .iter()
             .map(|&jobs| {
-                run_for_jobs(
+                run(
+                    &mut EvalContext::scaled(32).with_jobs(jobs),
                     &["aes", "html", "Redis"],
-                    32,
-                    jobs,
                     RegionParams {
                         invocations: 6_000,
                         park_to_pm: true,
@@ -714,10 +685,9 @@ mod tests {
 
     #[test]
     fn park_to_pm_bundle_extends_the_matrix_and_sheds_footprint() {
-        let report = run_for_jobs(
+        let report = run(
+            &mut EvalContext::scaled(32).with_jobs(2),
             &["aes", "html", "Redis"],
-            32,
-            2,
             RegionParams {
                 invocations: 8_000,
                 park_to_pm: true,
@@ -772,10 +742,9 @@ mod tests {
         );
         // No six-bundle row perturbs the original five-bundle numbers:
         // re-running without the flag reproduces the PR 9 table verbatim.
-        let five = run_for_jobs(
+        let five = run(
+            &mut EvalContext::scaled(32).with_jobs(2),
             &["aes", "html", "Redis"],
-            32,
-            2,
             RegionParams {
                 invocations: 8_000,
                 ..RegionParams::default()
@@ -797,10 +766,9 @@ mod tests {
 
     #[test]
     fn empirical_trace_flag_replays_the_azure_day_curve() {
-        let report = run_for_jobs(
+        let report = run(
+            &mut EvalContext::scaled(32).with_jobs(2),
             &["aes", "html"],
-            32,
-            2,
             RegionParams {
                 invocations: 6_000,
                 empirical_trace: true,
@@ -824,7 +792,32 @@ mod tests {
 
     #[test]
     fn unknown_workload_is_a_typed_error() {
-        let err = run_for_jobs(&["ghost"], 8, 1, quick_params()).expect_err("must fail");
+        let mut ctx = EvalContext::scaled(8).with_jobs(1);
+        let err = run(&mut ctx, &["ghost"], quick_params()).expect_err("must fail");
         assert_eq!(err, ExperimentError::UnknownWorkload("ghost".into()));
+    }
+
+    #[test]
+    fn cluster_and_region_share_one_calibration_per_profile() {
+        use crate::cluster::{self, ClusterParams};
+        let mut ctx = EvalContext::scaled(32).with_jobs(2);
+        let params = ClusterParams {
+            invocations: 400,
+            ..ClusterParams::default()
+        };
+        cluster::run(&mut ctx, &cluster::DEFAULT_MIX, params).expect("known workloads");
+        assert_eq!(ctx.calibrations(), 2 * DEFAULT_MIX.len());
+        let shards = ctx.timing().shards.len();
+        let report = run(&mut ctx, &DEFAULT_MIX, quick_params()).expect("known workloads");
+        assert_eq!(
+            ctx.calibrations(),
+            16,
+            "region reuses the cluster study's 16 (config, workload) profiles"
+        );
+        assert_eq!(
+            ctx.timing().shards.len() - shards,
+            report.rows.len(),
+            "region ran its cells and no calibration"
+        );
     }
 }

@@ -1,12 +1,15 @@
 //! Full-evaluation report: every table and figure in one pass, plus a
 //! JSON export for EXPERIMENTS.md regeneration.
 
-use crate::context::EvalContext;
+use crate::context::{ConfigKind, EvalContext};
+use crate::error::ExperimentError;
+use crate::sharding::SimPoint;
 use crate::{
-    arena_list, bandwidth, breakdown, characterization, cluster, comparisons, config_table, hot,
-    memusage, multicore, pricing, region, sensitivity, speedup,
+    ablation, arena_list, bandwidth, breakdown, characterization, cluster, comparisons,
+    config_table, hot, memusage, multicore, pricing, region, sensitivity, speedup,
 };
 use memento_simcore::json::Value;
+use memento_workloads::spec::{Category, Language};
 use std::fmt;
 
 /// The complete evaluation.
@@ -46,77 +49,88 @@ pub struct FullReport {
     /// Extension: region policy matrix (autoscaling, snapshot restores,
     /// pressure reclamation, size-aware keep-alive; Pareto fronts).
     pub region: region::RegionReport,
+    /// §6.6 multi-process HOT flushing.
+    pub multiprocess: sensitivity::MultiprocessResult,
+    /// §6.6 cold starts.
+    pub coldstart: sensitivity::ColdstartResult,
+    /// §6.6 allocator tuning.
+    pub tuning: sensitivity::TuningResult,
+    /// Extension: design-choice ablations.
+    pub ablation: ablation::AblationResult,
+    /// §4 extension: proactive GC frees.
+    pub proactive_gc: ablation::ProactiveGcResult,
 }
 
-/// Prefetches every simulation point the full report needs, fanning them
-/// across the context's worker pool in one balanced sweep. Figures then
-/// read the memo cache, so the report is byte-identical at any job count.
+/// Prefetches every simulation point the full report's paper figures
+/// need, fanning them across the context's worker pool in one balanced
+/// sweep. Figures then read the memo cache, so the report is
+/// byte-identical at any job count.
 fn prefetch_all(ctx: &mut EvalContext) {
-    use crate::context::ConfigKind;
-    use memento_workloads::spec::{Category, Language};
-
-    let suite = ctx.workloads();
-    let mut points: Vec<crate::sharding::SimPoint> = Vec::new();
-    for spec in &suite {
-        for kind in [
+    let mut points: Vec<SimPoint> = Vec::new();
+    for spec in ctx.workloads() {
+        let mut kinds = vec![
             ConfigKind::Baseline,
             ConfigKind::Memento,
             ConfigKind::MementoNoBypass,
-        ] {
-            points.push(crate::sharding::SimPoint::new(spec.clone(), kind));
-        }
+        ];
         if spec.category == Category::Function {
             // §6.1 iso-storage and §6.6 populate cover the functions.
-            points.push(crate::sharding::SimPoint::new(
-                spec.clone(),
-                ConfigKind::IsoStorage,
-            ));
-            points.push(crate::sharding::SimPoint::new(
-                spec.clone(),
-                ConfigKind::BaselinePopulate,
-            ));
+            kinds.extend([ConfigKind::IsoStorage, ConfigKind::BaselinePopulate]);
             if spec.language == Language::Cpp {
                 // §6.7 Mallacc covers the C++ functions.
-                points.push(crate::sharding::SimPoint::new(
-                    spec.clone(),
-                    ConfigKind::IdealMallacc,
-                ));
+                kinds.push(ConfigKind::IdealMallacc);
             }
         }
+        points.extend(kinds.into_iter().map(|k| SimPoint::new(spec.clone(), k)));
     }
     ctx.prefetch(points);
 }
 
-/// Runs the complete evaluation (reusing memoized runs across figures).
-pub fn run(ctx: &mut EvalContext) -> FullReport {
-    prefetch_all(ctx);
-    FullReport {
-        config: config_table::run(),
-        characterization: characterization::run(ctx),
-        mm_breakdown: characterization::mm_breakdown(ctx),
-        speedup: speedup::run(ctx),
-        breakdown: breakdown::run(ctx),
-        bandwidth: bandwidth::run(ctx),
-        memusage: memusage::run(ctx),
-        hot: hot::run(ctx),
-        arena_list: arena_list::run(ctx),
-        pricing: pricing::run(ctx),
-        iso: comparisons::iso_storage(ctx),
-        mallacc: comparisons::mallacc(ctx),
-        populate: sensitivity::populate(ctx),
-        fragmentation: sensitivity::fragmentation(ctx),
-        cluster: cluster::run(ctx).expect("default cluster mix is drawn from the suite"),
-        // The contention study builds whole multi-core machines rather
-        // than reading the memo cache, so it runs at twice the context's
-        // divisor — matching the standalone study's `/2` at full fidelity.
-        multicore: multicore::run_for_jobs(
-            &["html", "US", "bfs-go", "jl"],
-            ctx.scale_divisor().saturating_mul(2),
-            ctx.jobs(),
-        )
-        .expect("default contention mix is drawn from the suite"),
-        region: region::run(ctx).expect("default region mix is drawn from the suite"),
-    }
+/// Runs the complete evaluation, every study timed in the context
+/// (reusing memoized runs and calibrations across studies).
+pub fn run(ctx: &mut EvalContext) -> Result<FullReport, ExperimentError> {
+    ctx.study("prefetch", prefetch_all);
+    let suite = ctx.workloads();
+    let s = &suite;
+    let multiprocess_specs = ctx.try_workloads(&["aes", "jl", "bfs", "mk"])?;
+    let mallacc_specs = ctx.try_workloads(&["US", "UM", "CM", "MI"])?;
+    // Cold-start and allocator tuning build fresh machines per row, so
+    // they run on representative subsets rather than the whole suite.
+    let cold_specs = ctx.try_workloads(&["html", "US", "bfs-go"])?;
+    let tune_specs = ctx.try_workloads(&["html", "mk"])?;
+    Ok(FullReport {
+        config: ctx.study("Table 3", |_| config_table::run()),
+        characterization: ctx.study("Figs. 2-3, Table 1", |c| characterization::run(c, s)),
+        mm_breakdown: ctx.study("Table 2", |c| characterization::mm_breakdown(c, s)),
+        speedup: ctx.study("Fig. 8", |c| speedup::run(c, s)),
+        breakdown: ctx.study("Fig. 9", |c| breakdown::run(c, s)),
+        bandwidth: ctx.study("Fig. 10", |c| bandwidth::run(c, s)),
+        memusage: ctx.study("Fig. 11", |c| memusage::run(c, s)),
+        hot: ctx.study("Fig. 12", |c| hot::run(c, s)),
+        arena_list: ctx.study("Fig. 13", |c| arena_list::run(c, s)),
+        pricing: ctx.study("Fig. 14", |c| pricing::run(c, s)),
+        iso: ctx.study("iso-storage", |c| comparisons::iso_storage(c, s)),
+        mallacc: ctx.study("Mallacc", |c| comparisons::mallacc(c, &mallacc_specs)),
+        populate: ctx.study("populate", |c| sensitivity::populate(c, s)),
+        fragmentation: ctx.study("fragmentation", |c| sensitivity::fragmentation(c, s)),
+        cluster: ctx.study("cluster", |c| {
+            cluster::run(c, &cluster::DEFAULT_MIX, cluster::ClusterParams::default())
+        })?,
+        multicore: ctx.study("multicore", |c| multicore::run(c, &multicore::DEFAULT_MIX))?,
+        region: ctx.study("region", |c| {
+            let params = region::RegionParams::at_scale(c.scale_divisor());
+            region::run(c, &region::DEFAULT_MIX, params)
+        })?,
+        multiprocess: ctx.study("multiprocess", |c| {
+            sensitivity::multiprocess(c, &multiprocess_specs, 4000)
+        }),
+        coldstart: ctx.study("cold start", |c| sensitivity::coldstart(c, &cold_specs)),
+        tuning: ctx.study("tuning", |c| sensitivity::tuning(c, &tune_specs)),
+        ablation: ctx.study("ablation", |c| ablation::run(c, &["html", "US", "bfs-go"]))?,
+        proactive_gc: ctx.study("proactive GC", |c| {
+            ablation::proactive_gc(c, &["html-go", "bfs-go", "aes-go"])
+        })?,
+    })
 }
 
 impl FullReport {
@@ -234,42 +248,6 @@ impl FullReport {
     }
 }
 
-/// Harness timing summary for a finished evaluation: overall wall-clock,
-/// throughput (points/sec, simulated cycles/sec), and the slowest shards.
-/// Printed *after* the deterministic tables — wall-clock is the one output
-/// allowed to differ between runs and job counts.
-pub struct TimingSummary {
-    timing: crate::runner::RunnerTiming,
-}
-
-/// Builds the timing summary from everything `ctx` has executed so far.
-pub fn timing_summary(ctx: &EvalContext) -> TimingSummary {
-    TimingSummary {
-        timing: ctx.timing().clone(),
-    }
-}
-
-impl fmt::Display for TimingSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}", self.timing)?;
-        let mut slowest: Vec<_> = self.timing.shards.iter().collect();
-        slowest.sort_by_key(|s| std::cmp::Reverse(s.wall));
-        if !slowest.is_empty() {
-            writeln!(f, "top shards by wall-clock:")?;
-        }
-        for s in slowest.iter().take(5) {
-            writeln!(
-                f,
-                "  {:<28} {:>8.3} s  {:>12} cycles",
-                s.key,
-                s.wall.as_secs_f64(),
-                s.sim_cycles
-            )?;
-        }
-        Ok(())
-    }
-}
-
 impl fmt::Display for FullReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.config)?;
@@ -304,6 +282,16 @@ impl fmt::Display for FullReport {
         writeln!(f)?;
         writeln!(f, "{}", self.multicore)?;
         writeln!(f)?;
-        write!(f, "{}", self.region)
+        writeln!(f, "{}", self.region)?;
+        writeln!(f)?;
+        writeln!(f, "{}", self.multiprocess)?;
+        writeln!(f)?;
+        write!(f, "{}", self.coldstart)?;
+        writeln!(f)?;
+        write!(f, "{}", self.tuning)?;
+        writeln!(f)?;
+        writeln!(f, "{}", self.ablation)?;
+        writeln!(f)?;
+        write!(f, "{}", self.proactive_gc)
     }
 }

@@ -18,38 +18,31 @@ use std::time::{Duration, Instant};
 // re-exported here unchanged.
 pub use memento_simcore::pool::{effective_jobs, map_ordered, JOBS_ENV};
 
-/// Timing of one executed shard (one simulation point).
+/// Wall-clock of one study or one shard (one work item of a sweep).
 #[derive(Clone, Debug)]
-pub struct ShardTiming {
-    /// Human-readable shard key (`workload/config`).
-    pub key: String,
-    /// Wall-clock the shard's worker spent on it.
+pub struct Timed {
+    /// Study label (`Fig. 8`, `region`) or shard label (`workload/config`,
+    /// `study[index]`).
+    pub label: String,
+    /// Wall-clock spent on it (a study's includes its sweeps).
     pub wall: Duration,
-    /// Simulated cycles the shard produced.
-    pub sim_cycles: u64,
 }
 
-/// Timing summary of a parallel sweep. Reported *next to* — never inside —
-/// the deterministic result tables, since wall-clock varies run to run.
+/// Timing of an evaluation. Reported *next to* — never inside — the
+/// deterministic result tables, since wall-clock varies run to run.
 #[derive(Clone, Debug, Default)]
 pub struct RunnerTiming {
     /// Worker threads used.
     pub jobs: usize,
-    /// End-to-end wall-clock of the sweep (includes scheduling).
+    /// End-to-end wall-clock: the sum of the top-level studies.
     pub wall: Duration,
-    /// Per-shard timings, in plan order.
-    pub shards: Vec<ShardTiming>,
+    /// Per-shard timings, in execution order.
+    pub shards: Vec<Timed>,
+    /// Top-level studies, in execution order.
+    pub studies: Vec<Timed>,
 }
 
 impl RunnerTiming {
-    /// Merges another sweep's timing into this harness-level total. The
-    /// largest jobs value wins the label; walls and shards accumulate.
-    pub fn merge(&mut self, other: &RunnerTiming) {
-        self.jobs = self.jobs.max(other.jobs);
-        self.wall += other.wall;
-        self.shards.extend(other.shards.iter().cloned());
-    }
-
     /// Sum of per-shard walls — the serial-equivalent work content. On an
     /// oversubscribed machine this includes time shards spent descheduled,
     /// so `shard_time / wall` measures *concurrency*, not core speedup.
@@ -57,25 +50,15 @@ impl RunnerTiming {
         self.shards.iter().map(|s| s.wall).sum()
     }
 
-    /// Simulation points completed per wall-clock second.
+    /// Shards completed per wall-clock second.
     pub fn points_per_sec(&self) -> f64 {
         self.shards.len() as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Total simulated cycles produced per wall-clock second.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        let cycles: u64 = self.shards.iter().map(|s| s.sim_cycles).sum();
-        cycles as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// The slowest shard, if any ran.
-    pub fn slowest(&self) -> Option<&ShardTiming> {
-        self.shards.iter().max_by_key(|s| s.wall)
     }
 }
 
 impl std::fmt::Display for RunnerTiming {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let wall = self.wall.as_secs_f64().max(1e-9);
         writeln!(
             f,
             "Harness timing — {} shard(s) on {} worker(s)",
@@ -87,57 +70,51 @@ impl std::fmt::Display for RunnerTiming {
             f,
             "shard time:     {:.3} s ({:.2}x concurrency)",
             self.shard_time().as_secs_f64(),
-            self.shard_time().as_secs_f64() / self.wall.as_secs_f64().max(1e-9)
+            self.shard_time().as_secs_f64() / wall
         )?;
-        writeln!(f, "points/sec:     {:.2}", self.points_per_sec())?;
-        writeln!(f, "sim cycles/sec: {:.3e}", self.sim_cycles_per_sec())?;
-        match self.slowest() {
-            Some(s) => write!(
-                f,
-                "slowest shard:  {} ({:.3} s)",
-                s.key,
-                s.wall.as_secs_f64()
-            ),
-            None => write!(f, "slowest shard:  n/a"),
+        write!(f, "points/sec:     {:.2}", self.points_per_sec())?;
+        let mut studies: Vec<&Timed> = self.studies.iter().collect();
+        studies.sort_by_key(|s| std::cmp::Reverse(s.wall));
+        if !studies.is_empty() {
+            write!(f, "\nstudies by wall-clock:")?;
         }
+        for s in studies {
+            write!(
+                f,
+                "\n  {:<28} {:>8.3} s  {:>5.1}%",
+                s.label,
+                s.wall.as_secs_f64(),
+                100.0 * s.wall.as_secs_f64() / wall
+            )?;
+        }
+        let mut slowest: Vec<&Timed> = self.shards.iter().collect();
+        slowest.sort_by_key(|s| std::cmp::Reverse(s.wall));
+        if !slowest.is_empty() {
+            write!(f, "\ntop shards by wall-clock:")?;
+        }
+        for s in slowest.iter().take(5) {
+            write!(f, "\n  {:<28} {:>8.3} s", s.label, s.wall.as_secs_f64())?;
+        }
+        Ok(())
     }
 }
 
-/// Runs `f` over `items` like [`map_ordered`] while timing each shard and
-/// the sweep; `key` labels each shard for the report. The result carries
-/// simulated cycles extracted by `cycles`.
-pub fn map_timed<T, R, F, K, C>(
-    jobs: usize,
-    items: &[T],
-    f: F,
-    key: K,
-    cycles: C,
-) -> (Vec<R>, RunnerTiming)
+/// Runs `f`, pairing its result with the wall-clock it took.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    let start = Instant::now();
+    let result = f();
+    (result, start.elapsed())
+}
+
+/// Runs `f` over `items` like [`map_ordered`], pairing each result with
+/// the wall-clock its worker spent on it.
+pub fn map_timed<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<(R, Duration)>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
-    K: Fn(&T) -> String,
-    C: Fn(&R) -> u64,
 {
-    let start = Instant::now();
-    let timed = map_ordered(jobs, items, |item| {
-        let t0 = Instant::now();
-        let r = f(item);
-        (r, t0.elapsed())
-    });
-    let wall = start.elapsed();
-    let mut results = Vec::with_capacity(timed.len());
-    let mut shards = Vec::with_capacity(timed.len());
-    for (item, (r, shard_wall)) in items.iter().zip(timed) {
-        shards.push(ShardTiming {
-            key: key(item),
-            wall: shard_wall,
-            sim_cycles: cycles(&r),
-        });
-        results.push(r);
-    }
-    (results, RunnerTiming { jobs, wall, shards })
+    map_ordered(jobs, items, |item| timed(|| f(item)))
 }
 
 /// Folds per-shard metric registries into one harness-level registry, in
@@ -166,15 +143,32 @@ mod tests {
     #[test]
     fn timing_summary_accounts_all_shards() {
         let items = vec![1u64, 2, 3];
-        let (out, timing) = map_timed(2, &items, |x| x * 100, |x| format!("shard-{x}"), |r| *r);
+        let timed = map_timed(2, &items, |x| x * 100);
+        let out: Vec<u64> = timed.iter().map(|(r, _)| *r).collect();
         assert_eq!(out, vec![100, 200, 300]);
+        let timing = RunnerTiming {
+            jobs: 2,
+            wall: Duration::from_millis(10),
+            shards: items
+                .iter()
+                .zip(&timed)
+                .map(|(x, (_, wall))| Timed {
+                    label: format!("shard-{x}"),
+                    wall: *wall,
+                })
+                .collect(),
+            studies: vec![Timed {
+                label: "study".into(),
+                wall: Duration::from_millis(10),
+            }],
+        };
         assert_eq!(timing.shards.len(), 3);
-        assert_eq!(timing.shards[0].key, "shard-1");
         assert!(timing.points_per_sec() > 0.0);
-        assert!(timing.sim_cycles_per_sec() > 0.0);
         let text = timing.to_string();
         assert!(text.contains("Harness timing"));
         assert!(text.contains("points/sec"));
+        assert!(text.contains("study") && text.contains("100.0%"), "{text}");
+        assert!(text.contains("shard-1"));
     }
 
     /// Five events sharded across two workers split 3/2: the tail shard

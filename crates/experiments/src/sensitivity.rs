@@ -2,7 +2,6 @@
 //! fragmentation, cold starts, and software-allocator tuning.
 
 use crate::context::{ConfigKind, EvalContext};
-use crate::runner;
 use crate::table::{f3, Table};
 use memento_system::{stats, Machine, SystemConfig};
 use memento_workloads::spec::{AllocatorKind, Category, Language, WorkloadSpec};
@@ -17,7 +16,7 @@ pub struct PopulateResult {
 }
 
 /// Runs the populate study over the function members of `specs`.
-pub fn populate_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> PopulateResult {
+pub fn populate(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> PopulateResult {
     let functions: Vec<WorkloadSpec> = specs
         .iter()
         .filter(|s| s.category == Category::Function)
@@ -65,12 +64,6 @@ pub fn populate_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> PopulateRe
     PopulateResult { rows }
 }
 
-/// Runs the populate study over the full suite.
-pub fn populate(ctx: &mut EvalContext) -> PopulateResult {
-    let specs = ctx.workloads();
-    populate_for(ctx, &specs)
-}
-
 impl fmt::Display for PopulateResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "§6.6 — Populating pages on mmap (MAP_POPULATE)")?;
@@ -96,19 +89,18 @@ pub struct MultiprocessResult {
     pub speedup: f64,
 }
 
-/// Runs the multi-process study: `names` time-share one core with the
-/// given quantum.
-pub fn multiprocess_for(
-    ctx: &EvalContext,
-    names: &[&str],
+/// Runs the multi-process study: `specs` time-share one core with the
+/// given quantum (§6.6 uses four functions and 4000 events).
+pub fn multiprocess(
+    ctx: &mut EvalContext,
+    specs: &[WorkloadSpec],
     quantum_events: usize,
 ) -> MultiprocessResult {
-    let specs: Vec<WorkloadSpec> = names.iter().map(|n| ctx.workload(n)).collect();
     // The time-shared trial is one machine per system; the two systems are
     // independent, so they are the two shards of this sweep.
     let configs = [SystemConfig::baseline(), SystemConfig::memento()];
-    let mut trials = runner::map_ordered(ctx.jobs(), &configs, |cfg| {
-        Machine::new(cfg.clone()).run_timeshared(&specs, quantum_events)
+    let mut trials = ctx.map(&configs, |cfg| {
+        Machine::new(cfg.clone()).run_timeshared(specs, quantum_events)
     });
     let mem_stats = trials.pop().expect("memento trial");
     let base_stats = trials.pop().expect("baseline trial");
@@ -133,16 +125,11 @@ pub fn multiprocess_for(
         .unwrap_or(0);
     let total: u64 = mem_stats.iter().map(|s| s.total_cycles().raw()).sum();
     MultiprocessResult {
-        functions: names.len(),
+        functions: specs.len(),
         hot_flushes,
         flush_overhead: (flushed_entries * 50) as f64 / total.max(1) as f64,
         speedup: stats::geomean(&speedups),
     }
-}
-
-/// Runs the default multi-process study (§6.6: four functions, one core).
-pub fn multiprocess(ctx: &EvalContext) -> MultiprocessResult {
-    multiprocess_for(ctx, &["aes", "jl", "bfs", "mk"], 4000)
 }
 
 impl fmt::Display for MultiprocessResult {
@@ -173,7 +160,7 @@ pub struct FragmentationResult {
 }
 
 /// Runs the fragmentation study over the function members of `specs`.
-pub fn fragmentation_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> FragmentationResult {
+pub fn fragmentation(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> FragmentationResult {
     let functions: Vec<WorkloadSpec> = specs
         .iter()
         .filter(|s| s.category == Category::Function)
@@ -191,12 +178,6 @@ pub fn fragmentation_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> Fragm
         // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
         rows.iter().map(|(_, m, b)| (m - b).abs()).sum::<f64>() / rows.len().max(1) as f64;
     FragmentationResult { rows, mean_gap }
-}
-
-/// Runs the fragmentation study over the full suite.
-pub fn fragmentation(ctx: &mut EvalContext) -> FragmentationResult {
-    let specs = ctx.workloads();
-    fragmentation_for(ctx, &specs)
 }
 
 impl fmt::Display for FragmentationResult {
@@ -224,7 +205,7 @@ pub struct ColdstartResult {
 /// Runs the cold-start study: setup latency is half the warm baseline
 /// runtime (SOCK/Firecracker-scale container set-up relative to scaled
 /// function bodies).
-pub fn coldstart_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> ColdstartResult {
+pub fn coldstart(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> ColdstartResult {
     let functions: Vec<WorkloadSpec> = specs
         .iter()
         .filter(|s| s.category == Category::Function)
@@ -245,7 +226,7 @@ pub fn coldstart_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> Coldstart
             [(spec.clone(), cfg_b), (spec.clone(), cfg_m)]
         })
         .collect();
-    let cold_stats = runner::map_ordered(ctx.jobs(), &cold_points, |(spec, cfg)| {
+    let cold_stats = ctx.map(&cold_points, |(spec, cfg)| {
         Machine::new(cfg.clone()).run(spec)
     });
     let rows = functions
@@ -280,33 +261,29 @@ pub struct TuningResult {
 }
 
 /// Runs the tuning study on the Python members of `specs`: 256 KB vs 1 MB
-/// arenas.
-pub fn tuning_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> TuningResult {
+/// arenas. A tuned spec differs from its stock spec, so both memoize side
+/// by side.
+pub fn tuning(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> TuningResult {
     let python: Vec<WorkloadSpec> = specs
         .iter()
         .filter(|s| s.allocator == AllocatorKind::PyMalloc && s.category == Category::Function)
         .cloned()
         .collect();
-    ctx.prefetch_kinds(&python, &[ConfigKind::Baseline, ConfigKind::Memento]);
-    // Tuned-allocator specs live outside the ConfigKind space; run them on
-    // the pool directly.
-    let tuned_specs: Vec<WorkloadSpec> = python
+    let tuned: Vec<WorkloadSpec> = python
         .iter()
-        .map(|spec| {
-            let mut tuned = spec.clone();
-            tuned.allocator = AllocatorKind::PyMallocTuned { arena_kb: 1024 };
-            tuned
+        .map(|spec| WorkloadSpec {
+            allocator: AllocatorKind::PyMallocTuned { arena_kb: 1024 },
+            ..spec.clone()
         })
         .collect();
-    let tuned_stats = runner::map_ordered(ctx.jobs(), &tuned_specs, |spec| {
-        Machine::new(SystemConfig::baseline()).run(spec)
-    });
+    ctx.prefetch_kinds(&python, &[ConfigKind::Baseline, ConfigKind::Memento]);
+    ctx.prefetch_kinds(&tuned, &[ConfigKind::Baseline]);
     let rows = python
         .iter()
-        .zip(&tuned_stats)
+        .zip(&tuned)
         .map(|(spec, tuned)| {
-            let stock = ctx.run(spec, ConfigKind::Baseline).clone();
-            let memento = ctx.run(spec, ConfigKind::Memento).clone();
+            let (stock, memento) = ctx.pair(spec);
+            let tuned = ctx.run(tuned, ConfigKind::Baseline);
             let baseline_gain = stats::speedup(&stock, tuned);
             // Memento speedup measured against the tuned baseline.
             let memento_vs_tuned = stats::speedup(tuned, &memento);
@@ -342,7 +319,7 @@ mod tests {
     fn populate_blows_up_go_footprint() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("aes-go"), ctx.workload("aes")];
-        let result = populate_for(&mut ctx, &specs);
+        let result = populate(&mut ctx, &specs);
         let go = result
             .rows
             .iter()
@@ -364,8 +341,9 @@ mod tests {
 
     #[test]
     fn multiprocess_flush_overhead_negligible() {
-        let ctx = EvalContext::quick();
-        let result = multiprocess_for(&ctx, &["aes", "jl"], 2000);
+        let mut ctx = EvalContext::quick();
+        let specs = ctx.try_workloads(&["aes", "jl"]).expect("known workloads");
+        let result = multiprocess(&mut ctx, &specs, 2000);
         assert!(result.hot_flushes > 0, "switching must flush the HOT");
         assert!(
             result.flush_overhead < 0.01,
@@ -379,7 +357,7 @@ mod tests {
     fn coldstart_dilutes_but_preserves_wins() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("bfs")];
-        let result = coldstart_for(&mut ctx, &specs);
+        let result = coldstart(&mut ctx, &specs);
         let (_, warm, cold) = result.rows[0].clone();
         assert!(cold > 1.0);
         assert!(cold < warm);
@@ -389,7 +367,7 @@ mod tests {
     fn arena_tuning_is_marginal() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("html")];
-        let result = tuning_for(&mut ctx, &specs);
+        let result = tuning(&mut ctx, &specs);
         let (_, tuned_gain, memento_gain) = result.rows[0].clone();
         // Paper: "noticeable but less than 1% speedup" from bigger arenas.
         assert!(

@@ -5,11 +5,34 @@
 //! key alone (never from scheduling order or wall-clock), so a sweep can be
 //! farmed out to any number of worker threads and still aggregate into
 //! byte-identical tables: results are slotted by shard, not by completion
-//! order, and every source of randomness in a shard derives from
-//! [`SimPoint::shard_seed`] / the spec's own seed rather than global state.
+//! order, and every source of randomness in a shard derives from the
+//! spec's own seed rather than global state.
 
 use crate::context::ConfigKind;
 use memento_workloads::spec::WorkloadSpec;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
+
+/// A workload's memo identity: the whole spec. It hashes on name, size
+/// and seed, and compares every field, so a spec changed in any way
+/// (resized, reseeded, retuned) is a different key.
+#[derive(Clone, Debug)]
+pub struct SpecKey(WorkloadSpec);
+
+impl PartialEq for SpecKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+// Spec fields are finite by construction (no NaN), so `==` is reflexive.
+impl Eq for SpecKey {}
+
+impl Hash for SpecKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.0.name, self.0.total_instructions, self.0.seed).hash(state);
+    }
+}
 
 /// One independent simulation point: a workload under a system design point.
 #[derive(Clone, Debug)]
@@ -26,14 +49,19 @@ impl SimPoint {
         SimPoint { spec, kind }
     }
 
-    /// The memoization key: workload name + design point.
-    pub fn key(&self) -> (String, ConfigKind) {
-        (self.spec.name.clone(), self.kind)
+    /// The memoization key: the whole spec + design point.
+    pub fn key(&self) -> (SpecKey, ConfigKind) {
+        (SpecKey(self.spec.clone()), self.kind)
     }
 
-    /// Stable shard id: FNV-1a over the point key. Identical across runs,
-    /// processes, and `--jobs` settings — it depends only on what the
-    /// point *is*.
+    /// Human-readable label (`workload/config`) for timing reports.
+    pub(crate) fn label(&self) -> String {
+        format!("{}/{:?}", self.spec.name, self.kind)
+    }
+
+    /// Stable shard id: FNV-1a over the workload name, size, seed and
+    /// design point. Identical across runs, processes, and `--jobs`
+    /// settings — it depends only on what the point *is*.
     pub fn shard_id(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -43,19 +71,11 @@ impl SimPoint {
             }
         };
         eat(self.spec.name.as_bytes());
+        eat(&self.spec.total_instructions.to_le_bytes());
+        eat(&self.spec.seed.to_le_bytes());
         eat(b"/");
         eat(format!("{:?}", self.kind).as_bytes());
         h
-    }
-
-    /// Per-shard RNG seed: the shard id folded into the workload's own
-    /// seed via SplitMix64, so distinct design points of one workload get
-    /// decorrelated streams while staying fully reproducible.
-    pub fn shard_seed(&self) -> u64 {
-        let mut z = self.shard_id() ^ self.spec.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 
@@ -64,9 +84,12 @@ impl SimPoint {
 /// not thread scheduling — defines which worker computes what, which is
 /// what makes parallel and serial sweeps indistinguishable downstream.
 pub fn plan(points: Vec<SimPoint>) -> Vec<SimPoint> {
-    let mut points = points;
+    let mut seen = HashSet::new();
+    let mut points: Vec<SimPoint> = points
+        .into_iter()
+        .filter(|p| seen.insert(p.key()))
+        .collect();
     points.sort_by_key(|p| (p.shard_id(), p.kind as u8));
-    points.dedup_by(|a, b| a.key() == b.key());
     points
 }
 
@@ -87,7 +110,10 @@ mod tests {
         assert_eq!(a.shard_id(), point("aes", ConfigKind::Baseline).shard_id());
         assert_ne!(a.shard_id(), b.shard_id());
         assert_ne!(a.shard_id(), c.shard_id());
-        assert_ne!(a.shard_seed(), b.shard_seed());
+        let mut resized = a.clone();
+        resized.spec.total_instructions /= 2;
+        assert_ne!(a.shard_id(), resized.shard_id());
+        assert_ne!(a.key(), resized.key());
     }
 
     #[test]

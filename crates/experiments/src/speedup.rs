@@ -49,7 +49,7 @@ impl SpeedupResult {
 }
 
 /// Runs Fig. 8 over `specs`.
-pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> SpeedupResult {
+pub fn run(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> SpeedupResult {
     use crate::context::ConfigKind;
     ctx.prefetch_kinds(specs, &[ConfigKind::Baseline, ConfigKind::Memento]);
     let rows: Vec<SpeedupRow> = specs
@@ -75,12 +75,6 @@ pub fn run_for(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> SpeedupResult {
     result
 }
 
-/// Runs Fig. 8 over the full suite.
-pub fn run(ctx: &mut EvalContext) -> SpeedupResult {
-    let specs = ctx.workloads();
-    run_for(ctx, &specs)
-}
-
 impl fmt::Display for SpeedupResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Fig. 8 — Normalized speedup (baseline = 1.0)")?;
@@ -103,7 +97,7 @@ mod tests {
     fn subset_speedups_positive() {
         let mut ctx = EvalContext::quick();
         let specs = vec![ctx.workload("aes"), ctx.workload("Redis")];
-        let result = run_for(&mut ctx, &specs);
+        let result = run(&mut ctx, &specs);
         assert_eq!(result.rows.len(), 2);
         for r in &result.rows {
             assert!(r.speedup > 1.0, "{} not sped up: {}", r.name, r.speedup);

@@ -4,7 +4,8 @@
 //! ordering, placement tie-breaking, latency accounting, or footprint
 //! tracking shows up here as a table diff.
 
-use memento_experiments::cluster::{run_for_jobs, ClusterParams};
+use memento_experiments::cluster::{run, ClusterParams};
+use memento_experiments::EvalContext;
 
 /// Captured from the event-heap/BTreeMap engine before the flat-array
 /// rewrite (same params as below, jobs=1).
@@ -21,7 +22,8 @@ fn fixture_params() -> ClusterParams {
 
 #[test]
 fn flat_engine_reproduces_pre_rewrite_table_byte_for_byte() {
-    let report = run_for_jobs(&["aes", "html"], 8, 1, fixture_params()).expect("known workloads");
+    let mut ctx = EvalContext::scaled(8).with_jobs(1);
+    let report = run(&mut ctx, &["aes", "html"], fixture_params()).expect("known workloads");
     let rendered = format!("{report}\n");
     assert_eq!(
         rendered, EXPECTED,
@@ -31,7 +33,8 @@ fn flat_engine_reproduces_pre_rewrite_table_byte_for_byte() {
 
 #[test]
 fn fixture_table_is_job_count_independent() {
-    let report = run_for_jobs(&["aes", "html"], 8, 3, fixture_params()).expect("known workloads");
+    let mut ctx = EvalContext::scaled(8).with_jobs(3);
+    let report = run(&mut ctx, &["aes", "html"], fixture_params()).expect("known workloads");
     let rendered = format!("{report}\n");
     assert_eq!(rendered, EXPECTED, "table must not depend on --jobs");
 }

@@ -10,13 +10,14 @@ use memento_experiments::{characterization, EvalContext};
 
 fn main() {
     let mut ctx = EvalContext::new();
+    let specs = ctx.workloads();
 
-    let ch = characterization::run(&ctx);
+    let ch = characterization::run(&mut ctx, &specs);
     println!("{ch}");
     println!();
 
     println!("(simulating the baseline for Table 2 — this runs all 23 workloads)");
-    let mm = characterization::mm_breakdown(&mut ctx);
+    let mm = characterization::mm_breakdown(&mut ctx, &specs);
     println!("{mm}");
 
     println!("\nPaper reference: 93% of function allocations ≤512B; 71% freed within");

@@ -86,12 +86,7 @@ fn main() {
     if let Some(n) = args.invocations {
         params.invocations = n;
     }
-    let specs = cluster::DEFAULT_MIX
-        .iter()
-        .map(|n| ctx.try_workload(n))
-        .collect::<Result<Vec<_>, _>>()
-        .expect("default cluster mix is drawn from the suite");
-    let report = cluster::run_specs(specs, ctx.jobs(), params)
+    let report = cluster::run(&mut ctx, &cluster::DEFAULT_MIX, params)
         .expect("default cluster evaluation must be valid");
     println!("{report}");
 

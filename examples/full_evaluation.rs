@@ -6,12 +6,15 @@
 //! ```
 //!
 //! Runs all 23 workloads under up to six system configurations (runs are
-//! memoized across figures); expect a few minutes. `--jobs N` (or the
-//! `MEMENTO_JOBS` environment variable) fans independent simulation
-//! points across N worker threads — the tables are byte-identical at any
-//! job count; only the timing summary at the end differs.
+//! memoized across figures), then the fleet, contention, sensitivity and
+//! ablation studies: about 8 s serial and 4 s at `--jobs 2` on a 2-vCPU
+//! VM. `--jobs N` (or the `MEMENTO_JOBS` environment variable) fans
+//! independent simulation points across N worker threads — the tables
+//! are byte-identical at any job count; only the timing summary at the
+//! end differs. The summary covers every study, each with its share of
+//! the wall-clock.
 
-use memento_experiments::{ablation, profile_run, report, sensitivity, ConfigKind, EvalContext};
+use memento_experiments::{profile_run, report, ConfigKind, EvalContext};
 
 struct Args {
     jobs: Option<usize>,
@@ -63,30 +66,26 @@ fn main() {
     if let Some(jobs) = args.jobs {
         ctx = ctx.with_jobs(jobs);
     }
-    let jobs = ctx.jobs();
-    let full = report::run(&mut ctx);
+    let full = report::run(&mut ctx).unwrap_or_else(|e| {
+        eprintln!("full_evaluation: {e}");
+        std::process::exit(1);
+    });
     println!("{full}");
 
-    println!();
-    println!("{}", sensitivity::multiprocess(&ctx));
-    println!();
-    // Cold-start and allocator tuning build fresh machines per row, so
-    // they run on representative subsets rather than the whole suite.
-    let cold_specs = ["html", "US", "bfs-go"].map(|name| ctx.workload(name));
-    print!("{}", sensitivity::coldstart_for(&mut ctx, &cold_specs));
-    println!();
-    let tune_specs = ["html", "mk"].map(|name| ctx.workload(name));
-    print!("{}", sensitivity::tuning_for(&mut ctx, &tune_specs));
-    println!();
-    println!(
-        "{}",
-        ablation::run_for_jobs(&["html", "US", "bfs-go"], 2, jobs).expect("suite workloads")
-    );
-    println!();
-    println!("{}", ablation::proactive_gc().expect("suite workloads"));
+    if let Some(trace_path) = &args.trace {
+        // One representative traced run on top of the evaluation: the
+        // Perfetto trace plus the per-run metrics appendix.
+        let spec = ctx.workload("html");
+        let profiled = ctx.study("profile", |_| {
+            profile_run(&spec, ConfigKind::Memento, Some(trace_path))
+        });
+        println!();
+        println!("{profiled}");
+        println!("Perfetto trace written to {}", trace_path.display());
+    }
 
     println!();
-    println!("{}", report::timing_summary(&ctx));
+    println!("{}", ctx.timing());
 
     let json = full.summary_json().to_pretty();
     let path = "evaluation_summary.json";
@@ -94,15 +93,5 @@ fn main() {
         println!("headline numbers written to {path}");
     } else {
         println!("headline numbers:\n{json}");
-    }
-
-    if let Some(trace_path) = &args.trace {
-        // One representative traced run on top of the evaluation: the
-        // Perfetto trace plus the per-run metrics appendix.
-        let spec = ctx.workload("html");
-        let profiled = profile_run(&spec, ConfigKind::Memento, Some(trace_path));
-        println!();
-        println!("{profiled}");
-        println!("Perfetto trace written to {}", trace_path.display());
     }
 }

@@ -3,7 +3,7 @@
 //! per-workload co-location slowdowns.
 //!
 //! ```sh
-//! cargo run --release --example multicore -- --jobs 4 --scale 8
+//! cargo run --release --example multicore -- --jobs 4 --scale 4
 //! ```
 //!
 //! The table is byte-identical at any `--jobs` count (parallelism only
@@ -11,7 +11,7 @@
 //! deterministic machine). With `--out PATH` the rendered report is also
 //! written to a file (the CI smoke step archives it as an artifact).
 
-use memento_experiments::multicore;
+use memento_experiments::{multicore, EvalContext};
 
 struct Args {
     jobs: Option<usize>,
@@ -19,10 +19,10 @@ struct Args {
     out: Option<std::path::PathBuf>,
 }
 
-/// Parses `--jobs N`, `--scale N` (workload scale divisor — CI smoke
-/// runs use a large divisor to stay cheap), and `--out PATH` (with `=`
-/// forms); a missing `--jobs` defers to `MEMENTO_JOBS` and then the
-/// machine's available parallelism.
+/// Parses `--jobs N`, `--scale N` (the context's workload scale divisor;
+/// the study runs at half that size, so `--scale 4` simulates workloads
+/// shrunk 8×), and `--out PATH` (with `=` forms); a missing `--jobs`
+/// defers to `MEMENTO_JOBS` and then the machine's available parallelism.
 fn parse_args() -> Args {
     let mut parsed = Args {
         jobs: None,
@@ -67,11 +67,11 @@ fn usage() -> ! {
 
 fn main() {
     let args = parse_args();
-    let scale = args.scale.unwrap_or(2);
-    let jobs = args
-        .jobs
-        .unwrap_or_else(|| memento_experiments::runner::effective_jobs(None));
-    let report = multicore::run_for_jobs(&["html", "US", "bfs-go", "jl"], scale, jobs)
+    let mut ctx = EvalContext::scaled(args.scale.unwrap_or(1));
+    if let Some(jobs) = args.jobs {
+        ctx = ctx.with_jobs(jobs);
+    }
+    let report = multicore::run(&mut ctx, &multicore::DEFAULT_MIX)
         .expect("default contention mix is drawn from the suite");
     println!("{report}");
 

@@ -98,20 +98,14 @@ fn main() {
         ctx = ctx.with_jobs(jobs);
     }
     let mut params = RegionParams {
-        invocations: (RegionParams::default().invocations / ctx.scale_divisor()).max(10_000),
         park_to_pm: args.park_to_pm,
         empirical_trace: args.azure,
-        ..RegionParams::default()
+        ..RegionParams::at_scale(ctx.scale_divisor())
     };
     if let Some(n) = args.invocations {
         params.invocations = n;
     }
-    let specs = region::DEFAULT_MIX
-        .iter()
-        .map(|n| ctx.try_workload(n))
-        .collect::<Result<Vec<_>, _>>()
-        .expect("default region mix is drawn from the suite");
-    let report = region::run_specs(specs, ctx.jobs(), params)
+    let report = region::run(&mut ctx, &region::DEFAULT_MIX, params)
         .expect("default region evaluation must be valid");
     println!("{report}");
 

@@ -17,10 +17,10 @@ fn main() {
         "Simulating {} function workloads (baseline, Memento, Memento-no-bypass)...\n",
         specs.len()
     );
-    let fig8 = speedup::run_for(&mut ctx, &specs);
+    let fig8 = speedup::run(&mut ctx, &specs);
     println!("{fig8}");
     println!();
-    let fig9 = breakdown::run_for(&mut ctx, &specs);
+    let fig9 = breakdown::run(&mut ctx, &specs);
     println!("{fig9}");
 
     println!(

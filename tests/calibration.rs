@@ -15,7 +15,7 @@ fn function_speedups_land_in_the_paper_band() {
         .into_iter()
         .filter(|s| s.category == Category::Function)
         .collect();
-    let fig8 = speedup::run_for(&mut ctx, &specs);
+    let fig8 = speedup::run(&mut ctx, &specs);
     for r in &fig8.rows {
         assert!(
             (1.06..=1.32).contains(&r.speedup),
@@ -44,7 +44,7 @@ fn beyond_functions_matches_paper_ordering() {
         .into_iter()
         .filter(|s| s.category != Category::Function)
         .collect();
-    let fig8 = speedup::run_for(&mut ctx, &specs);
+    let fig8 = speedup::run(&mut ctx, &specs);
     for r in &fig8.rows {
         assert!(
             (1.03..=1.14).contains(&r.speedup),
@@ -70,7 +70,7 @@ fn bandwidth_reduction_band() {
         .into_iter()
         .filter(|s| s.category == Category::Function)
         .collect();
-    let fig10 = bandwidth::run_for(&mut ctx, &specs);
+    let fig10 = bandwidth::run(&mut ctx, &specs);
     assert!(
         (0.10..=0.45).contains(&fig10.func_avg),
         "func bandwidth reduction {:.3} vs paper ~0.30",
@@ -89,7 +89,7 @@ fn hot_hit_rate_bands() {
         .into_iter()
         .filter(|s| s.category == Category::Function)
         .collect();
-    let fig12 = hot::run_for(&mut ctx, &specs);
+    let fig12 = hot::run(&mut ctx, &specs);
     assert!(
         fig12.func_alloc_avg > 0.985,
         "alloc hit avg {:.4} vs paper 0.998",
@@ -125,7 +125,7 @@ fn hot_hit_rate_bands() {
 fn arena_list_bands() {
     let mut ctx = EvalContext::new();
     let specs: Vec<_> = ctx.workloads();
-    let fig13 = arena_list::run_for(&mut ctx, &specs);
+    let fig13 = arena_list::run(&mut ctx, &specs);
     assert!(
         fig13.max_alloc_rate < 0.01,
         "max alloc list rate {:.4}",
@@ -148,7 +148,7 @@ fn pricing_bands() {
         .into_iter()
         .filter(|s| s.category == Category::Function)
         .collect();
-    let fig14 = pricing::run_for(&mut ctx, &specs);
+    let fig14 = pricing::run(&mut ctx, &specs);
     assert!(
         fig14.runtime_saving_avg > 0.05,
         "runtime saving {:.3}",

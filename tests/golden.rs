@@ -66,7 +66,9 @@ fn diff(path: &str, expected: &Value, actual: &Value, out: &mut Vec<String>) {
 #[test]
 fn evaluation_summary_matches_golden_snapshot() {
     let mut ctx = EvalContext::scaled(GOLDEN_SCALE);
-    let summary = report::run(&mut ctx).summary_json();
+    let summary = report::run(&mut ctx)
+        .unwrap_or_else(|e| panic!("full evaluation failed: {e}"))
+        .summary_json();
     let path = fixture_path();
 
     if std::env::var("MEMENTO_BLESS").is_ok_and(|v| v == "1") {

@@ -644,9 +644,12 @@ fn line_passes(lx: &Lexed, profile: &FileProfile, in_test: &[bool], hits: &mut V
         Vec::new()
     };
     // The float pass applies only to files that consume parallel shard
-    // results (they call `map_ordered`) and are not a sanctioned merge
-    // site.
-    let consumes_shards = lx.code.iter().any(|l| l.contains("map_ordered("));
+    // results (they call `map_ordered`, or the evaluation context's
+    // `ctx.map` front of it) and are not a sanctioned merge site.
+    let consumes_shards = lx
+        .code
+        .iter()
+        .any(|l| l.contains("map_ordered(") || l.contains("ctx.map("));
     let float_scope = profile.sim_lib && consumes_shards && !profile.merge_site;
 
     for (i, code) in lx.code.iter().enumerate() {
@@ -1215,6 +1218,11 @@ mod tests {
                         v.iter().sum::<f64>()\n}\n";
         assert_eq!(
             rules_hit("crates/experiments/src/cluster.rs", consumer),
+            vec![Rule::FloatAccumulationOrder]
+        );
+        let via_context = consumer.replace("map_ordered(4, ", "ctx.map(");
+        assert_eq!(
+            rules_hit("crates/experiments/src/cluster.rs", &via_context),
             vec![Rule::FloatAccumulationOrder]
         );
         // Same reduction in a file that never touches shard results: fine.
