@@ -24,18 +24,20 @@ pub enum ClusterError {
     /// intensity above its declared peak).
     InvalidTrace(String),
     /// An autoscaler configuration is malformed (zero interval or
-    /// target, empty node range, or a range the fleet shape violates).
+    /// target, empty node range, a range the fleet shape violates, or an
+    /// interval or spin-up delay above [`crate::sim::MAX_CYCLES`]).
     InvalidAutoscaler(String),
-    /// A keep-alive policy is malformed (zero budget or an empty TTL
-    /// clamp range).
+    /// A keep-alive policy is malformed (zero budget, an empty TTL
+    /// clamp range, or a TTL above [`crate::sim::MAX_CYCLES`]).
     InvalidKeepAlive(String),
     /// A Measured-engine fleet was configured to write a Perfetto trace
     /// file. Each container machine would write it at teardown, so the
     /// file would hold an arbitrary container's trace; trace in memory
     /// instead.
     MeasuredTraceFile(std::path::PathBuf),
-    /// The arrival slice is not time-sorted, or an arrival names a
-    /// workload outside the mix.
+    /// The arrival slice is not time-sorted, an arrival names a workload
+    /// outside the mix, or an arrival time exceeds
+    /// [`crate::sim::MAX_CYCLES`].
     InvalidArrivals(String),
 }
 

@@ -1,10 +1,13 @@
-//! Flat `(time, seq)`-ordered event heap: the cluster engine's hot queue.
+//! Flat `(time, seq)`-ordered event heap.
 //!
-//! The original engine kept pending events in
-//! `BinaryHeap<Reverse<(u64, u64, Event)>>`; this replaces it with an
+//! The original cluster engine kept pending events in
+//! `BinaryHeap<Reverse<(u64, u64, Event)>>`; this replaced it with an
 //! explicit d-ary-free, index-based binary min-heap over one contiguous
-//! arena (`Vec<Entry>`), sifted by hand. Flattening buys three things on
-//! the per-event hot path:
+//! arena (`Vec<Entry>`), sifted by hand. The engine has since dropped
+//! its last queue (keep-alive deadlines live in its warm matrix, see
+//! `sim`); the heap stays public for callers that schedule arbitrary
+//! events, and the benchmark's heap probe measures it. Flattening buys
+//! three things on a per-event hot path:
 //!
 //! - no `Reverse` tuple comparisons through trait dispatch — keys compare
 //!   as two integer fields inline;
@@ -95,16 +98,6 @@ impl<E: Copy> EventHeap<E> {
         seq
     }
 
-    /// Schedules `ev` under a caller-allocated sequence number (for
-    /// engines that share one seq counter across several event sources,
-    /// of which this heap is only one). The caller must keep seqs unique
-    /// and monotone across all sources or the total order is forfeit.
-    #[inline]
-    pub fn push_at(&mut self, time: u64, seq: u64, ev: E) {
-        self.arena.push(Entry { time, seq, ev });
-        self.sift_up(self.arena.len() - 1);
-    }
-
     /// Removes and returns the earliest `(time, seq, event)`, or `None`
     /// when drained.
     #[inline]
@@ -121,11 +114,6 @@ impl<E: Copy> EventHeap<E> {
     /// The earliest pending `(time, seq)` key without removing it.
     pub fn peek_key(&self) -> Option<(u64, u64)> {
         self.arena.first().map(Entry::key)
-    }
-
-    /// The earliest pending `(time, seq, event)` without removing it.
-    pub fn peek(&self) -> Option<(u64, u64, E)> {
-        self.arena.first().map(|e| (e.time, e.seq, e.ev))
     }
 
     #[inline]

@@ -29,8 +29,10 @@
 //! - [`profile`] — per-(workload, config) service profiles calibrated
 //!   from real [`memento_system::WarmContainer`] runs, letting the
 //!   simulator scale to millions of invocations.
-//! - [`event_heap`] — the flat `(time, seq)`-ordered binary heap the
-//!   engine schedules on; seq stamping makes tie order a total order.
+//! - [`event_heap`] — a flat `(time, seq)`-ordered binary heap with seq
+//!   stamping, so tie order is a total order. The engine keeps no event
+//!   queue (see [`sim`]); the heap stays public for callers that need
+//!   one, such as the benchmark's heap probe.
 //! - [`sim`] — the deterministic event-driven simulator with incremental
 //!   fleet-footprint accounting, per-node metrics, exact tail-latency
 //!   quantiles, and drain-time conservation audits from

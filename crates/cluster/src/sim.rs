@@ -6,15 +6,17 @@
 //! The simulation is byte-deterministic by construction:
 //!
 //! - The clock is simulated cycles; nothing reads wall time.
-//! - The event queue is a flat `(time, seq)`-ordered binary heap
-//!   ([`crate::event_heap::EventHeap`]) stamping every push with a
-//!   monotonically increasing sequence number, so ties have one total
-//!   order.
+//! - There is no event queue. Each event source keeps its own pending
+//!   keys: a cursor over the sorted arrivals, one completion key per
+//!   serving lane, one keep-alive deadline per warm-matrix entry, a FIFO
+//!   of node boots and the next autoscaler tick. Every key is
+//!   `(time, seq)`, with `seq` drawn from one monotone counter, so ties
+//!   have one total order and the loop fires the least key of the five.
 //! - All keyed state is index-based: containers live in a slab (`Vec` +
-//!   free list, generation-tagged handles), per-node warm pools are dense
-//!   arrays over mix indices, and per-(workload, config) service costs
-//!   are resolved to a mix-indexed array before the first event fires.
-//!   Iteration order is array order — defined everywhere.
+//!   free list), per-node warm pools are dense arrays over mix indices,
+//!   and per-(workload, config) service costs are resolved to a
+//!   mix-indexed array before the first event fires. Iteration order is
+//!   array order — defined everywhere.
 //! - The arrival sequence is a pure function of its seed and is shared by
 //!   every fleet configuration under comparison.
 //!
@@ -66,7 +68,6 @@ use memento_system::SystemConfig;
 
 use crate::arrival::{Arrival, WorkloadMix};
 use crate::error::ClusterError;
-use crate::event_heap::EventHeap;
 use crate::lineage::{Lineages, Op, Pos};
 use crate::policy::{Autoscaler, ColdStart, KeepAlive, Placement, Reclamation, RejectReason};
 use crate::profile::ProfileTable;
@@ -241,8 +242,8 @@ impl ClusterResult {
 
 /// Validates a run's inputs: a non-empty fleet and mix, a calibrated
 /// profile for every workload in the mix (Profiled engine), no trace
-/// file (Measured engine), and time-sorted arrivals that index into the
-/// mix.
+/// file (Measured engine), time-sorted arrivals that index into the mix,
+/// and arrival times and policy delays within [`MAX_CYCLES`].
 fn validate(
     engine: &Engine,
     cfg: &ClusterConfig,
@@ -284,6 +285,12 @@ fn validate(
         if ac.max_nodes > 1 << 16 {
             return Err(ClusterError::FleetTooLarge);
         }
+        if ac.interval_cycles > MAX_CYCLES || ac.spinup_cycles > MAX_CYCLES {
+            return Err(ClusterError::InvalidAutoscaler(format!(
+                "interval {} or spin-up {} cycles exceeds the clock bound {MAX_CYCLES}",
+                ac.interval_cycles, ac.spinup_cycles
+            )));
+        }
     }
     if let KeepAlive::SizeAware {
         budget_frame_cycles,
@@ -308,6 +315,17 @@ fn validate(
                 "park-to-pm retention TTL must be positive".into(),
             ));
         }
+    }
+    let longest_ttl = match cfg.keep_alive {
+        KeepAlive::None | KeepAlive::Infinite => 0,
+        KeepAlive::Fixed(d) => d,
+        KeepAlive::ParkToPM { ttl_cycles } => ttl_cycles,
+        KeepAlive::SizeAware { max_cycles, .. } => max_cycles,
+    };
+    if longest_ttl > MAX_CYCLES {
+        return Err(ClusterError::InvalidKeepAlive(format!(
+            "TTL of {longest_ttl} cycles exceeds the clock bound {MAX_CYCLES}"
+        )));
     }
     match engine {
         Engine::Profiled(table) => {
@@ -337,6 +355,12 @@ fn validate(
         if a.time < prev {
             return Err(ClusterError::InvalidArrivals(format!(
                 "arrival {i} at cycle {} precedes its predecessor at cycle {prev}",
+                a.time
+            )));
+        }
+        if a.time > MAX_CYCLES {
+            return Err(ClusterError::InvalidArrivals(format!(
+                "arrival {i} at cycle {} exceeds the clock bound {MAX_CYCLES}",
                 a.time
             )));
         }
@@ -419,64 +443,11 @@ impl Costs {
 /// Sentinel for "no warm container" in a node's dense warm array.
 const NO_WARM: u32 = u32::MAX;
 
-/// A scheduled keep-alive expiry — the only event kind that still needs
-/// its own queue. Arrivals are a cursor over the (sorted) arrival slice
-/// and completions live in per-lane slots (at most one in flight per
-/// serving lane; `cores_per_node` lanes per node).
-#[derive(Clone, Copy, Debug)]
-struct ExpiryEv {
-    slot: u32,
-    gen: u32,
-    token: u32,
-}
-
-/// The pending-expiry queue. `KeepAlive::Fixed(d)` schedules every expiry
-/// at `now + d` with constant `d`, so push times are monotone and a FIFO
-/// deque pops them in `(time, seq)` order for free. Any out-of-order push
-/// (no current policy produces one) spills to the flat
-/// [`EventHeap`], so the queue stays correct for arbitrary schedules and
-/// O(1) for the ones that exist.
-struct ExpiryQueue {
-    fifo: VecDeque<(u64, u64, ExpiryEv)>,
-    spill: EventHeap<ExpiryEv>,
-}
-
-impl ExpiryQueue {
-    fn new() -> Self {
-        ExpiryQueue {
-            fifo: VecDeque::new(),
-            spill: EventHeap::new(),
-        }
-    }
-
-    #[inline]
-    fn push_at(&mut self, time: u64, seq: u64, ev: ExpiryEv) {
-        match self.fifo.back() {
-            Some(&(t, _, _)) if time < t => self.spill.push_at(time, seq, ev),
-            _ => self.fifo.push_back((time, seq, ev)),
-        }
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<(u64, u64, ExpiryEv)> {
-        match (self.fifo.front().copied(), self.spill.peek()) {
-            (Some(a), Some(b)) if (b.0, b.1) < (a.0, a.1) => Some(b),
-            (Some(a), _) => Some(a),
-            (None, b) => b,
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, u64, ExpiryEv)> {
-        let front = self.fifo.front().map(|&(t, s, _)| (t, s));
-        match (front, self.spill.peek_key()) {
-            (Some(a), Some(b)) if b < a => self.spill.pop(),
-            (Some(_), _) => self.fifo.pop_front(),
-            (None, Some(_)) => self.spill.pop(),
-            (None, None) => None,
-        }
-    }
-}
+/// Largest arrival time, keep-alive TTL, autoscaler interval or spin-up
+/// delay a run accepts, in cycles. Every deadline is `now + delay`; with
+/// arrivals and delays at most 2^62, the clock keeps 2^63 cycles of
+/// headroom for accumulated service time before that sum could overflow.
+pub const MAX_CYCLES: u64 = 1 << 62;
 
 #[derive(Clone, Copy, Debug)]
 struct Queued {
@@ -495,7 +466,7 @@ struct InFlight {
 /// times are finite).
 const IDLE: (u64, u64) = (u64::MAX, u64::MAX);
 
-/// Sentinel for an empty expiry queue (same never-selected reasoning).
+/// Sentinel for "no keep-alive deadline" (same never-selected reasoning).
 const NO_EXPIRY: (u64, u64) = (u64::MAX, u64::MAX);
 
 /// Sentinel for "no pending autoscaler tick" (same reasoning).
@@ -521,15 +492,11 @@ enum NodeState {
     Off,
 }
 
-/// One container slab slot. Retirement bumps `gen`, so a stale expiry
-/// event whose slot was recycled can never act on the new tenant.
+/// One container slab slot.
 struct Slot {
-    gen: u32,
     live: bool,
     workload: u32,
     node: u32,
-    /// Bumped on every warm reuse; invalidates scheduled expiries.
-    token: u32,
     /// Frames currently charged to the fleet footprint.
     contrib: u64,
     /// True while pressure reclamation holds this idle-warm container at
@@ -555,11 +522,9 @@ struct Sim<'a> {
     costs: Costs,
     cfg: &'a ClusterConfig,
     mix: &'a WorkloadMix,
-    expiries: ExpiryQueue,
-    /// One seq counter shared by all three event sources (arrival cursor,
-    /// completion slots, expiry queue), allocated in exactly the order a
-    /// single-heap engine would push events — the total `(time, seq)`
-    /// order is therefore identical.
+    /// One seq counter shared by all five event sources, allocated in
+    /// exactly the order a single-heap engine would push events — the
+    /// total `(time, seq)` order is therefore identical.
     next_seq: u64,
     now: u64,
     nodes: Vec<Node>,
@@ -581,15 +546,31 @@ struct Sim<'a> {
     done_min: (u64, u64),
     /// Lane holding `done_min` (meaningless while `done_min == IDLE`).
     done_min_lane: u32,
-    /// Cached key of the front of `expiries` ([`NO_EXPIRY`] when empty),
-    /// so the event loop compares three integers instead of peeking the
-    /// queue. Pushes can only lower it; pops re-derive it (skimming
-    /// entries that went stale while queued — see the dispatch arm).
+    /// Keep-alive deadline `(time, seq)` per warm-matrix entry (same
+    /// index as `warm`), [`NO_EXPIRY`] unless the entry holds an
+    /// idle-warm container under a timed keep-alive.
+    deadline: Vec<(u64, u64)>,
+    /// Cached minimum of `deadline`. A completion can only lower it; a
+    /// firing expiry rescans. Clearing an entry leaves the cache alone, so
+    /// a cached deadline whose container was reused or retired since
+    /// still fires at its time, as a no-op (see [`Self::on_expiry`]).
     next_expiry: (u64, u64),
+    /// Warm-matrix entry holding `next_expiry`.
+    next_expiry_idx: u32,
+    /// Pressure reclamation is on: a squeeze pass follows every start.
+    squeeze_on: bool,
+    /// Squeeze candidates: bit `widx` is set while `warm[widx]` holds an
+    /// idle-warm container that is not squeezed. Kept only while
+    /// `squeeze_on` (all zero otherwise: nothing reads it).
+    squeezable: Vec<u64>,
     /// `queue length + serving` per node; admission is `load <= capacity`
-    /// (a node with an empty system has load 0). Compact so the placement
-    /// scan reads one cache line.
+    /// (a node with an empty system has load 0).
     load: Vec<u32>,
+    /// Least-loaded placement key per node without its warm bit:
+    /// inadmissible (full or not `Active`) at bit 63, `load` from bit 16,
+    /// the node index below. Refreshed wherever `load` or `node_state`
+    /// changes, so an arrival's scan only ORs in the warm bit (bit 62).
+    node_key: Vec<u64>,
     /// Idle-warm container slot per (workload, node), workload-major so a
     /// placement scan for one workload reads contiguous memory. `NO_WARM`
     /// when none. The flat replacement for the old per-node
@@ -600,7 +581,7 @@ struct Sim<'a> {
     node_state: Vec<NodeState>,
     /// Pending node-boot events `(time, seq, node)`. Spin-up delay is
     /// constant, so push times are monotone and a FIFO pops them in
-    /// `(time, seq)` order — same reasoning as the expiry fast path.
+    /// `(time, seq)` order.
     boots: VecDeque<(u64, u64, u32)>,
     /// Next autoscaler controller tick (`NO_EVENT` when disabled or when
     /// the controller stopped re-arming at drain).
@@ -678,6 +659,26 @@ fn radix_sort_u64(v: &mut Vec<u64>) {
     }
 }
 
+/// The least `(time, seq)` key and its index; `(u64::MAX, u64::MAX)` (the
+/// `IDLE`/`NO_EXPIRY` sentinel) at index 0 when every entry holds it, so
+/// an all-empty array needs no special case. Used to rescan the per-lane
+/// completion keys and the per-entry keep-alive deadlines after the
+/// cached minimum fires.
+#[inline]
+fn argmin(keys: &[(u64, u64)]) -> ((u64, u64), u32) {
+    // Branchless select: event times are unpredictable, so a conditional
+    // move beats a data-dependent branch per entry.
+    let mut min = (u64::MAX, u64::MAX);
+    let mut min_idx = 0u32;
+    for (i, &key) in keys.iter().enumerate() {
+        let better = key < min;
+        min = if better { key } else { min };
+        // lint:allow(narrowing-cast-in-hot-path): keys index lanes or warm entries, both far below 2^32
+        min_idx = if better { i as u32 } else { min_idx };
+    }
+    (min, min_idx)
+}
+
 /// Folds a machine's sanitizer report into the fleet-level audit
 /// accumulator.
 fn absorb(acc: &mut SanitizerReport, r: &SanitizerReport) {
@@ -720,11 +721,10 @@ impl<'a> Sim<'a> {
             })
             .collect();
         let lanes = total_nodes * cfg.cores_per_node;
-        Sim {
+        let mut sim = Sim {
             costs,
             cfg,
             mix,
-            expiries: ExpiryQueue::new(),
             next_seq: 0,
             now: 0,
             nodes,
@@ -739,8 +739,13 @@ impl<'a> Sim<'a> {
             ],
             done_min: IDLE,
             done_min_lane: 0,
+            deadline: vec![NO_EXPIRY; total_nodes * mix.len()],
             next_expiry: NO_EXPIRY,
+            next_expiry_idx: 0,
+            squeeze_on: !matches!(cfg.reclamation, Reclamation::None),
+            squeezable: vec![0; (total_nodes * mix.len()).div_ceil(64)],
             load: vec![0; total_nodes],
+            node_key: vec![0; total_nodes],
             warm: vec![NO_WARM; total_nodes * mix.len()],
             node_invocations: vec![0; total_nodes],
             node_state,
@@ -776,7 +781,11 @@ impl<'a> Sim<'a> {
             latencies: Vec::new(),
             latency_hist: Log2Hist::new(),
             queue_wait_hist: Log2Hist::new(),
+        };
+        for node in 0..total_nodes {
+            sim.refresh_node_key(node);
         }
+        sim
     }
 
     #[inline]
@@ -813,9 +822,9 @@ impl<'a> Sim<'a> {
         }
         loop {
             // Pick the earliest (time, seq) across the five sources: the
-            // arrival cursor, the per-lane completion slots, the expiry
-            // queue, pending node boots, and the autoscaler tick. Seqs
-            // are unique, so the winner is unique.
+            // arrival cursor, the per-lane completion slots, the cached
+            // keep-alive deadline, pending node boots, and the autoscaler
+            // tick. Seqs are unique, so the winner is unique.
             let mut best: Option<((u64, u64), Src)> = None;
             if let Some((t, s, _)) = next_arrival {
                 best = Some(((t, s), Src::Arrival));
@@ -852,11 +861,7 @@ impl<'a> Sim<'a> {
                     self.on_arrival(&arrivals[index]);
                 }
                 Src::Completion(lane) => self.on_completion(lane as usize),
-                Src::Expiry => {
-                    let (_, _, ev) = self.expiries.pop().expect("cached key exists");
-                    self.advance_next_expiry();
-                    self.on_expiry(ev.slot, ev.gen, ev.token);
-                }
+                Src::Expiry => self.on_expiry(),
                 Src::Boot => {
                     let (_, _, node) = self.boots.pop_front().expect("boot source chosen");
                     self.on_boot(node as usize);
@@ -869,6 +874,8 @@ impl<'a> Sim<'a> {
                     self.on_tick(more);
                 }
             }
+            #[cfg(debug_assertions)]
+            self.audit_indices();
         }
     }
 
@@ -880,6 +887,7 @@ impl<'a> Sim<'a> {
             Ok(node) => {
                 self.in_flight += 1;
                 self.load[node] += 1;
+                self.refresh_node_key(node);
                 if let Some(lane) = self.idle_lane(node) {
                     self.start_service(lane, a.time, workload);
                 } else {
@@ -921,6 +929,41 @@ impl<'a> Sim<'a> {
         workload as usize * self.nodes.len() + node
     }
 
+    /// Recomputes `node`'s placement key from its `load` and state.
+    #[inline]
+    fn refresh_node_key(&mut self, node: usize) {
+        self.node_key[node] = self.node_key_of(node);
+    }
+
+    /// `node`'s placement key from ground truth (inactive nodes fold into
+    /// the inadmissible bit; all nodes are active without an autoscaler).
+    fn node_key_of(&self, node: usize) -> u64 {
+        let inadmissible = !self.has_space(node) || self.node_state[node] != NodeState::Active;
+        u64::from(inadmissible) << 63 | u64::from(self.load[node]) << 16 | node as u64
+    }
+
+    /// Makes `slot` the idle-warm container of entry `widx` (unsqueezed,
+    /// no deadline yet) and returns the container it displaced, if any.
+    #[inline]
+    fn put_warm(&mut self, widx: usize, slot: u32) -> u32 {
+        if self.squeeze_on {
+            self.squeezable[widx / 64] |= 1 << (widx % 64);
+        }
+        std::mem::replace(&mut self.warm[widx], slot)
+    }
+
+    /// Empties warm entry `widx`: clears its deadline and squeeze bit and
+    /// returns the container it held. The cached `next_expiry` is left
+    /// as it is, even when it names this entry.
+    #[inline]
+    fn take_warm(&mut self, widx: usize) -> u32 {
+        self.deadline[widx] = NO_EXPIRY;
+        if self.squeeze_on {
+            self.squeezable[widx / 64] &= !(1 << (widx % 64));
+        }
+        std::mem::replace(&mut self.warm[widx], NO_WARM)
+    }
+
     fn place(&mut self, workload: usize) -> Result<usize, RejectReason> {
         match self.cfg.placement {
             Placement::RoundRobin => {
@@ -954,26 +997,17 @@ impl<'a> Sim<'a> {
             }
             Placement::LeastLoaded => {
                 // Warm-affinity least-loaded over two compact arrays: the
-                // per-node load vector and this workload's row of the warm
-                // matrix (contiguous by construction). The scan data is
-                // unpredictable, so fold the whole preference order
-                // (admissible, then warm, then load, then index) into one
-                // u64 key and take a branchless argmin — eight data-
-                // dependent branch misses per arrival cost more than the
-                // scan itself. Inactive nodes fold into the inadmissible
-                // bit (all nodes are active without an autoscaler).
-                let full = self.cfg.queue_capacity + self.cfg.cores_per_node;
+                // per-node keys and this workload's row of the warm matrix
+                // (contiguous by construction). The preference order
+                // (admissible, then warm, then load, then index) is one
+                // u64 key, so the scan is a branchless argmin — data-
+                // dependent branch misses per arrival would cost more
+                // than the scan itself.
                 let n = self.nodes.len();
                 let warm_row = &self.warm[workload * n..][..n];
                 let mut best = u64::MAX;
-                for (i, (&load, &warm)) in self.load.iter().zip(warm_row).enumerate() {
-                    let inadmissible =
-                        load as usize >= full || self.node_state[i] != NodeState::Active;
-                    let key = (inadmissible as u64) << 63
-                        | ((warm == NO_WARM) as u64) << 62
-                        | (load as u64) << 16
-                        | i as u64;
-                    best = best.min(key);
+                for (&key, &warm) in self.node_key.iter().zip(warm_row) {
+                    best = best.min(key | u64::from(warm == NO_WARM) << 62);
                 }
                 if best >> 63 == 0 {
                     Ok((best & 0xffff) as usize)
@@ -992,7 +1026,7 @@ impl<'a> Sim<'a> {
         let widx = self.warm_idx(workload, node);
         let warm_slot = self.warm[widx];
         let (slot, service) = if warm_slot != NO_WARM {
-            self.warm[widx] = NO_WARM;
+            self.take_warm(widx);
             self.warm_starts += 1;
             let (cycles, active) = self.invoke_warm(warm_slot);
             self.set_contrib(warm_slot, active);
@@ -1006,7 +1040,7 @@ impl<'a> Sim<'a> {
             self.set_contrib(slot, active);
             (slot, cycles)
         };
-        if !matches!(self.cfg.reclamation, Reclamation::None) {
+        if self.squeeze_on {
             self.squeeze_pass();
         }
         self.node_invocations[node] += 1;
@@ -1026,7 +1060,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Allocates a slab slot for a fresh container (recycling retired
-    /// slots; `gen` survives recycling so stale expiries miss).
+    /// slots).
     fn alloc_slot(&mut self, workload: u32, node: usize, pos: Pos) -> u32 {
         self.live_count += 1;
         if let Some(slot) = self.free.pop() {
@@ -1036,7 +1070,6 @@ impl<'a> Sim<'a> {
             c.workload = workload;
             // lint:allow(narrowing-cast-in-hot-path): node indexes cfg.nodes, far below 2^32
             c.node = node as u32;
-            c.token = 0;
             c.contrib = 0;
             c.squeezed = false;
             c.squeeze_floor = 0;
@@ -1046,12 +1079,10 @@ impl<'a> Sim<'a> {
             slot
         } else {
             self.slots.push(Slot {
-                gen: 0,
                 live: true,
                 workload,
                 // lint:allow(narrowing-cast-in-hot-path): node indexes cfg.nodes, far below 2^32
                 node: node as u32,
-                token: 0,
                 contrib: 0,
                 squeezed: false,
                 squeeze_floor: 0,
@@ -1091,9 +1122,8 @@ impl<'a> Sim<'a> {
     fn invoke_warm(&mut self, slot: u32) -> (u64, u64) {
         let c = &mut self.slots[slot as usize];
         debug_assert!(c.live, "warm slot is live");
-        c.token += 1; // cancels any scheduled keep-alive expiry
-                      // A squeezed container pays its re-fault bill here: the frames
-                      // pressure reclamation took must page back in before serving.
+        // A squeezed container pays its re-fault bill here: the frames
+        // pressure reclamation took must page back in before serving.
         let refault = if c.squeezed {
             c.squeezed = false;
             c.squeeze_refault
@@ -1200,19 +1230,25 @@ impl<'a> Sim<'a> {
         if self.fleet_now <= watermark_frames {
             return;
         }
-        for widx in 0..self.warm.len() {
-            let slot = self.warm[widx];
-            if slot == NO_WARM || self.slots[slot as usize].squeezed {
-                continue;
-            }
-            self.squeeze(slot);
-            if self.fleet_now <= watermark_frames {
-                return;
+        // Walk a copy of each mask word: squeezing clears only bits
+        // already visited, so the order is plain index order.
+        for word in 0..self.squeezable.len() {
+            let mut bits = self.squeezable[word];
+            while bits != 0 {
+                let widx = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.squeeze(widx);
+                if self.fleet_now <= watermark_frames {
+                    return;
+                }
             }
         }
     }
 
-    fn squeeze(&mut self, slot: u32) {
+    /// Squeezes the idle-warm container of warm entry `widx`.
+    fn squeeze(&mut self, widx: usize) {
+        self.squeezable[widx / 64] &= !(1 << (widx % 64));
+        let slot = self.warm[widx];
         let (floor, refault) = match &self.costs {
             Costs::Profiled(costs) => {
                 let c = &self.slots[slot as usize];
@@ -1288,10 +1324,12 @@ impl<'a> Sim<'a> {
             (0..self.nodes.len()).find(|&n| self.node_state[n] == NodeState::Draining)
         {
             self.node_state[node] = NodeState::Active;
+            self.refresh_node_key(node);
         } else if let Some(node) =
             (0..self.nodes.len()).find(|&n| self.node_state[n] == NodeState::Off)
         {
             self.node_state[node] = NodeState::Booting;
+            self.refresh_node_key(node);
             let seq = self.alloc_seq();
             // lint:allow(narrowing-cast-in-hot-path): node indexes max_nodes <= 2^16
             let node = node as u32;
@@ -1318,6 +1356,7 @@ impl<'a> Sim<'a> {
             return false;
         };
         self.node_state[node] = NodeState::Draining;
+        self.refresh_node_key(node);
         self.scale_downs += 1;
         self.active_committed -= 1;
         if self.load[node] == 0 {
@@ -1334,24 +1373,25 @@ impl<'a> Sim<'a> {
             "boot events only land on booting nodes"
         );
         self.node_state[node] = NodeState::Active;
+        self.refresh_node_key(node);
     }
 
-    /// Powers a drained node off, retiring its idle-warm containers. The
-    /// retirements bump each slot's generation, so any keep-alive expiry
-    /// still queued for those containers lands stale and no-ops — the
-    /// slab machinery, not the event queue, keeps scale-down safe.
+    /// Powers a drained node off, retiring its idle-warm containers and
+    /// clearing their warm entries with their keep-alive deadlines. If
+    /// the cached next deadline was one of them, it still fires at its
+    /// time as a no-op (see [`Self::on_expiry`]).
     fn node_off(&mut self, node: usize) {
         debug_assert_eq!(self.load[node], 0, "node_off requires a drained node");
         for workload in 0..self.mix.len() {
             // lint:allow(narrowing-cast-in-hot-path): workload ids index the mix table, far below 2^32
             let widx = self.warm_idx(workload as u32, node);
-            let slot = self.warm[widx];
-            if slot != NO_WARM {
-                self.warm[widx] = NO_WARM;
+            if self.warm[widx] != NO_WARM {
+                let slot = self.take_warm(widx);
                 self.retire(slot);
             }
         }
         self.node_state[node] = NodeState::Off;
+        self.refresh_node_key(node);
     }
 
     /// Folds the settled footprint at the just-finished instant into the
@@ -1367,64 +1407,6 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// True when a scheduled expiry still refers to the container state it
-    /// was scheduled against (same tenancy, not reused since).
-    #[inline]
-    fn expiry_live(&self, ev: ExpiryEv) -> bool {
-        match self.slots.get(ev.slot as usize) {
-            Some(c) => c.live && c.gen == ev.gen && c.token == ev.token,
-            None => false,
-        }
-    }
-
-    /// Re-derives `next_expiry` after a pop, skimming entries that went
-    /// stale while queued instead of paying an event dispatch each. Safe
-    /// because staleness is permanent (`gen`/`token` only move forward)
-    /// and a stale expiry's handler observes nothing and mutates nothing.
-    /// Skimmed entries never advance the clock either: under constant
-    /// TTLs push times are monotone, so the last-fired expiry is always
-    /// live; under size-aware TTLs a skimmed trailing entry simply never
-    /// becomes part of the run — the defined (and still deterministic)
-    /// semantics of that policy. Each entry is checked at most once here;
-    /// one that goes stale *after* being cached is dispatched normally
-    /// and no-ops in [`Self::on_expiry`].
-    fn advance_next_expiry(&mut self) {
-        loop {
-            match self.expiries.peek() {
-                Some((t, s, ev)) => {
-                    if self.expiry_live(ev) {
-                        self.next_expiry = (t, s);
-                        return;
-                    }
-                    self.expiries.pop();
-                }
-                None => {
-                    self.next_expiry = NO_EXPIRY;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Recomputes `done_min` by scanning the per-lane completion keys.
-    /// Called once per completion (after clearing that lane); the `IDLE`
-    /// sentinel is `(u64::MAX, u64::MAX)`, so an all-idle fleet settles
-    /// back to `done_min == IDLE` with no special case.
-    fn rescan_done_min(&mut self) {
-        // Branchless select: completion times are unpredictable, so a
-        // conditional move beats a data-dependent branch per lane.
-        let mut min = IDLE;
-        let mut min_lane = 0u32;
-        for (i, &key) in self.done.iter().enumerate() {
-            let better = key < min;
-            min = if better { key } else { min };
-            // lint:allow(narrowing-cast-in-hot-path): i indexes nodes * cores_per_node, far below 2^32
-            min_lane = if better { i as u32 } else { min_lane };
-        }
-        self.done_min = min;
-        self.done_min_lane = min_lane;
-    }
-
     fn on_completion(&mut self, lane: usize) {
         debug_assert_ne!(self.done[lane], IDLE, "completion fired on an idle lane");
         let node = lane / self.cfg.cores_per_node;
@@ -1436,8 +1418,9 @@ impl<'a> Sim<'a> {
             "completions fire on the cached minimum"
         );
         self.done[lane] = IDLE;
-        self.rescan_done_min();
+        (self.done_min, self.done_min_lane) = argmin(&self.done);
         self.load[node] -= 1;
+        self.refresh_node_key(node);
         self.completed += 1;
         self.in_flight -= 1;
         let latency = self.now - inflight.arrive_time;
@@ -1449,72 +1432,40 @@ impl<'a> Sim<'a> {
         // unreclaimable, then let the keep-alive policy decide its fate.
         let idle = self.park_idle(slot);
         self.set_contrib(slot, idle);
-        let widx = self.warm_idx(inflight.workload, node);
-        match self.cfg.keep_alive {
-            KeepAlive::None => self.retire(slot),
-            KeepAlive::Fixed(d) => {
-                let c = &self.slots[slot as usize];
-                let (gen, token) = (c.gen, c.token);
-                let old = std::mem::replace(&mut self.warm[widx], slot);
-                if old != NO_WARM {
-                    self.retire(old);
-                }
-                let seq = self.alloc_seq();
-                let at = self.now + d;
-                self.expiries
-                    .push_at(at, seq, ExpiryEv { slot, gen, token });
-                if (at, seq) < self.next_expiry {
-                    self.next_expiry = (at, seq);
-                }
-            }
-            KeepAlive::Infinite => {
-                let old = std::mem::replace(&mut self.warm[widx], slot);
-                if old != NO_WARM {
-                    self.retire(old);
-                }
-            }
+        let ttl = match self.cfg.keep_alive {
+            KeepAlive::None | KeepAlive::Infinite => None,
+            KeepAlive::Fixed(d) => Some(d),
             KeepAlive::ParkToPM { ttl_cycles } => {
                 // Park the idle container's state into persistent memory:
                 // near-zero DRAM while idle, a calibrated PM restore on
                 // the next hit, eviction when the retention TTL lapses.
-                // Constant TTL keeps the expiry FIFO fast path.
                 self.park_to_pm_slot(slot);
-                let c = &self.slots[slot as usize];
-                let (gen, token) = (c.gen, c.token);
-                let old = std::mem::replace(&mut self.warm[widx], slot);
-                if old != NO_WARM {
-                    self.retire(old);
-                }
-                let seq = self.alloc_seq();
-                let at = self.now + ttl_cycles;
-                self.expiries
-                    .push_at(at, seq, ExpiryEv { slot, gen, token });
-                if (at, seq) < self.next_expiry {
-                    self.next_expiry = (at, seq);
-                }
+                Some(ttl_cycles)
             }
+            // KiSS-style: TTL inversely proportional to the parked
+            // footprint — big containers make way first.
             KeepAlive::SizeAware {
                 budget_frame_cycles,
                 min_cycles,
                 max_cycles,
-            } => {
-                // KiSS-style: TTL inversely proportional to the parked
-                // footprint — big containers make way first. Variable
-                // TTLs push out of FIFO order; the expiry queue's heap
-                // spill absorbs them.
-                let c = &self.slots[slot as usize];
-                let (gen, token) = (c.gen, c.token);
-                let old = std::mem::replace(&mut self.warm[widx], slot);
-                if old != NO_WARM {
-                    self.retire(old);
-                }
-                let ttl = (budget_frame_cycles / idle.max(1)).clamp(min_cycles, max_cycles);
-                let seq = self.alloc_seq();
-                let at = self.now + ttl;
-                self.expiries
-                    .push_at(at, seq, ExpiryEv { slot, gen, token });
-                if (at, seq) < self.next_expiry {
-                    self.next_expiry = (at, seq);
+            } => Some((budget_frame_cycles / idle.max(1)).clamp(min_cycles, max_cycles)),
+        };
+        if self.cfg.keep_alive == KeepAlive::None {
+            self.retire(slot);
+        } else {
+            let widx = self.warm_idx(inflight.workload, node);
+            let old = self.put_warm(widx, slot);
+            if old != NO_WARM {
+                self.retire(old);
+            }
+            if let Some(ttl) = ttl {
+                // `validate` bounds arrivals and TTLs by `MAX_CYCLES`.
+                let key = (self.now + ttl, self.alloc_seq());
+                self.deadline[widx] = key;
+                if key < self.next_expiry {
+                    self.next_expiry = key;
+                    // lint:allow(narrowing-cast-in-hot-path): widx indexes max_nodes (<= 2^16) x mix, far below 2^32
+                    self.next_expiry_idx = widx as u32;
                 }
             }
         }
@@ -1531,24 +1482,19 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn on_expiry(&mut self, slot: u32, gen: u32, token: u32) {
-        let Some(c) = self.slots.get(slot as usize) else {
-            return;
-        };
-        if !c.live || c.gen != gen {
-            return; // retired (and possibly recycled) since scheduling
+    /// Fires the cached next keep-alive deadline, then rescans for the
+    /// next one. If the entry no longer holds that deadline (its
+    /// container was reused or retired after the deadline was cached),
+    /// the dispatch is a no-op that has only advanced the clock to its
+    /// time — kept so makespans match the engine's defined event order.
+    fn on_expiry(&mut self) {
+        let widx = self.next_expiry_idx as usize;
+        if self.deadline[widx] == self.next_expiry {
+            let slot = self.take_warm(widx);
+            self.expired += 1;
+            self.retire(slot);
         }
-        if c.token != token {
-            return; // reused since this expiry was scheduled
-        }
-        let widx = self.warm_idx(c.workload, c.node as usize);
-        debug_assert_eq!(
-            self.warm[widx], slot,
-            "token-valid expiry must find the container idle-warm"
-        );
-        self.warm[widx] = NO_WARM;
-        self.expired += 1;
-        self.retire(slot);
+        (self.next_expiry, self.next_expiry_idx) = argmin(&self.deadline);
     }
 
     fn retire(&mut self, slot: u32) {
@@ -1558,7 +1504,6 @@ impl<'a> Sim<'a> {
         c.live = false;
         c.squeezed = false;
         c.pm_parked = false;
-        c.gen = c.gen.wrapping_add(1);
         if let Costs::Measured(lineages) = &mut self.costs {
             if let Some(report) = lineages.release(c.pos) {
                 absorb(&mut self.machine_audit, &report);
@@ -1567,6 +1512,49 @@ impl<'a> Sim<'a> {
         self.free.push(slot);
         self.live_count -= 1;
         self.retired += 1;
+    }
+
+    /// Debug builds, after every event: recomputes the incremental
+    /// indices (deadlines, squeeze mask, placement keys) from ground
+    /// truth — `warm`, the slots, `load` and `node_state`.
+    #[cfg(debug_assertions)]
+    fn audit_indices(&self) {
+        // Plain index loops and scalar compares: this runs per event in
+        // unoptimized builds.
+        let timed = !matches!(self.cfg.keep_alive, KeepAlive::None | KeepAlive::Infinite);
+        let mut live_min = NO_EXPIRY;
+        for widx in 0..self.warm.len() {
+            let slot = self.warm[widx];
+            let idle_warm = slot != NO_WARM;
+            let deadline = self.deadline[widx];
+            let has_deadline = deadline.0 != NO_EXPIRY.0;
+            assert!(
+                has_deadline == (idle_warm && timed),
+                "warm entry {widx}: a deadline exactly while idle-warm under a timed keep-alive"
+            );
+            if has_deadline {
+                assert!(
+                    deadline.0 >= self.now,
+                    "warm entry {widx}: deadline in the past"
+                );
+                live_min = live_min.min(deadline);
+            }
+            let bit = self.squeezable[widx / 64] >> (widx % 64) & 1 == 1;
+            assert!(
+                bit == (self.squeeze_on && idle_warm && !self.slots[slot as usize].squeezed),
+                "warm entry {widx}: squeeze bit exactly while squeezing, idle-warm and unsqueezed"
+            );
+        }
+        assert!(
+            self.next_expiry <= live_min,
+            "the cached deadline never passes a live one"
+        );
+        for node in 0..self.nodes.len() {
+            assert!(
+                self.node_key[node] == self.node_key_of(node),
+                "node {node} key"
+            );
+        }
     }
 
     fn finish(mut self) -> ClusterResult {
@@ -1605,8 +1593,7 @@ impl<'a> Sim<'a> {
         auditor.audit_fleet_frames(self.next_seq, self.fleet_now, per_node);
         if !matches!(self.cfg.autoscaler, Autoscaler::None) {
             // Scale-up/down hygiene: a node outside the active set must
-            // hold nothing (scale-down retired its warm pool; the slab's
-            // generation tags kept stale expiries inert).
+            // hold nothing (scale-down retired its warm pool).
             let mut warm_counts = vec![0u64; self.nodes.len()];
             for &slot in &self.warm {
                 if slot != NO_WARM {
@@ -2190,8 +2177,8 @@ mod tests {
     #[test]
     fn short_expiry_reuse_races_stay_clean() {
         // A keep-alive barely longer than the warm service time maximises
-        // the token/generation races between scheduled expiries, warm
-        // reuse, and slot recycling.
+        // the races between cached deadlines, warm reuse, and slot
+        // recycling.
         let mix = two_mix();
         let cfg = ClusterConfig {
             nodes: 2,
@@ -2444,7 +2431,7 @@ mod tests {
     fn autoscaler_tracks_load_up_and_down() {
         // A dense arrival burst against a 1-node floor must spin nodes up
         // (bounded by max_nodes) and drain them back once the burst
-        // passes; generation tags keep retired warm pools inert.
+        // passes; powering a node off clears its warm entries' deadlines.
         let mix = two_mix();
         let cfg = ClusterConfig {
             nodes: 1,
@@ -2691,6 +2678,103 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn delays_past_the_clock_bound_are_typed_errors() {
+        let mix = two_mix();
+        let arrivals = generate_arrivals(
+            &ArrivalConfig {
+                seed: 4,
+                count: 50,
+                mean_interarrival_cycles: 20_000.0,
+            },
+            &mix,
+        )
+        .expect("valid arrivals");
+        let run = |cfg: ClusterConfig, arrivals: &[Arrival]| {
+            simulate(
+                Engine::Profiled(synthetic_table(&mix)),
+                &cfg,
+                &mix,
+                arrivals,
+            )
+        };
+        let keep = |keep_alive| ClusterConfig {
+            keep_alive,
+            ..ClusterConfig::default()
+        };
+        // Delays at the bound run; every expiry lands after the last
+        // arrival, so none fires early.
+        for ok in [
+            KeepAlive::Fixed(MAX_CYCLES),
+            KeepAlive::ParkToPM {
+                ttl_cycles: MAX_CYCLES,
+            },
+        ] {
+            let r = run(keep(ok), &arrivals).expect("a TTL at the bound is valid");
+            assert_eq!(r.completed, 50);
+            assert_eq!(r.expired, r.retired, "{ok:?}: only expiries retire");
+            assert!(
+                r.makespan_cycles > MAX_CYCLES,
+                "{ok:?}: expiries fire at now + TTL"
+            );
+            assert!(r.is_clean(), "{}", r.audit);
+        }
+        for bad in [
+            KeepAlive::Fixed(u64::MAX),
+            KeepAlive::Fixed(MAX_CYCLES + 1),
+            KeepAlive::ParkToPM {
+                ttl_cycles: u64::MAX,
+            },
+            KeepAlive::SizeAware {
+                budget_frame_cycles: 1_000,
+                min_cycles: 1,
+                max_cycles: u64::MAX,
+            },
+        ] {
+            assert!(
+                matches!(
+                    run(keep(bad), &arrivals),
+                    Err(ClusterError::InvalidKeepAlive(_))
+                ),
+                "{bad:?} must be rejected"
+            );
+        }
+        let ok = AutoscalerConfig {
+            interval_cycles: 50_000,
+            target_load_pct: 70,
+            min_nodes: 1,
+            max_nodes: 4,
+            spinup_cycles: 10_000,
+        };
+        for bad in [
+            AutoscalerConfig {
+                interval_cycles: u64::MAX,
+                ..ok
+            },
+            AutoscalerConfig {
+                spinup_cycles: MAX_CYCLES + 1,
+                ..ok
+            },
+        ] {
+            let cfg = ClusterConfig {
+                nodes: 2,
+                autoscaler: Autoscaler::TargetUtilization(bad),
+                ..ClusterConfig::default()
+            };
+            assert!(
+                matches!(run(cfg, &arrivals), Err(ClusterError::InvalidAutoscaler(_))),
+                "{bad:?} must be rejected"
+            );
+        }
+        let mut late = arrivals.clone();
+        late.last_mut().expect("non-empty").time = MAX_CYCLES + 1;
+        let err = run(ClusterConfig::default(), &late)
+            .err()
+            .expect("must fail");
+        assert!(matches!(err, ClusterError::InvalidArrivals(_)), "{err}");
+        assert!(err.to_string().contains("clock bound"), "{err}");
     }
 
     #[test]

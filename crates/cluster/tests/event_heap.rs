@@ -82,36 +82,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn caller_allocated_seqs_preserve_total_order(
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-    ) {
-        // Same program driven through push_at with an external counter —
-        // the engine's shared-seq mode. The reference allocates seqs in
-        // the same order, so pops must still agree.
-        let mut heap = EventHeap::new();
-        let mut reference = Reference::default();
-        let mut next_seq = 0u64;
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Push(time) => {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    heap.push_at(time, seq, i as u32);
-                    reference.push(time, i as u32);
-                }
-                Op::Pop => {
-                    prop_assert_eq!(heap.pop(), reference.pop());
-                }
-            }
-        }
-        loop {
-            let (a, b) = (heap.pop(), reference.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
 }

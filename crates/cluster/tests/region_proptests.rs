@@ -3,15 +3,16 @@
 //!
 //! An aggressive autoscaler (tick interval comparable to service times,
 //! near-zero spin-up) drains and re-commits nodes constantly while short
-//! fixed or size-aware TTLs keep the expiry queue full and completions
-//! land on draining nodes. Every such interleaving must leave the books
-//! balanced: scale-down retires a node's warm pool by bumping slot
-//! generations, so expiries already queued for those containers — and
-//! completions racing the drain — must observe stale tokens and no-op
-//! instead of resurrecting freed slots or double-counting frames. The
-//! simulator's own invocation-conservation, fleet-frame, and
-//! node-lifecycle audits are the oracle, plus byte-determinism across
-//! repeats.
+//! fixed or size-aware TTLs keep many keep-alive deadlines pending and
+//! completions land on draining nodes. Every such interleaving must leave
+//! the books balanced: scale-down retires a node's warm pool and clears
+//! those entries' deadlines, so a deadline cached for one of those
+//! containers — and completions racing the drain — must no-op instead of
+//! resurrecting freed slots or double-counting frames. The simulator's
+//! own invocation-conservation, fleet-frame, and node-lifecycle audits
+//! are the oracle (debug builds also recheck the engine's incremental
+//! indices after every event), plus byte-determinism across repeats and a
+//! digest over a fixed set of cases.
 
 use memento_cluster::{
     generate_arrivals, simulate, ArrivalConfig, Autoscaler, AutoscalerConfig, ClusterConfig,
@@ -81,6 +82,8 @@ struct RegionCase {
     warm: u64,
     cold_over_warm: u64,
     idle: u64,
+    /// False runs the fixed fleet (`Autoscaler::None`) at `nodes`.
+    autoscaled: bool,
 }
 
 fn arb_region_case() -> impl Strategy<Value = RegionCase> {
@@ -154,6 +157,7 @@ fn arb_region_case() -> impl Strategy<Value = RegionCase> {
                 warm,
                 cold_over_warm,
                 idle,
+                autoscaled: true,
             },
         )
 }
@@ -169,13 +173,17 @@ fn run_case(case: &RegionCase) -> ClusterResult {
         keep_alive: case.keep_alive,
         cold_start: case.cold_start,
         reclamation: case.reclamation,
-        autoscaler: Autoscaler::TargetUtilization(AutoscalerConfig {
-            interval_cycles: case.interval,
-            target_load_pct: case.target_pct,
-            min_nodes: 1.min(case.nodes),
-            max_nodes: case.max_nodes,
-            spinup_cycles: case.spinup,
-        }),
+        autoscaler: if case.autoscaled {
+            Autoscaler::TargetUtilization(AutoscalerConfig {
+                interval_cycles: case.interval,
+                target_load_pct: case.target_pct,
+                min_nodes: 1.min(case.nodes),
+                max_nodes: case.max_nodes,
+                spinup_cycles: case.spinup,
+            })
+        } else {
+            Autoscaler::None
+        },
         record_timeline: true,
     };
     let arrival = ArrivalConfig {
@@ -192,8 +200,8 @@ proptest! {
 
     /// Scale-down racing expiry and completion delivery never loses an
     /// invocation, never leaks a frame, and never leaves a powered-off
-    /// node holding state — the generation-tag slab machinery must make
-    /// every stale event inert.
+    /// node holding state — a deadline whose container went away must
+    /// fire as a no-op.
     #[test]
     fn scale_down_expiry_completion_races_stay_clean(case in arb_region_case()) {
         let r = run_case(&case);
@@ -230,4 +238,154 @@ proptest! {
         prop_assert_eq!(a.squeezed, b.squeezed);
         prop_assert_eq!(a.metrics.render(), b.metrics.render());
     }
+}
+
+/// FNV-1a over the bytes of `text`, folded into `h`.
+fn fnv1a(mut h: u64, text: &str) -> u64 {
+    for &b in text.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Every `ClusterResult` field, rendered in declaration order.
+fn render_result(r: &ClusterResult) -> String {
+    format!(
+        "{} {} {} {:?} {} {} {} {} {} {} {} {} {} {} {} {} {} {:?} {:?}\n{}\n{}",
+        r.submitted,
+        r.completed,
+        r.rejected,
+        r.rejected_by,
+        r.cold_starts,
+        r.warm_starts,
+        r.expired,
+        r.retired,
+        r.live_containers,
+        r.restores,
+        r.squeezed,
+        r.pm_parks,
+        r.pm_restores,
+        r.peak_active_nodes,
+        r.makespan_cycles,
+        r.peak_fleet_frames,
+        r.final_fleet_frames,
+        r.timeline,
+        r.latencies,
+        r.metrics.render(),
+        r.audit,
+    )
+}
+
+/// A fixed seeded set of small cases, one family per keep-alive policy:
+/// autoscaled size-aware keep-alive with squeeze and snapshot restore,
+/// park-to-PM, and fixed, infinite and no keep-alive on both fleet kinds.
+fn pinned_cases() -> Vec<RegionCase> {
+    let base = RegionCase {
+        nodes: 2,
+        max_nodes: 6,
+        queue_capacity: 3,
+        placement: Placement::LeastLoaded,
+        keep_alive: KeepAlive::Infinite,
+        cold_start: ColdStart::Boot,
+        reclamation: Reclamation::None,
+        interval: 9_000,
+        target_pct: 60,
+        spinup: 4_000,
+        seed: 0,
+        count: 240,
+        mean_interarrival: 4_000.0,
+        warm: 12_000,
+        cold_over_warm: 60_000,
+        idle: 60,
+        autoscaled: true,
+    };
+    let families = [
+        RegionCase {
+            keep_alive: KeepAlive::SizeAware {
+                budget_frame_cycles: 2_000_000,
+                min_cycles: 2_000,
+                max_cycles: 80_000,
+            },
+            cold_start: ColdStart::Snapshot,
+            reclamation: Reclamation::Squeeze {
+                watermark_frames: 150,
+            },
+            ..base
+        },
+        RegionCase {
+            keep_alive: KeepAlive::ParkToPM { ttl_cycles: 30_000 },
+            placement: Placement::RoundRobin,
+            ..base
+        },
+        RegionCase {
+            keep_alive: KeepAlive::Fixed(20_000),
+            reclamation: Reclamation::Squeeze {
+                watermark_frames: 100,
+            },
+            ..base
+        },
+        RegionCase {
+            keep_alive: KeepAlive::Infinite,
+            cold_start: ColdStart::Snapshot,
+            ..base
+        },
+        RegionCase {
+            keep_alive: KeepAlive::None,
+            ..base
+        },
+        RegionCase {
+            keep_alive: KeepAlive::Fixed(40_000),
+            autoscaled: false,
+            nodes: 3,
+            ..base
+        },
+        RegionCase {
+            keep_alive: KeepAlive::SizeAware {
+                budget_frame_cycles: 1_000_000,
+                min_cycles: 3_000,
+                max_cycles: 50_000,
+            },
+            placement: Placement::RoundRobin,
+            autoscaled: false,
+            nodes: 3,
+            ..base
+        },
+    ];
+    let mut cases = Vec::new();
+    for family in families {
+        for (seed, mean_interarrival) in [(1, 2_500.0), (7, 6_000.0), (23, 15_000.0)] {
+            cases.push(RegionCase {
+                seed,
+                mean_interarrival,
+                ..family
+            });
+        }
+    }
+    cases
+}
+
+/// Pins the whole observable output of the event core — every
+/// `ClusterResult` field, the makespan, timeline and rendered metrics
+/// included — over [`pinned_cases`]. A change to event order, keep-alive
+/// bookkeeping, squeeze order or placement shows up here even when every
+/// audit stays clean. The digest must only change together with a
+/// deliberate, documented change of simulated behaviour.
+#[test]
+fn pinned_cases_match_recorded_digest() {
+    let cases = pinned_cases();
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut drained_off = false;
+    for case in &cases {
+        let r = run_case(case);
+        assert!(r.is_clean(), "{case:?}: {}", r.audit);
+        drained_off |= r.metrics.counter("cluster.scale_downs") > 0;
+        digest = fnv1a(digest, &render_result(&r));
+    }
+    assert!(drained_off, "some pinned case must drain a node off");
+    assert_eq!(
+        format!("{digest:016x}"),
+        "8b252fa80acd5d5a",
+        "pinned event-core outputs changed"
+    );
 }
