@@ -13,9 +13,10 @@
 //! run, so baseline and Memento fleets can be offered the *same* traffic.
 
 use crate::error::ClusterError;
+use crate::trace::{generate_trace, UniformTrace};
 use memento_workloads::spec::WorkloadSpec;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// A weighted set of workloads that arrivals sample from.
 #[derive(Clone, Debug)]
@@ -109,33 +110,13 @@ pub struct Arrival {
 
 /// Draws the full arrival sequence: a pure function of
 /// `(cfg.seed, cfg.count, cfg.mean_interarrival_cycles, mix)`, strictly
-/// increasing in time (gaps are clamped to ≥ 1 cycle).
+/// increasing in time (gaps are clamped to ≥ 1 cycle). This is
+/// [`generate_trace`] over the homogeneous [`UniformTrace`].
 pub fn generate_arrivals(
     cfg: &ArrivalConfig,
     mix: &WorkloadMix,
 ) -> Result<Vec<Arrival>, ClusterError> {
-    // Rejects NaN, infinities, zero, and negatives in one test.
-    if !cfg.mean_interarrival_cycles.is_finite() || cfg.mean_interarrival_cycles <= 0.0 {
-        return Err(ClusterError::InvalidArrivalRate(
-            cfg.mean_interarrival_cycles,
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut arrivals = Vec::with_capacity(cfg.count as usize);
-    let mut t = 0u64;
-    for id in 0..cfg.count {
-        // Exponential gap via inverse transform; u ∈ [0, 1) keeps ln finite.
-        let u = rng.gen_range(0.0..1.0);
-        let gap = (-cfg.mean_interarrival_cycles * (1.0 - u).ln()).round() as u64;
-        t += gap.max(1);
-        let workload = mix.sample(&mut rng);
-        arrivals.push(Arrival {
-            id,
-            time: t,
-            workload,
-        });
-    }
-    Ok(arrivals)
+    generate_trace(cfg, mix, &UniformTrace)
 }
 
 #[cfg(test)]

@@ -18,6 +18,11 @@ pub enum ClusterError {
     /// A Profiled-engine run references a workload with no calibrated
     /// service profile.
     MissingProfile(String),
+    /// A service profile's costs could overflow the simulated clock: the
+    /// largest cycle charge one invocation can carry, times the number
+    /// of arrivals, exceeds [`crate::sim::MAX_CYCLES`], or a frame count
+    /// exceeds `u32::MAX`.
+    InvalidProfile(String),
     /// The arrival process has a non-positive mean inter-arrival time.
     InvalidArrivalRate(f64),
     /// An arrival trace is malformed (zero peak intensity, or an
@@ -54,6 +59,7 @@ impl fmt::Display for ClusterError {
             ClusterError::MissingProfile(name) => {
                 write!(f, "no calibrated service profile for workload '{name}'")
             }
+            ClusterError::InvalidProfile(why) => write!(f, "invalid service profile: {why}"),
             ClusterError::InvalidArrivalRate(mean) => {
                 write!(f, "mean inter-arrival must be positive, got {mean}")
             }

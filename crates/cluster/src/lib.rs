@@ -27,8 +27,9 @@
 //!   squeeze), [`policy::Autoscaler`] (target-utilization node scaling),
 //!   and typed [`policy::RejectReason`]s.
 //! - [`profile`] — per-(workload, config) service profiles calibrated
-//!   from real [`memento_system::WarmContainer`] runs, letting the
-//!   simulator scale to millions of invocations.
+//!   from real [`memento_system::WarmContainer`] runs, replayed as one
+//!   cost record per (workload, container state) so the simulator scales
+//!   to millions of invocations.
 //! - [`event_heap`] — a flat `(time, seq)`-ordered binary heap with seq
 //!   stamping, so tie order is a total order. The engine keeps no event
 //!   queue (see [`sim`]); the heap stays public for callers that need
@@ -36,9 +37,9 @@
 //! - [`sim`] — the deterministic event-driven simulator with incremental
 //!   fleet-footprint accounting, per-node metrics, exact tail-latency
 //!   quantiles, and drain-time conservation audits from
-//!   `memento_sanitizer::fleet`. Its Measured engine simulates each
-//!   (function, op history) once per fleet and serves repeats from a
-//!   shared lineage store.
+//!   `memento_sanitizer::fleet`, generic over one service-model seam. Its
+//!   Measured model simulates each (function, op history) once per fleet
+//!   and serves repeats from a shared lineage store.
 //! - [`error`] — typed construction/validation errors.
 //!
 //! # Examples
@@ -78,6 +79,7 @@ pub mod arrival;
 pub mod error;
 pub mod event_heap;
 mod lineage;
+mod model;
 pub mod policy;
 pub mod profile;
 pub mod sim;

@@ -1,4 +1,4 @@
-//! Shared container histories for the Measured engine.
+//! The Measured service model: shared container histories.
 //!
 //! Every container of one function in a Measured fleet boots from the
 //! same [`SystemConfig`], replays the same generated trace and receives
@@ -19,67 +19,47 @@
 //!   one recorded at its depth forks a private lineage holding a copy of
 //!   the prefix. The fork's machine is rebuilt by replaying that prefix
 //!   on a fresh boot when it first needs one.
-//! - **Teardown.** [`Lineages::release`] needs a machine only when the
+//! - **Teardown.** [`ServiceModel::release`] needs a machine only when the
 //!   machine has a sanitizer: the finish report is computed once per
 //!   depth and memoized, from the tip machine if it sits at that depth,
 //!   else from a replay. Without a sanitizer teardown reads nothing, so
 //!   the tip machine stays for later containers.
 
+use memento_obs::metrics::MetricsRegistry;
 use memento_sanitizer::SanitizerReport;
 use memento_system::{SystemConfig, WarmContainer};
 use memento_workloads::spec::WorkloadSpec;
 
 use crate::arrival::WorkloadMix;
+use crate::model::{Op, Record, ServiceModel};
 use crate::policy::ColdStart;
 
 /// Sentinel for "no lineage yet" in the per-(workload, boot kind) roots.
 const NO_LINEAGE: u32 = u32::MAX;
 
-/// A container operation after boot. Any new Measured-engine operation
-/// on a container must become a variant here, or sharing would hand out
-/// values from a history the container never had.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Op {
-    /// Serve one warm invocation, first reviving the container from
-    /// persistent memory when `pm_restore` is set.
-    Invoke { pm_restore: bool },
-    /// Keep-alive park: shed the pool's idle reserve.
-    Park,
-    /// Park to persistent memory with the given crash-injection seed.
-    ParkToPm { seed: u64 },
-}
-
-/// What the engine reads from a container after one op and while it
-/// idles afterwards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Record {
-    /// The op's cycles: service time for a boot or an invocation (PM
-    /// restore included), persist cycles for a park to PM, 0 for a park.
-    pub(crate) cycles: u64,
-    pub(crate) serving_peak_pages: u64,
-    pub(crate) unreclaimable_pages: u64,
-    pub(crate) squeeze_floor_pages: u64,
-    pub(crate) squeeze_refault_unit_cycles: u64,
-    /// The newest sealed PM checkpoint epoch (`None` before any park).
-    pub(crate) pm_sealed_epoch: Option<u64>,
-}
-
 impl Record {
+    /// The values read from `m` after an op that took `cycles`. A
+    /// container parked in persistent memory holds no DRAM while idle.
     fn read(m: &WarmContainer, cycles: u64) -> Record {
+        let idle_frames = if m.is_pm_parked() {
+            0
+        } else {
+            m.unreclaimable_pages()
+        };
+        let squeeze_floor = m.squeeze_floor_pages().min(idle_frames);
         Record {
             cycles,
-            serving_peak_pages: m.serving_peak_pages(),
-            unreclaimable_pages: m.unreclaimable_pages(),
-            squeeze_floor_pages: m.squeeze_floor_pages(),
-            squeeze_refault_unit_cycles: m.squeeze_refault_unit_cycles(),
-            pm_sealed_epoch: m.pm_sealed_epoch().map(|e| e.raw()),
+            serving_peak: m.serving_peak_pages(),
+            idle_frames,
+            squeeze_floor,
+            squeeze_refault: (idle_frames - squeeze_floor) * m.squeeze_refault_unit_cycles(),
         }
     }
 }
 
 /// A container's place in the store: `depth` records reached on
 /// `lineage` (1 right after boot).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Pos {
     lineage: u32,
     depth: u32,
@@ -140,7 +120,9 @@ impl Runner {
                 m.park();
                 0
             }
-            Op::ParkToPm { seed } => m.park_to_pm(seed),
+            // Seed the crash-injection audit from the container's own
+            // checkpoint history, a pure function of its op history.
+            Op::ParkToPm => m.park_to_pm(m.pm_sealed_epoch().map_or(0, |e| e.raw())),
         };
         Record::read(m, cycles)
     }
@@ -220,16 +202,6 @@ impl Lineages {
         }
     }
 
-    /// Container ops served (boots included).
-    pub(crate) fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Ops that ran on a machine, replays included.
-    pub(crate) fn steps_simulated(&self) -> u64 {
-        self.runner.simulated
-    }
-
     fn get(&self, id: u32) -> &Lineage {
         self.lineages[id as usize]
             .as_ref()
@@ -266,9 +238,55 @@ impl Lineages {
         }
     }
 
+    /// Moves one holder of lineage `id` onto a new private lineage that
+    /// copies its first `depth` records, and returns the fork's id.
+    fn fork(&mut self, id: u32, depth: usize) -> u32 {
+        let src = self.get(id);
+        let fork = Lineage {
+            workload: src.workload,
+            boot: src.boot,
+            ops: src.ops[..depth - 1].to_vec(),
+            records: src.records[..depth].to_vec(),
+            reports: src.reports[..depth.min(src.reports.len())].to_vec(),
+            finished: src.finished[..depth.min(src.finished.len())].to_vec(),
+            machine: None,
+            holders: 1,
+            shared: false,
+        };
+        self.unhold(id);
+        self.insert(fork)
+    }
+
+    fn finish_report(&mut self, pos: Pos) -> SanitizerReport {
+        let depth = pos.depth as usize;
+        let l = self.lineages[pos.lineage as usize]
+            .as_mut()
+            .expect("positions point at live lineages");
+        if let Some(Some(r)) = l.finished.get(depth - 1) {
+            return r.clone();
+        }
+        let m = match l.machine.take() {
+            Some(m) if depth == l.records.len() => m,
+            tip => {
+                l.machine = tip;
+                self.runner.replay(l, depth)
+            }
+        };
+        let report = m.finish_with_report().1.unwrap_or_default();
+        if l.finished.len() < depth {
+            l.finished.resize(depth, None);
+        }
+        l.finished[depth - 1] = Some(report.clone());
+        report
+    }
+}
+
+impl ServiceModel for Lineages {
+    type Pos = Pos;
+
     /// Boots a container of `workload` and returns its position and the
     /// boot's record.
-    pub(crate) fn boot(&mut self, workload: u32, kind: ColdStart) -> (Pos, Record) {
+    fn boot(&mut self, workload: u32, kind: ColdStart) -> (Pos, Record) {
         self.steps += 1;
         let key = workload as usize * 2 + kind_index(kind);
         let shared = self.shares();
@@ -313,7 +331,7 @@ impl Lineages {
 
     /// Applies `op` to the container at `pos`, moves it one step deeper
     /// and returns the op's record.
-    pub(crate) fn apply(&mut self, pos: &mut Pos, op: Op) -> Record {
+    fn apply(&mut self, pos: &mut Pos, op: Op) -> Record {
         self.steps += 1;
         let at = pos.depth as usize;
         let l = self.get(pos.lineage);
@@ -342,39 +360,20 @@ impl Lineages {
         r
     }
 
-    /// Moves one holder of lineage `id` onto a new private lineage that
-    /// copies its first `depth` records, and returns the fork's id.
-    fn fork(&mut self, id: u32, depth: usize) -> u32 {
-        let src = self.get(id);
-        let fork = Lineage {
-            workload: src.workload,
-            boot: src.boot,
-            ops: src.ops[..depth - 1].to_vec(),
-            records: src.records[..depth].to_vec(),
-            reports: src.reports[..depth.min(src.reports.len())].to_vec(),
-            finished: src.finished[..depth.min(src.finished.len())].to_vec(),
-            machine: None,
-            holders: 1,
-            shared: false,
-        };
-        self.unhold(id);
-        self.insert(fork)
-    }
-
     /// The values read at `pos`.
-    pub(crate) fn record(&self, pos: Pos) -> Record {
+    fn record(&self, pos: Pos) -> Record {
         self.get(pos.lineage).records[pos.depth as usize - 1]
     }
 
     /// The machine's sanitizer report at `pos` (`None` without a
     /// sanitizer).
-    pub(crate) fn report(&self, pos: Pos) -> Option<&SanitizerReport> {
+    fn report(&self, pos: Pos) -> Option<&SanitizerReport> {
         self.get(pos.lineage).reports.get(pos.depth as usize - 1)
     }
 
     /// Tears down the container at `pos` and returns the machine's final
     /// sanitizer report (`None` without a sanitizer).
-    pub(crate) fn release(&mut self, pos: Pos) -> Option<SanitizerReport> {
+    fn release(&mut self, pos: Pos) -> Option<SanitizerReport> {
         // Reports are recorded only when the machine has a sanitizer;
         // without one, teardown reads nothing and needs no machine.
         let report = if self.get(pos.lineage).reports.is_empty() {
@@ -386,27 +385,10 @@ impl Lineages {
         report
     }
 
-    fn finish_report(&mut self, pos: Pos) -> SanitizerReport {
-        let depth = pos.depth as usize;
-        let l = self.lineages[pos.lineage as usize]
-            .as_mut()
-            .expect("positions point at live lineages");
-        if let Some(Some(r)) = l.finished.get(depth - 1) {
-            return r.clone();
-        }
-        let m = match l.machine.take() {
-            Some(m) if depth == l.records.len() => m,
-            tip => {
-                l.machine = tip;
-                self.runner.replay(l, depth)
-            }
-        };
-        let report = m.finish_with_report().1.unwrap_or_default();
-        if l.finished.len() < depth {
-            l.finished.resize(depth, None);
-        }
-        l.finished[depth - 1] = Some(report.clone());
-        report
+    fn add_metrics(&self, metrics: &mut MetricsRegistry) {
+        // How much of the op stream lineage sharing served from records.
+        metrics.add("cluster.measured.steps", self.steps);
+        metrics.add("cluster.measured.steps_simulated", self.runner.simulated);
     }
 }
 
@@ -522,9 +504,7 @@ mod tests {
                     pm_restore: parked || param % 2 == 1,
                 },
                 1 if !parked => Op::Park,
-                2 if !parked => Op::ParkToPm {
-                    seed: u64::from(param % 2),
-                },
+                2 if !parked => Op::ParkToPm,
                 3 => {
                     teardown(store, c)?;
                     continue;
@@ -546,7 +526,10 @@ mod tests {
                     c.reference.park();
                     0
                 }
-                Op::ParkToPm { seed } => c.reference.park_to_pm(seed),
+                Op::ParkToPm => {
+                    let seed = c.reference.pm_sealed_epoch().map_or(0, |e| e.raw());
+                    c.reference.park_to_pm(seed)
+                }
             };
             prop_assert_eq!(got, Record::read(&c.reference, cycles));
             same_state(store, &c, cycles)?;
@@ -584,24 +567,24 @@ mod tests {
         let first = store.apply(&mut a, invoke);
         let again = store.apply(&mut b, invoke);
         assert_eq!(first, again, "same history, same numbers");
-        assert_eq!((store.steps(), store.steps_simulated()), (4, 2));
+        assert_eq!((store.steps, store.runner.simulated), (4, 2));
         // `a` is at the tip, so its park advances the machine.
         store.apply(&mut a, Op::Park);
-        assert_eq!(store.steps_simulated(), 3);
+        assert_eq!(store.runner.simulated, 3);
         // `b` asks for an invoke where the lineage recorded a park: it
         // forks, replaying boot + invoke before running its own op.
         store.apply(&mut b, invoke);
-        assert_eq!(store.steps_simulated(), 3 + 3);
+        assert_eq!(store.runner.simulated, 3 + 3);
         assert_ne!(a.lineage, b.lineage, "divergence forks a private lineage");
         // Without a sanitizer, teardown needs no machine.
         assert!(store.release(a).is_none());
         assert!(store.release(b).is_none());
-        assert_eq!(store.steps_simulated(), 6);
+        assert_eq!(store.runner.simulated, 6);
         // The shared root survives with no holders; the fork does not.
         let (c, boot) = store.boot(0, ColdStart::Boot);
         assert_eq!(c.lineage, a.lineage);
         assert_eq!(boot, store.record(c));
-        assert_eq!(store.steps_simulated(), 6);
+        assert_eq!(store.runner.simulated, 6);
     }
 
     #[test]
@@ -612,6 +595,6 @@ mod tests {
             .map(|i| (i % CONTAINERS, (i % 3) as u8, 0))
             .collect();
         check(&mut store, &cfg, &script).expect("per-container store matches private machines");
-        assert_eq!(store.steps(), store.steps_simulated());
+        assert_eq!(store.steps, store.runner.simulated);
     }
 }

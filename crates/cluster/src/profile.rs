@@ -10,11 +10,23 @@
 //! fleet simulation then replays those numbers. Because the underlying
 //! machine is deterministic, the profile is a pure function of
 //! (spec, config) and the profiled fleet remains byte-deterministic.
+//!
+//! The Profiled service model (`Profiled`, crate-private) turns a
+//! mix's profiles into one constant cost record per (workload, container
+//! state): booted, restored, invoked, PM-restored, parked, parked to PM.
+//! It rejects a profile whose largest per-invocation charge, summed over
+//! a run, could overflow the simulated clock.
 
 use std::collections::BTreeMap;
 
 use memento_system::{SystemConfig, WarmContainer};
 use memento_workloads::spec::WorkloadSpec;
+
+use crate::arrival::WorkloadMix;
+use crate::error::ClusterError;
+use crate::model::{Op, Record, ServiceModel};
+use crate::policy::ColdStart;
+use crate::sim::MAX_CYCLES;
 
 /// Calibrated per-(workload, config) service costs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -152,6 +164,121 @@ impl ProfileTable {
     /// True when nothing has been calibrated.
     pub fn is_empty(&self) -> bool {
         self.profiles.is_empty()
+    }
+}
+
+/// A Profiled container's state: the last op that reached it.
+#[derive(Clone, Copy, Debug)]
+enum State {
+    Boot,
+    Restore,
+    Invoke,
+    PmInvoke,
+    Park,
+    PmPark,
+}
+
+/// A Profiled container's position: its workload and its state.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ProfiledPos {
+    workload: u32,
+    state: State,
+}
+
+/// The Profiled service model: one constant [`Record`] per (workload,
+/// [`State`]), precomputed in mix order from the calibrated profiles.
+pub(crate) struct Profiled {
+    records: Vec<[Record; 6]>,
+}
+
+impl Profiled {
+    /// The model for `mix` over a run of `invocations`. A workload
+    /// without a profile is [`ClusterError::MissingProfile`]. Costs that
+    /// could overflow the clock are [`ClusterError::InvalidProfile`]: the
+    /// largest cycle charge one invocation can carry, times
+    /// `invocations`, above [`MAX_CYCLES`], or a frame count above
+    /// `u32::MAX`.
+    pub(crate) fn new(
+        table: &ProfileTable,
+        mix: &WorkloadMix,
+        invocations: usize,
+    ) -> Result<Self, ClusterError> {
+        let mut records = Vec::with_capacity(mix.len());
+        for spec in mix.specs() {
+            let p = table
+                .get(&spec.name)
+                .ok_or_else(|| ClusterError::MissingProfile(spec.name.clone()))?;
+            let squeeze_floor = p.squeeze_floor_frames.min(p.idle_frames);
+            let record = |cycles| Record {
+                cycles,
+                serving_peak: p.active_frames,
+                idle_frames: p.idle_frames,
+                squeeze_floor,
+                squeeze_refault: p.squeeze_refault_cycles,
+            };
+            // In `State` order.
+            let rs = [
+                record(p.cold_cycles),
+                record(p.restore_cycles),
+                record(p.warm_cycles),
+                record(p.pm_restore_cycles),
+                record(0),
+                Record {
+                    idle_frames: p.pm_idle_frames,
+                    squeeze_floor: squeeze_floor.min(p.pm_idle_frames),
+                    ..record(p.pm_persist_cycles)
+                },
+            ];
+            let invalid = |why| ClusterError::InvalidProfile(format!("'{}': {why}", spec.name));
+            // One invocation's worst charge: its start or persist, plus
+            // a squeeze re-fault.
+            let start = rs.iter().map(|r| r.cycles).max().unwrap_or(0);
+            let charge = start.saturating_add(p.squeeze_refault_cycles);
+            if charge
+                .checked_mul(invocations as u64)
+                .is_none_or(|t| t > MAX_CYCLES)
+            {
+                return Err(invalid(format!(
+                    "{invocations} invocations of up to {charge} cycles \
+                     exceed the clock bound {MAX_CYCLES}"
+                )));
+            }
+            if rs
+                .iter()
+                .any(|r| r.serving_peak.max(r.idle_frames) > u64::from(u32::MAX))
+            {
+                return Err(invalid(format!("a frame count exceeds {}", u32::MAX)));
+            }
+            records.push(rs);
+        }
+        Ok(Profiled { records })
+    }
+}
+
+impl ServiceModel for Profiled {
+    type Pos = ProfiledPos;
+
+    fn boot(&mut self, workload: u32, kind: ColdStart) -> (ProfiledPos, Record) {
+        let state = match kind {
+            ColdStart::Boot => State::Boot,
+            ColdStart::Snapshot => State::Restore,
+        };
+        let pos = ProfiledPos { workload, state };
+        (pos, self.record(pos))
+    }
+
+    fn apply(&mut self, pos: &mut ProfiledPos, op: Op) -> Record {
+        pos.state = match op {
+            Op::Invoke { pm_restore: false } => State::Invoke,
+            Op::Invoke { pm_restore: true } => State::PmInvoke,
+            Op::Park => State::Park,
+            Op::ParkToPm => State::PmPark,
+        };
+        self.record(*pos)
+    }
+
+    fn record(&self, pos: ProfiledPos) -> Record {
+        self.records[pos.workload as usize][pos.state as usize]
     }
 }
 

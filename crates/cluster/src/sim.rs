@@ -14,9 +14,8 @@
 //!   have one total order and the loop fires the least key of the five.
 //! - All keyed state is index-based: containers live in a slab (`Vec` +
 //!   free list), per-node warm pools are dense arrays over mix indices,
-//!   and per-(workload, config) service costs are resolved to a
-//!   mix-indexed array before the first event fires. Iteration order is
-//!   array order — defined everywhere.
+//!   and service costs are read by mix index from the service model.
+//!   Iteration order is array order — defined everywhere.
 //! - The arrival sequence is a pure function of its seed and is shared by
 //!   every fleet configuration under comparison.
 //!
@@ -26,15 +25,12 @@
 //! strings. The workspace analyzer (`tools/analyzer`) bans `BTreeMap`
 //! from this file's hot paths so the flattening cannot regress silently.
 //!
-//! # Measured containers
+//! # Service models
 //!
-//! The Measured engine keeps no machine per container. A container slot
-//! holds its place in a lineage store (`crate::lineage`): one recorded
-//! op history per (workload, boot kind), with one live machine at its
-//! tip. An op some other container already ran at the same depth reads
-//! the recorded values, so each (function, op history) is simulated
-//! once per fleet, and outputs are identical to one machine per
-//! container.
+//! `Sim` reads every container cost through one seam, the service model
+//! (`crate::model`), and is generic over it; a slot holds only the
+//! container's position in the model. [`simulate`] is the only place
+//! that names an engine.
 //!
 //! # Accounting
 //!
@@ -68,9 +64,10 @@ use memento_system::SystemConfig;
 
 use crate::arrival::{Arrival, WorkloadMix};
 use crate::error::ClusterError;
-use crate::lineage::{Lineages, Op, Pos};
+use crate::lineage::Lineages;
+use crate::model::{Op, ServiceModel};
 use crate::policy::{Autoscaler, ColdStart, KeepAlive, Placement, Reclamation, RejectReason};
-use crate::profile::ProfileTable;
+use crate::profile::{ProfileTable, Profiled};
 
 /// How the simulator obtains service times and frame footprints.
 pub enum Engine {
@@ -86,20 +83,6 @@ pub enum Engine {
     /// costs. Use to scale the same scheduler/keep-alive dynamics to
     /// millions of invocations.
     Profiled(ProfileTable),
-}
-
-impl Engine {
-    /// Shapes Measured container machines to the fleet's per-node core
-    /// count, so a container's memory hierarchy matches the node hardware
-    /// it runs on. A no-op at one core (and for Profiled engines), which
-    /// keeps the single-lane fleet bit-identical to the pre-multicore
-    /// engine.
-    fn with_node_cores(self, cores: usize) -> Engine {
-        match self {
-            Engine::Measured(cfg) if cores > 1 => Engine::Measured(Box::new(cfg.with_cores(cores))),
-            other => other,
-        }
-    }
 }
 
 /// Fleet shape and policy knobs.
@@ -240,12 +223,10 @@ impl ClusterResult {
     }
 }
 
-/// Validates a run's inputs: a non-empty fleet and mix, a calibrated
-/// profile for every workload in the mix (Profiled engine), no trace
-/// file (Measured engine), time-sorted arrivals that index into the mix,
-/// and arrival times and policy delays within [`MAX_CYCLES`].
+/// Validates a run's engine-independent inputs: a non-empty fleet and
+/// mix, time-sorted arrivals that index into the mix, and arrival times
+/// and policy delays within [`MAX_CYCLES`].
 fn validate(
-    engine: &Engine,
     cfg: &ClusterConfig,
     mix: &WorkloadMix,
     arrivals: &[Arrival],
@@ -327,22 +308,6 @@ fn validate(
             "TTL of {longest_ttl} cycles exceeds the clock bound {MAX_CYCLES}"
         )));
     }
-    match engine {
-        Engine::Profiled(table) => {
-            for spec in mix.specs() {
-                if table.get(&spec.name).is_none() {
-                    return Err(ClusterError::MissingProfile(spec.name.clone()));
-                }
-            }
-        }
-        // Container machines share op histories, so a machine's outputs
-        // must depend on nothing but that history: no file side effects.
-        Engine::Measured(sys) => {
-            if let Some(path) = sys.trace.as_ref().and_then(|t| t.path.as_ref()) {
-                return Err(ClusterError::MeasuredTraceFile(path.clone()));
-            }
-        }
-    }
     let mut prev = 0;
     for (i, a) in arrivals.iter().enumerate() {
         if a.workload >= mix.len() {
@@ -373,80 +338,64 @@ fn validate(
 /// it to quiescence, serially on the calling thread. The arrival slice
 /// must be time-sorted (as [`crate::arrival::generate_arrivals`]
 /// produces) and every arrival must index into `mix`; anything else is
-/// [`ClusterError::InvalidArrivals`].
+/// [`ClusterError::InvalidArrivals`]. A Profiled engine needs a profile
+/// for every workload in the mix ([`ClusterError::MissingProfile`]) whose
+/// costs keep the clock within [`MAX_CYCLES`] over the run
+/// ([`ClusterError::InvalidProfile`]); a Measured engine must not name a
+/// trace file ([`ClusterError::MeasuredTraceFile`]).
 pub fn simulate(
     engine: Engine,
     cfg: &ClusterConfig,
     mix: &WorkloadMix,
     arrivals: &[Arrival],
 ) -> Result<ClusterResult, ClusterError> {
-    validate(&engine, cfg, mix, arrivals)?;
-    let costs = Costs::resolve(engine.with_node_cores(cfg.cores_per_node), mix);
-    let mut sim = Sim::new(costs, cfg, mix);
-    sim.run(arrivals);
-    Ok(sim.finish())
-}
-
-/// Mix-indexed service costs, resolved once before the first event so the
-/// per-invocation hot path never touches a string-keyed table.
-#[derive(Clone, Copy, Debug)]
-struct ProfileCosts {
-    cold_cycles: u64,
-    warm_cycles: u64,
-    active_frames: u64,
-    idle_frames: u64,
-    restore_cycles: u64,
-    squeeze_floor_frames: u64,
-    squeeze_refault_cycles: u64,
-    pm_restore_cycles: u64,
-    pm_persist_cycles: u64,
-    pm_idle_frames: u64,
-}
-
-/// The engine with lookups pre-resolved for the hot path.
-enum Costs {
-    Measured(Lineages),
-    Profiled(Vec<ProfileCosts>),
-}
-
-impl Costs {
-    /// Resolves a validated engine into mix-index order.
-    fn resolve(engine: Engine, mix: &WorkloadMix) -> Costs {
-        match engine {
-            Engine::Measured(cfg) => Costs::Measured(Lineages::new(cfg, mix)),
-            Engine::Profiled(table) => Costs::Profiled(
-                mix.specs()
-                    .iter()
-                    .map(|spec| {
-                        let p = table
-                            .get(&spec.name)
-                            .expect("profiles validated before simulate");
-                        ProfileCosts {
-                            cold_cycles: p.cold_cycles,
-                            warm_cycles: p.warm_cycles,
-                            active_frames: p.active_frames,
-                            idle_frames: p.idle_frames,
-                            restore_cycles: p.restore_cycles,
-                            squeeze_floor_frames: p.squeeze_floor_frames,
-                            squeeze_refault_cycles: p.squeeze_refault_cycles,
-                            pm_restore_cycles: p.pm_restore_cycles,
-                            pm_persist_cycles: p.pm_persist_cycles,
-                            pm_idle_frames: p.pm_idle_frames,
-                        }
-                    })
-                    .collect(),
-            ),
+    validate(cfg, mix, arrivals)?;
+    match engine {
+        Engine::Measured(sys) => {
+            // Container machines share op histories, so a machine's
+            // outputs must depend on nothing but that history: no file
+            // side effects.
+            if let Some(path) = sys.trace.as_ref().and_then(|t| t.path.as_ref()) {
+                return Err(ClusterError::MeasuredTraceFile(path.clone()));
+            }
+            // Machines take the node's core count, so a container's
+            // memory hierarchy matches the node hardware; one core keeps
+            // the config as it is.
+            let cores = cfg.cores_per_node;
+            let sys = if cores > 1 {
+                Box::new(sys.with_cores(cores))
+            } else {
+                sys
+            };
+            Ok(run(Lineages::new(sys, mix), cfg, mix, arrivals))
+        }
+        Engine::Profiled(table) => {
+            let model = Profiled::new(&table, mix, arrivals.len())?;
+            Ok(run(model, cfg, mix, arrivals))
         }
     }
+}
+
+/// Runs the fleet over validated inputs on one service model.
+fn run<M: ServiceModel>(
+    model: M,
+    cfg: &ClusterConfig,
+    mix: &WorkloadMix,
+    arrivals: &[Arrival],
+) -> ClusterResult {
+    let mut sim = Sim::new(model, cfg, mix);
+    sim.run(arrivals);
+    sim.finish()
 }
 
 /// Sentinel for "no warm container" in a node's dense warm array.
 const NO_WARM: u32 = u32::MAX;
 
 /// Largest arrival time, keep-alive TTL, autoscaler interval or spin-up
-/// delay a run accepts, in cycles. Every deadline is `now + delay`; with
-/// arrivals and delays at most 2^62, the clock keeps 2^63 cycles of
-/// headroom for accumulated service time before that sum could overflow.
+/// delay a run accepts, in cycles, and the bound on a Profiled run's
+/// total service charge. Every deadline is `now + delay`; with arrivals,
+/// delays and accumulated service time each at most 2^62, their sum
+/// cannot overflow the clock.
 pub const MAX_CYCLES: u64 = 1 << 62;
 
 #[derive(Clone, Copy, Debug)]
@@ -492,34 +441,27 @@ enum NodeState {
     Off,
 }
 
-/// One container slab slot.
-struct Slot {
+/// One container slab slot, generic over the service model's position.
+struct Slot<P> {
     live: bool,
-    workload: u32,
     node: u32,
     /// Frames currently charged to the fleet footprint.
     contrib: u64,
     /// True while pressure reclamation holds this idle-warm container at
-    /// its squeeze floor; cleared by the next warm start (which pays the
-    /// re-fault bill) and at retirement.
+    /// its record's squeeze floor; cleared by the next warm start (which
+    /// pays the record's re-fault bill) and at retirement.
     squeezed: bool,
-    /// Unreclaimable floor charged while squeezed (audit ground truth).
-    squeeze_floor: u64,
-    /// Re-fault cycles the next warm start owes for the squeezed frames.
-    squeeze_refault: u64,
-    /// True while the idle container sits parked in persistent memory
-    /// (its DRAM contribution is the profile's `pm_idle_frames`); cleared
-    /// by the next warm start, which pays the PM restore premium.
+    /// True while the idle container sits parked in persistent memory;
+    /// cleared by the next warm start, which pays the PM restore premium.
     pm_parked: bool,
-    /// The container's place in the Measured engine's lineage store
-    /// (unused on Profiled slots). Machines live in the store, not in
-    /// the slot, which keeps the slot a compact POD and the Profiled
-    /// engine's slab walks cache-dense.
-    pos: Pos,
+    /// The container's place in the service model. Costs live in the
+    /// model, not in the slot, which keeps the slot a compact POD and the
+    /// slab walks cache-dense.
+    pos: P,
 }
 
-struct Sim<'a> {
-    costs: Costs,
+struct Sim<'a, M: ServiceModel> {
+    model: M,
     cfg: &'a ClusterConfig,
     mix: &'a WorkloadMix,
     /// One seq counter shared by all five event sources, allocated in
@@ -598,7 +540,7 @@ struct Sim<'a> {
     pm_restores: u64,
     /// Background PM write cycles parks generated (off the latency path).
     pm_persist_cycles: u64,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<M::Pos>>,
     free: Vec<u32>,
     /// Sanitizer findings absorbed from retired Measured machines (plus
     /// the ones still live at drain), merged into the fleet audit — a
@@ -698,8 +640,8 @@ fn reject_index(reason: RejectReason) -> usize {
     }
 }
 
-impl<'a> Sim<'a> {
-    fn new(costs: Costs, cfg: &'a ClusterConfig, mix: &'a WorkloadMix) -> Self {
+impl<'a, M: ServiceModel> Sim<'a, M> {
+    fn new(model: M, cfg: &'a ClusterConfig, mix: &'a WorkloadMix) -> Self {
         // With an autoscaler, every array is sized for the controller's
         // hardware bound; nodes beyond the initial fleet start `Off`.
         let total_nodes = match cfg.autoscaler {
@@ -722,7 +664,7 @@ impl<'a> Sim<'a> {
             .collect();
         let lanes = total_nodes * cfg.cores_per_node;
         let mut sim = Sim {
-            costs,
+            model,
             cfg,
             mix,
             next_seq: 0,
@@ -944,9 +886,11 @@ impl<'a> Sim<'a> {
 
     /// Makes `slot` the idle-warm container of entry `widx` (unsqueezed,
     /// no deadline yet) and returns the container it displaced, if any.
+    /// A container parked in persistent memory holds no squeezable DRAM,
+    /// so it is no squeeze candidate.
     #[inline]
     fn put_warm(&mut self, widx: usize, slot: u32) -> u32 {
-        if self.squeeze_on {
+        if self.squeeze_on && !self.slots[slot as usize].pm_parked {
             self.squeezable[widx / 64] |= 1 << (widx % 64);
         }
         std::mem::replace(&mut self.warm[widx], slot)
@@ -1028,17 +972,35 @@ impl<'a> Sim<'a> {
         let (slot, service) = if warm_slot != NO_WARM {
             self.take_warm(widx);
             self.warm_starts += 1;
-            let (cycles, active) = self.invoke_warm(warm_slot);
-            self.set_contrib(warm_slot, active);
-            (warm_slot, cycles)
+            let c = &mut self.slots[warm_slot as usize];
+            debug_assert!(c.live, "warm slot is live");
+            // A squeezed container pays its re-fault bill here: the frames
+            // pressure reclamation took must page back in before serving.
+            let refault = if std::mem::take(&mut c.squeezed) {
+                self.model.record(c.pos).squeeze_refault
+            } else {
+                0
+            };
+            // A PM-parked container pays the restore premium: recovery
+            // plus sealed-image replay (or demand refault on baselines) on
+            // top of the warm service time.
+            let pm_restore = std::mem::take(&mut c.pm_parked);
+            self.pm_restores += u64::from(pm_restore);
+            let r = self.model.apply(&mut c.pos, Op::Invoke { pm_restore });
+            self.set_contrib(warm_slot, r.serving_peak);
+            (warm_slot, r.cycles + refault)
         } else {
+            // A full cold boot, or a REAP-style snapshot restore whose
+            // stable working set is prefetched instead of rebuilt (its
+            // service time lands between a warm hit and a cold boot).
             self.cold_starts += 1;
             if self.cfg.cold_start == ColdStart::Snapshot {
                 self.restores += 1;
             }
-            let (slot, cycles, active) = self.boot(node, workload, self.cfg.cold_start);
-            self.set_contrib(slot, active);
-            (slot, cycles)
+            let (pos, r) = self.model.boot(workload, self.cfg.cold_start);
+            let slot = self.alloc_slot(node, pos);
+            self.set_contrib(slot, r.serving_peak);
+            (slot, r.cycles)
         };
         if self.squeeze_on {
             self.squeeze_pass();
@@ -1061,168 +1023,36 @@ impl<'a> Sim<'a> {
 
     /// Allocates a slab slot for a fresh container (recycling retired
     /// slots).
-    fn alloc_slot(&mut self, workload: u32, node: usize, pos: Pos) -> u32 {
+    fn alloc_slot(&mut self, node: usize, pos: M::Pos) -> u32 {
         self.live_count += 1;
-        if let Some(slot) = self.free.pop() {
-            let c = &mut self.slots[slot as usize];
-            debug_assert!(!c.live, "free list must only hold retired slots");
-            c.live = true;
-            c.workload = workload;
+        let fresh = Slot {
+            live: true,
             // lint:allow(narrowing-cast-in-hot-path): node indexes cfg.nodes, far below 2^32
-            c.node = node as u32;
-            c.contrib = 0;
-            c.squeezed = false;
-            c.squeeze_floor = 0;
-            c.squeeze_refault = 0;
-            c.pm_parked = false;
-            c.pos = pos;
+            node: node as u32,
+            contrib: 0,
+            squeezed: false,
+            pm_parked: false,
+            pos,
+        };
+        if let Some(slot) = self.free.pop() {
+            debug_assert!(
+                !self.slots[slot as usize].live,
+                "free list must only hold retired slots"
+            );
+            self.slots[slot as usize] = fresh;
             slot
         } else {
-            self.slots.push(Slot {
-                live: true,
-                workload,
-                // lint:allow(narrowing-cast-in-hot-path): node indexes cfg.nodes, far below 2^32
-                node: node as u32,
-                contrib: 0,
-                squeezed: false,
-                squeeze_floor: 0,
-                squeeze_refault: 0,
-                pm_parked: false,
-                pos,
-            });
+            self.slots.push(fresh);
             // lint:allow(narrowing-cast-in-hot-path): slot count is bounded by live containers < 2^32
             (self.slots.len() - 1) as u32
         }
-    }
-
-    /// Brings up a fresh container: a full cold boot, or a REAP-style
-    /// snapshot restore whose stable working set is prefetched instead
-    /// of rebuilt, so its service time lands strictly between a warm hit
-    /// and a cold boot. Returns the slot, the service cycles and the
-    /// serving footprint.
-    fn boot(&mut self, node: usize, workload: u32, kind: ColdStart) -> (u32, u64, u64) {
-        let (pos, cycles, active) = match &mut self.costs {
-            Costs::Measured(lineages) => {
-                let (pos, r) = lineages.boot(workload, kind);
-                (pos, r.cycles, r.serving_peak_pages)
-            }
-            Costs::Profiled(costs) => {
-                let p = &costs[workload as usize];
-                let cycles = match kind {
-                    ColdStart::Boot => p.cold_cycles,
-                    ColdStart::Snapshot => p.restore_cycles,
-                };
-                (Pos::default(), cycles, p.active_frames)
-            }
-        };
-        let slot = self.alloc_slot(workload, node, pos);
-        (slot, cycles, active)
-    }
-
-    fn invoke_warm(&mut self, slot: u32) -> (u64, u64) {
-        let c = &mut self.slots[slot as usize];
-        debug_assert!(c.live, "warm slot is live");
-        // A squeezed container pays its re-fault bill here: the frames
-        // pressure reclamation took must page back in before serving.
-        let refault = if c.squeezed {
-            c.squeezed = false;
-            c.squeeze_refault
-        } else {
-            0
-        };
-        // A PM-parked container pays the restore premium: recovery plus
-        // sealed-image replay (or demand refault on baselines) on top of
-        // the warm service time.
-        let pm_parked = std::mem::take(&mut c.pm_parked);
-        let workload = c.workload;
-        if pm_parked {
-            self.pm_restores += 1;
-        }
-        match &mut self.costs {
-            Costs::Measured(lineages) => {
-                let op = Op::Invoke {
-                    pm_restore: pm_parked,
-                };
-                let r = lineages.apply(&mut self.slots[slot as usize].pos, op);
-                (r.cycles + refault, r.serving_peak_pages)
-            }
-            Costs::Profiled(costs) => {
-                let p = &costs[workload as usize];
-                let base = if pm_parked {
-                    p.pm_restore_cycles
-                } else {
-                    p.warm_cycles
-                };
-                (base + refault, p.active_frames)
-            }
-        }
-    }
-
-    /// Parks the container (sheds the pool's free reserve on Measured
-    /// machines) and returns its idle-warm unreclaimable footprint.
-    fn park_idle(&mut self, slot: u32) -> u64 {
-        let c = &mut self.slots[slot as usize];
-        match &mut self.costs {
-            Costs::Measured(lineages) => lineages.apply(&mut c.pos, Op::Park).unreclaimable_pages,
-            Costs::Profiled(costs) => costs[c.workload as usize].idle_frames,
-        }
-    }
-
-    /// Non-mutating ground-truth recount for the drain audit. Idle
-    /// containers were parked when they went warm, so on Measured machines
-    /// this reads the same unreclaimable count `park_idle` charged. A
-    /// squeezed container is held at its squeeze floor — that *is* the
-    /// ground truth while pressure reclamation has its data pages.
-    fn idle_frames(&self, slot: u32) -> u64 {
-        let c = &self.slots[slot as usize];
-        if c.squeezed {
-            return c.squeeze_floor;
-        }
-        // A PM-parked container's image and working set live in PM, not
-        // DRAM — that *is* the ground truth while it sits parked.
-        if c.pm_parked {
-            return match &self.costs {
-                Costs::Measured(_) => 0,
-                Costs::Profiled(costs) => costs[c.workload as usize].pm_idle_frames,
-            };
-        }
-        match &self.costs {
-            Costs::Measured(lineages) => lineages.record(c.pos).unreclaimable_pages,
-            Costs::Profiled(costs) => costs[c.workload as usize].idle_frames,
-        }
-    }
-
-    /// Parks an idle container to persistent memory: checkpoints its
-    /// Memento state (Measured machines run the real crash-consistent
-    /// protocol, audit included when the sanitizer is on; Profiled replays
-    /// the calibrated costs) and drops its DRAM contribution to the PM
-    /// idle footprint. The persist cycles are background PM write traffic,
-    /// accumulated off the latency path.
-    fn park_to_pm_slot(&mut self, slot: u32) {
-        let (persist, pm_idle) = match &mut self.costs {
-            Costs::Measured(lineages) => {
-                let pos = &mut self.slots[slot as usize].pos;
-                // Seed the crash-injection audit from the container's own
-                // checkpoint history — a pure function of its op history.
-                let seed = lineages.record(*pos).pm_sealed_epoch.unwrap_or(0);
-                (lineages.apply(pos, Op::ParkToPm { seed }).cycles, 0)
-            }
-            Costs::Profiled(costs) => {
-                let p = &costs[self.slots[slot as usize].workload as usize];
-                (p.pm_persist_cycles, p.pm_idle_frames)
-            }
-        };
-        self.pm_persist_cycles += persist;
-        self.pm_parks += 1;
-        self.slots[slot as usize].pm_parked = true;
-        self.set_contrib(slot, pm_idle);
     }
 
     /// Squeezy-style pressure pass: while the fleet footprint sits above
     /// the watermark, squeeze idle-warm containers (warm-matrix index
     /// order — deterministic) down to their unreclaimable floor. The
     /// squeezed container stays warm; its next warm start repays the
-    /// evicted frames through [`Self::invoke_warm`]'s re-fault bill.
+    /// evicted frames through its record's re-fault bill.
     fn squeeze_pass(&mut self) {
         let Reclamation::Squeeze { watermark_frames } = self.cfg.reclamation else {
             return;
@@ -1245,31 +1075,14 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Squeezes the idle-warm container of warm entry `widx`.
+    /// Squeezes the idle-warm container of warm entry `widx` to its
+    /// record's floor.
     fn squeeze(&mut self, widx: usize) {
         self.squeezable[widx / 64] &= !(1 << (widx % 64));
         let slot = self.warm[widx];
-        let (floor, refault) = match &self.costs {
-            Costs::Profiled(costs) => {
-                let c = &self.slots[slot as usize];
-                let p = &costs[c.workload as usize];
-                (
-                    p.squeeze_floor_frames.min(c.contrib),
-                    p.squeeze_refault_cycles,
-                )
-            }
-            Costs::Measured(lineages) => {
-                let c = &self.slots[slot as usize];
-                let r = lineages.record(c.pos);
-                let idle = c.contrib;
-                let floor = r.squeeze_floor_pages.min(idle);
-                (floor, (idle - floor) * r.squeeze_refault_unit_cycles)
-            }
-        };
         let c = &mut self.slots[slot as usize];
         c.squeezed = true;
-        c.squeeze_floor = floor;
-        c.squeeze_refault = refault;
+        let floor = self.model.record(c.pos).squeeze_floor;
         self.squeezed += 1;
         self.set_contrib(slot, floor);
     }
@@ -1430,16 +1243,25 @@ impl<'a> Sim<'a> {
         // The container goes idle-warm: park it (shed the pool's free
         // reserve back to the OS) and charge only what stays
         // unreclaimable, then let the keep-alive policy decide its fate.
-        let idle = self.park_idle(slot);
+        let pos = &mut self.slots[slot as usize].pos;
+        let idle = self.model.apply(pos, Op::Park).idle_frames;
         self.set_contrib(slot, idle);
         let ttl = match self.cfg.keep_alive {
             KeepAlive::None | KeepAlive::Infinite => None,
             KeepAlive::Fixed(d) => Some(d),
             KeepAlive::ParkToPM { ttl_cycles } => {
-                // Park the idle container's state into persistent memory:
-                // near-zero DRAM while idle, a calibrated PM restore on
+                // Park the idle container's state into persistent memory
+                // (Measured machines run the real crash-consistent
+                // checkpoint): near-zero DRAM while idle, a PM restore on
                 // the next hit, eviction when the retention TTL lapses.
-                self.park_to_pm_slot(slot);
+                // The persist cycles are background PM write traffic, off
+                // the latency path.
+                let c = &mut self.slots[slot as usize];
+                let r = self.model.apply(&mut c.pos, Op::ParkToPm);
+                c.pm_parked = true;
+                self.pm_persist_cycles += r.cycles;
+                self.pm_parks += 1;
+                self.set_contrib(slot, r.idle_frames);
                 Some(ttl_cycles)
             }
             // KiSS-style: TTL inversely proportional to the parked
@@ -1504,10 +1326,8 @@ impl<'a> Sim<'a> {
         c.live = false;
         c.squeezed = false;
         c.pm_parked = false;
-        if let Costs::Measured(lineages) = &mut self.costs {
-            if let Some(report) = lineages.release(c.pos) {
-                absorb(&mut self.machine_audit, &report);
-            }
+        if let Some(report) = self.model.release(c.pos) {
+            absorb(&mut self.machine_audit, &report);
         }
         self.free.push(slot);
         self.live_count -= 1;
@@ -1540,9 +1360,13 @@ impl<'a> Sim<'a> {
                 live_min = live_min.min(deadline);
             }
             let bit = self.squeezable[widx / 64] >> (widx % 64) & 1 == 1;
+            let candidate = idle_warm && {
+                let c = &self.slots[slot as usize];
+                !c.squeezed && !c.pm_parked
+            };
             assert!(
-                bit == (self.squeeze_on && idle_warm && !self.slots[slot as usize].squeezed),
-                "warm entry {widx}: squeeze bit exactly while squeezing, idle-warm and unsqueezed"
+                bit == (self.squeeze_on && candidate),
+                "warm entry {widx}: squeeze bit exactly while squeezing, idle-warm, unsqueezed and not PM-parked"
             );
         }
         assert!(
@@ -1575,19 +1399,22 @@ impl<'a> Sim<'a> {
             },
             true,
         );
-        // Recount from the engine's ground truth, not from `contrib` —
-        // this is what catches incremental-accounting drift.
-        // lint:allow(narrowing-cast-in-hot-path): slot count is bounded by live containers < 2^32
-        let live: Vec<u32> = (0..self.slots.len() as u32)
-            .filter(|s| self.slots[*s as usize].live)
-            .collect();
-        let per_node: Vec<(usize, u64)> = live
-            .into_iter()
-            .map(|slot| {
-                (
-                    self.slots[slot as usize].node as usize,
-                    self.idle_frames(slot),
-                )
+        // Recount from the model's records, not from `contrib` — this is
+        // what catches incremental-accounting drift. A live container idles
+        // at the record it parked with, or at that record's squeeze floor
+        // while pressure reclamation has its data pages.
+        let per_node: Vec<(usize, u64)> = self
+            .slots
+            .iter()
+            .filter(|c| c.live)
+            .map(|c| {
+                let r = self.model.record(c.pos);
+                let frames = if c.squeezed {
+                    r.squeeze_floor
+                } else {
+                    r.idle_frames
+                };
+                (c.node as usize, frames)
             })
             .collect();
         auditor.audit_fleet_frames(self.next_seq, self.fleet_now, per_node);
@@ -1616,11 +1443,9 @@ impl<'a> Sim<'a> {
         // Machines still live at drain keep their sanitizer findings too:
         // fold them in so fleet cleanliness covers every container, not
         // just the retired ones.
-        if let Costs::Measured(lineages) = &self.costs {
-            for c in self.slots.iter().filter(|c| c.live) {
-                if let Some(report) = lineages.report(c.pos) {
-                    absorb(&mut self.machine_audit, report);
-                }
+        for c in self.slots.iter().filter(|c| c.live) {
+            if let Some(report) = self.model.report(c.pos) {
+                absorb(&mut self.machine_audit, report);
             }
         }
 
@@ -1649,15 +1474,7 @@ impl<'a> Sim<'a> {
             metrics.add("cluster.scale_downs", self.scale_downs);
             metrics.set("cluster.peak_active_nodes", self.peak_active_nodes);
         }
-        // Measured runs show how much of the op stream lineage sharing
-        // served from records; Profiled renders stay byte-identical.
-        if let Costs::Measured(lineages) = &self.costs {
-            metrics.add("cluster.measured.steps", lineages.steps());
-            metrics.add(
-                "cluster.measured.steps_simulated",
-                lineages.steps_simulated(),
-            );
-        }
+        self.model.add_metrics(&mut metrics);
         metrics.set("cluster.peak_fleet_frames", self.fleet_peak);
         metrics.set("cluster.final_fleet_frames", self.fleet_now);
         metrics.set("cluster.makespan_cycles", self.now);
@@ -1676,11 +1493,7 @@ impl<'a> Sim<'a> {
             }
         }
         let mut audit = auditor.into_report();
-        audit.violations.extend(self.machine_audit.violations);
-        audit.events += self.machine_audit.events;
-        audit.ops += self.machine_audit.ops;
-        audit.audits += self.machine_audit.audits;
-        audit.oracle_ops += self.machine_audit.oracle_ops;
+        absorb(&mut audit, &self.machine_audit);
 
         ClusterResult {
             submitted: self.submitted,
@@ -2428,6 +2241,94 @@ mod tests {
     }
 
     #[test]
+    fn pm_parked_containers_are_not_squeezed() {
+        // A container parked in persistent memory keeps no squeezable
+        // DRAM, so squeezing at a zero watermark finds no candidate under
+        // park-to-PM on either engine, and every latency matches the same
+        // fleet without reclamation.
+        let mix = two_mix();
+        let base = ClusterConfig {
+            nodes: 2,
+            queue_capacity: 4,
+            keep_alive: KeepAlive::ParkToPM {
+                ttl_cycles: 1 << 40,
+            },
+            ..ClusterConfig::default()
+        };
+        let squeeze = ClusterConfig {
+            reclamation: Reclamation::Squeeze {
+                watermark_frames: 0,
+            },
+            ..base.clone()
+        };
+        let engines: [(&dyn Fn() -> Engine, u64); 2] = [
+            (&|| Engine::Profiled(synthetic_table(&mix)), 400),
+            (&|| Engine::Measured(Box::new(SystemConfig::memento())), 60),
+        ];
+        for (engine, count) in engines {
+            let arrivals = generate_arrivals(
+                &ArrivalConfig {
+                    seed: 29,
+                    count,
+                    mean_interarrival_cycles: 60_000.0,
+                },
+                &mix,
+            )
+            .expect("valid arrivals");
+            let run = |cfg: &ClusterConfig| {
+                simulate(engine(), cfg, &mix, &arrivals).expect("valid cluster run")
+            };
+            let (lax, squeezed) = (run(&base), run(&squeeze));
+            assert!(lax.pm_restores > 0, "warm hits revive parked containers");
+            assert_eq!(squeezed.squeezed, 0, "parked containers are no candidates");
+            assert_eq!(squeezed.latencies, lax.latencies);
+            assert_eq!(squeezed.peak_fleet_frames, lax.peak_fleet_frames);
+            assert!(squeezed.is_clean(), "{}", squeezed.audit);
+        }
+    }
+
+    #[test]
+    fn overflowing_profile_costs_are_typed_errors() {
+        let mix = two_mix();
+        let arrivals = generate_arrivals(
+            &ArrivalConfig {
+                seed: 1,
+                count: 10,
+                mean_interarrival_cycles: 1_000.0,
+            },
+            &mix,
+        )
+        .expect("valid arrivals");
+        let cfg = ClusterConfig {
+            keep_alive: KeepAlive::None,
+            ..ClusterConfig::default()
+        };
+        let run = |edit: &dyn Fn(&mut ServiceProfile)| {
+            let mut table = synthetic_table(&mix);
+            let mut p = table.get("aes").expect("calibrated").clone();
+            edit(&mut p);
+            table.insert(p);
+            simulate(Engine::Profiled(table), &cfg, &mix, &arrivals)
+        };
+        // Ten cold starts at a twentieth of the bound each stay within it.
+        let r = run(&|p| p.cold_cycles = MAX_CYCLES / 20).expect("charges within the bound");
+        assert_eq!(r.completed, 10);
+        assert!(r.is_clean(), "{}", r.audit);
+        let huge = u64::MAX / 2;
+        let bad: [&dyn Fn(&mut ServiceProfile); 4] = [
+            &|p| (p.warm_cycles, p.cold_cycles) = (huge, huge),
+            &|p| p.cold_cycles = MAX_CYCLES / 5,
+            &|p| p.squeeze_refault_cycles = huge,
+            &|p| p.idle_frames = u64::from(u32::MAX) + 1,
+        ];
+        for edit in bad {
+            let err = run(edit).err().expect("must fail");
+            assert!(matches!(err, ClusterError::InvalidProfile(_)), "{err}");
+            assert!(err.to_string().contains("'aes'"), "{err}");
+        }
+    }
+
+    #[test]
     fn autoscaler_tracks_load_up_and_down() {
         // A dense arrival burst against a 1-node floor must spin nodes up
         // (bounded by max_nodes) and drain them back once the burst
@@ -2822,10 +2723,12 @@ mod tests {
         } else {
             sys.clone()
         };
-        let costs = Costs::Measured(Lineages::per_container(Box::new(sys), mix));
-        let mut sim = Sim::new(costs, cfg, mix);
-        sim.run(arrivals);
-        sim.finish()
+        run(
+            Lineages::per_container(Box::new(sys), mix),
+            cfg,
+            mix,
+            arrivals,
+        )
     }
 
     /// Every observable output of two runs, except the count of ops that

@@ -14,18 +14,18 @@
 //!
 //! # Determinism
 //!
-//! Like [`crate::arrival::generate_arrivals`], everything is a pure
-//! function of the seed. Two properties are load-bearing:
+//! Everything is a pure function of the seed. Two properties are
+//! load-bearing:
 //!
 //! - Intensities are *integers* (ppm) computed with integer arithmetic —
 //!   no `sin`/`cos`/`exp`, whose libm implementations vary across
 //!   platforms. The diurnal curve is a piecewise-linear triangle wave.
 //! - When a candidate lands where `intensity == peak`, the accept draw is
 //!   **skipped** (it would accept with probability 1). A [`UniformTrace`]
-//!   therefore consumes exactly the same random-number stream as
-//!   [`crate::arrival::generate_arrivals`] and produces a byte-identical
-//!   arrival sequence — the fixed-fleet Poisson goldens are unchanged by
-//!   construction, not by luck.
+//!   therefore draws one gap and one workload per arrival: the
+//!   homogeneous Poisson process
+//!   [`crate::arrival::generate_arrivals`] returns, which is this
+//!   generator over a [`UniformTrace`].
 
 use crate::arrival::{Arrival, ArrivalConfig, WorkloadMix};
 use crate::error::ClusterError;
@@ -53,8 +53,8 @@ pub trait ArrivalTrace {
     fn label(&self) -> String;
 }
 
-/// The homogeneous trace: intensity 1.0× everywhere. Byte-identical to
-/// [`crate::arrival::generate_arrivals`] under [`generate_trace`].
+/// The homogeneous trace: intensity 1.0× everywhere.
+/// [`crate::arrival::generate_arrivals`] is [`generate_trace`] over it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UniformTrace;
 
@@ -267,8 +267,26 @@ impl ArrivalTrace for EmpiricalTrace {
     }
 }
 
-/// Validates a trace's envelope for thinning.
-fn validate_trace(trace: &dyn ArrivalTrace) -> Result<u64, ClusterError> {
+/// Draws a full arrival sequence from a non-homogeneous Poisson process
+/// with the trace's intensity profile, by Lewis–Shedler thinning against
+/// the trace's peak intensity. A pure function of
+/// `(cfg, mix, trace)`; times strictly increase.
+///
+/// For a [`UniformTrace`] the accept test is never drawn (intensity
+/// equals the envelope everywhere), so the output is a homogeneous
+/// Poisson process ([`crate::arrival::generate_arrivals`]). Generic, so
+/// a concrete trace's intensity is called directly, not through a vtable.
+pub fn generate_trace<T: ArrivalTrace + ?Sized>(
+    cfg: &ArrivalConfig,
+    mix: &WorkloadMix,
+    trace: &T,
+) -> Result<Vec<Arrival>, ClusterError> {
+    // Rejects NaN, infinities, zero, and negatives in one test.
+    if !cfg.mean_interarrival_cycles.is_finite() || cfg.mean_interarrival_cycles <= 0.0 {
+        return Err(ClusterError::InvalidArrivalRate(
+            cfg.mean_interarrival_cycles,
+        ));
+    }
     let peak = trace.peak_ppm();
     if peak == 0 {
         return Err(ClusterError::InvalidTrace(format!(
@@ -276,29 +294,6 @@ fn validate_trace(trace: &dyn ArrivalTrace) -> Result<u64, ClusterError> {
             trace.label()
         )));
     }
-    Ok(peak)
-}
-
-/// Draws a full arrival sequence from a non-homogeneous Poisson process
-/// with the trace's intensity profile, by Lewis–Shedler thinning against
-/// the trace's peak intensity. A pure function of
-/// `(cfg, mix, trace)`; times strictly increase.
-///
-/// For a [`UniformTrace`] the accept test is never drawn (intensity
-/// equals the envelope everywhere), so the output — and the underlying
-/// random stream — is byte-identical to
-/// [`crate::arrival::generate_arrivals`].
-pub fn generate_trace(
-    cfg: &ArrivalConfig,
-    mix: &WorkloadMix,
-    trace: &dyn ArrivalTrace,
-) -> Result<Vec<Arrival>, ClusterError> {
-    if !cfg.mean_interarrival_cycles.is_finite() || cfg.mean_interarrival_cycles <= 0.0 {
-        return Err(ClusterError::InvalidArrivalRate(
-            cfg.mean_interarrival_cycles,
-        ));
-    }
-    let peak = validate_trace(trace)?;
     // Candidates arrive at the envelope rate: base rate × peak multiplier,
     // i.e. mean gap shrunk by peak/PPM.
     let candidate_mean = cfg.mean_interarrival_cycles * PPM as f64 / peak as f64;
@@ -307,16 +302,16 @@ pub fn generate_trace(
     let mut t = 0u64;
     let mut id = 0u64;
     while id < cfg.count {
-        // Identical draw structure to `generate_arrivals`: exponential gap
-        // via inverse transform, u ∈ [0, 1) keeps ln finite.
+        // Exponential gap via inverse transform; u ∈ [0, 1) keeps ln
+        // finite.
         let u = rng.gen_range(0.0..1.0);
         let gap = (-candidate_mean * (1.0 - u).ln()).round() as u64;
         t += gap.max(1);
         let lam = trace.intensity_ppm(t);
         debug_assert!(lam <= peak, "trace intensity exceeds its claimed peak");
         if lam < peak {
-            // Thinning accept test — skipped at full intensity so the
-            // uniform trace replays generate_arrivals' exact rng stream.
+            // Thinning accept test — skipped at full intensity, so a
+            // uniform trace draws one gap and one workload per arrival.
             let a = rng.gen_range(0.0..1.0);
             if a * peak as f64 >= lam as f64 {
                 continue;
@@ -339,6 +334,27 @@ mod tests {
     use crate::arrival::generate_arrivals;
     use memento_workloads::suite;
 
+    /// A plain homogeneous Poisson generator (one exponential gap and one
+    /// workload draw per arrival): the oracle the uniform path is checked
+    /// against.
+    fn poisson_oracle(cfg: &ArrivalConfig, mix: &WorkloadMix) -> Vec<Arrival> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut arrivals = Vec::with_capacity(cfg.count as usize);
+        let mut t = 0u64;
+        for id in 0..cfg.count {
+            let u = rng.gen_range(0.0..1.0);
+            let gap = (-cfg.mean_interarrival_cycles * (1.0 - u).ln()).round() as u64;
+            t += gap.max(1);
+            let workload = mix.sample(&mut rng);
+            arrivals.push(Arrival {
+                id,
+                time: t,
+                workload,
+            });
+        }
+        arrivals
+    }
+
     fn two_mix() -> WorkloadMix {
         WorkloadMix::uniform(vec![
             suite::by_name("aes").expect("known workload"),
@@ -355,9 +371,13 @@ mod tests {
             mean_interarrival_cycles: 7_000.0,
         };
         let mix = two_mix();
-        let poisson = generate_arrivals(&cfg, &mix).expect("valid");
         let traced = generate_trace(&cfg, &mix, &UniformTrace).expect("valid");
-        assert_eq!(poisson, traced, "uniform trace must replay the generator");
+        assert_eq!(
+            poisson_oracle(&cfg, &mix),
+            traced,
+            "uniform trace must replay the generator"
+        );
+        assert_eq!(generate_arrivals(&cfg, &mix).expect("valid"), traced);
     }
 
     #[test]
