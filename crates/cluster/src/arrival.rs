@@ -8,9 +8,17 @@
 //! slowing the offered load, which is the failure mode the tail-latency
 //! evaluation exists to measure.
 //!
+//! # Determinism
+//!
 //! Everything is a pure function of the seed: the same
 //! [`ArrivalConfig`] produces byte-identical arrival sequences on every
 //! run, so baseline and Memento fleets can be offered the *same* traffic.
+//! [`generate_arrivals`] is [`generate_trace`] over a [`UniformTrace`],
+//! whose single piece never ends (see [`crate::trace`]), so it draws one
+//! gap and one workload per arrival. A workload draw picks the first
+//! bucket whose cumulative weight exceeds a uniform `u`, computed as a
+//! branchless count of the weights at or below `u`; the two agree on
+//! every draw (see `WorkloadMix::index`).
 
 use crate::error::ClusterError;
 use crate::trace::{generate_trace, UniformTrace};
@@ -75,8 +83,28 @@ impl WorkloadMix {
         self.specs.is_empty()
     }
 
+    /// Draws one workload index.
+    #[inline]
     pub(crate) fn sample(&self, rng: &mut StdRng) -> usize {
-        let u = rng.gen_range(0.0..1.0);
+        self.index(rng.gen_range(0.0..1.0))
+    }
+
+    /// The mix index a uniform draw `u ∈ [0, 1)` selects: the first
+    /// bucket whose cumulative weight exceeds `u`. The cumulative weights
+    /// only fall where float drift carried one past 1.0 and the last is
+    /// clamped back to 1.0, and `u` lies below both; so that index is
+    /// the number of weights at or below `u` — a branchless count, where
+    /// an early-exit scan would mispredict its exit on most draws.
+    #[inline]
+    fn index(&self, u: f64) -> usize {
+        let below: usize = self.cumulative.iter().map(|&c| usize::from(c <= u)).sum();
+        below.min(self.specs.len() - 1)
+    }
+
+    /// The early-exit scan [`Self::index`] replaces: the oracle it is
+    /// checked against.
+    #[cfg(test)]
+    pub(crate) fn scan_index(&self, u: f64) -> usize {
         self.cumulative
             .iter()
             .position(|c| u < *c)
@@ -123,6 +151,7 @@ pub fn generate_arrivals(
 mod tests {
     use super::*;
     use memento_workloads::suite;
+    use rand::SeedableRng;
 
     fn two_mix() -> WorkloadMix {
         WorkloadMix::uniform(vec![
@@ -185,6 +214,43 @@ mod tests {
         let first = arrivals.iter().filter(|a| a.workload == 0).count();
         let share = first as f64 / arrivals.len() as f64;
         assert!((0.72..0.78).contains(&share), "3:1 mix share was {share}");
+    }
+
+    #[test]
+    fn branchless_sample_equals_the_linear_scan() {
+        let spec = || suite::by_name("aes").expect("known workload");
+        let weight_sets: [&[f64]; 6] = [
+            &[1.0],
+            &[0.0, 1.0, 0.0, 2.0, 0.0],
+            // Float drift: these shares sum to 0.9999999999999999, so the
+            // last bucket is raised to 1.0 ...
+            &[0.1, 0.2, 0.3],
+            // ... and these pass 1.0 one bucket early, so the zero-weight
+            // last bucket is clamped below its predecessor.
+            &[0.3, 0.3, 0.3, 0.1, 0.0],
+            &[1.0; 7],
+            &[1e-300, 3.0, 1e-17, 0.0, 7.0, 0.0],
+        ];
+        let mut rng = StdRng::seed_from_u64(9);
+        for weights in weight_sets {
+            let mix = WorkloadMix::weighted(weights.iter().map(|&w| (spec(), w)).collect())
+                .expect("positive total");
+            // Every cumulative boundary and its float neighbours, plus
+            // random draws.
+            let mut us: Vec<f64> = vec![0.0, f64::from_bits(1.0f64.to_bits() - 1)];
+            for &c in &mix.cumulative {
+                for bits in [c.to_bits().saturating_sub(1), c.to_bits(), c.to_bits() + 1] {
+                    let u = f64::from_bits(bits);
+                    if (0.0..1.0).contains(&u) {
+                        us.push(u);
+                    }
+                }
+            }
+            us.extend((0..10_000).map(|_| rng.gen_range(0.0..1.0)));
+            for u in us {
+                assert_eq!(mix.index(u), mix.scan_index(u), "u = {u} in {weights:?}");
+            }
+        }
     }
 
     #[test]

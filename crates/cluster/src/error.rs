@@ -25,8 +25,8 @@ pub enum ClusterError {
     InvalidProfile(String),
     /// The arrival process has a non-positive mean inter-arrival time.
     InvalidArrivalRate(f64),
-    /// An arrival trace is malformed (zero peak intensity, or an
-    /// intensity above its declared peak).
+    /// An arrival trace is malformed (zero or saturated peak intensity,
+    /// or intensity arithmetic that would overflow 64 bits).
     InvalidTrace(String),
     /// An autoscaler configuration is malformed (zero interval or
     /// target, empty node range, a range the fleet shape violates, or an
@@ -42,7 +42,7 @@ pub enum ClusterError {
     MeasuredTraceFile(std::path::PathBuf),
     /// The arrival slice is not time-sorted, an arrival names a workload
     /// outside the mix, or an arrival time exceeds
-    /// [`crate::sim::MAX_CYCLES`].
+    /// [`crate::sim::MAX_CYCLES`] (also when a generator would draw one).
     InvalidArrivals(String),
 }
 

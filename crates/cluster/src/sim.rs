@@ -214,7 +214,9 @@ impl ClusterResult {
         if self.latencies.is_empty() {
             return 0.0;
         }
-        self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
+        // Summed in 128 bits: latencies near the clock bound overflow u64.
+        let total: u128 = self.latencies.iter().map(|&l| u128::from(l)).sum();
+        total as f64 / self.latencies.len() as f64
     }
 
     /// True when the drain-time conservation audits found no violation.
@@ -2326,6 +2328,47 @@ mod tests {
             assert!(matches!(err, ClusterError::InvalidProfile(_)), "{err}");
             assert!(err.to_string().contains("'aes'"), "{err}");
         }
+    }
+
+    #[test]
+    fn latency_sums_past_u64_do_not_overflow() {
+        // One node queues 1,000 starts of MAX_CYCLES / 2000 each: charges
+        // total half the clock bound, the last arrival waits about that
+        // long, and the latencies sum past u64::MAX.
+        let mix = two_mix();
+        let arrivals = generate_arrivals(
+            &ArrivalConfig {
+                seed: 3,
+                count: 1_000,
+                mean_interarrival_cycles: 1_000.0,
+            },
+            &mix,
+        )
+        .expect("valid arrivals");
+        let cfg = ClusterConfig {
+            nodes: 1,
+            queue_capacity: 2_000,
+            keep_alive: KeepAlive::None,
+            ..ClusterConfig::default()
+        };
+        let mut table = synthetic_table(&mix);
+        for spec in mix.specs() {
+            let mut p = table.get(&spec.name).expect("calibrated").clone();
+            (p.warm_cycles, p.cold_cycles) = (MAX_CYCLES / 2000, MAX_CYCLES / 2000);
+            table.insert(p);
+        }
+        let r = simulate(Engine::Profiled(table), &cfg, &mix, &arrivals)
+            .expect("charges within the bound");
+        assert_eq!(r.completed, 1_000);
+        assert!(r.is_clean(), "{}", r.audit);
+        let total: u128 = r.latencies.iter().map(|&l| u128::from(l)).sum();
+        assert!(total > u128::from(u64::MAX), "the run must pass u64");
+        assert_eq!(r.mean_latency(), total as f64 / 1_000.0);
+        let hist = r.metrics.hist("cluster.latency_cycles").expect("recorded");
+        assert_eq!(hist.sum(), total);
+        assert_eq!(hist.mean(), r.mean_latency());
+        let (p50, _, p99) = hist.percentiles();
+        assert!(p50 <= p99 && p99 <= 2 * r.latencies[999], "{p50} {p99}");
     }
 
     #[test]

@@ -14,12 +14,23 @@
 //!
 //! # Determinism
 //!
-//! Everything is a pure function of the seed. Two properties are
+//! Everything is a pure function of the seed. Three properties are
 //! load-bearing:
 //!
 //! - Intensities are *integers* (ppm) computed with integer arithmetic —
 //!   no `sin`/`cos`/`exp`, whose libm implementations vary across
 //!   platforms. The diurnal curve is a piecewise-linear triangle wave.
+//! - Every intensity comes from a [`Piece`]: a stretch of time on which
+//!   the trace is one integer formula `(base ± num·(t − origin)/den)·mult`.
+//!   A diurnal half-day, an empirical hourly segment and a flash-crowd
+//!   burst window (intersected with its base trace's piece) are each one
+//!   piece, and a trace's [`ArrivalTrace::intensity_ppm`] is its
+//!   `piece(t).at(t)`. [`generate_trace`] fetches a piece only when a
+//!   candidate passes the current one's end, checks once per piece that
+//!   the formula cannot overflow, and then evaluates it per candidate
+//!   with no division: the quotient comes from a reciprocal fixed per
+//!   piece plus one exact correction step. The arrivals are the ones the
+//!   from-scratch formulas give, bit for bit.
 //! - When a candidate lands where `intensity == peak`, the accept draw is
 //!   **skipped** (it would accept with probability 1). A [`UniformTrace`]
 //!   therefore draws one gap and one workload per arrival: the
@@ -29,11 +40,125 @@
 
 use crate::arrival::{Arrival, ArrivalConfig, WorkloadMix};
 use crate::error::ClusterError;
+use crate::sim::MAX_CYCLES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One million ppm: the base arrival rate, unmodulated.
 pub const PPM: u64 = 1_000_000;
+
+/// A stretch of time on which a trace is one integer formula:
+/// `intensity(t) = (base ± num·(t − origin) / den) · mult`, with the
+/// quotient rounded down, for every `t` from the time the piece was
+/// asked for up to (not including) [`Piece::end`].
+///
+/// [`ArrivalTrace::piece`] hands these out, and [`generate_trace`]
+/// evaluates one per thinning candidate instead of recomputing the
+/// trace's phase, segment and quotients from scratch.
+#[derive(Clone, Copy, Debug)]
+pub struct Piece {
+    origin: u64,
+    base: u64,
+    num: u64,
+    den: u64,
+    /// `floor(2^64 / den)`, or `u64::MAX` for `den == 1`: the quotient
+    /// estimate it gives is the true quotient or one less.
+    recip: u64,
+    falling: bool,
+    mult: u64,
+    end: u64,
+}
+
+impl Piece {
+    fn linear(origin: u64, base: u64, num: u64, den: u64, falling: bool, end: u64) -> Self {
+        let den = den.max(1);
+        let recip = ((1u128 << 64) / u128::from(den)).min(u128::from(u64::MAX)) as u64;
+        Piece {
+            origin,
+            base,
+            num,
+            den,
+            recip,
+            falling,
+            mult: 1,
+            end,
+        }
+    }
+
+    /// The constant `value`, valid until `end`.
+    pub(crate) fn constant(value: u64, end: u64) -> Self {
+        Piece::linear(0, value, 0, 1, false, end)
+    }
+
+    /// `base + num·(t − origin)/den` (a `den` of 0 counts as 1), valid
+    /// from `origin` until `end`.
+    pub(crate) fn rising(origin: u64, base: u64, num: u64, den: u64, end: u64) -> Self {
+        Piece::linear(origin, base, num, den, false, end)
+    }
+
+    /// `base − num·(t − origin)/den` (a `den` of 0 counts as 1), valid
+    /// from `origin` until `end`.
+    pub(crate) fn falling(origin: u64, base: u64, num: u64, den: u64, end: u64) -> Self {
+        Piece::linear(origin, base, num, den, true, end)
+    }
+
+    /// This piece multiplied by `mult` (saturating: a product past
+    /// `u64::MAX` fails [`generate_trace`]'s overflow check).
+    pub(crate) fn scaled(self, mult: u64) -> Self {
+        Piece {
+            mult: self.mult.saturating_mul(mult),
+            ..self
+        }
+    }
+
+    /// This piece cut short at `end` if it would run past it.
+    pub(crate) fn until(self, end: u64) -> Self {
+        Piece {
+            end: self.end.min(end),
+            ..self
+        }
+    }
+
+    /// The first cycle the piece no longer covers.
+    pub fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// The intensity at `t`, for `t` in the piece (`origin <= t < end`).
+    /// Division-free: `⌊n/den⌋` is `⌊n·recip/2^64⌋`, which is exact or one
+    /// short, plus one when the remainder it leaves is still `>= den`.
+    #[inline]
+    pub fn at(&self, t: u64) -> u64 {
+        let n = self.num * (t - self.origin);
+        let est = ((u128::from(n) * u128::from(self.recip)) >> 64) as u64;
+        let q = est + u64::from(n - est * self.den >= self.den);
+        let v = if self.falling {
+            self.base - q
+        } else {
+            self.base + q
+        };
+        v * self.mult
+    }
+
+    /// [`Self::at`] in checked arithmetic with a true division: `None`
+    /// where the formula overflows at `t` (or `t` precedes the origin).
+    fn checked_at(&self, t: u64) -> Option<u64> {
+        let q = self.num.checked_mul(t.checked_sub(self.origin)?)? / self.den;
+        let v = if self.falling {
+            self.base.checked_sub(q)?
+        } else {
+            self.base.checked_add(q)?
+        };
+        v.checked_mul(self.mult)
+    }
+
+    /// True when the formula stays in range on every cycle from `t`
+    /// through `last`. The value is monotone in `t` and the product
+    /// `num·(t − origin)` grows with it, so the two ends decide.
+    fn fits(&self, t: u64, last: u64) -> bool {
+        self.checked_at(t).is_some() && self.checked_at(last).is_some()
+    }
+}
 
 /// A deterministic time-varying arrival-intensity profile.
 ///
@@ -42,11 +167,25 @@ pub const PPM: u64 = 1_000_000;
 pub trait ArrivalTrace {
     /// Instantaneous intensity at simulated cycle `t`, as a
     /// parts-per-million multiplier of the base rate ([`PPM`] = 1.0×).
+    /// The traces in this module compute it as `self.piece(t).at(t)`.
     fn intensity_ppm(&self, t: u64) -> u64;
+
+    /// The piece of the trace that covers `t`: a formula that equals
+    /// [`Self::intensity_ppm`] on every cycle from `t` until its end,
+    /// which must lie after `t`. The provided default is the one-cycle
+    /// constant piece at `intensity_ppm(t)`, which is correct for any
+    /// trace. The traces in this crate return whole half-days, hourly
+    /// segments and burst windows, so [`generate_trace`] skips the
+    /// per-candidate recomputation; a wrapper trace may forward its inner
+    /// trace's pieces.
+    fn piece(&self, t: u64) -> Piece {
+        Piece::constant(self.intensity_ppm(t), t.saturating_add(1))
+    }
 
     /// The maximum of [`Self::intensity_ppm`] over all `t` — the thinning
     /// envelope. Must be an exact upper bound: an instant whose intensity
-    /// exceeds the claimed peak would be silently under-sampled.
+    /// exceeds the claimed peak would be silently under-sampled. A peak
+    /// that saturates at `u64::MAX` is rejected by [`generate_trace`].
     fn peak_ppm(&self) -> u64;
 
     /// Stable label for report tables.
@@ -59,8 +198,12 @@ pub trait ArrivalTrace {
 pub struct UniformTrace;
 
 impl ArrivalTrace for UniformTrace {
-    fn intensity_ppm(&self, _t: u64) -> u64 {
-        PPM
+    fn intensity_ppm(&self, t: u64) -> u64 {
+        self.piece(t).at(t)
+    }
+
+    fn piece(&self, _t: u64) -> Piece {
+        Piece::constant(PPM, u64::MAX)
     }
 
     fn peak_ppm(&self) -> u64 {
@@ -90,14 +233,23 @@ pub struct DiurnalTrace {
 
 impl ArrivalTrace for DiurnalTrace {
     fn intensity_ppm(&self, t: u64) -> u64 {
+        self.piece(t).at(t)
+    }
+
+    /// The rising half-day `[day start, mid-day]` or the falling one
+    /// `(mid-day, next day start)`.
+    fn piece(&self, t: u64) -> Piece {
         let day = self.day_cycles.max(2);
         let phase = t % day;
         let half = day / 2;
+        let start = t - phase;
         let swing = self.peak_ppm.saturating_sub(self.trough_ppm);
         if phase <= half {
-            self.trough_ppm + swing * phase / half
+            let end = start.saturating_add(half + 1);
+            Piece::rising(start, self.trough_ppm, swing, half, end)
         } else {
-            self.peak_ppm - swing * (phase - half) / (day - half)
+            let end = start.saturating_add(day);
+            Piece::falling(start + half, self.peak_ppm, swing, day - half, end)
         }
     }
 
@@ -126,26 +278,29 @@ pub struct FlashCrowd<T> {
     pub multiplier: u64,
 }
 
-impl<T: ArrivalTrace> FlashCrowd<T> {
-    /// True when `t` falls inside a burst window.
-    fn in_burst(&self, t: u64) -> bool {
-        let period = self.period_cycles.max(1);
-        t % period < self.burst_cycles.min(period)
-    }
-}
-
 impl<T: ArrivalTrace> ArrivalTrace for FlashCrowd<T> {
     fn intensity_ppm(&self, t: u64) -> u64 {
-        let base = self.base.intensity_ppm(t);
-        if self.in_burst(t) {
-            base * self.multiplier.max(1)
+        self.piece(t).at(t)
+    }
+
+    /// The base trace's piece, scaled inside a burst window and cut at
+    /// the window's end (or at the next onset outside one).
+    fn piece(&self, t: u64) -> Piece {
+        let base = self.base.piece(t);
+        let period = self.period_cycles.max(1);
+        let phase = t % period;
+        let onset = t - phase;
+        let burst = self.burst_cycles.min(period);
+        if phase < burst {
+            base.scaled(self.multiplier.max(1))
+                .until(onset.saturating_add(burst))
         } else {
-            base
+            base.until(onset.saturating_add(period))
         }
     }
 
     fn peak_ppm(&self) -> u64 {
-        self.base.peak_ppm() * self.multiplier.max(1)
+        self.base.peak_ppm().saturating_mul(self.multiplier.max(1))
     }
 
     fn label(&self) -> String {
@@ -235,21 +390,30 @@ impl EmpiricalTrace {
 
 impl ArrivalTrace for EmpiricalTrace {
     fn intensity_ppm(&self, t: u64) -> u64 {
+        self.piece(t).at(t)
+    }
+
+    /// One hourly segment. Sample `i` interpolates from `⌊i·day/n⌋`
+    /// toward the next sample (wrapping) and covers the phases whose
+    /// `⌊phase·n/day⌋` is `i`: `[⌈i·day/n⌉, ⌈(i+1)·day/n⌉)`. The products
+    /// are taken in 128 bits, so no day length overflows them.
+    fn piece(&self, t: u64) -> Piece {
         let n = self.rates_ppm.len() as u64;
         let day = self.day_cycles;
         let phase = t % day;
-        // Sample i covers [i*day/n, (i+1)*day/n); interpolate toward the
-        // next sample (wrapping) with pure integer arithmetic.
-        let idx = (phase * n / day).min(n - 1);
-        let seg_start = idx * day / n;
-        let seg_len = ((idx + 1) * day / n - seg_start).max(1);
-        let off = phase - seg_start;
+        let start = t - phase;
+        let wide = |i: u64| u128::from(i) * u128::from(day);
+        let idx = (u128::from(phase) * u128::from(n) / u128::from(day)) as u64;
+        let seg_start = (wide(idx) / u128::from(n)) as u64;
+        let seg_len = ((wide(idx + 1) / u128::from(n)) as u64 - seg_start).max(1);
+        let covered = wide(idx + 1).div_ceil(u128::from(n)) as u64;
+        let end = start.saturating_add(covered);
         let a = self.rates_ppm[idx as usize];
         let b = self.rates_ppm[((idx + 1) % n) as usize];
         if b >= a {
-            a + (b - a) * off / seg_len
+            Piece::rising(start + seg_start, a, b - a, seg_len, end)
         } else {
-            a - (a - b) * off / seg_len
+            Piece::falling(start + seg_start, a, a - b, seg_len, end)
         }
     }
 
@@ -267,6 +431,36 @@ impl ArrivalTrace for EmpiricalTrace {
     }
 }
 
+/// Rounds `x >= 0` half away from zero, as `x.round() as u64` does, but
+/// without the libm call (baseline x86-64 has no rounding instruction)
+/// and without a branch on the fraction, which is a coin flip. Exact:
+/// below 2^53 the fraction `x - ⌊x⌋` is representable, and above it `x`
+/// is already an integer; past `u64::MAX` (and at +∞) both saturate.
+#[inline]
+fn round_gap(x: f64) -> u64 {
+    let i = x as u64;
+    i.saturating_add(u64::from(x - i as f64 >= 0.5))
+}
+
+/// The piece of `trace` covering candidate time `t`, checked once: its
+/// formula must stay in 64-bit range up to its end or [`MAX_CYCLES`],
+/// whichever comes first.
+fn checked_piece<T: ArrivalTrace + ?Sized>(trace: &T, t: u64) -> Result<Piece, ClusterError> {
+    let piece = trace.piece(t);
+    debug_assert!(
+        piece.end > t,
+        "a trace piece must cover the cycle it was asked for"
+    );
+    if !piece.fits(t, piece.end.min(MAX_CYCLES + 1) - 1) {
+        return Err(ClusterError::InvalidTrace(format!(
+            "trace '{}' overflows 64-bit intensity arithmetic on cycles {t}..{}",
+            trace.label(),
+            piece.end
+        )));
+    }
+    Ok(piece)
+}
+
 /// Draws a full arrival sequence from a non-homogeneous Poisson process
 /// with the trace's intensity profile, by Lewis–Shedler thinning against
 /// the trace's peak intensity. A pure function of
@@ -275,7 +469,12 @@ impl ArrivalTrace for EmpiricalTrace {
 /// For a [`UniformTrace`] the accept test is never drawn (intensity
 /// equals the envelope everywhere), so the output is a homogeneous
 /// Poisson process ([`crate::arrival::generate_arrivals`]). Generic, so
-/// a concrete trace's intensity is called directly, not through a vtable.
+/// a concrete trace's pieces are fetched directly, not through a vtable.
+///
+/// Fails with [`ClusterError::InvalidTrace`] when the trace's peak is 0
+/// or saturates, or a piece's arithmetic would overflow, and with
+/// [`ClusterError::InvalidArrivals`] when a candidate would land past
+/// [`MAX_CYCLES`] before `cfg.count` arrivals are drawn.
 pub fn generate_trace<T: ArrivalTrace + ?Sized>(
     cfg: &ArrivalConfig,
     mix: &WorkloadMix,
@@ -288,10 +487,11 @@ pub fn generate_trace<T: ArrivalTrace + ?Sized>(
         ));
     }
     let peak = trace.peak_ppm();
-    if peak == 0 {
+    if peak == 0 || peak == u64::MAX {
         return Err(ClusterError::InvalidTrace(format!(
-            "trace '{}' has zero peak intensity",
-            trace.label()
+            "trace '{}' has {} peak intensity",
+            trace.label(),
+            if peak == 0 { "zero" } else { "an overflowing" }
         )));
     }
     // Candidates arrive at the envelope rate: base rate × peak multiplier,
@@ -301,13 +501,27 @@ pub fn generate_trace<T: ArrivalTrace + ?Sized>(
     let mut arrivals = Vec::with_capacity(cfg.count as usize);
     let mut t = 0u64;
     let mut id = 0u64;
+    // An empty piece: the first candidate fetches the real one.
+    let mut piece = Piece::constant(0, 0);
+    let mut end = 0;
     while id < cfg.count {
         // Exponential gap via inverse transform; u ∈ [0, 1) keeps ln
         // finite.
         let u = rng.gen_range(0.0..1.0);
-        let gap = (-candidate_mean * (1.0 - u).ln()).round() as u64;
-        t += gap.max(1);
-        let lam = trace.intensity_ppm(t);
+        let gap = round_gap(-candidate_mean * (1.0 - u).ln());
+        t = t.saturating_add(gap.max(1));
+        if t >= end {
+            // `end` never passes MAX_CYCLES + 1, so the clock bound is
+            // checked here, once per piece, not once per candidate.
+            if t > MAX_CYCLES {
+                return Err(ClusterError::InvalidArrivals(format!(
+                    "arrival {id} would land at cycle {t}, past the clock bound {MAX_CYCLES}"
+                )));
+            }
+            piece = checked_piece(trace, t)?;
+            end = piece.end.min(MAX_CYCLES + 1);
+        }
+        let lam = piece.at(t);
         debug_assert!(lam <= peak, "trace intensity exceeds its claimed peak");
         if lam < peak {
             // Thinning accept test — skipped at full intensity, so a
@@ -334,9 +548,11 @@ mod tests {
     use crate::arrival::generate_arrivals;
     use memento_workloads::suite;
 
+    use proptest::prelude::*;
+
     /// A plain homogeneous Poisson generator (one exponential gap and one
-    /// workload draw per arrival): the oracle the uniform path is checked
-    /// against.
+    /// workload draw per arrival), with libm `round` and the early-exit
+    /// mix scan: the oracle the uniform path is checked against.
     fn poisson_oracle(cfg: &ArrivalConfig, mix: &WorkloadMix) -> Vec<Arrival> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut arrivals = Vec::with_capacity(cfg.count as usize);
@@ -345,7 +561,7 @@ mod tests {
             let u = rng.gen_range(0.0..1.0);
             let gap = (-cfg.mean_interarrival_cycles * (1.0 - u).ln()).round() as u64;
             t += gap.max(1);
-            let workload = mix.sample(&mut rng);
+            let workload = mix.scan_index(rng.gen_range(0.0..1.0));
             arrivals.push(Arrival {
                 id,
                 time: t,
@@ -573,6 +789,401 @@ mod tests {
         assert!(matches!(
             generate_trace(&bad_rate, &mix, &UniformTrace),
             Err(ClusterError::InvalidArrivalRate(_))
+        ));
+    }
+
+    /// The from-scratch intensity formulas the pieces replaced, kept as
+    /// the oracle every piece is checked against.
+    trait Oracle {
+        fn oracle(&self, t: u64) -> u64;
+    }
+
+    impl Oracle for UniformTrace {
+        fn oracle(&self, _t: u64) -> u64 {
+            PPM
+        }
+    }
+
+    impl Oracle for DiurnalTrace {
+        fn oracle(&self, t: u64) -> u64 {
+            let day = self.day_cycles.max(2);
+            let phase = t % day;
+            let half = day / 2;
+            let swing = self.peak_ppm.saturating_sub(self.trough_ppm);
+            if phase <= half {
+                self.trough_ppm + swing * phase / half
+            } else {
+                self.peak_ppm - swing * (phase - half) / (day - half)
+            }
+        }
+    }
+
+    impl<T: Oracle> Oracle for FlashCrowd<T> {
+        fn oracle(&self, t: u64) -> u64 {
+            let base = self.base.oracle(t);
+            let period = self.period_cycles.max(1);
+            if t % period < self.burst_cycles.min(period) {
+                base * self.multiplier.max(1)
+            } else {
+                base
+            }
+        }
+    }
+
+    impl Oracle for EmpiricalTrace {
+        fn oracle(&self, t: u64) -> u64 {
+            let n = self.rates_ppm.len() as u64;
+            let day = self.day_cycles;
+            let phase = t % day;
+            let idx = (phase * n / day).min(n - 1);
+            let seg_start = idx * day / n;
+            let seg_len = ((idx + 1) * day / n - seg_start).max(1);
+            let off = phase - seg_start;
+            let a = self.rates_ppm[idx as usize];
+            let b = self.rates_ppm[((idx + 1) % n) as usize];
+            if b >= a {
+                a + (b - a) * off / seg_len
+            } else {
+                a - (a - b) * off / seg_len
+            }
+        }
+    }
+
+    /// `trace.piece(t)` must equal the oracle on every cycle of
+    /// `[t, end)` (exhaustively near both ends and at `probe` inside),
+    /// and at `end` the next piece must take over.
+    fn check_piece<T: ArrivalTrace + Oracle>(
+        trace: &T,
+        t: u64,
+        probe: u64,
+    ) -> Result<(), TestCaseError> {
+        let piece = trace.piece(t);
+        let end = piece.end();
+        prop_assert!(end > t, "piece at {} ends at {}", t, end);
+        let span = end - t;
+        let edge = span.min(512);
+        let points = (t..t + edge)
+            .chain(end - edge..end)
+            .chain([t + probe % span]);
+        for p in points {
+            prop_assert_eq!(piece.at(p), trace.oracle(p), "cycle {} of {:?}", p, piece);
+            prop_assert_eq!(trace.intensity_ppm(p), trace.oracle(p));
+        }
+        prop_assert_eq!(trace.piece(end).at(end), trace.oracle(end));
+        Ok(())
+    }
+
+    fn arb_diurnal() -> impl Strategy<Value = DiurnalTrace> {
+        (0u64..10_000_000, 0u64..4_000_000, 0u64..4_000_000).prop_map(|(day, trough, peak)| {
+            DiurnalTrace {
+                day_cycles: day,
+                trough_ppm: trough,
+                peak_ppm: peak,
+            }
+        })
+    }
+
+    fn arb_empirical() -> impl Strategy<Value = EmpiricalTrace> {
+        (0u64..10_000_000, collection::vec(0u64..4_000_000, 1..30)).prop_map(|(day, mut rates)| {
+            rates[0] += 1;
+            EmpiricalTrace::new(day, rates).expect("non-zero table")
+        })
+    }
+
+    /// Every cycle within one of an edge: `start + offset ± 1` for each
+    /// offset. Pieces end at these edges, so off-by-one errors show here.
+    fn around(start: u64, offsets: &[u64]) -> Vec<u64> {
+        offsets
+            .iter()
+            .flat_map(|&o| {
+                let e = start + o;
+                [e.saturating_sub(1), e, e + 1]
+            })
+            .collect()
+    }
+
+    fn flash<T>(base: T, (period, burst, multiplier): (u64, u64, u64)) -> FlashCrowd<T> {
+        FlashCrowd {
+            base,
+            period_cycles: period,
+            burst_cycles: burst,
+            multiplier,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn diurnal_pieces_match_the_oracle(
+            trace in arb_diurnal(),
+            (t, probe) in (0u64..1 << 36, any::<u64>()),
+        ) {
+            let day = trace.day_cycles.max(2);
+            for p in around(t - t % day, &[0, day / 2, day]).into_iter().chain([t]) {
+                check_piece(&trace, p, probe)?;
+            }
+            check_piece(&UniformTrace, t, probe)?;
+        }
+
+        #[test]
+        fn empirical_pieces_match_the_oracle(
+            trace in arb_empirical(),
+            (t, probe) in (0u64..1 << 36, any::<u64>()),
+        ) {
+            // Segment `k` starts at ⌊k·day/n⌋ and is entered at ⌈k·day/n⌉.
+            let (day, n) = (trace.day_cycles, trace.samples() as u64);
+            let k = t % n + 1;
+            let edges = [(k - 1) * day / n, k * day / n, (k * day).div_ceil(n), day];
+            for p in around(t - t % day, &edges).into_iter().chain([t]) {
+                check_piece(&trace, p, probe)?;
+            }
+        }
+
+        #[test]
+        fn flash_crowd_pieces_match_the_oracle(
+            diurnal in arb_diurnal(),
+            empirical in arb_empirical(),
+            (period, burst, multiplier) in (0u64..2_000_000, 0u64..3_000_000, 0u64..9),
+            (t, probe) in (0u64..1 << 36, any::<u64>()),
+        ) {
+            let shape = (period, burst, multiplier);
+            let period = period.max(1);
+            for p in around(t - t % period, &[0, burst.min(period), period]).into_iter().chain([t]) {
+                check_piece(&flash(diurnal, shape), p, probe)?;
+                check_piece(&flash(empirical.clone(), shape), p, probe)?;
+                check_piece(&flash(UniformTrace, shape), p, probe)?;
+                check_piece(&flash(flash(diurnal, shape), shape), p, probe)?;
+            }
+        }
+
+        #[test]
+        fn reciprocal_division_is_exact(n in any::<u64>(), den in 1u64..u64::MAX) {
+            let piece = Piece::rising(0, 0, 1, den, u64::MAX);
+            prop_assert_eq!(piece.at(n), n / den);
+            prop_assert_eq!(Piece::rising(0, 0, 1, n.max(1), u64::MAX).at(n), n / n.max(1));
+        }
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact_at_the_edges() {
+        let dens = [
+            1,
+            2,
+            3,
+            7,
+            1 << 32,
+            (1 << 32) + 1,
+            u64::MAX / 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for den in dens {
+            let piece = Piece::rising(0, 0, 1, den, u64::MAX);
+            for n in [
+                0,
+                1,
+                den - 1,
+                den,
+                den.saturating_add(1),
+                u64::MAX - 1,
+                u64::MAX,
+            ] {
+                assert_eq!(piece.at(n), n / den, "{n} / {den}");
+            }
+        }
+    }
+
+    #[test]
+    fn round_gap_matches_libm_round() {
+        let mut xs = vec![
+            -0.0,
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9_007_199_254_740_993.0,
+            1.8e19,
+            1e300,
+            f64::INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        xs.extend((0..100_000).map(|_| -3_000.0 * (1.0 - rng.gen_range(0.0..1.0)).ln()));
+        for x in xs {
+            assert_eq!(round_gap(x), x.round() as u64, "x = {x}");
+        }
+    }
+
+    /// FNV-1a over every arrival's id, time and workload index.
+    fn arrivals_digest(arrivals: &[Arrival]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for a in arrivals {
+            for word in [a.id, a.time, a.workload as u64] {
+                for b in word.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Pins `generate_trace` output for every trace shape, over a mix with
+    /// a zero-weight entry. The digests were recorded with the
+    /// from-scratch intensity formulas, libm `round` and the early-exit
+    /// mix scan; pieces, branchless rounding and the branchless mix count
+    /// must reproduce them bit for bit.
+    #[test]
+    fn generated_traces_match_recorded_digests() {
+        let cfg = ArrivalConfig {
+            seed: 2024,
+            count: 20_000,
+            mean_interarrival_cycles: 3_000.0,
+        };
+        let mix = WorkloadMix::weighted(vec![
+            (suite::by_name("aes").expect("known workload"), 3.0),
+            (suite::by_name("html").expect("known workload"), 0.0),
+            (suite::by_name("US").expect("known workload"), 1.0),
+            (suite::by_name("jl").expect("known workload"), 0.7),
+        ])
+        .expect("non-empty mix");
+        let day = 6_000_000;
+        let diurnal = DiurnalTrace {
+            day_cycles: day,
+            trough_ppm: 250_000,
+            peak_ppm: 1_000_000,
+        };
+        let flash = FlashCrowd {
+            base: diurnal,
+            period_cycles: 900_000,
+            burst_cycles: 120_000,
+            multiplier: 4,
+        };
+        // A day that 24 hours do not divide: segment bounds are not whole.
+        let azure = FlashCrowd {
+            base: EmpiricalTrace::azure_day(day + 7),
+            period_cycles: 900_000,
+            burst_cycles: 120_000,
+            multiplier: 3,
+        };
+        let empirical = EmpiricalTrace::azure_day(day / 3);
+        let traces: [(&str, &dyn ArrivalTrace, &str); 5] = [
+            ("uniform", &UniformTrace, "081be4528957d243"),
+            ("diurnal", &diurnal, "f2fa0baca6921842"),
+            ("flash-diurnal", &flash, "290f2d3e573af321"),
+            ("flash-azure", &azure, "10c66dff462a8019"),
+            ("empirical", &empirical, "37c371ecf47e076e"),
+        ];
+        for (label, trace, want) in traces {
+            let arrivals = generate_trace(&cfg, &mix, trace).expect("valid");
+            assert_eq!(arrivals.len(), 20_000);
+            assert_eq!(
+                format!("{:016x}", arrivals_digest(&arrivals)),
+                want,
+                "{label} arrivals changed"
+            );
+        }
+    }
+
+    /// A trace that states only its intensity, as one defined outside
+    /// this crate would: it gets the provided one-cycle pieces.
+    struct IntensityOnly<T>(T);
+
+    impl<T: ArrivalTrace> ArrivalTrace for IntensityOnly<T> {
+        fn intensity_ppm(&self, t: u64) -> u64 {
+            self.0.intensity_ppm(t)
+        }
+
+        fn peak_ppm(&self) -> u64 {
+            self.0.peak_ppm()
+        }
+
+        fn label(&self) -> String {
+            self.0.label()
+        }
+    }
+
+    #[test]
+    fn provided_pieces_replay_the_same_arrivals() {
+        let cfg = ArrivalConfig {
+            seed: 17,
+            count: 5_000,
+            mean_interarrival_cycles: 2_000.0,
+        };
+        let trace = FlashCrowd {
+            base: EmpiricalTrace::azure_day(1_000_003),
+            period_cycles: 200_000,
+            burst_cycles: 30_000,
+            multiplier: 3,
+        };
+        assert_eq!(
+            generate_trace(&cfg, &two_mix(), &IntensityOnly(trace.clone())).expect("valid"),
+            generate_trace(&cfg, &two_mix(), &trace).expect("valid"),
+        );
+    }
+
+    fn slow_config(mean: f64) -> ArrivalConfig {
+        ArrivalConfig {
+            seed: 1,
+            count: 100,
+            mean_interarrival_cycles: mean,
+        }
+    }
+
+    #[test]
+    fn candidates_past_the_clock_bound_are_typed_errors() {
+        let cfg = slow_config(1e18);
+        assert!(matches!(
+            generate_trace(&cfg, &two_mix(), &UniformTrace),
+            Err(ClusterError::InvalidArrivals(_))
+        ));
+        // Just inside the bound every arrival is kept.
+        let fits = ArrivalConfig {
+            count: 4,
+            ..slow_config(1e17)
+        };
+        let arrivals = generate_trace(&fits, &two_mix(), &UniformTrace).expect("within bound");
+        assert!(arrivals.iter().all(|a| a.time <= MAX_CYCLES));
+    }
+
+    #[test]
+    fn overflowing_diurnal_is_a_typed_error() {
+        let trace = DiurnalTrace {
+            day_cycles: 1 << 40,
+            trough_ppm: 0,
+            peak_ppm: 1 << 30,
+        };
+        assert!(matches!(
+            generate_trace(&slow_config(1e10), &two_mix(), &trace),
+            Err(ClusterError::InvalidTrace(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_flash_crowd_is_a_typed_error() {
+        let trace = FlashCrowd {
+            base: UniformTrace,
+            period_cycles: 1_000,
+            burst_cycles: 100,
+            multiplier: u64::MAX / 2,
+        };
+        assert_eq!(trace.peak_ppm(), u64::MAX, "saturates");
+        assert!(matches!(
+            generate_trace(&slow_config(1_000.0), &two_mix(), &trace),
+            Err(ClusterError::InvalidTrace(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_empirical_is_a_typed_error() {
+        // Day-long phases times 24 samples pass 2^64.
+        let trace = EmpiricalTrace::azure_day(u64::MAX / 2);
+        assert!(matches!(
+            generate_trace(&slow_config(1e15), &two_mix(), &trace),
+            Err(ClusterError::InvalidTrace(_))
         ));
     }
 }

@@ -209,7 +209,7 @@ mod tests {
             assert_eq!(total.counter("events"), 5);
             let h = total.hist("walk.latency").expect("merged histogram");
             assert_eq!(h.count(), 5, "no sample may be dropped (order {order:?})");
-            assert_eq!(h.sum(), values.iter().sum::<u64>());
+            assert_eq!(h.sum(), u128::from(values.iter().sum::<u64>()));
             assert_eq!(h.buckets().len(), main_len, "high buckets preserved");
         }
     }

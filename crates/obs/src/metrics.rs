@@ -22,7 +22,8 @@ use std::fmt::Write as _;
 pub struct Log2Hist {
     buckets: Vec<u64>,
     count: u64,
-    sum: u64,
+    /// 128 bits wide: `count` samples below 2^64 cannot overflow it.
+    sum: u128,
 }
 
 /// The bucket index for `v`: 0 for 0, otherwise `floor(log2(v)) + 1`.
@@ -52,7 +53,7 @@ impl Log2Hist {
         }
         self.buckets[b] += n;
         self.count += n;
-        self.sum += v * n;
+        self.sum += u128::from(v) * u128::from(n);
     }
 
     /// Total samples recorded.
@@ -61,7 +62,7 @@ impl Log2Hist {
     }
 
     /// Sum of all recorded values.
-    pub fn sum(&self) -> u64 {
+    pub fn sum(&self) -> u128 {
         self.sum
     }
 
@@ -120,7 +121,9 @@ impl Log2Hist {
                 // linearly over the bucket's span of `hi - lo + 1` values.
                 let within = rank - seen; // 1..=n
                 let span = hi - lo; // 0 for the 0- and 1-buckets
-                return lo + (span * within) / *n;
+                                    // In 128 bits: a high bucket's span times a large count
+                                    // overflows u64; the quotient is at most `span`.
+                return lo + (u128::from(span) * u128::from(within) / u128::from(*n)) as u64;
             }
             seen += n;
         }
