@@ -220,7 +220,8 @@ impl ArrivalTrace for UniformTrace {
 /// back. The triangle (rather than a sinusoid) keeps the intensity in
 /// exact integer arithmetic — byte-identical across platforms — while
 /// preserving what matters for the fleet: a smooth several-fold swing
-/// between quiet and busy hours.
+/// between quiet and busy hours. With `trough_ppm > peak_ppm` the
+/// triangle is inverted: it falls to `peak_ppm` at mid-day and rises back.
 #[derive(Clone, Copy, Debug)]
 pub struct DiurnalTrace {
     /// Period of one "day" in simulated cycles.
@@ -243,13 +244,21 @@ impl ArrivalTrace for DiurnalTrace {
         let phase = t % day;
         let half = day / 2;
         let start = t - phase;
-        let swing = self.peak_ppm.saturating_sub(self.trough_ppm);
+        let swing = self.peak_ppm.abs_diff(self.trough_ppm);
+        let inverted = self.trough_ppm > self.peak_ppm;
         if phase <= half {
             let end = start.saturating_add(half + 1);
-            Piece::rising(start, self.trough_ppm, swing, half, end)
+            Piece::linear(start, self.trough_ppm, swing, half, inverted, end)
         } else {
             let end = start.saturating_add(day);
-            Piece::falling(start + half, self.peak_ppm, swing, day - half, end)
+            Piece::linear(
+                start + half,
+                self.peak_ppm,
+                swing,
+                day - half,
+                !inverted,
+                end,
+            )
         }
     }
 
@@ -618,6 +627,37 @@ mod tests {
         }
     }
 
+    /// The diurnal curve as an independent i128 interpolation: from
+    /// `trough_ppm` at the day boundary to `peak_ppm` at mid-day and back,
+    /// truncated toward the start of each half-day's segment.
+    fn diurnal_lerp(d: &DiurnalTrace, t: u64) -> u64 {
+        let day = i128::from(d.day_cycles.max(2));
+        let phase = i128::from(t) % day;
+        let half = day / 2;
+        let (trough, peak) = (i128::from(d.trough_ppm), i128::from(d.peak_ppm));
+        let v = if phase <= half {
+            trough + (peak - trough) * phase / half
+        } else {
+            peak + (trough - peak) * (phase - half) / (day - half)
+        };
+        u64::try_from(v).expect("between trough and peak")
+    }
+
+    #[test]
+    fn inverted_diurnal_is_an_inverted_triangle() {
+        let d = DiurnalTrace {
+            day_cycles: 1_000,
+            trough_ppm: 1_800_000,
+            peak_ppm: 200_000,
+        };
+        assert_eq!(d.intensity_ppm(250), 1_000_000, "linear fall");
+        assert_eq!(d.intensity_ppm(750), 1_000_000, "linear rise");
+        for t in 0..3_001 {
+            assert_eq!(d.intensity_ppm(t), diurnal_lerp(&d, t), "cycle {t}");
+            assert!(d.intensity_ppm(t) <= d.peak_ppm());
+        }
+    }
+
     #[test]
     fn diurnal_concentrates_arrivals_at_midday() {
         let cfg = ArrivalConfig {
@@ -809,11 +849,18 @@ mod tests {
             let day = self.day_cycles.max(2);
             let phase = t % day;
             let half = day / 2;
-            let swing = self.peak_ppm.saturating_sub(self.trough_ppm);
-            if phase <= half {
-                self.trough_ppm + swing * phase / half
+            let swing = self.peak_ppm.abs_diff(self.trough_ppm);
+            let inverted = self.trough_ppm > self.peak_ppm;
+            let (from, step, falls) = if phase <= half {
+                (self.trough_ppm, swing * phase / half, inverted)
             } else {
-                self.peak_ppm - swing * (phase - half) / (day - half)
+                let step = swing * (phase - half) / (day - half);
+                (self.peak_ppm, step, !inverted)
+            };
+            if falls {
+                from - step
+            } else {
+                from + step
             }
         }
     }
@@ -924,6 +971,17 @@ mod tests {
                 check_piece(&trace, p, probe)?;
             }
             check_piece(&UniformTrace, t, probe)?;
+        }
+
+        #[test]
+        fn diurnal_matches_an_i128_interpolation(
+            trace in arb_diurnal(),
+            t in 0u64..1 << 36,
+        ) {
+            let day = trace.day_cycles.max(2);
+            for p in around(t - t % day, &[0, day / 4, day / 2, 3 * day / 4, day]).into_iter().chain([t]) {
+                prop_assert_eq!(trace.intensity_ppm(p), diurnal_lerp(&trace, p), "cycle {}", p);
+            }
         }
 
         #[test]

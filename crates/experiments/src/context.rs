@@ -11,10 +11,6 @@ use memento_workloads::spec::{Category, WorkloadSpec};
 use memento_workloads::suite;
 use std::collections::HashMap;
 
-/// Warm-up fraction for long-running workloads (the paper measures
-/// data-processing applications and platform services at steady state).
-pub const STEADY_WARMUP: f64 = 0.4;
-
 /// Invocations per warm container for the steady-state categories:
 /// invocation 0 is the cold start, the measured window covers the rest
 /// (see [`Machine::run_invocations`]). Three is the smallest count with a
@@ -49,6 +45,19 @@ impl ConfigKind {
             ConfigKind::IdealMallacc => SystemConfig::ideal_mallacc(),
             ConfigKind::BaselinePopulate => SystemConfig::baseline_populate(),
         }
+    }
+}
+
+/// Runs `spec` on `machine` the way every table measures it. Functions
+/// run cold once; the long-running categories run as a warm container
+/// serving back-to-back invocations and report the steady-state window
+/// (§6.3), as the paper measures data-processing applications and
+/// platform services.
+pub(crate) fn measure(machine: &mut Machine, spec: &WorkloadSpec) -> RunStats {
+    if spec.category == Category::Function {
+        machine.run(spec)
+    } else {
+        machine.run_invocations(spec, STEADY_INVOCATIONS).steady
     }
 }
 
@@ -218,18 +227,8 @@ impl EvalContext {
 
     /// Simulates one point from scratch (no memoization) — the worker body
     /// every shard executes, identical on the serial and parallel paths.
-    /// Functions run cold once; the long-running categories run as a warm
-    /// container serving back-to-back invocations and report the
-    /// steady-state window (§6.3).
     pub fn simulate(point: &SimPoint) -> RunStats {
-        let mut machine = Machine::new(point.kind.system_config());
-        if point.spec.category == Category::Function {
-            machine.run(&point.spec)
-        } else {
-            machine
-                .run_invocations(&point.spec, STEADY_INVOCATIONS)
-                .steady
-        }
+        measure(&mut Machine::new(point.kind.system_config()), &point.spec)
     }
 
     /// Fans the uncached members of `points` across the context's worker

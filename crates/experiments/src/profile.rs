@@ -4,13 +4,15 @@
 //! This is the reporting end of the observability layer: the machine
 //! mirrors every cycle charge into `memento_obs` during the run, and this
 //! module turns the result into the three plain-text views EXPERIMENTS.md
-//! calls the profiling appendix. The run itself produces byte-identical
-//! [`RunStats`] to an untraced run — tracing only *observes*.
+//! calls the profiling appendix. The run measures the workload exactly as
+//! the tables do ([`crate::context::EvalContext::simulate`]), so its
+//! [`RunStats`] are byte-identical to an untraced run — tracing only
+//! *observes*.
 
-use crate::context::{ConfigKind, STEADY_WARMUP};
+use crate::context::{measure, ConfigKind};
 use memento_obs::profile::render_samples;
 use memento_system::{Machine, RunStats};
-use memento_workloads::spec::{Category, WorkloadSpec};
+use memento_workloads::spec::WorkloadSpec;
 use std::fmt;
 use std::path::Path;
 
@@ -28,7 +30,9 @@ pub struct ProfileReport {
     pub samples: String,
     /// Total cycles attributed across all trace spans. Reconciles with the
     /// machine's cycle ledger by construction: every ledger charge becomes
-    /// exactly one span of the same length.
+    /// exactly one span of the same length. For a long-running workload
+    /// the trace covers the whole container (cold start, warm invocations
+    /// and teardown), while `stats` covers the steady window only.
     pub charged_cycles: u64,
 }
 
@@ -47,11 +51,7 @@ pub fn profile_run(
         None => cfg.traced_in_memory(),
     };
     let mut machine = Machine::new(cfg);
-    let stats = if spec.category == Category::Function {
-        machine.run(spec)
-    } else {
-        machine.run_steady(spec, STEADY_WARMUP)
-    };
+    let stats = measure(&mut machine, spec);
     let obs = machine
         .observability()
         .expect("profile_run enables tracing");
@@ -107,18 +107,23 @@ mod tests {
 
     #[test]
     fn profiled_stats_match_untraced_run() {
+        // A function (one cold run) and a platform service (the steady
+        // window of a warm container): tracing must not move a field.
         let ctx = EvalContext::quick();
-        let mut spec = ctx.workload("aes");
-        spec.total_instructions = 200_000;
-        let report = profile_run(&spec, ConfigKind::Baseline, None);
-        let plain = EvalContext::simulate(&crate::sharding::SimPoint::new(
-            spec.clone(),
-            ConfigKind::Baseline,
-        ));
-        assert_eq!(
-            report.stats.total_cycles(),
-            plain.total_cycles(),
-            "tracing must be cycle-invisible"
-        );
+        for (name, kind) in [
+            ("aes", ConfigKind::Baseline),
+            ("Redis", ConfigKind::Baseline),
+            ("Redis", ConfigKind::Memento),
+        ] {
+            let mut spec = ctx.workload(name);
+            spec.total_instructions = 200_000;
+            let report = profile_run(&spec, kind, None);
+            let plain = EvalContext::simulate(&crate::sharding::SimPoint::new(spec.clone(), kind));
+            assert_eq!(
+                format!("{:?}", report.stats),
+                format!("{plain:?}"),
+                "{name}/{kind:?}: tracing must be invisible in the statistics"
+            );
+        }
     }
 }

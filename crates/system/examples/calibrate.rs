@@ -31,19 +31,18 @@ const TARGETS: &[(&str, f64)] = &[
 ];
 
 fn measure(spec: &memento_workloads::spec::WorkloadSpec) -> f64 {
-    let steady = spec.category != Category::Function;
-    let (b, m) = if steady {
-        (
-            Machine::new(SystemConfig::baseline()).run_steady(spec, 0.4),
-            Machine::new(SystemConfig::memento()).run_steady(spec, 0.4),
-        )
-    } else {
-        (
-            Machine::new(SystemConfig::baseline()).run(spec),
-            Machine::new(SystemConfig::memento()).run(spec),
-        )
+    let run = |cfg| {
+        let mut machine = Machine::new(cfg);
+        if spec.category == Category::Function {
+            machine.run(spec)
+        } else {
+            machine.run_invocations(spec, 3).steady
+        }
     };
-    stats::speedup(&b, &m)
+    stats::speedup(
+        &run(SystemConfig::baseline()),
+        &run(SystemConfig::memento()),
+    )
 }
 
 fn main() {

@@ -2,18 +2,15 @@ use memento_system::{Machine, SystemConfig};
 use memento_workloads::{spec::Category, suite};
 fn main() {
     for spec in suite::all_workloads() {
-        let steady = spec.category != Category::Function;
-        let (b, m) = if steady {
-            (
-                Machine::new(SystemConfig::baseline()).run_steady(&spec, 0.4),
-                Machine::new(SystemConfig::memento()).run_steady(&spec, 0.4),
-            )
-        } else {
-            (
-                Machine::new(SystemConfig::baseline()).run(&spec),
-                Machine::new(SystemConfig::memento()).run(&spec),
-            )
+        let run = |cfg| {
+            let mut machine = Machine::new(cfg);
+            if spec.category == Category::Function {
+                machine.run(&spec)
+            } else {
+                machine.run_invocations(&spec, 3).steady
+            }
         };
+        let (b, m) = (run(SystemConfig::baseline()), run(SystemConfig::memento()));
         println!(
             "{:<12} user {:>5}/{:<5} kernel {:>4}/{:<4} mmaps {:>4}/{:<4}",
             spec.name,

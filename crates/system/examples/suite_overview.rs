@@ -1,5 +1,5 @@
 use memento_system::{stats, Machine, SystemConfig};
-use memento_workloads::suite;
+use memento_workloads::{spec::Category, suite};
 
 fn main() {
     println!(
@@ -8,18 +8,16 @@ fn main() {
     );
     let mut speedups = Vec::new();
     for spec in suite::all_workloads() {
-        let steady = spec.category != memento_workloads::spec::Category::Function;
-        let (base, mem) = if steady {
-            (
-                Machine::new(SystemConfig::baseline()).run_steady(&spec, 0.4),
-                Machine::new(SystemConfig::memento()).run_steady(&spec, 0.4),
-            )
-        } else {
-            (
-                Machine::new(SystemConfig::baseline()).run(&spec),
-                Machine::new(SystemConfig::memento()).run(&spec),
-            )
+        let function = spec.category == Category::Function;
+        let run = |cfg| {
+            let mut machine = Machine::new(cfg);
+            if function {
+                machine.run(&spec)
+            } else {
+                machine.run_invocations(&spec, 3).steady
+            }
         };
+        let (base, mem) = (run(SystemConfig::baseline()), run(SystemConfig::memento()));
         let s = stats::speedup(&base, &mem);
         let bw = stats::bandwidth_reduction(&base, &mem);
         let hot = mem.hot.unwrap();
@@ -38,7 +36,7 @@ fn main() {
             usage,
             base.kernel.page_faults
         );
-        if spec.category == memento_workloads::spec::Category::Function {
+        if function {
             speedups.push(s);
         }
     }

@@ -6,15 +6,17 @@
 //! node needs the same mechanics under *external* control — a scheduler
 //! decides when the next request lands on this container, whether the
 //! container stays warm in the keep-alive pool, and when it is evicted.
-//! [`WarmContainer`] exposes that lifecycle as three moves:
+//! Both serve each invocation through the same machine step, so they
+//! agree invocation for invocation. [`WarmContainer`] exposes the
+//! lifecycle as three moves:
 //!
 //! 1. [`WarmContainer::cold_start`] — boot the machine, create the
 //!    process/allocator/device state, and serve the first (cold)
 //!    invocation. Its statistics include container bring-up.
 //! 2. [`WarmContainer::invoke`] — serve one warm invocation: replay the
-//!    request body, then quiesce at the boundary (object sweep, GC,
-//!    `end_invocation_trim` arena recycling, allocator decay) exactly as
-//!    the warm window of `run_invocations` does.
+//!    request body ([`Trace::body`]), then quiesce at the boundary
+//!    (object sweep, GC, `end_invocation_trim` arena recycling,
+//!    allocator decay).
 //! 3. [`WarmContainer::finish`] — container teardown: batch-return the
 //!    small-object heap to the OS pool and unmap what remains.
 //!
@@ -26,7 +28,7 @@ use crate::config::SystemConfig;
 use crate::machine::{FunctionRun, Machine};
 use crate::stats::RunStats;
 use memento_pmem::{PmEpoch, PmPool};
-use memento_workloads::event::{Event, Trace};
+use memento_workloads::event::Trace;
 use memento_workloads::generator::generate;
 use memento_workloads::spec::WorkloadSpec;
 
@@ -37,7 +39,6 @@ pub struct WarmContainer {
     run: FunctionRun,
     spec: WorkloadSpec,
     trace: Trace,
-    body_len: usize,
     invocations: u64,
     serving_peak_pages: u64,
     /// The container's persistent checkpoint pool, created on the first
@@ -54,28 +55,19 @@ impl WarmContainer {
     /// machine bring-up through the first request's boundary quiesce, so
     /// they are the cold-start service time a scheduler should charge.
     pub fn cold_start(cfg: SystemConfig, spec: &WorkloadSpec) -> (Self, RunStats) {
-        let trace = generate(spec);
-        // The trace's trailing Exit is container teardown; while the
-        // container lives, only the body replays (same convention as
-        // `Machine::run_invocations`).
-        let body_len = match trace.events.last() {
-            Some(Event::Exit) => trace.events.len() - 1,
-            _ => trace.events.len(),
-        };
         let mut machine = Machine::new(cfg);
         let run = machine.start(spec);
         let mut container = WarmContainer {
             machine,
             run,
             spec: spec.clone(),
-            trace,
-            body_len,
+            trace: generate(spec),
             invocations: 0,
             serving_peak_pages: 0,
             pm: None,
             pm_parked: false,
         };
-        let cold = container.serve();
+        let cold = container.serve(false);
         (container, cold)
     }
 
@@ -105,25 +97,16 @@ impl WarmContainer {
     /// call, [`WarmContainer::window_peak_pages`] reports the footprint
     /// this invocation pinned.
     pub fn invoke(&mut self) -> RunStats {
-        self.machine.begin_measurement(&mut self.run);
-        self.machine.reset_frame_window();
-        self.serve()
+        self.serve(true)
     }
 
-    fn serve(&mut self) -> RunStats {
-        for i in 0..self.body_len {
-            let event = self.trace.events[i];
-            self.machine.step(&mut self.run, &event);
-        }
-        // Peak unreclaimable footprint while the request body executed:
-        // mapped data + tables, with the pool's recycle staging (free
-        // frames in flight between arena frees and the next grant)
-        // excluded — staging is reclaimable at any instant, like the OS
-        // free list.
-        self.serving_peak_pages = self.machine.window_peak_unreclaimable();
-        self.machine.end_invocation(&mut self.run, 0);
+    fn serve(&mut self, warm: bool) -> RunStats {
+        let (stats, serving_peak) =
+            self.machine
+                .serve_invocation(&mut self.run, self.trace.body(), warm);
+        self.serving_peak_pages = serving_peak;
         self.invocations += 1;
-        self.machine.collect_inner(&self.run)
+        stats
     }
 
     /// Tears the container down (keep-alive expiry or scheduler eviction):
@@ -314,28 +297,27 @@ mod tests {
     #[test]
     fn matches_run_invocations_warm_window() {
         // The externally-driven container must reproduce the monolithic
-        // warm driver invocation for invocation: same machine, same
-        // boundary semantics, same cycle ledgers.
-        let spec = small_spec("html");
+        // warm driver invocation for invocation, the cold start included:
+        // same machine, same boundary semantics, same statistics.
         let n = 3;
-        let reference = Machine::new(SystemConfig::memento()).run_invocations(&spec, n);
-        let (mut c, cold) = WarmContainer::cold_start(SystemConfig::memento(), &spec);
-        let mut warm = Vec::new();
-        for _ in 1..n {
-            warm.push(c.invoke());
-        }
-        assert_eq!(
-            cold.total_cycles(),
-            reference.invocations[0].total_cycles(),
-            "cold invocation diverged from run_invocations"
-        );
-        for (i, w) in warm.iter().enumerate() {
-            assert_eq!(
-                w.total_cycles(),
-                reference.invocations[i + 1].total_cycles(),
-                "warm invocation {} diverged from run_invocations",
-                i + 1
-            );
+        for cfg in [SystemConfig::baseline(), SystemConfig::memento()] {
+            for name in ["html", "Redis", "bfs-go"] {
+                let spec = small_spec(name);
+                let reference = Machine::new(cfg.clone()).run_invocations(&spec, n);
+                let (mut c, cold) = WarmContainer::cold_start(cfg.clone(), &spec);
+                let served: Vec<RunStats> = std::iter::once(cold)
+                    .chain((1..n).map(|_| c.invoke()))
+                    .collect();
+                assert_eq!(served.len(), reference.invocations.len());
+                for (i, (got, want)) in served.iter().zip(&reference.invocations).enumerate() {
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{name}/{:?}: invocation {i} diverged from run_invocations",
+                        cfg.mode
+                    );
+                }
+            }
         }
     }
 

@@ -77,7 +77,8 @@ pub struct WarmRun {
     /// Statistics over the steady-state window: invocations `1..n` as one
     /// delta, excluding the cold start and the final container teardown.
     pub steady: RunStats,
-    /// Per-invocation statistics (index 0 is the cold invocation).
+    /// Per-invocation statistics. Index 0 is the cold invocation, whose
+    /// window includes container bring-up.
     pub invocations: Vec<RunStats>,
 }
 
@@ -168,6 +169,13 @@ impl FunctionRun {
     /// The cycle ledger accumulated so far.
     pub fn account(&self) -> &CycleAccount {
         &self.account
+    }
+
+    /// Whether `va` lies in the run's Memento region (never on a baseline).
+    fn in_region(&self, va: VirtAddr) -> bool {
+        self.mproc
+            .as_ref()
+            .is_some_and(|mp| mp.region().contains(va))
     }
 }
 
@@ -343,21 +351,14 @@ impl Machine {
         });
     }
 
-    fn soft_ctx<'a>(
-        kernel: &'a mut Kernel,
-        walker: &'a mut PageWalker,
-        mem: &'a mut PhysMem,
-        mem_sys: &'a mut MemSystem,
-        tlb: &'a mut Tlb,
-        proc: &'a mut Process,
-        core: usize,
-    ) -> AllocCtx<'a> {
+    /// The software allocator's view of the machine from `core`.
+    fn soft_ctx<'a>(&'a mut self, proc: &'a mut Process, core: usize) -> AllocCtx<'a> {
         AllocCtx {
-            kernel,
-            walker,
-            mem,
-            mem_sys,
-            tlb,
+            kernel: &mut self.kernel,
+            walker: &mut self.walkers[core],
+            mem: &mut self.mem,
+            mem_sys: &mut self.mem_sys,
+            tlb: &mut self.tlbs[core],
             proc,
             core,
         }
@@ -366,15 +367,7 @@ impl Machine {
     /// Executes one software allocation, applying the Mallacc idealization
     /// when configured.
     fn soft_alloc(&mut self, run: &mut FunctionRun, core: usize, size: usize) -> VirtAddr {
-        let mut ctx = Self::soft_ctx(
-            &mut self.kernel,
-            &mut self.walkers[core],
-            &mut self.mem,
-            &mut self.mem_sys,
-            &mut self.tlbs[core],
-            &mut run.proc,
-            core,
-        );
+        let mut ctx = self.soft_ctx(&mut run.proc, core);
         let out = run.soft.alloc(&mut ctx, size);
         let mut user = out.user_cycles;
         if matches!(self.cfg.mode, Mode::IdealMallacc) && size <= HW_MAX_SIZE {
@@ -391,15 +384,7 @@ impl Machine {
     }
 
     fn soft_free(&mut self, run: &mut FunctionRun, core: usize, addr: VirtAddr, size: usize) {
-        let mut ctx = Self::soft_ctx(
-            &mut self.kernel,
-            &mut self.walkers[core],
-            &mut self.mem,
-            &mut self.mem_sys,
-            &mut self.tlbs[core],
-            &mut run.proc,
-            core,
-        );
+        let mut ctx = self.soft_ctx(&mut run.proc, core);
         let out = run.soft.free(&mut ctx, addr, size);
         let mut user = out.user_cycles;
         if matches!(self.cfg.mode, Mode::IdealMallacc) && size <= HW_MAX_SIZE {
@@ -526,12 +511,7 @@ impl Machine {
         kind: AccessKind,
         loc: Option<ObjectLocation>,
     ) -> (Frame, bool) {
-        let in_region = run
-            .mproc
-            .as_ref()
-            .map(|mp| mp.region().contains(va))
-            .unwrap_or(false);
-        if !in_region {
+        if !run.in_region(va) {
             // Baseline path (also used for software-managed memory under
             // Memento). The data access itself is discounted by the MLP
             // factor; translation/fault work stays on the critical path.
@@ -770,12 +750,7 @@ impl Machine {
         }
         // Sweep phase: free every dead object through the active design.
         for (addr, size) in swept {
-            let in_region = run
-                .mproc
-                .as_ref()
-                .map(|mp| mp.region().contains(addr))
-                .unwrap_or(false);
-            if in_region {
+            if run.in_region(addr) {
                 self.hw_free(run, core, addr);
             } else {
                 self.soft_free(run, core, addr, size as usize);
@@ -832,45 +807,10 @@ impl Machine {
                 self.maybe_collect(run, core);
             }
             Event::Free { id } => {
-                let Some((addr, size)) = run.objects.remove(id.0) else {
-                    return; // tolerated: double-free in a trace
-                };
-                run.live_bytes = run.live_bytes.saturating_sub(size as u64);
-                if let Some(obs) = self.obs.as_mut() {
-                    if let Some(b) = run.born.remove(&id.0) {
-                        obs.metrics_mut()
-                            .observe("alloc.malloc_free_distance", run.alloc_seq - b);
-                    }
-                }
-                if run.gc.is_some() {
-                    let in_region = run
-                        .mproc
-                        .as_ref()
-                        .map(|mp| mp.region().contains(addr))
-                        .unwrap_or(false);
-                    if self.cfg.proactive_gc_free && in_region {
-                        // §4 extension: the enhanced GC recognizes the
-                        // ephemeral death and frees it through Memento
-                        // immediately, instead of deferring to the sweep.
-                        let gc = run.gc.as_mut().expect("checked");
-                        gc.live_bytes = gc.live_bytes.saturating_sub(size as u64);
-                        gc.live_objects = gc.live_objects.saturating_sub(1);
-                        self.hw_free(run, core, addr);
-                        return;
-                    }
-                    // Go: objects die; storage waits for the GC (or exit).
-                    run.gc.as_mut().expect("checked").on_death(addr, size);
+                // A double free, and every free in a run with a collector,
+                // skips the heap-profile sample check below.
+                if !self.free_object(run, core, id.0) || run.gc.is_some() {
                     return;
-                }
-                let in_region = run
-                    .mproc
-                    .as_ref()
-                    .map(|mp| mp.region().contains(addr))
-                    .unwrap_or(false);
-                if in_region {
-                    self.hw_free(run, core, addr);
-                } else {
-                    self.soft_free(run, core, addr, size as usize);
                 }
             }
             Event::Touch {
@@ -904,6 +844,39 @@ impl Machine {
         if !run.finished && self.obs.is_some() {
             self.maybe_sample(run, core);
         }
+    }
+
+    /// Frees object `id` through the active design. A Go run leaves the
+    /// storage to its collector, unless proactive GC free reclaims a
+    /// Memento object at once. Returns whether `id` was live; an id that
+    /// is not (a double free in a trace) is ignored.
+    fn free_object(&mut self, run: &mut FunctionRun, core: usize, id: u64) -> bool {
+        let Some((addr, size)) = run.objects.remove(id) else {
+            return false;
+        };
+        run.live_bytes = run.live_bytes.saturating_sub(size as u64);
+        if let Some(obs) = self.obs.as_mut() {
+            if let Some(b) = run.born.remove(&id) {
+                obs.metrics_mut()
+                    .observe("alloc.malloc_free_distance", run.alloc_seq - b);
+            }
+        }
+        let in_region = run.in_region(addr);
+        match run.gc.as_mut() {
+            Some(gc) if self.cfg.proactive_gc_free && in_region => {
+                // §4 extension: the enhanced GC recognizes the ephemeral
+                // death and frees it through Memento immediately, instead
+                // of deferring to the sweep.
+                gc.live_bytes = gc.live_bytes.saturating_sub(size as u64);
+                gc.live_objects = gc.live_objects.saturating_sub(1);
+                self.hw_free(run, core, addr);
+            }
+            // Go: objects die; storage waits for the GC (or exit).
+            Some(gc) => gc.on_death(addr, size),
+            None if in_region => self.hw_free(run, core, addr),
+            None => self.soft_free(run, core, addr, size as usize),
+        }
+        true
     }
 
     /// Takes a heap-profile sample if `core`'s trace clock crossed its
@@ -974,9 +947,20 @@ impl Machine {
         &mut self,
         specs: &[WorkloadSpec],
         seed: u64,
+        hook: impl FnMut(&mut Scheduler, u64),
+    ) -> (Vec<RunStats>, SchedStats) {
+        let traces = traces_for(specs);
+        let traces = traces.iter().map(|t| &**t).collect();
+        self.run_batch(Batch::new(specs, traces, self.cfg.cores, seed), hook)
+    }
+
+    /// The batch driver behind [`Machine::run_scheduled_with`] and
+    /// [`Machine::run_trace`] (see the former for the decision rule).
+    fn run_batch(
+        &mut self,
+        mut batch: Batch<'_>,
         mut hook: impl FnMut(&mut Scheduler, u64),
     ) -> (Vec<RunStats>, SchedStats) {
-        let mut batch = Batch::new(specs, self.cfg.cores, seed);
         let mut steps: u64 = 0;
         let mut idle_spins: u32 = 0;
         // The core holding the CPU, its job, and its horizon; `None` makes
@@ -1082,15 +1066,7 @@ impl Machine {
 
         // Allocator exit hook.
         {
-            let mut ctx = Self::soft_ctx(
-                &mut self.kernel,
-                &mut self.walkers[core],
-                &mut self.mem,
-                &mut self.mem_sys,
-                &mut self.tlbs[core],
-                &mut run.proc,
-                core,
-            );
+            let mut ctx = self.soft_ctx(&mut run.proc, core);
             let (u, k) = run.soft.on_exit(&mut ctx);
             run.account.charge(CycleBucket::UserFree, u);
             run.account.charge(CycleBucket::KernelMm, k);
@@ -1327,33 +1303,17 @@ impl Machine {
     /// Convenience: generates the trace for `spec`, runs it to completion,
     /// and returns the statistics.
     pub fn run(&mut self, spec: &WorkloadSpec) -> RunStats {
-        let trace = generate(spec);
-        self.run_trace(spec, &trace)
+        self.run_trace(spec, &generate(spec))
     }
 
-    /// Runs a pre-generated trace to completion.
+    /// Runs a pre-generated trace to completion: a one-job batch, which
+    /// runs on core 0 with every contention mechanism inert (see
+    /// [`Machine::run_scheduled`]). A trace without a trailing `Exit`
+    /// finishes as if it had one.
     pub fn run_trace(&mut self, spec: &WorkloadSpec, trace: &Trace) -> RunStats {
-        let mut run = self.start(spec);
-        for event in &trace.events {
-            self.step(&mut run, event);
-        }
-        self.collect(&run)
-    }
-
-    /// Runs `spec` but measures only the steady-state window after the
-    /// first `warmup_fraction` of events — how the paper evaluates the
-    /// long-running data-processing applications and platform services.
-    pub fn run_steady(&mut self, spec: &WorkloadSpec, warmup_fraction: f64) -> RunStats {
-        let trace = generate(spec);
-        let cut = ((trace.events.len() as f64) * warmup_fraction.clamp(0.0, 0.95)) as usize;
-        let mut run = self.start(spec);
-        for (i, event) in trace.events.iter().enumerate() {
-            if i == cut {
-                self.begin_measurement(&mut run);
-            }
-            self.step(&mut run, event);
-        }
-        self.collect(&run)
+        let batch = Batch::new(std::slice::from_ref(spec), vec![trace], self.cfg.cores, 0);
+        let (mut stats, _) = self.run_batch(batch, |_, _| {});
+        stats.pop().expect("a one-job batch yields one run")
     }
 
     /// Ends one warm invocation without tearing the container down: the
@@ -1368,7 +1328,7 @@ impl Machine {
     /// own frees replayed at once, and allocator decay runs on background
     /// threads (jemalloc's decay purging), neither on the request's
     /// critical path. The tracing layer still observes every charge.
-    pub(crate) fn end_invocation(&mut self, run: &mut FunctionRun, core: usize) {
+    fn end_invocation(&mut self, run: &mut FunctionRun, core: usize) {
         let live_account = std::mem::replace(&mut run.account, CycleAccount::new());
         self.end_invocation_inner(run, core);
         run.account = live_account;
@@ -1382,39 +1342,7 @@ impl Machine {
         // pool (hardware) and the software heap can decay — instead of
         // leaking every request's peak into the next one. In id order.
         for id in 0..run.objects.slots.len() as u64 {
-            let Some((addr, size)) = run.objects.remove(id) else {
-                continue;
-            };
-            run.live_bytes = run.live_bytes.saturating_sub(size as u64);
-            if self.obs.is_some() {
-                if let Some(b) = run.born.remove(&id) {
-                    if let Some(obs) = self.obs.as_mut() {
-                        obs.metrics_mut()
-                            .observe("alloc.malloc_free_distance", run.alloc_seq - b);
-                    }
-                }
-            }
-            let in_region = run
-                .mproc
-                .as_ref()
-                .map(|mp| mp.region().contains(addr))
-                .unwrap_or(false);
-            if run.gc.is_some() {
-                if self.cfg.proactive_gc_free && in_region {
-                    let gc = run.gc.as_mut().expect("checked");
-                    gc.live_bytes = gc.live_bytes.saturating_sub(size as u64);
-                    gc.live_objects = gc.live_objects.saturating_sub(1);
-                    self.hw_free(run, core, addr);
-                } else {
-                    run.gc.as_mut().expect("checked").on_death(addr, size);
-                }
-                continue;
-            }
-            if in_region {
-                self.hw_free(run, core, addr);
-            } else {
-                self.soft_free(run, core, addr, size as usize);
-            }
+            self.free_object(run, core, id);
         }
         // Go: the whole heap just died; run the collector regardless of
         // the growth trigger (the runtime GCs between requests).
@@ -1452,15 +1380,7 @@ impl Machine {
         }
         // Allocator end-of-request decay (jemalloc purge etc.).
         {
-            let mut ctx = Self::soft_ctx(
-                &mut self.kernel,
-                &mut self.walkers[core],
-                &mut self.mem,
-                &mut self.mem_sys,
-                &mut self.tlbs[core],
-                &mut run.proc,
-                core,
-            );
+            let mut ctx = self.soft_ctx(&mut run.proc, core);
             let (u, k) = run.soft.on_invocation_end(&mut ctx);
             run.account.charge(CycleBucket::UserFree, u);
             run.account.charge(CycleBucket::KernelMm, k);
@@ -1479,14 +1399,41 @@ impl Machine {
         }
     }
 
+    /// Serves one invocation of a warm container on core 0: replays the
+    /// request `body`, reads the serving peak, quiesces at the boundary
+    /// ([`Self::end_invocation`]) and collects the invocation's
+    /// statistics. A `warm` invocation first opens a fresh measurement and
+    /// frame window; the cold one keeps the window [`Self::start`] opened,
+    /// so its statistics include container bring-up. Returns the
+    /// statistics and the peak unreclaimable frames while the body ran
+    /// (see [`Self::window_peak_unreclaimable`]).
+    pub(crate) fn serve_invocation(
+        &mut self,
+        run: &mut FunctionRun,
+        body: &[Event],
+        warm: bool,
+    ) -> (RunStats, u64) {
+        if warm {
+            self.begin_measurement(run);
+            self.reset_frame_window();
+        }
+        for event in body {
+            self.step(run, event);
+        }
+        let serving_peak = self.window_peak_unreclaimable();
+        self.end_invocation(run, 0);
+        (self.collect_inner(run), serving_peak)
+    }
+
     /// Runs `spec` as `n` back-to-back invocations in one warm container —
     /// the paper's §6.3 steady state. One process, one allocator, one
     /// Memento attachment: the device, pool, and Memento page table stay
     /// alive across invocations, so warm requests are served from recycled
-    /// frames instead of fresh OS grants. Invocation 0 is the cold start;
-    /// the `steady` window covers invocations `1..n` and excludes the final
-    /// container teardown. Each invocation is also measured on its own via
-    /// the snapshot/delta machinery.
+    /// frames instead of fresh OS grants. Invocation 0 is the cold start,
+    /// measured from container bring-up exactly as
+    /// [`crate::WarmContainer::cold_start`] measures it; the `steady`
+    /// window covers invocations `1..n` and excludes the final container
+    /// teardown.
     ///
     /// # Panics
     ///
@@ -1498,12 +1445,6 @@ impl Machine {
             "warm run needs a cold and at least one warm invocation"
         );
         let trace = generate(spec);
-        // The trace's trailing Exit is container teardown; during the warm
-        // loop the container survives, so replay only the body.
-        let body_len = match trace.events.last() {
-            Some(Event::Exit) => trace.events.len() - 1,
-            _ => trace.events.len(),
-        };
         let mut run = self.start(spec);
         let mut invocations = Vec::with_capacity(n);
         let mut steady_snapshot = None;
@@ -1511,21 +1452,17 @@ impl Machine {
         let mut steady_gc_runs = 0u64;
         let mut steady_frag = (0u64, 0u64);
         for inv in 0..n {
-            self.begin_measurement(&mut run);
+            let (stats, _) = self.serve_invocation(&mut run, trace.body(), inv > 0);
             if inv == 1 {
                 steady_snapshot.clone_from(&run.snapshot);
             }
-            for event in &trace.events[..body_len] {
-                self.step(&mut run, event);
-            }
-            self.end_invocation(&mut run, 0);
             if inv >= 1 {
                 steady_account.merge(&run.account);
                 steady_gc_runs += run.gc_runs;
                 steady_frag.0 += run.frag_live;
                 steady_frag.1 += run.frag_total;
             }
-            invocations.push(self.collect_inner(&run));
+            invocations.push(stats);
         }
         // Steady window: everything after the cold invocation, as one
         // delta against the state at the start of invocation 1.
@@ -1888,7 +1825,7 @@ const _: () = {
 /// The state of one scheduled batch (see [`Machine::run_scheduled_with`]).
 struct Batch<'a> {
     specs: &'a [WorkloadSpec],
-    traces: Vec<Rc<Trace>>,
+    traces: Vec<&'a Trace>,
     /// Each job's run, started at its first dispatch.
     runs: Vec<Option<FunctionRun>>,
     /// Each job's next trace event.
@@ -1897,10 +1834,12 @@ struct Batch<'a> {
 }
 
 impl<'a> Batch<'a> {
-    fn new(specs: &'a [WorkloadSpec], cores: usize, seed: u64) -> Self {
+    /// A batch of one job per spec; `traces[j]` is job `j`'s trace.
+    fn new(specs: &'a [WorkloadSpec], traces: Vec<&'a Trace>, cores: usize, seed: u64) -> Self {
+        debug_assert_eq!(specs.len(), traces.len(), "one trace per job");
         Batch {
             specs,
-            traces: traces_for(specs),
+            traces,
             runs: specs.iter().map(|_| None).collect(),
             cursors: vec![0; specs.len()],
             sched: Scheduler::new(cores, specs.len(), seed),
@@ -2122,6 +2061,24 @@ mod tests {
         assert_eq!(sched.steals, 0);
         assert_eq!(sched.per_core_jobs, vec![1]);
         assert_eq!(sched.per_core_cycles, vec![scheduled.total_cycles().raw()]);
+    }
+
+    #[test]
+    fn trace_without_exit_matches_full_trace() {
+        // `Trace::from_json` accepts a trace with no trailing Exit; the
+        // run must still tear down exactly as the full trace does.
+        for cfg in [SystemConfig::baseline(), SystemConfig::memento()] {
+            let spec = small_spec("html");
+            let full = generate(&spec);
+            let truncated = Trace {
+                name: full.name.clone(),
+                events: full.body().to_vec(),
+            };
+            assert!(truncated.events.len() < full.events.len());
+            let a = Machine::new(cfg.clone()).run_trace(&spec, &full);
+            let b = Machine::new(cfg).run_trace(&spec, &truncated);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
     }
 
     #[test]

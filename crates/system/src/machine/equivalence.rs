@@ -4,13 +4,15 @@
 //! - the per-event scheduler loop, which acquires jobs, recounts the
 //!   active cores and picks the lowest-clock core before every event
 //!   (vs. [`Machine::run_scheduled_with`]'s horizon driver);
+//! - the serial loop, which starts the run and steps every event on
+//!   core 0 (vs. [`Machine::run_trace`]'s one-job batch);
 //! - the per-line Touch loop, which takes the full demand path, the region
 //!   check and a `locate` for every cache line (vs. span Touches).
 //!
-//! Seeded batches on every design, with hooks that stall and unstall
-//! cores, must give the same run statistics, scheduler counters, TLB,
-//! walker and memory-system counters, demand-latency histogram, sanitizer
-//! report and, when traced, the same trace and metrics.
+//! Seeded batches and cold runs on every design, with hooks that stall and
+//! unstall cores, must give the same run statistics, scheduler counters,
+//! TLB, walker and memory-system counters, demand-latency histogram,
+//! sanitizer report and, when traced, the same trace and metrics.
 
 use super::*;
 use crate::config::SystemConfig;
@@ -52,7 +54,9 @@ impl Machine {
         seed: u64,
         mut hook: impl FnMut(&mut Scheduler, u64),
     ) -> (Vec<RunStats>, SchedStats) {
-        let mut batch = Batch::new(specs, self.cfg.cores, seed);
+        let traces = traces_for(specs);
+        let traces = traces.iter().map(|t| &**t).collect();
+        let mut batch = Batch::new(specs, traces, self.cfg.cores, seed);
         let mut steps: u64 = 0;
         let mut idle_spins: u32 = 0;
         while !batch.sched.all_done() {
@@ -74,6 +78,17 @@ impl Machine {
             self.step_job(&mut batch, core, job);
         }
         self.finish_batch(batch)
+    }
+
+    /// The serial loop [`Machine::run_trace`] replaced: start the run,
+    /// then step every event on core 0. It collects whatever state the
+    /// last event left, so `trace` must end with `Exit`.
+    fn run_trace_serial(&mut self, spec: &WorkloadSpec, trace: &Trace) -> RunStats {
+        let mut run = self.start(spec);
+        for event in &trace.events {
+            self.step(&mut run, event);
+        }
+        self.collect(&run)
     }
 }
 
@@ -149,10 +164,33 @@ fn scheduled(cfg: &SystemConfig, specs: &[WorkloadSpec], seed: u64, oracle: bool
         machine.run_scheduled_with(specs, seed, hook)
     };
     Outcome {
-        runs: runs.iter().map(|r| format!("{r:?}")).collect(),
         sched,
         hook_calls: chaos.calls,
         stalls: chaos.stalls,
+        ..outcome(&machine, &runs)
+    }
+}
+
+/// A plain cold run of `spec` through the batch driver or, as the
+/// `oracle`, through the serial loop.
+fn cold(cfg: &SystemConfig, spec: &WorkloadSpec, oracle: bool) -> Outcome {
+    let mut machine = Machine::new(cfg.clone());
+    let trace = generate(spec);
+    let run = if oracle {
+        machine.run_trace_serial(spec, &trace)
+    } else {
+        machine.run_trace(spec, &trace)
+    };
+    outcome(&machine, &[run])
+}
+
+/// The machine's state after `runs`, with no scheduler counters.
+fn outcome(machine: &Machine, runs: &[RunStats]) -> Outcome {
+    Outcome {
+        runs: runs.iter().map(|r| format!("{r:?}")).collect(),
+        sched: SchedStats::default(),
+        hook_calls: 0,
+        stalls: 0,
         tlbs: machine
             .tlbs
             .iter()
@@ -251,6 +289,26 @@ fn scheduled_batches_match_the_per_event_and_per_line_oracles() {
         }
     }
     assert!(stalls > 0, "the hooks stalled cores");
+}
+
+#[test]
+fn cold_runs_match_the_serial_oracle() {
+    // One job on a multi-core machine still runs on core 0 alone, so
+    // every contention mechanism stays inert there too.
+    for (name, design) in designs() {
+        for cores in [1, 2] {
+            let cfg = design.clone().with_cores(cores);
+            for spec in batch() {
+                let new = cold(&cfg, &spec, false);
+                let old = cold(&cfg, &spec, true);
+                assert_same(
+                    &new,
+                    &old,
+                    &format!("{name}, {} on {cores} cores", spec.name),
+                );
+            }
+        }
+    }
 }
 
 #[test]

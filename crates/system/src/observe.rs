@@ -9,10 +9,12 @@
 //! with the machine's reported cycle totals *by construction*: each charge
 //! becomes exactly one span of the same length.
 //!
-//! The ledger covers the whole execution. For steady-state runs
-//! ([`crate::Machine::run_steady`]) the run's own account is reset at the
-//! measurement boundary while the trace keeps the warm-up — a trace that
-//! dropped its first half would be useless for profiling.
+//! The ledger covers the whole execution. For warm containers
+//! ([`crate::Machine::run_invocations`], [`crate::WarmContainer`]) the
+//! run's own account restarts at each invocation, and the invocation
+//! boundary's quiesce stays out of it, while the trace keeps the cold
+//! start, every boundary and the teardown — a trace that dropped the
+//! warm-up would be useless for profiling.
 //!
 //! Span vocabulary (`cat: "charge"`): `user` (application compute and data
 //! access), `mm` (allocator fast paths, software and hardware),

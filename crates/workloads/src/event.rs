@@ -164,6 +164,16 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// The events of one request: the trace minus its trailing
+    /// [`Event::Exit`], which is container teardown. A warm container
+    /// replays the body once per invocation and exits only when evicted.
+    pub fn body(&self) -> &[Event] {
+        match self.events.split_last() {
+            Some((Event::Exit, body)) => body,
+            _ => &self.events,
+        }
+    }
+
     /// Serializes the whole trace as one JSON value.
     pub fn to_json(&self) -> Value {
         let mut doc = Value::object();

@@ -9,8 +9,8 @@ use memento_experiments::context::{ConfigKind, EvalContext};
 use memento_experiments::{ablation, characterization, multicore, report, speedup};
 
 /// A small-but-mixed workload set: Python, C++, and Go functions plus a
-/// steady-state data-processing member, so both `run` and `run_steady`
-/// paths cross the worker pool.
+/// steady-state data-processing member, so both the cold `run` and the
+/// warm `run_invocations` paths cross the worker pool.
 const NAMES: [&str; 4] = ["aes", "US", "bfs-go", "SQLite3"];
 
 /// Renders `study` under a fresh context at `scale` with 1 and with 4

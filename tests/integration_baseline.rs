@@ -1,7 +1,7 @@
 //! Integration tests of the baseline software stack end-to-end: workload
 //! generation → software allocators → kernel → cache hierarchy.
 
-use memento_system::{Machine, SystemConfig};
+use memento_system::{Machine, RunStats, SystemConfig};
 use memento_workloads::spec::{Category, Language, WorkloadSpec};
 use memento_workloads::suite;
 
@@ -110,12 +110,25 @@ fn deterministic_across_runs() {
 
 #[test]
 fn steady_state_excludes_warmup() {
+    // The steady window of a warm container is exactly its warm
+    // invocations: the cold start, where the heap grows, is left out.
     let spec = shrunk("Redis", 1_000_000);
-    let full = Machine::new(SystemConfig::baseline()).run(&spec);
-    let steady = Machine::new(SystemConfig::baseline()).run_steady(&spec, 0.4);
-    assert!(steady.total_cycles() < full.total_cycles());
-    assert!(
-        steady.kernel.page_faults < full.kernel.page_faults,
-        "heap-growth faults happen mostly during warm-up"
+    let warm = Machine::new(SystemConfig::baseline()).run_invocations(&spec, 3);
+    let (cold, rest) = warm.invocations.split_first().expect("three invocations");
+    for inv in rest {
+        assert!(inv.total_cycles() < cold.total_cycles());
+        assert!(
+            inv.kernel.page_faults < cold.kernel.page_faults,
+            "heap-growth faults happen mostly during warm-up"
+        );
+    }
+    let sum = |f: fn(&RunStats) -> u64| rest.iter().map(f).sum::<u64>();
+    assert_eq!(
+        warm.steady.total_cycles().raw(),
+        sum(|r| r.total_cycles().raw())
+    );
+    assert_eq!(
+        warm.steady.kernel.page_faults,
+        sum(|r| r.kernel.page_faults)
     );
 }

@@ -1,4 +1,4 @@
-/* The legacy scanner treated this interior as code:
+/* A per-line scanner treats this interior as code:
 let t = Instant::now();
 x.unwrap();
 */
