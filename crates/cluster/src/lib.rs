@@ -22,10 +22,12 @@
 //!   stays a pure function of the seed too.
 //! - [`policy`] — the scheduler policy surface: [`policy::Placement`]
 //!   (round-robin / warm-affinity least-loaded), [`policy::KeepAlive`]
-//!   (none / fixed / infinite / size-aware), [`policy::ColdStart`]
-//!   (boot / snapshot-restore), [`policy::Reclamation`] (pressure-driven
-//!   squeeze), [`policy::Autoscaler`] (target-utilization node scaling),
-//!   and typed [`policy::RejectReason`]s.
+//!   (none / fixed / infinite / size-aware / park-to-PM),
+//!   [`policy::ColdStart`] (boot / snapshot-restore),
+//!   [`policy::Reclamation`] (pressure-driven squeeze),
+//!   [`policy::Autoscaler`] (target-utilization node scaling), and typed
+//!   [`policy::RejectReason`]s. The keep-alive TTL rule and the keep-alive
+//!   and autoscaler config checks are methods on these types.
 //! - [`profile`] — per-(workload, config) service profiles calibrated
 //!   from real [`memento_system::WarmContainer`] runs, replayed as one
 //!   cost record per (workload, container state) so the simulator scales

@@ -1,7 +1,12 @@
 //! Scheduler policy surface: placement, keep-alive, cold-start mechanism,
-//! reclamation, node autoscaling, and typed admission rejection.
+//! reclamation, node autoscaling, and typed admission rejection. The
+//! keep-alive TTL rule and the keep-alive and autoscaler config checks
+//! live here, on the policy types; the fleet simulator only calls them.
 
 use std::fmt;
+
+use crate::error::ClusterError;
+use crate::sim::MAX_CYCLES;
 
 /// How the scheduler picks a node for an accepted arrival.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,6 +66,58 @@ pub enum KeepAlive {
         /// Cycles a parked image is retained before eviction.
         ttl_cycles: u64,
     },
+}
+
+impl KeepAlive {
+    /// The keep-alive deadline rule: cycles a container that idles at
+    /// `idle_frames` stays warm before it expires, or `None` when it gets
+    /// no deadline (`None` tears it down at once, `Infinite` never
+    /// expires). The TTL never grows with `idle_frames`, so `ttl(0)` is
+    /// the longest the policy grants: a size-aware container with no idle
+    /// frames spends none of its budget and keeps the ceiling.
+    pub(crate) fn ttl(self, idle_frames: u64) -> Option<u64> {
+        match self {
+            KeepAlive::None | KeepAlive::Infinite => None,
+            KeepAlive::Fixed(cycles) | KeepAlive::ParkToPM { ttl_cycles: cycles } => Some(cycles),
+            // KiSS-style: TTL inversely proportional to the parked
+            // footprint — big containers make way first.
+            KeepAlive::SizeAware {
+                budget_frame_cycles,
+                min_cycles,
+                max_cycles,
+            } => Some(
+                budget_frame_cycles
+                    .checked_div(idle_frames)
+                    .map_or(max_cycles, |ttl| ttl.clamp(min_cycles, max_cycles)),
+            ),
+        }
+    }
+
+    /// Rejects a zero size-aware budget, an empty TTL clamp range, a zero
+    /// park-to-PM retention and any TTL past [`MAX_CYCLES`].
+    pub(crate) fn validate(self) -> Result<(), ClusterError> {
+        let why = match self {
+            KeepAlive::SizeAware {
+                budget_frame_cycles: 0,
+                ..
+            } => "size-aware frame-cycle budget must be positive".to_owned(),
+            KeepAlive::SizeAware {
+                min_cycles: lo,
+                max_cycles: hi,
+                ..
+            } if lo == 0 || lo > hi => format!("TTL clamp range [{lo}, {hi}] is empty"),
+            KeepAlive::ParkToPM { ttl_cycles: 0 } => {
+                "park-to-pm retention TTL must be positive".to_owned()
+            }
+            _ => match self.ttl(0) {
+                Some(longest) if longest > MAX_CYCLES => {
+                    format!("TTL of {longest} cycles exceeds the clock bound {MAX_CYCLES}")
+                }
+                _ => return Ok(()),
+            },
+        };
+        Err(ClusterError::InvalidKeepAlive(why))
+    }
 }
 
 impl fmt::Display for KeepAlive {
@@ -146,6 +203,34 @@ pub struct AutoscalerConfig {
     /// Cold-node spin-up delay: cycles between the scale-up decision and
     /// the node accepting placements.
     pub spinup_cycles: u64,
+}
+
+impl AutoscalerConfig {
+    /// Rejects a zero interval or target, an empty node range, an initial
+    /// fleet of `nodes` outside it, more than 2^16 nodes, and an interval
+    /// or spin-up delay past [`MAX_CYCLES`].
+    pub(crate) fn validate(&self, nodes: usize) -> Result<(), ClusterError> {
+        let (min, max) = (self.min_nodes, self.max_nodes);
+        let why = if self.interval_cycles == 0 {
+            "controller interval must be positive".to_owned()
+        } else if self.target_load_pct == 0 {
+            "target load percentage must be positive".to_owned()
+        } else if min == 0 || min > max {
+            format!("node range [{min}, {max}] is empty")
+        } else if nodes < min || nodes > max {
+            format!("initial fleet of {nodes} nodes is outside [{min}, {max}]")
+        } else if max > 1 << 16 {
+            return Err(ClusterError::FleetTooLarge);
+        } else if self.interval_cycles > MAX_CYCLES || self.spinup_cycles > MAX_CYCLES {
+            format!(
+                "interval {} or spin-up {} cycles exceeds the clock bound {MAX_CYCLES}",
+                self.interval_cycles, self.spinup_cycles
+            )
+        } else {
+            return Ok(());
+        };
+        Err(ClusterError::InvalidAutoscaler(why))
+    }
 }
 
 /// Whether and how the fleet resizes itself under load.

@@ -8,10 +8,11 @@
 //! - The clock is simulated cycles; nothing reads wall time.
 //! - There is no event queue. Each event source keeps its own pending
 //!   keys: a cursor over the sorted arrivals, one completion key per
-//!   serving lane, one keep-alive deadline per warm-matrix entry, a FIFO
-//!   of node boots and the next autoscaler tick. Every key is
-//!   `(time, seq)`, with `seq` drawn from one monotone counter, so ties
-//!   have one total order and the loop fires the least key of the five.
+//!   serving lane, one keep-alive deadline per warm-matrix entry and,
+//!   with an autoscaler, a FIFO of node boots and the next controller
+//!   tick. Every key is `(time, seq)`, with `seq` drawn from one
+//!   monotone counter, so ties have one total order and the loop fires
+//!   the least key of the five.
 //! - All keyed state is index-based: containers live in a slab (`Vec` +
 //!   free list), per-node warm pools are dense arrays over mix indices,
 //!   and service costs are read by mix index from the service model.
@@ -24,6 +25,15 @@
 //! indexing where it used to chase tree nodes and compare workload-name
 //! strings. The workspace analyzer (`tools/analyzer`) bans `BTreeMap`
 //! from this file's hot paths so the flattening cannot regress silently.
+//!
+//! # Policy families
+//!
+//! Each policy family has one home. Reclamation and the autoscaler keep
+//! their state behind one `Option` each (`Squeeze`, `Scaling`, built in
+//! `Sim::new` and `None` when the family is off) with their code in an
+//! `impl` block of its own; the keep-alive TTL rule and the keep-alive
+//! and autoscaler config checks are methods on the policy types in
+//! [`crate::policy`].
 //!
 //! # Service models
 //!
@@ -66,7 +76,9 @@ use crate::arrival::{Arrival, WorkloadMix};
 use crate::error::ClusterError;
 use crate::lineage::Lineages;
 use crate::model::{Op, ServiceModel};
-use crate::policy::{Autoscaler, ColdStart, KeepAlive, Placement, Reclamation, RejectReason};
+use crate::policy::{
+    Autoscaler, AutoscalerConfig, ColdStart, KeepAlive, Placement, Reclamation, RejectReason,
+};
 use crate::profile::{ProfileTable, Profiled};
 
 /// How the simulator obtains service times and frame footprints.
@@ -243,73 +255,9 @@ fn validate(
         return Err(ClusterError::EmptyMix);
     }
     if let Autoscaler::TargetUtilization(ac) = cfg.autoscaler {
-        if ac.interval_cycles == 0 {
-            return Err(ClusterError::InvalidAutoscaler(
-                "controller interval must be positive".into(),
-            ));
-        }
-        if ac.target_load_pct == 0 {
-            return Err(ClusterError::InvalidAutoscaler(
-                "target load percentage must be positive".into(),
-            ));
-        }
-        if ac.min_nodes == 0 || ac.min_nodes > ac.max_nodes {
-            return Err(ClusterError::InvalidAutoscaler(format!(
-                "node range [{}, {}] is empty",
-                ac.min_nodes, ac.max_nodes
-            )));
-        }
-        if cfg.nodes < ac.min_nodes || cfg.nodes > ac.max_nodes {
-            return Err(ClusterError::InvalidAutoscaler(format!(
-                "initial fleet of {} nodes is outside [{}, {}]",
-                cfg.nodes, ac.min_nodes, ac.max_nodes
-            )));
-        }
-        if ac.max_nodes > 1 << 16 {
-            return Err(ClusterError::FleetTooLarge);
-        }
-        if ac.interval_cycles > MAX_CYCLES || ac.spinup_cycles > MAX_CYCLES {
-            return Err(ClusterError::InvalidAutoscaler(format!(
-                "interval {} or spin-up {} cycles exceeds the clock bound {MAX_CYCLES}",
-                ac.interval_cycles, ac.spinup_cycles
-            )));
-        }
+        ac.validate(cfg.nodes)?;
     }
-    if let KeepAlive::SizeAware {
-        budget_frame_cycles,
-        min_cycles,
-        max_cycles,
-    } = cfg.keep_alive
-    {
-        if budget_frame_cycles == 0 {
-            return Err(ClusterError::InvalidKeepAlive(
-                "size-aware frame-cycle budget must be positive".into(),
-            ));
-        }
-        if min_cycles == 0 || min_cycles > max_cycles {
-            return Err(ClusterError::InvalidKeepAlive(format!(
-                "TTL clamp range [{min_cycles}, {max_cycles}] is empty"
-            )));
-        }
-    }
-    if let KeepAlive::ParkToPM { ttl_cycles } = cfg.keep_alive {
-        if ttl_cycles == 0 {
-            return Err(ClusterError::InvalidKeepAlive(
-                "park-to-pm retention TTL must be positive".into(),
-            ));
-        }
-    }
-    let longest_ttl = match cfg.keep_alive {
-        KeepAlive::None | KeepAlive::Infinite => 0,
-        KeepAlive::Fixed(d) => d,
-        KeepAlive::ParkToPM { ttl_cycles } => ttl_cycles,
-        KeepAlive::SizeAware { max_cycles, .. } => max_cycles,
-    };
-    if longest_ttl > MAX_CYCLES {
-        return Err(ClusterError::InvalidKeepAlive(format!(
-            "TTL of {longest_ttl} cycles exceeds the clock bound {MAX_CYCLES}"
-        )));
-    }
+    cfg.keep_alive.validate()?;
     let mut prev = 0;
     for (i, a) in arrivals.iter().enumerate() {
         if a.workload >= mix.len() {
@@ -420,9 +368,6 @@ const IDLE: (u64, u64) = (u64::MAX, u64::MAX);
 /// Sentinel for "no keep-alive deadline" (same never-selected reasoning).
 const NO_EXPIRY: (u64, u64) = (u64::MAX, u64::MAX);
 
-/// Sentinel for "no pending autoscaler tick" (same reasoning).
-const NO_EVENT: (u64, u64) = (u64::MAX, u64::MAX);
-
 struct Node {
     queue: VecDeque<Queued>,
 }
@@ -501,12 +446,8 @@ struct Sim<'a, M: ServiceModel> {
     next_expiry: (u64, u64),
     /// Warm-matrix entry holding `next_expiry`.
     next_expiry_idx: u32,
-    /// Pressure reclamation is on: a squeeze pass follows every start.
-    squeeze_on: bool,
-    /// Squeeze candidates: bit `widx` is set while `warm[widx]` holds an
-    /// idle-warm container that is not squeezed. Kept only while
-    /// `squeeze_on` (all zero otherwise: nothing reads it).
-    squeezable: Vec<u64>,
+    /// Pressure reclamation; `None` under [`Reclamation::None`].
+    squeeze: Option<Squeeze>,
     /// `queue length + serving` per node; admission is `load <= capacity`
     /// (a node with an empty system has load 0).
     load: Vec<u32>,
@@ -523,21 +464,9 @@ struct Sim<'a, M: ServiceModel> {
     node_invocations: Vec<u64>,
     /// Autoscaler lifecycle per node (all `Active` without one).
     node_state: Vec<NodeState>,
-    /// Pending node-boot events `(time, seq, node)`. Spin-up delay is
-    /// constant, so push times are monotone and a FIFO pops them in
-    /// `(time, seq)` order.
-    boots: VecDeque<(u64, u64, u32)>,
-    /// Next autoscaler controller tick (`NO_EVENT` when disabled or when
-    /// the controller stopped re-arming at drain).
-    next_tick: (u64, u64),
-    /// Nodes currently `Active` or `Booting` — the capacity the
-    /// controller has committed to.
-    active_committed: usize,
-    peak_active_nodes: u64,
-    scale_ups: u64,
-    scale_downs: u64,
+    /// The autoscaler; `None` on a fixed fleet.
+    scale: Option<Scaling>,
     restores: u64,
-    squeezed: u64,
     pm_parks: u64,
     pm_restores: u64,
     /// Background PM write cycles parks generated (off the latency path).
@@ -562,7 +491,6 @@ struct Sim<'a, M: ServiceModel> {
     retired: u64,
     fleet_now: u64,
     fleet_peak: u64,
-    peak_dirty: bool,
     timeline: Vec<(u64, u64)>,
     latencies: Vec<u64>,
     latency_hist: Log2Hist,
@@ -644,26 +572,36 @@ fn reject_index(reason: RejectReason) -> usize {
 
 impl<'a, M: ServiceModel> Sim<'a, M> {
     fn new(model: M, cfg: &'a ClusterConfig, mix: &'a WorkloadMix) -> Self {
+        let scale = match cfg.autoscaler {
+            Autoscaler::TargetUtilization(ac) => Some(Scaling {
+                cfg: ac,
+                boots: VecDeque::new(),
+                next_tick: None,
+                committed: cfg.nodes,
+                peak: cfg.nodes as u64,
+                ups: 0,
+                downs: 0,
+            }),
+            Autoscaler::None => None,
+        };
         // With an autoscaler, every array is sized for the controller's
         // hardware bound; nodes beyond the initial fleet start `Off`.
-        let total_nodes = match cfg.autoscaler {
-            Autoscaler::TargetUtilization(ac) => ac.max_nodes,
-            Autoscaler::None => cfg.nodes,
+        let total_nodes = scale.as_ref().map_or(cfg.nodes, |sc| sc.cfg.max_nodes);
+        let squeeze = match cfg.reclamation {
+            Reclamation::Squeeze { watermark_frames } => Some(Squeeze {
+                watermark: watermark_frames,
+                mask: vec![0; (total_nodes * mix.len()).div_ceil(64)],
+                count: 0,
+            }),
+            Reclamation::None => None,
         };
         let nodes: Vec<Node> = (0..total_nodes)
             .map(|_| Node {
                 queue: VecDeque::new(),
             })
             .collect();
-        let node_state = (0..total_nodes)
-            .map(|i| {
-                if i < cfg.nodes {
-                    NodeState::Active
-                } else {
-                    NodeState::Off
-                }
-            })
-            .collect();
+        let mut node_state = vec![NodeState::Off; total_nodes];
+        node_state[..cfg.nodes].fill(NodeState::Active);
         let lanes = total_nodes * cfg.cores_per_node;
         let mut sim = Sim {
             model,
@@ -686,21 +624,14 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             deadline: vec![NO_EXPIRY; total_nodes * mix.len()],
             next_expiry: NO_EXPIRY,
             next_expiry_idx: 0,
-            squeeze_on: !matches!(cfg.reclamation, Reclamation::None),
-            squeezable: vec![0; (total_nodes * mix.len()).div_ceil(64)],
+            squeeze,
             load: vec![0; total_nodes],
             node_key: vec![0; total_nodes],
             warm: vec![NO_WARM; total_nodes * mix.len()],
             node_invocations: vec![0; total_nodes],
             node_state,
-            boots: VecDeque::new(),
-            next_tick: NO_EVENT,
-            active_committed: cfg.nodes,
-            peak_active_nodes: cfg.nodes as u64,
-            scale_ups: 0,
-            scale_downs: 0,
+            scale,
             restores: 0,
-            squeezed: 0,
             pm_parks: 0,
             pm_restores: 0,
             pm_persist_cycles: 0,
@@ -720,7 +651,6 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             retired: 0,
             fleet_now: 0,
             fleet_peak: 0,
-            peak_dirty: false,
             timeline: Vec::new(),
             latencies: Vec::new(),
             latency_hist: Log2Hist::new(),
@@ -753,8 +683,9 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         // seq, and only when the autoscaler is on — a disabled feature
         // allocates no seq, so the default path's (time, seq) stream is
         // bit-identical to the fixed-fleet engine.
-        if let Autoscaler::TargetUtilization(ac) = self.cfg.autoscaler {
-            self.next_tick = (ac.interval_cycles, self.alloc_seq());
+        if let Some(sc) = &mut self.scale {
+            sc.next_tick = Some((sc.cfg.interval_cycles, self.next_seq));
+            self.next_seq += 1;
         }
         #[derive(Clone, Copy)]
         enum Src {
@@ -767,8 +698,9 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         loop {
             // Pick the earliest (time, seq) across the five sources: the
             // arrival cursor, the per-lane completion slots, the cached
-            // keep-alive deadline, pending node boots, and the autoscaler
-            // tick. Seqs are unique, so the winner is unique.
+            // keep-alive deadline and, with an autoscaler, pending node
+            // boots and the controller tick. Seqs are unique, so the
+            // winner is unique.
             let mut best: Option<((u64, u64), Src)> = None;
             if let Some((t, s, _)) = next_arrival {
                 best = Some(((t, s), Src::Arrival));
@@ -779,13 +711,17 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             if self.next_expiry != NO_EXPIRY && best.is_none_or(|(bk, _)| self.next_expiry < bk) {
                 best = Some((self.next_expiry, Src::Expiry));
             }
-            if let Some(&(t, s, _)) = self.boots.front() {
-                if best.is_none_or(|(bk, _)| (t, s) < bk) {
-                    best = Some(((t, s), Src::Boot));
+            if let Some(sc) = &self.scale {
+                if let Some(&(t, s, _)) = sc.boots.front() {
+                    if best.is_none_or(|(bk, _)| (t, s) < bk) {
+                        best = Some(((t, s), Src::Boot));
+                    }
                 }
-            }
-            if self.next_tick != NO_EVENT && best.is_none_or(|(bk, _)| self.next_tick < bk) {
-                best = Some((self.next_tick, Src::Tick));
+                if let Some(tick) = sc.next_tick {
+                    if best.is_none_or(|(bk, _)| tick < bk) {
+                        best = Some((tick, Src::Tick));
+                    }
+                }
             }
             let Some(((time, _), src)) = best else { break };
             debug_assert!(time >= self.now, "simulated time must not run backwards");
@@ -807,7 +743,9 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
                 Src::Completion(lane) => self.on_completion(lane as usize),
                 Src::Expiry => self.on_expiry(),
                 Src::Boot => {
-                    let (_, _, node) = self.boots.pop_front().expect("boot source chosen");
+                    let (_, _, node) = (self.scale.as_mut())
+                        .and_then(|sc| sc.boots.pop_front())
+                        .expect("boot source chosen");
                     self.on_boot(node as usize);
                 }
                 Src::Tick => {
@@ -815,7 +753,9 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
                     // accepted invocations); otherwise the controller
                     // stops and the run drains through expiries alone.
                     let more = next_arrival.is_some() || self.in_flight > 0;
-                    self.on_tick(more);
+                    let mut sc = self.scale.take().expect("tick source chosen");
+                    self.on_tick(&mut sc, more);
+                    self.scale = Some(sc);
                 }
             }
             #[cfg(debug_assertions)]
@@ -892,8 +832,10 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
     /// so it is no squeeze candidate.
     #[inline]
     fn put_warm(&mut self, widx: usize, slot: u32) -> u32 {
-        if self.squeeze_on && !self.slots[slot as usize].pm_parked {
-            self.squeezable[widx / 64] |= 1 << (widx % 64);
+        if let Some(sq) = &mut self.squeeze {
+            if !self.slots[slot as usize].pm_parked {
+                sq.mask[widx / 64] |= 1 << (widx % 64);
+            }
         }
         std::mem::replace(&mut self.warm[widx], slot)
     }
@@ -904,8 +846,8 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
     #[inline]
     fn take_warm(&mut self, widx: usize) -> u32 {
         self.deadline[widx] = NO_EXPIRY;
-        if self.squeeze_on {
-            self.squeezable[widx / 64] &= !(1 << (widx % 64));
+        if let Some(sq) = &mut self.squeeze {
+            sq.mask[widx / 64] &= !(1 << (widx % 64));
         }
         std::mem::replace(&mut self.warm[widx], NO_WARM)
     }
@@ -913,20 +855,9 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
     fn place(&mut self, workload: usize) -> Result<usize, RejectReason> {
         match self.cfg.placement {
             Placement::RoundRobin => {
-                if matches!(self.cfg.autoscaler, Autoscaler::None) {
-                    // The fixed-fleet fast path: one rotation step per
-                    // arrival, bit-identical to the pre-region engine.
-                    let node = self.rr % self.nodes.len();
-                    self.rr += 1;
-                    return if self.has_space(node) {
-                        Ok(node)
-                    } else {
-                        Err(RejectReason::QueueFull)
-                    };
-                }
-                // Autoscaled round-robin rotates to the next *active*
-                // node; booting, draining, and off nodes take no new
-                // placements. Local admission semantics are unchanged.
+                // Rotate to the next *active* node; booting, draining and
+                // off nodes take no new placements. On a fixed fleet every
+                // node is active, so the first step places.
                 let n = self.nodes.len();
                 for _ in 0..n {
                     let node = self.rr % n;
@@ -1004,8 +935,9 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             self.set_contrib(slot, r.serving_peak);
             (slot, r.cycles)
         };
-        if self.squeeze_on {
-            self.squeeze_pass();
+        if let Some(mut sq) = self.squeeze.take() {
+            self.squeeze_pass(&mut sq);
+            self.squeeze = Some(sq);
         }
         self.node_invocations[node] += 1;
         let done_time = self.now + service.max(1);
@@ -1050,45 +982,6 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         }
     }
 
-    /// Squeezy-style pressure pass: while the fleet footprint sits above
-    /// the watermark, squeeze idle-warm containers (warm-matrix index
-    /// order — deterministic) down to their unreclaimable floor. The
-    /// squeezed container stays warm; its next warm start repays the
-    /// evicted frames through its record's re-fault bill.
-    fn squeeze_pass(&mut self) {
-        let Reclamation::Squeeze { watermark_frames } = self.cfg.reclamation else {
-            return;
-        };
-        if self.fleet_now <= watermark_frames {
-            return;
-        }
-        // Walk a copy of each mask word: squeezing clears only bits
-        // already visited, so the order is plain index order.
-        for word in 0..self.squeezable.len() {
-            let mut bits = self.squeezable[word];
-            while bits != 0 {
-                let widx = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.squeeze(widx);
-                if self.fleet_now <= watermark_frames {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Squeezes the idle-warm container of warm entry `widx` to its
-    /// record's floor.
-    fn squeeze(&mut self, widx: usize) {
-        self.squeezable[widx / 64] &= !(1 << (widx % 64));
-        let slot = self.warm[widx];
-        let c = &mut self.slots[slot as usize];
-        c.squeezed = true;
-        let floor = self.model.record(c.pos).squeeze_floor;
-        self.squeezed += 1;
-        self.set_contrib(slot, floor);
-    }
-
     fn set_contrib(&mut self, slot: u32, new: u64) {
         let c = &mut self.slots[slot as usize];
         if new == c.contrib {
@@ -1096,7 +989,6 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         }
         self.fleet_now = self.fleet_now - c.contrib + new;
         c.contrib = new;
-        self.peak_dirty = true;
         if self.cfg.record_timeline {
             match self.timeline.last_mut() {
                 Some((t, v)) if *t == self.now => *v = self.fleet_now,
@@ -1105,121 +997,12 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         }
     }
 
-    /// One autoscaler controller tick: size the committed fleet so
-    /// in-flight work tracks the target utilization of active serving
-    /// capacity, then re-arm while work remains.
-    fn on_tick(&mut self, more: bool) {
-        let Autoscaler::TargetUtilization(ac) = self.cfg.autoscaler else {
-            debug_assert!(false, "tick fired without an autoscaler");
-            return;
-        };
-        // want = ceil(in_flight / (cores_per_node × target%)) nodes,
-        // clamped to the controller's range. Integer arithmetic only.
-        let capacity_unit = (self.cfg.cores_per_node as u64 * ac.target_load_pct).max(1);
-        let want = (self.in_flight * 100)
-            .div_ceil(capacity_unit)
-            .clamp(ac.min_nodes as u64, ac.max_nodes as u64) as usize;
-        while self.active_committed < want && self.scale_up_one() {}
-        while self.active_committed > want && self.scale_down_one() {}
-        self.next_tick = if more {
-            (self.now + ac.interval_cycles, self.alloc_seq())
-        } else {
-            NO_EVENT
-        };
-    }
-
-    /// Commits one more node: reactivate a draining node (still warm, no
-    /// delay) if one exists, else boot the lowest-numbered off node after
-    /// the spin-up delay. Returns false when no node is available.
-    fn scale_up_one(&mut self) -> bool {
-        let Autoscaler::TargetUtilization(ac) = self.cfg.autoscaler else {
-            return false;
-        };
-        if let Some(node) =
-            (0..self.nodes.len()).find(|&n| self.node_state[n] == NodeState::Draining)
-        {
-            self.node_state[node] = NodeState::Active;
-            self.refresh_node_key(node);
-        } else if let Some(node) =
-            (0..self.nodes.len()).find(|&n| self.node_state[n] == NodeState::Off)
-        {
-            self.node_state[node] = NodeState::Booting;
-            self.refresh_node_key(node);
-            let seq = self.alloc_seq();
-            // lint:allow(narrowing-cast-in-hot-path): node indexes max_nodes <= 2^16
-            let node = node as u32;
-            self.boots
-                .push_back((self.now + ac.spinup_cycles, seq, node));
-        } else {
-            return false;
-        }
-        self.scale_ups += 1;
-        self.active_committed += 1;
-        self.peak_active_nodes = self.peak_active_nodes.max(self.active_committed as u64);
-        true
-    }
-
-    /// Uncommits one node: the highest-numbered active node drains (no
-    /// new placements; it finishes queued/in-flight work, then turns
-    /// off). Returns false when only booting nodes remain to uncommit —
-    /// a boot in flight is left to land rather than cancelled.
-    fn scale_down_one(&mut self) -> bool {
-        let Some(node) = (0..self.nodes.len())
-            .rev()
-            .find(|&n| self.node_state[n] == NodeState::Active)
-        else {
-            return false;
-        };
-        self.node_state[node] = NodeState::Draining;
-        self.refresh_node_key(node);
-        self.scale_downs += 1;
-        self.active_committed -= 1;
-        if self.load[node] == 0 {
-            self.node_off(node);
-        }
-        true
-    }
-
-    /// A booted node joins the active set.
-    fn on_boot(&mut self, node: usize) {
-        debug_assert_eq!(
-            self.node_state[node],
-            NodeState::Booting,
-            "boot events only land on booting nodes"
-        );
-        self.node_state[node] = NodeState::Active;
-        self.refresh_node_key(node);
-    }
-
-    /// Powers a drained node off, retiring its idle-warm containers and
-    /// clearing their warm entries with their keep-alive deadlines. If
-    /// the cached next deadline was one of them, it still fires at its
-    /// time as a no-op (see [`Self::on_expiry`]).
-    fn node_off(&mut self, node: usize) {
-        debug_assert_eq!(self.load[node], 0, "node_off requires a drained node");
-        for workload in 0..self.mix.len() {
-            // lint:allow(narrowing-cast-in-hot-path): workload ids index the mix table, far below 2^32
-            let widx = self.warm_idx(workload as u32, node);
-            if self.warm[widx] != NO_WARM {
-                let slot = self.take_warm(widx);
-                self.retire(slot);
-            }
-        }
-        self.node_state[node] = NodeState::Off;
-        self.refresh_node_key(node);
-    }
-
     /// Folds the settled footprint at the just-finished instant into the
     /// peak. Sampling at instant boundaries (instead of after every
     /// individual contribution change) makes the peak independent of how
     /// same-instant events interleave.
     fn settle_peak(&mut self) {
-        if self.peak_dirty {
-            if self.fleet_now > self.fleet_peak {
-                self.fleet_peak = self.fleet_now;
-            }
-            self.peak_dirty = false;
-        }
+        self.fleet_peak = self.fleet_peak.max(self.fleet_now);
     }
 
     fn on_completion(&mut self, lane: usize) {
@@ -1248,10 +1031,11 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         let pos = &mut self.slots[slot as usize].pos;
         let idle = self.model.apply(pos, Op::Park).idle_frames;
         self.set_contrib(slot, idle);
-        let ttl = match self.cfg.keep_alive {
-            KeepAlive::None | KeepAlive::Infinite => None,
-            KeepAlive::Fixed(d) => Some(d),
-            KeepAlive::ParkToPM { ttl_cycles } => {
+        let keep_alive = self.cfg.keep_alive;
+        if keep_alive == KeepAlive::None {
+            self.retire(slot);
+        } else {
+            if let KeepAlive::ParkToPM { .. } = keep_alive {
                 // Park the idle container's state into persistent memory
                 // (Measured machines run the real crash-consistent
                 // checkpoint): near-zero DRAM while idle, a PM restore on
@@ -1264,25 +1048,13 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
                 self.pm_persist_cycles += r.cycles;
                 self.pm_parks += 1;
                 self.set_contrib(slot, r.idle_frames);
-                Some(ttl_cycles)
             }
-            // KiSS-style: TTL inversely proportional to the parked
-            // footprint — big containers make way first.
-            KeepAlive::SizeAware {
-                budget_frame_cycles,
-                min_cycles,
-                max_cycles,
-            } => Some((budget_frame_cycles / idle.max(1)).clamp(min_cycles, max_cycles)),
-        };
-        if self.cfg.keep_alive == KeepAlive::None {
-            self.retire(slot);
-        } else {
             let widx = self.warm_idx(inflight.workload, node);
             let old = self.put_warm(widx, slot);
             if old != NO_WARM {
                 self.retire(old);
             }
-            if let Some(ttl) = ttl {
+            if let Some(ttl) = keep_alive.ttl(idle) {
                 // `validate` bounds arrivals and TTLs by `MAX_CYCLES`.
                 let key = (self.now + ttl, self.alloc_seq());
                 self.deadline[widx] = key;
@@ -1343,7 +1115,7 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
     fn audit_indices(&self) {
         // Plain index loops and scalar compares: this runs per event in
         // unoptimized builds.
-        let timed = !matches!(self.cfg.keep_alive, KeepAlive::None | KeepAlive::Infinite);
+        let timed = self.cfg.keep_alive.ttl(0).is_some();
         let mut live_min = NO_EXPIRY;
         for widx in 0..self.warm.len() {
             let slot = self.warm[widx];
@@ -1361,13 +1133,14 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
                 );
                 live_min = live_min.min(deadline);
             }
-            let bit = self.squeezable[widx / 64] >> (widx % 64) & 1 == 1;
+            let bit = (self.squeeze.as_ref())
+                .is_some_and(|sq| sq.mask[widx / 64] >> (widx % 64) & 1 == 1);
             let candidate = idle_warm && {
                 let c = &self.slots[slot as usize];
                 !c.squeezed && !c.pm_parked
             };
             assert!(
-                bit == (self.squeeze_on && candidate),
+                bit == (self.squeeze.is_some() && candidate),
                 "warm entry {widx}: squeeze bit exactly while squeezing, idle-warm, unsqueezed and not PM-parked"
             );
         }
@@ -1420,26 +1193,9 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             })
             .collect();
         auditor.audit_fleet_frames(self.next_seq, self.fleet_now, per_node);
-        if !matches!(self.cfg.autoscaler, Autoscaler::None) {
-            // Scale-up/down hygiene: a node outside the active set must
-            // hold nothing (scale-down retired its warm pool).
-            let mut warm_counts = vec![0u64; self.nodes.len()];
-            for &slot in &self.warm {
-                if slot != NO_WARM {
-                    warm_counts[self.slots[slot as usize].node as usize] += 1;
-                }
-            }
-            auditor.audit_node_lifecycle(
-                self.next_seq,
-                (0..self.nodes.len()).map(|n| {
-                    (
-                        n,
-                        self.node_state[n] == NodeState::Active,
-                        self.load[n] as u64,
-                        warm_counts[n],
-                    )
-                }),
-            );
+        let mut metrics = MetricsRegistry::new();
+        if let Some(sc) = &self.scale {
+            self.finish_scaling(sc, &mut auditor, &mut metrics);
         }
 
         // Machines still live at drain keep their sanitizer findings too:
@@ -1451,7 +1207,6 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             }
         }
 
-        let mut metrics = MetricsRegistry::new();
         metrics.add("cluster.submitted", self.submitted);
         metrics.add("cluster.completed", self.completed);
         metrics.add("cluster.rejected", self.rejected);
@@ -1463,18 +1218,13 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         if self.cfg.cold_start == ColdStart::Snapshot {
             metrics.add("cluster.restores", self.restores);
         }
-        if !matches!(self.cfg.reclamation, Reclamation::None) {
-            metrics.add("cluster.squeezed", self.squeezed);
+        if let Some(sq) = &self.squeeze {
+            metrics.add("cluster.squeezed", sq.count);
         }
         if matches!(self.cfg.keep_alive, KeepAlive::ParkToPM { .. }) {
             metrics.add("cluster.pm_parks", self.pm_parks);
             metrics.add("cluster.pm_restores", self.pm_restores);
             metrics.add("cluster.pm_persist_cycles", self.pm_persist_cycles);
-        }
-        if !matches!(self.cfg.autoscaler, Autoscaler::None) {
-            metrics.add("cluster.scale_ups", self.scale_ups);
-            metrics.add("cluster.scale_downs", self.scale_downs);
-            metrics.set("cluster.peak_active_nodes", self.peak_active_nodes);
         }
         self.model.add_metrics(&mut metrics);
         metrics.set("cluster.peak_fleet_frames", self.fleet_peak);
@@ -1508,10 +1258,10 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             retired: self.retired,
             live_containers: self.live_count,
             restores: self.restores,
-            squeezed: self.squeezed,
+            squeezed: self.squeeze.as_ref().map_or(0, |sq| sq.count),
             pm_parks: self.pm_parks,
             pm_restores: self.pm_restores,
-            peak_active_nodes: self.peak_active_nodes,
+            peak_active_nodes: (self.scale.as_ref()).map_or(self.cfg.nodes as u64, |sc| sc.peak),
             makespan_cycles: self.now,
             peak_fleet_frames: self.fleet_peak,
             final_fleet_frames: self.fleet_now,
@@ -1520,6 +1270,197 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             metrics,
             audit,
         }
+    }
+}
+
+/// Pressure-reclamation state; present only under [`Reclamation::Squeeze`],
+/// where a squeeze pass follows every start.
+struct Squeeze {
+    /// Fleet footprint (frames) above which idle containers squeeze.
+    watermark: u64,
+    /// Candidates: bit `widx` is set while `warm[widx]` holds an
+    /// idle-warm container that is neither squeezed nor PM-parked.
+    mask: Vec<u64>,
+    /// Containers squeezed so far.
+    count: u64,
+}
+
+impl<M: ServiceModel> Sim<'_, M> {
+    /// Squeezy-style pressure pass: while the fleet footprint sits above
+    /// the watermark, squeeze idle-warm containers (warm-matrix index
+    /// order — deterministic) down to their unreclaimable floor. The
+    /// squeezed container stays warm; its next warm start repays the
+    /// evicted frames through its record's re-fault bill.
+    fn squeeze_pass(&mut self, sq: &mut Squeeze) {
+        if self.fleet_now <= sq.watermark {
+            return;
+        }
+        // Squeezing a candidate clears its bit, so each mask word walks
+        // down to zero in plain index order.
+        for (w, word) in sq.mask.iter_mut().enumerate() {
+            while *word != 0 {
+                let widx = w * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                sq.count += 1;
+                let slot = self.warm[widx];
+                let c = &mut self.slots[slot as usize];
+                c.squeezed = true;
+                let floor = self.model.record(c.pos).squeeze_floor;
+                self.set_contrib(slot, floor);
+                if self.fleet_now <= sq.watermark {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// Autoscaler state; present only under [`Autoscaler::TargetUtilization`].
+/// Node lifecycles stay in `Sim::node_state`, which placement and
+/// admission read on every fleet.
+struct Scaling {
+    cfg: AutoscalerConfig,
+    /// Pending node-boot events `(time, seq, node)`. Spin-up delay is
+    /// constant, so push times are monotone and a FIFO pops them in
+    /// `(time, seq)` order.
+    boots: VecDeque<(u64, u64, u32)>,
+    /// Next controller tick; `None` once the controller stops re-arming
+    /// at drain.
+    next_tick: Option<(u64, u64)>,
+    /// Nodes currently `Active` or `Booting` — the capacity the
+    /// controller has committed to — and the peak of that count.
+    committed: usize,
+    peak: u64,
+    /// Scale-up decisions (reactivations and boots).
+    ups: u64,
+    /// Scale-down decisions.
+    downs: u64,
+}
+
+impl<M: ServiceModel> Sim<'_, M> {
+    /// One autoscaler controller tick: size the committed fleet so
+    /// in-flight work tracks the target utilization of active serving
+    /// capacity, then re-arm while work remains.
+    fn on_tick(&mut self, sc: &mut Scaling, more: bool) {
+        let ac = sc.cfg;
+        // want = ceil(in_flight / (cores_per_node × target%)) nodes,
+        // clamped to the controller's range. Integer arithmetic only.
+        let capacity_unit = (self.cfg.cores_per_node as u64 * ac.target_load_pct).max(1);
+        let want = (self.in_flight * 100)
+            .div_ceil(capacity_unit)
+            .clamp(ac.min_nodes as u64, ac.max_nodes as u64) as usize;
+        while sc.committed < want && self.scale_up_one(sc) {}
+        while sc.committed > want && self.scale_down_one(sc) {}
+        sc.next_tick = more.then(|| (self.now + ac.interval_cycles, self.alloc_seq()));
+    }
+
+    /// Commits one more node: reactivate a draining node (still warm, no
+    /// delay) if one exists, else boot the lowest-numbered off node after
+    /// the spin-up delay. Returns false when no node is available.
+    fn scale_up_one(&mut self, sc: &mut Scaling) -> bool {
+        if let Some(node) =
+            (0..self.nodes.len()).find(|&n| self.node_state[n] == NodeState::Draining)
+        {
+            self.node_state[node] = NodeState::Active;
+            self.refresh_node_key(node);
+        } else if let Some(node) =
+            (0..self.nodes.len()).find(|&n| self.node_state[n] == NodeState::Off)
+        {
+            self.node_state[node] = NodeState::Booting;
+            self.refresh_node_key(node);
+            let seq = self.alloc_seq();
+            // lint:allow(narrowing-cast-in-hot-path): node indexes max_nodes <= 2^16
+            let node = node as u32;
+            sc.boots
+                .push_back((self.now + sc.cfg.spinup_cycles, seq, node));
+        } else {
+            return false;
+        }
+        sc.ups += 1;
+        sc.committed += 1;
+        sc.peak = sc.peak.max(sc.committed as u64);
+        true
+    }
+
+    /// Uncommits one node: the highest-numbered active node drains (no
+    /// new placements; it finishes queued/in-flight work, then turns
+    /// off). Returns false when only booting nodes remain to uncommit —
+    /// a boot in flight is left to land rather than cancelled.
+    fn scale_down_one(&mut self, sc: &mut Scaling) -> bool {
+        let Some(node) = (0..self.nodes.len())
+            .rev()
+            .find(|&n| self.node_state[n] == NodeState::Active)
+        else {
+            return false;
+        };
+        self.node_state[node] = NodeState::Draining;
+        self.refresh_node_key(node);
+        sc.downs += 1;
+        sc.committed -= 1;
+        if self.load[node] == 0 {
+            self.node_off(node);
+        }
+        true
+    }
+
+    /// A booted node joins the active set.
+    fn on_boot(&mut self, node: usize) {
+        debug_assert_eq!(
+            self.node_state[node],
+            NodeState::Booting,
+            "boot events only land on booting nodes"
+        );
+        self.node_state[node] = NodeState::Active;
+        self.refresh_node_key(node);
+    }
+
+    /// Powers a drained node off, retiring its idle-warm containers and
+    /// clearing their warm entries with their keep-alive deadlines. If
+    /// the cached next deadline was one of them, it still fires at its
+    /// time as a no-op (see [`Self::on_expiry`]).
+    fn node_off(&mut self, node: usize) {
+        debug_assert_eq!(self.load[node], 0, "node_off requires a drained node");
+        for workload in 0..self.mix.len() {
+            // lint:allow(narrowing-cast-in-hot-path): workload ids index the mix table, far below 2^32
+            let widx = self.warm_idx(workload as u32, node);
+            if self.warm[widx] != NO_WARM {
+                let slot = self.take_warm(widx);
+                self.retire(slot);
+            }
+        }
+        self.node_state[node] = NodeState::Off;
+        self.refresh_node_key(node);
+    }
+
+    /// Drain-time checks and metrics of the autoscaler: a node outside
+    /// the active set must hold nothing (scale-down retired its warm
+    /// pool).
+    fn finish_scaling(
+        &self,
+        sc: &Scaling,
+        auditor: &mut FleetAuditor,
+        metrics: &mut MetricsRegistry,
+    ) {
+        let mut warm_counts = vec![0u64; self.nodes.len()];
+        for &slot in &self.warm {
+            if slot != NO_WARM {
+                warm_counts[self.slots[slot as usize].node as usize] += 1;
+            }
+        }
+        auditor.audit_node_lifecycle(
+            self.next_seq,
+            (0..self.nodes.len()).map(|n| {
+                (
+                    n,
+                    self.node_state[n] == NodeState::Active,
+                    self.load[n] as u64,
+                    warm_counts[n],
+                )
+            }),
+        );
+        metrics.add("cluster.scale_ups", sc.ups);
+        metrics.add("cluster.scale_downs", sc.downs);
+        metrics.set("cluster.peak_active_nodes", sc.peak);
     }
 }
 

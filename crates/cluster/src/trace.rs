@@ -24,13 +24,14 @@
 //!   the trace is one integer formula `(base ± num·(t − origin)/den)·mult`.
 //!   A diurnal half-day, an empirical hourly segment and a flash-crowd
 //!   burst window (intersected with its base trace's piece) are each one
-//!   piece, and a trace's [`ArrivalTrace::intensity_ppm`] is its
-//!   `piece(t).at(t)`. [`generate_trace`] fetches a piece only when a
-//!   candidate passes the current one's end, checks once per piece that
-//!   the formula cannot overflow, and then evaluates it per candidate
-//!   with no division: the quotient comes from a reciprocal fixed per
-//!   piece plus one exact correction step. The arrivals are the ones the
-//!   from-scratch formulas give, bit for bit.
+//!   piece. [`ArrivalTrace::piece`] is the one formula a trace states;
+//!   its [`ArrivalTrace::intensity_ppm`] is always `piece(t).at(t)`.
+//!   [`generate_trace`] fetches a piece only when a candidate passes the
+//!   current one's end, checks once per piece that the formula cannot
+//!   overflow, and then evaluates it per candidate with no division: the
+//!   quotient comes from a reciprocal fixed per piece plus one exact
+//!   correction step. The arrivals are the ones the from-scratch
+//!   formulas give, bit for bit.
 //! - When a candidate lands where `intensity == peak`, the accept draw is
 //!   **skipped** (it would accept with probability 1). A [`UniformTrace`]
 //!   therefore draws one gap and one workload per arrival: the
@@ -165,21 +166,19 @@ impl Piece {
 /// Implementations must be pure functions of `t` (no interior state), so
 /// the generated trace is a pure function of `(seed, trace, mix)`.
 pub trait ArrivalTrace {
-    /// Instantaneous intensity at simulated cycle `t`, as a
-    /// parts-per-million multiplier of the base rate ([`PPM`] = 1.0×).
-    /// The traces in this module compute it as `self.piece(t).at(t)`.
-    fn intensity_ppm(&self, t: u64) -> u64;
+    /// The piece of the trace that covers `t`: the trace's intensity
+    /// formula on every cycle from `t` until the piece's end, which must
+    /// lie after `t`. The traces in this crate return whole half-days,
+    /// hourly segments and burst windows, so [`generate_trace`] evaluates
+    /// one formula per candidate instead of recomputing the trace's phase
+    /// and segment; a wrapper trace may forward its inner trace's pieces.
+    fn piece(&self, t: u64) -> Piece;
 
-    /// The piece of the trace that covers `t`: a formula that equals
-    /// [`Self::intensity_ppm`] on every cycle from `t` until its end,
-    /// which must lie after `t`. The provided default is the one-cycle
-    /// constant piece at `intensity_ppm(t)`, which is correct for any
-    /// trace. The traces in this crate return whole half-days, hourly
-    /// segments and burst windows, so [`generate_trace`] skips the
-    /// per-candidate recomputation; a wrapper trace may forward its inner
-    /// trace's pieces.
-    fn piece(&self, t: u64) -> Piece {
-        Piece::constant(self.intensity_ppm(t), t.saturating_add(1))
+    /// Instantaneous intensity at simulated cycle `t`, as a
+    /// parts-per-million multiplier of the base rate ([`PPM`] = 1.0×):
+    /// the covering piece evaluated at `t`.
+    fn intensity_ppm(&self, t: u64) -> u64 {
+        self.piece(t).at(t)
     }
 
     /// The maximum of [`Self::intensity_ppm`] over all `t` — the thinning
@@ -198,10 +197,6 @@ pub trait ArrivalTrace {
 pub struct UniformTrace;
 
 impl ArrivalTrace for UniformTrace {
-    fn intensity_ppm(&self, t: u64) -> u64 {
-        self.piece(t).at(t)
-    }
-
     fn piece(&self, _t: u64) -> Piece {
         Piece::constant(PPM, u64::MAX)
     }
@@ -233,10 +228,6 @@ pub struct DiurnalTrace {
 }
 
 impl ArrivalTrace for DiurnalTrace {
-    fn intensity_ppm(&self, t: u64) -> u64 {
-        self.piece(t).at(t)
-    }
-
     /// The rising half-day `[day start, mid-day]` or the falling one
     /// `(mid-day, next day start)`.
     fn piece(&self, t: u64) -> Piece {
@@ -288,10 +279,6 @@ pub struct FlashCrowd<T> {
 }
 
 impl<T: ArrivalTrace> ArrivalTrace for FlashCrowd<T> {
-    fn intensity_ppm(&self, t: u64) -> u64 {
-        self.piece(t).at(t)
-    }
-
     /// The base trace's piece, scaled inside a burst window and cut at
     /// the window's end (or at the next onset outside one).
     fn piece(&self, t: u64) -> Piece {
@@ -398,10 +385,6 @@ impl EmpiricalTrace {
 }
 
 impl ArrivalTrace for EmpiricalTrace {
-    fn intensity_ppm(&self, t: u64) -> u64 {
-        self.piece(t).at(t)
-    }
-
     /// One hourly segment. Sample `i` interpolates from `⌊i·day/n⌋`
     /// toward the next sample (wrapping) and covers the phases whose
     /// `⌊phase·n/day⌋` is `i`: `[⌈i·day/n⌉, ⌈(i+1)·day/n⌉)`. The products
@@ -1144,43 +1127,6 @@ mod tests {
                 "{label} arrivals changed"
             );
         }
-    }
-
-    /// A trace that states only its intensity, as one defined outside
-    /// this crate would: it gets the provided one-cycle pieces.
-    struct IntensityOnly<T>(T);
-
-    impl<T: ArrivalTrace> ArrivalTrace for IntensityOnly<T> {
-        fn intensity_ppm(&self, t: u64) -> u64 {
-            self.0.intensity_ppm(t)
-        }
-
-        fn peak_ppm(&self) -> u64 {
-            self.0.peak_ppm()
-        }
-
-        fn label(&self) -> String {
-            self.0.label()
-        }
-    }
-
-    #[test]
-    fn provided_pieces_replay_the_same_arrivals() {
-        let cfg = ArrivalConfig {
-            seed: 17,
-            count: 5_000,
-            mean_interarrival_cycles: 2_000.0,
-        };
-        let trace = FlashCrowd {
-            base: EmpiricalTrace::azure_day(1_000_003),
-            period_cycles: 200_000,
-            burst_cycles: 30_000,
-            multiplier: 3,
-        };
-        assert_eq!(
-            generate_trace(&cfg, &two_mix(), &IntensityOnly(trace.clone())).expect("valid"),
-            generate_trace(&cfg, &two_mix(), &trace).expect("valid"),
-        );
     }
 
     fn slow_config(mean: f64) -> ArrivalConfig {

@@ -70,8 +70,13 @@ impl fmt::Display for ProfileReport {
         writeln!(f, "Profile — {}", self.title)?;
         writeln!(
             f,
-            "total cycles {}  (traced/attributed {})",
-            self.stats.total_cycles().raw(),
+            "measured window {} cycles  (what the tables report: a function's \
+             cold run, a service's steady invocations)",
+            self.stats.total_cycles().raw()
+        )?;
+        writeln!(
+            f,
+            "traced {} cycles  (cold start through teardown)",
             self.charged_cycles
         )?;
         writeln!(f)?;
@@ -103,6 +108,24 @@ mod tests {
         assert!(text.contains("metrics appendix"));
         assert!(text.contains("tlb.l1.hits"), "layer stats ingested");
         assert!(text.contains("user"), "flame table has the user phase");
+    }
+
+    #[test]
+    fn header_names_the_measured_and_traced_windows() {
+        // A service's steady window is shorter than its traced container
+        // life, so the header must say which number is which.
+        let ctx = EvalContext::quick();
+        let mut spec = ctx.workload("Redis");
+        spec.total_instructions = 200_000;
+        let report = profile_run(&spec, ConfigKind::Baseline, None);
+        let measured = report.stats.total_cycles().raw();
+        assert!(measured < report.charged_cycles);
+        let text = report.to_string();
+        assert!(text.contains(&format!("measured window {measured} cycles")));
+        assert!(text.contains(&format!(
+            "traced {} cycles  (cold start through teardown)",
+            report.charged_cycles
+        )));
     }
 
     #[test]

@@ -2044,20 +2044,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_one_core_matches_plain_run() {
-        // The headline differential guarantee: a one-core scheduled batch
-        // of one invocation is the serial runner, cycle for cycle — every
-        // contention mechanism must be exactly inert at N=1.
+    fn one_job_on_one_core_has_no_steals_or_dram_queueing() {
+        // Contention is inert at N=1: the one job stays on its core and
+        // the core's cycles are the job's. Equality with the serial loop
+        // is `equivalence::cold_runs_match_the_serial_oracle`.
         let spec = small_spec("aes");
-        let serial = Machine::new(SystemConfig::memento()).run(&spec);
         let (mut batch, sched) = Machine::new(SystemConfig::memento()).run_scheduled(&[spec], 42);
         let scheduled = batch.remove(0);
-        assert_eq!(serial.total_cycles(), scheduled.total_cycles());
-        assert_eq!(serial.mem.dram, scheduled.mem.dram);
-        assert_eq!(serial.mem.dram_queue_cycles, 0);
         assert_eq!(scheduled.mem.dram_queue_cycles, 0);
-        assert_eq!(serial.hot, scheduled.hot);
-        assert_eq!(serial.user_pages_agg, scheduled.user_pages_agg);
         assert_eq!(sched.steals, 0);
         assert_eq!(sched.per_core_jobs, vec![1]);
         assert_eq!(sched.per_core_cycles, vec![scheduled.total_cycles().raw()]);
