@@ -398,9 +398,6 @@ struct Slot<P> {
     /// its record's squeeze floor; cleared by the next warm start (which
     /// pays the record's re-fault bill) and at retirement.
     squeezed: bool,
-    /// True while the idle container sits parked in persistent memory;
-    /// cleared by the next warm start, which pays the PM restore premium.
-    pm_parked: bool,
     /// The container's place in the service model. Costs live in the
     /// model, not in the slot, which keeps the slot a compact POD and the
     /// slab walks cache-dense.
@@ -466,11 +463,11 @@ struct Sim<'a, M: ServiceModel> {
     node_state: Vec<NodeState>,
     /// The autoscaler; `None` on a fixed fleet.
     scale: Option<Scaling>,
-    restores: u64,
-    pm_parks: u64,
-    pm_restores: u64,
-    /// Background PM write cycles parks generated (off the latency path).
-    pm_persist_cycles: u64,
+    /// Background PM write cycles parks generated (off the latency
+    /// path); `Some` exactly under [`KeepAlive::ParkToPM`], where every
+    /// completion parks, so every idle-warm container is PM-parked and
+    /// every warm start is a PM restore.
+    pm_persist: Option<u64>,
     slots: Vec<Slot<M::Pos>>,
     free: Vec<u32>,
     /// Sanitizer findings absorbed from retired Measured machines (plus
@@ -631,10 +628,7 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             node_invocations: vec![0; total_nodes],
             node_state,
             scale,
-            restores: 0,
-            pm_parks: 0,
-            pm_restores: 0,
-            pm_persist_cycles: 0,
+            pm_persist: matches!(cfg.keep_alive, KeepAlive::ParkToPM { .. }).then_some(0),
             slots: Vec::new(),
             free: Vec::new(),
             machine_audit: SanitizerReport::default(),
@@ -829,13 +823,11 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
     /// Makes `slot` the idle-warm container of entry `widx` (unsqueezed,
     /// no deadline yet) and returns the container it displaced, if any.
     /// A container parked in persistent memory holds no squeezable DRAM,
-    /// so it is no squeeze candidate.
+    /// so under park-to-PM no container is a squeeze candidate.
     #[inline]
     fn put_warm(&mut self, widx: usize, slot: u32) -> u32 {
-        if let Some(sq) = &mut self.squeeze {
-            if !self.slots[slot as usize].pm_parked {
-                sq.mask[widx / 64] |= 1 << (widx % 64);
-            }
+        if let (Some(sq), None) = (&mut self.squeeze, self.pm_persist) {
+            sq.mask[widx / 64] |= 1 << (widx % 64);
         }
         std::mem::replace(&mut self.warm[widx], slot)
     }
@@ -917,8 +909,7 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             // A PM-parked container pays the restore premium: recovery
             // plus sealed-image replay (or demand refault on baselines) on
             // top of the warm service time.
-            let pm_restore = std::mem::take(&mut c.pm_parked);
-            self.pm_restores += u64::from(pm_restore);
+            let pm_restore = self.pm_persist.is_some();
             let r = self.model.apply(&mut c.pos, Op::Invoke { pm_restore });
             self.set_contrib(warm_slot, r.serving_peak);
             (warm_slot, r.cycles + refault)
@@ -927,9 +918,6 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             // stable working set is prefetched instead of rebuilt (its
             // service time lands between a warm hit and a cold boot).
             self.cold_starts += 1;
-            if self.cfg.cold_start == ColdStart::Snapshot {
-                self.restores += 1;
-            }
             let (pos, r) = self.model.boot(workload, self.cfg.cold_start);
             let slot = self.alloc_slot(node, pos);
             self.set_contrib(slot, r.serving_peak);
@@ -965,7 +953,6 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             node: node as u32,
             contrib: 0,
             squeezed: false,
-            pm_parked: false,
             pos,
         };
         if let Some(slot) = self.free.pop() {
@@ -1035,18 +1022,17 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         if keep_alive == KeepAlive::None {
             self.retire(slot);
         } else {
-            if let KeepAlive::ParkToPM { .. } = keep_alive {
+            if let Some(persist) = &mut self.pm_persist {
                 // Park the idle container's state into persistent memory
                 // (Measured machines run the real crash-consistent
                 // checkpoint): near-zero DRAM while idle, a PM restore on
                 // the next hit, eviction when the retention TTL lapses.
                 // The persist cycles are background PM write traffic, off
                 // the latency path.
-                let c = &mut self.slots[slot as usize];
-                let r = self.model.apply(&mut c.pos, Op::ParkToPm);
-                c.pm_parked = true;
-                self.pm_persist_cycles += r.cycles;
-                self.pm_parks += 1;
+                let r = self
+                    .model
+                    .apply(&mut self.slots[slot as usize].pos, Op::ParkToPm);
+                *persist += r.cycles;
                 self.set_contrib(slot, r.idle_frames);
             }
             let widx = self.warm_idx(inflight.workload, node);
@@ -1099,7 +1085,6 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         debug_assert!(c.live, "retire targets a live container");
         c.live = false;
         c.squeezed = false;
-        c.pm_parked = false;
         if let Some(report) = self.model.release(c.pos) {
             absorb(&mut self.machine_audit, &report);
         }
@@ -1135,10 +1120,8 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             }
             let bit = (self.squeeze.as_ref())
                 .is_some_and(|sq| sq.mask[widx / 64] >> (widx % 64) & 1 == 1);
-            let candidate = idle_warm && {
-                let c = &self.slots[slot as usize];
-                !c.squeezed && !c.pm_parked
-            };
+            let candidate =
+                idle_warm && self.pm_persist.is_none() && !self.slots[slot as usize].squeezed;
             assert!(
                 bit == (self.squeeze.is_some() && candidate),
                 "warm entry {widx}: squeeze bit exactly while squeezing, idle-warm, unsqueezed and not PM-parked"
@@ -1214,18 +1197,26 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         metrics.add("cluster.warm_starts", self.warm_starts);
         metrics.add("cluster.expired", self.expired);
         // Region-layer metrics are emitted only when their feature is on,
-        // so the default fixed-fleet render stays byte-identical.
-        if self.cfg.cold_start == ColdStart::Snapshot {
-            metrics.add("cluster.restores", self.restores);
+        // so the default fixed-fleet render stays byte-identical. Under
+        // snapshot starts every cold start is a restore; under park-to-PM
+        // every completion parks and every warm start restores.
+        let snapshot = self.cfg.cold_start == ColdStart::Snapshot;
+        let restores = if snapshot { self.cold_starts } else { 0 };
+        if snapshot {
+            metrics.add("cluster.restores", restores);
         }
         if let Some(sq) = &self.squeeze {
             metrics.add("cluster.squeezed", sq.count);
         }
-        if matches!(self.cfg.keep_alive, KeepAlive::ParkToPM { .. }) {
-            metrics.add("cluster.pm_parks", self.pm_parks);
-            metrics.add("cluster.pm_restores", self.pm_restores);
-            metrics.add("cluster.pm_persist_cycles", self.pm_persist_cycles);
-        }
+        let (pm_parks, pm_restores) = match self.pm_persist {
+            Some(persist) => {
+                metrics.add("cluster.pm_parks", self.completed);
+                metrics.add("cluster.pm_restores", self.warm_starts);
+                metrics.add("cluster.pm_persist_cycles", persist);
+                (self.completed, self.warm_starts)
+            }
+            None => (0, 0),
+        };
         self.model.add_metrics(&mut metrics);
         metrics.set("cluster.peak_fleet_frames", self.fleet_peak);
         metrics.set("cluster.final_fleet_frames", self.fleet_now);
@@ -1257,10 +1248,10 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             expired: self.expired,
             retired: self.retired,
             live_containers: self.live_count,
-            restores: self.restores,
+            restores,
             squeezed: self.squeeze.as_ref().map_or(0, |sq| sq.count),
-            pm_parks: self.pm_parks,
-            pm_restores: self.pm_restores,
+            pm_parks,
+            pm_restores,
             peak_active_nodes: (self.scale.as_ref()).map_or(self.cfg.nodes as u64, |sc| sc.peak),
             makespan_cycles: self.now,
             peak_fleet_frames: self.fleet_peak,

@@ -166,11 +166,6 @@ impl ObjectTable {
 }
 
 impl FunctionRun {
-    /// The cycle ledger accumulated so far.
-    pub fn account(&self) -> &CycleAccount {
-        &self.account
-    }
-
     /// Whether `va` lies in the run's Memento region (never on a baseline).
     fn in_region(&self, va: VirtAddr) -> bool {
         self.mproc
@@ -282,7 +277,7 @@ impl Machine {
     }
 
     /// Starts a run of `spec`: creates the process and allocator state.
-    pub fn start(&mut self, spec: &WorkloadSpec) -> FunctionRun {
+    pub(crate) fn start(&mut self, spec: &WorkloadSpec) -> FunctionRun {
         let proc = self.kernel.create_process(&mut self.mem);
         let mproc = self.device.as_mut().map(|dev| {
             let mut backend = OsBackend {
@@ -295,23 +290,9 @@ impl Machine {
             (Some(san), Some(mp)) => Some(san.attach(mp.region())),
             _ => None,
         };
-        let mut account = CycleAccount::new();
-        if self.cfg.coldstart_cycles > 0 {
-            account.charge(CycleBucket::Setup, Cycles::new(self.cfg.coldstart_cycles));
-            if let Some(obs) = self.obs.as_mut() {
-                // The run is not yet pinned to a core; attribute bring-up
-                // to track 0 (totals are what reconciliation checks).
-                obs.charge(
-                    0,
-                    CycleBucket::Setup,
-                    "setup",
-                    Cycles::new(self.cfg.coldstart_cycles),
-                );
-            }
-        }
         let gc = (spec.language == Language::Golang)
             .then(|| GoGcState::new(GcPolicy::for_category(spec.category)));
-        FunctionRun {
+        let mut run = FunctionRun {
             spec: spec.clone(),
             proc,
             mproc,
@@ -319,7 +300,7 @@ impl Machine {
             soft: build_allocator(spec, self.cfg.populate),
             objects: ObjectTable::default(),
             gc,
-            account,
+            account: CycleAccount::new(),
             gc_runs: 0,
             allocs_seen: 0,
             frag_live: 0,
@@ -329,13 +310,20 @@ impl Machine {
             live_bytes: 0,
             alloc_seq: 0,
             born: HashMap::default(),
+        };
+        if self.cfg.coldstart_cycles > 0 {
+            // The run is not yet pinned to a core; attribute bring-up to
+            // track 0 (totals are what reconciliation checks).
+            let setup = Cycles::new(self.cfg.coldstart_cycles);
+            self.charge(&mut run, 0, CycleBucket::Setup, "setup", setup);
         }
+        run
     }
 
     /// Marks the start of the measured (steady-state) window for `run`:
     /// counters accumulated so far are treated as warm-up and excluded
     /// from the collected statistics.
-    pub fn begin_measurement(&self, run: &mut FunctionRun) {
+    pub(crate) fn begin_measurement(&self, run: &mut FunctionRun) {
         run.account = CycleAccount::new();
         run.gc_runs = 0;
         run.frag_live = 0;
@@ -364,38 +352,76 @@ impl Machine {
         }
     }
 
+    /// Charges `cycles` to `run`'s ledger under `bucket` and, when tracing
+    /// is on, mirrors them as one `label` span on `core`'s track. Every
+    /// cycle the machine charges goes through here, so the trace
+    /// reconciles with the ledger by construction.
+    fn charge(
+        &mut self,
+        run: &mut FunctionRun,
+        core: usize,
+        bucket: CycleBucket,
+        label: &'static str,
+        cycles: Cycles,
+    ) {
+        run.account.charge(bucket, cycles);
+        if let Some(obs) = self.obs.as_mut() {
+            obs.charge(core, bucket, label, cycles);
+        }
+    }
+
+    /// Drains the device's event log, when the tracer or `run`'s shadow
+    /// heap listens, and hands the events to both. Returns whether an
+    /// arena changed hands (an alloc installs one, a free or trim
+    /// reclaims one), which labels the hardware paths' page work.
+    fn fan_out_events(&mut self, run: &FunctionRun) -> bool {
+        let Some(dev) = self.device.as_mut() else {
+            return false;
+        };
+        if self.obs.is_none() && run.shadow_pid.is_none() {
+            return false;
+        }
+        let events = dev.take_events();
+        let arena = events.iter().any(|e| {
+            matches!(
+                e,
+                DeviceEvent::ArenaInstalled { .. } | DeviceEvent::ArenaReclaimed { .. }
+            )
+        });
+        if let Some(obs) = self.obs.as_mut() {
+            obs.on_device_events(&events);
+        }
+        if let Some(pid) = run.shadow_pid {
+            let san = self.san.as_mut().expect("shadow pid implies sanitizer");
+            san.on_device_events(pid, events);
+        }
+        arena
+    }
+
     /// Executes one software allocation, applying the Mallacc idealization
     /// when configured.
     fn soft_alloc(&mut self, run: &mut FunctionRun, core: usize, size: usize) -> VirtAddr {
         let mut ctx = self.soft_ctx(&mut run.proc, core);
         let out = run.soft.alloc(&mut ctx, size);
-        let mut user = out.user_cycles;
+        let (mut user, kernel) = (out.user_cycles, out.kernel_cycles);
         if matches!(self.cfg.mode, Mode::IdealMallacc) && size <= HW_MAX_SIZE {
             // §6.7: zero-latency, always-hitting malloc acceleration.
             user = Cycles::new(user.raw().min(1));
         }
-        run.account.charge(CycleBucket::UserAlloc, user);
-        run.account.charge(CycleBucket::KernelMm, out.kernel_cycles);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::UserAlloc, "mm", user);
-            obs.charge(core, CycleBucket::KernelMm, "kernel", out.kernel_cycles);
-        }
+        self.charge(run, core, CycleBucket::UserAlloc, "mm", user);
+        self.charge(run, core, CycleBucket::KernelMm, "kernel", kernel);
         out.addr
     }
 
     fn soft_free(&mut self, run: &mut FunctionRun, core: usize, addr: VirtAddr, size: usize) {
         let mut ctx = self.soft_ctx(&mut run.proc, core);
         let out = run.soft.free(&mut ctx, addr, size);
-        let mut user = out.user_cycles;
+        let (mut user, kernel) = (out.user_cycles, out.kernel_cycles);
         if matches!(self.cfg.mode, Mode::IdealMallacc) && size <= HW_MAX_SIZE {
             user = Cycles::new(user.raw().min(1));
         }
-        run.account.charge(CycleBucket::UserFree, user);
-        run.account.charge(CycleBucket::KernelMm, out.kernel_cycles);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::UserFree, "mm", user);
-            obs.charge(core, CycleBucket::KernelMm, "kernel", out.kernel_cycles);
-        }
+        self.charge(run, core, CycleBucket::UserFree, "mm", user);
+        self.charge(run, core, CycleBucket::KernelMm, "kernel", kernel);
     }
 
     fn hw_alloc(&mut self, run: &mut FunctionRun, core: usize, size: usize) -> VirtAddr {
@@ -414,31 +440,21 @@ impl Machine {
                 size,
             )
             .expect("hardware alloc within 512B");
-        run.account.charge(CycleBucket::HwAlloc, out.obj_cycles);
-        run.account.charge(CycleBucket::HwPage, out.page_cycles);
-        // Drain device events once and fan them out to every consumer.
-        let events = if self.obs.is_some() || run.shadow_pid.is_some() {
-            dev.take_events()
-        } else {
-            Vec::new()
-        };
+        let arena = self.fan_out_events(run);
+        let label = if out.hot_hit { "mm" } else { "hot_miss" };
+        self.charge(run, core, CycleBucket::HwAlloc, label, out.obj_cycles);
+        let page_label = if arena { "arena_fill" } else { "walk" };
+        self.charge(run, core, CycleBucket::HwPage, page_label, out.page_cycles);
         if let Some(obs) = self.obs.as_mut() {
-            let label = if out.hot_hit { "mm" } else { "hot_miss" };
-            obs.charge(core, CycleBucket::HwAlloc, label, out.obj_cycles);
-            let fill = events
-                .iter()
-                .any(|e| matches!(e, DeviceEvent::ArenaInstalled { .. }));
-            let page_label = if fill { "arena_fill" } else { "walk" };
-            obs.charge(core, CycleBucket::HwPage, page_label, out.page_cycles);
-            obs.on_device_events(&events);
             obs.metrics_mut()
                 .observe("hot.alloc_cycles", out.obj_cycles.raw());
         }
         if let Some(pid) = run.shadow_pid {
             let san = self.san.as_mut().expect("shadow pid implies sanitizer");
-            san.on_device_events(pid, events);
             san.on_obj_alloc(pid, core, out.addr, size);
             if san.audit_due(pid) {
+                let dev = self.device.as_ref().expect("memento mode");
+                let mproc = run.mproc.as_ref().expect("memento process");
                 san.audit(pid, dev, mproc, &self.mem);
             }
         }
@@ -462,30 +478,21 @@ impl Machine {
                 addr,
             )
             .expect("hardware free of live object");
-        run.account.charge(CycleBucket::HwFree, out.obj_cycles);
-        run.account.charge(CycleBucket::HwPage, out.page_cycles);
-        let events = if self.obs.is_some() || run.shadow_pid.is_some() {
-            dev.take_events()
-        } else {
-            Vec::new()
-        };
+        let arena = self.fan_out_events(run);
+        let label = if out.hot_hit { "mm" } else { "hot_miss" };
+        self.charge(run, core, CycleBucket::HwFree, label, out.obj_cycles);
+        let page_label = if arena { "arena_fill" } else { "walk" };
+        self.charge(run, core, CycleBucket::HwPage, page_label, out.page_cycles);
         if let Some(obs) = self.obs.as_mut() {
-            let label = if out.hot_hit { "mm" } else { "hot_miss" };
-            obs.charge(core, CycleBucket::HwFree, label, out.obj_cycles);
-            let reclaim = events
-                .iter()
-                .any(|e| matches!(e, DeviceEvent::ArenaReclaimed { .. }));
-            let page_label = if reclaim { "arena_fill" } else { "walk" };
-            obs.charge(core, CycleBucket::HwPage, page_label, out.page_cycles);
-            obs.on_device_events(&events);
             obs.metrics_mut()
                 .observe("hot.free_cycles", out.obj_cycles.raw());
         }
         if let Some(pid) = run.shadow_pid {
             let san = self.san.as_mut().expect("shadow pid implies sanitizer");
-            san.on_device_events(pid, events);
             san.on_obj_free(pid, core, addr);
             if san.audit_due(pid) {
+                let dev = self.device.as_ref().expect("memento mode");
+                let mproc = run.mproc.as_ref().expect("memento process");
                 san.audit(pid, dev, mproc, &self.mem);
             }
         }
@@ -533,16 +540,13 @@ impl Machine {
         }
 
         // Memento region: TLB → Memento walk (never faults) → bypass check.
-        let dev = self.device.as_mut().expect("memento mode");
-        let mproc = run.mproc.as_mut().expect("memento process");
         let lookup = self.tlbs[core].lookup(va);
-        run.account.charge(CycleBucket::Compute, lookup.cycles);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::Compute, "user", lookup.cycles);
-        }
+        self.charge(run, core, CycleBucket::Compute, "user", lookup.cycles);
         let frame = match lookup.frame {
             Some(f) => f,
             None => {
+                let dev = self.device.as_mut().expect("memento mode");
+                let mproc = run.mproc.as_mut().expect("memento process");
                 let mut backend = OsBackend {
                     kernel: &mut self.kernel,
                 };
@@ -556,10 +560,7 @@ impl Machine {
                         va,
                     )
                     .expect("memento walk with OS-backed pool");
-                run.account.charge(CycleBucket::HwPage, cycles);
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.charge(core, CycleBucket::HwPage, "walk", cycles);
-                }
+                self.charge(run, core, CycleBucket::HwPage, "walk", cycles);
                 self.tlbs[core].insert(va, frame);
                 frame
             }
@@ -591,10 +592,7 @@ impl Machine {
         );
         let tlb = self.tlbs[core].hit_mru(va);
         if memento {
-            run.account.charge(CycleBucket::Compute, tlb);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.charge(core, CycleBucket::Compute, "user", tlb);
-            }
+            self.charge(run, core, CycleBucket::Compute, "user", tlb);
             self.memento_line_access(run, core, va, kind, frame, loc);
         } else {
             let pa = frame.base_addr().add(va.page_offset());
@@ -614,12 +612,8 @@ impl Machine {
         kernel: Cycles,
     ) {
         let user = serial + self.discount(access);
-        run.account.charge(CycleBucket::Compute, user);
-        run.account.charge(CycleBucket::KernelMm, kernel);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::Compute, "user", user);
-            obs.charge(core, CycleBucket::KernelMm, "kernel", kernel);
-        }
+        self.charge(run, core, CycleBucket::Compute, "user", user);
+        self.charge(run, core, CycleBucket::KernelMm, "kernel", kernel);
     }
 
     /// The cache access of a Memento-region line translated to `frame`,
@@ -648,10 +642,7 @@ impl Machine {
             self.mem_sys.access(core, kind, pa)
         };
         let cycles = self.discount(out.cycles);
-        run.account.charge(CycleBucket::Compute, cycles);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::Compute, "user", cycles);
-        }
+        self.charge(run, core, CycleBucket::Compute, "user", cycles);
     }
 
     /// Touches every cache line of `[start, end]`, bytes of one live
@@ -744,10 +735,7 @@ impl Machine {
         }
         // Mark phase: proportional to the live set.
         let mark = Cycles::new(live_objects * GC_MARK_PER_OBJECT);
-        run.account.charge(CycleBucket::UserFree, mark);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::UserFree, "gc", mark);
-        }
+        self.charge(run, core, CycleBucket::UserFree, "gc", mark);
         // Sweep phase: free every dead object through the active design.
         for (addr, size) in swept {
             if run.in_region(addr) {
@@ -761,15 +749,10 @@ impl Machine {
         }
     }
 
-    /// Executes a single event on core 0.
-    pub fn step(&mut self, run: &mut FunctionRun, event: &Event) {
-        self.step_on(run, event, 0);
-    }
-
     /// Executes a single event on the given core (multi-core co-location:
     /// each function is pinned to a core; the LLC, DRAM, kernel, and the
     /// hardware page allocator are shared).
-    pub fn step_on(&mut self, run: &mut FunctionRun, event: &Event, core: usize) {
+    pub(crate) fn step_on(&mut self, run: &mut FunctionRun, event: &Event, core: usize) {
         debug_assert!(!run.finished, "step after Exit");
         debug_assert!(core < self.cfg.cores, "core {core} out of range");
         if let Some(san) = self.san.as_mut() {
@@ -777,12 +760,8 @@ impl Machine {
         }
         match event {
             Event::Compute { instructions } => {
-                let cycles = (*instructions as f64 * self.cfg.cpi).round() as u64;
-                run.account
-                    .charge(CycleBucket::Compute, Cycles::new(cycles));
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.charge(core, CycleBucket::Compute, "user", Cycles::new(cycles));
-                }
+                let cycles = Cycles::new((*instructions as f64 * self.cfg.cpi).round() as u64);
+                self.charge(run, core, CycleBucket::Compute, "user", cycles);
             }
             Event::Alloc { id, size } => {
                 let size_us = *size as usize;
@@ -1053,10 +1032,7 @@ impl Machine {
 
         // Library-init cycles belong to container setup (warm starts).
         let (su, sk) = run.soft.take_setup_cycles();
-        run.account.charge(CycleBucket::Setup, su + sk);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::Setup, "setup", su + sk);
-        }
+        self.charge(run, core, CycleBucket::Setup, "setup", su + sk);
 
         // Fragmentation: if the run was too short for a periodic sample,
         // take one now (before teardown empties the heap).
@@ -1065,16 +1041,10 @@ impl Machine {
         }
 
         // Allocator exit hook.
-        {
-            let mut ctx = self.soft_ctx(&mut run.proc, core);
-            let (u, k) = run.soft.on_exit(&mut ctx);
-            run.account.charge(CycleBucket::UserFree, u);
-            run.account.charge(CycleBucket::KernelMm, k);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.charge(core, CycleBucket::UserFree, "mm", u);
-                obs.charge(core, CycleBucket::KernelMm, "kernel", k);
-            }
-        }
+        let mut ctx = self.soft_ctx(&mut run.proc, core);
+        let (u, k) = run.soft.on_exit(&mut ctx);
+        self.charge(run, core, CycleBucket::UserFree, "mm", u);
+        self.charge(run, core, CycleBucket::KernelMm, "kernel", k);
 
         // Memento teardown: the hardware page allocator returns the
         // function's entire small-object heap to the OS pool in one batch.
@@ -1090,11 +1060,8 @@ impl Machine {
                 kernel: &mut self.kernel,
             };
             let teardown = Cycles::new(dev.config().costs.arena_free_base);
-            run.account.charge(CycleBucket::HwPage, teardown);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.charge(core, CycleBucket::HwPage, "arena_fill", teardown);
-            }
             dev.detach_process(&mut self.mem, &mut backend, mproc, &[core]);
+            self.charge(run, core, CycleBucket::HwPage, "arena_fill", teardown);
         }
 
         // OS teardown of remaining VMAs (the baseline's batch free at
@@ -1118,17 +1085,11 @@ impl Machine {
                     len,
                 )
                 .expect("teardown munmap");
-            run.account.charge(CycleBucket::KernelMm, out.cycles);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.charge(core, CycleBucket::KernelMm, "kernel", out.cycles);
-            }
+            self.charge(run, core, CycleBucket::KernelMm, "kernel", out.cycles);
         }
         // Process switch-out at exit.
         let cs = self.kernel.context_switch(&mut self.tlbs[core]);
-        run.account.charge(CycleBucket::KernelMm, cs);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::KernelMm, "kernel", cs);
-        }
+        self.charge(run, core, CycleBucket::KernelMm, "kernel", cs);
         // Nothing reads the object table after Exit; a finished run kept
         // for its statistics should not hold a slot per object it made.
         run.objects = ObjectTable::default();
@@ -1225,25 +1186,19 @@ impl Machine {
 
     /// Performs a context switch between time-shared runs: kernel cost plus
     /// a HOT flush under Memento (§6.6 multi-process study).
-    pub fn context_switch(&mut self, from: &mut FunctionRun, core: usize) {
+    pub(crate) fn context_switch(&mut self, from: &mut FunctionRun, core: usize) {
         let cs = self.kernel.context_switch(&mut self.tlbs[core]);
-        from.account.charge(CycleBucket::KernelMm, cs);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::KernelMm, "kernel", cs);
-        }
+        self.charge(from, core, CycleBucket::KernelMm, "kernel", cs);
         if let (Some(dev), Some(mproc)) = (self.device.as_mut(), from.mproc.as_mut()) {
             let flush = dev.flush_hot(&mut self.mem, &mut self.mem_sys, core, mproc);
-            from.account.charge(CycleBucket::HwFree, flush);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.charge(core, CycleBucket::HwFree, "mm", flush);
-            }
+            self.charge(from, core, CycleBucket::HwFree, "mm", flush);
         }
     }
 
     /// Collects final statistics for a finished run. The machine is
     /// single-tenant per run for statistic purposes: use a fresh machine
     /// per measurement (time-shared experiments aggregate explicitly).
-    pub fn collect(&self, run: &FunctionRun) -> RunStats {
+    pub(crate) fn collect(&self, run: &FunctionRun) -> RunStats {
         debug_assert!(run.finished, "collect before Exit");
         self.collect_inner(run)
     }
@@ -1330,11 +1285,6 @@ impl Machine {
     /// critical path. The tracing layer still observes every charge.
     fn end_invocation(&mut self, run: &mut FunctionRun, core: usize) {
         let live_account = std::mem::replace(&mut run.account, CycleAccount::new());
-        self.end_invocation_inner(run, core);
-        run.account = live_account;
-    }
-
-    fn end_invocation_inner(&mut self, run: &mut FunctionRun, core: usize) {
         // Sweep whatever the GC already knows is dead.
         self.collect_now(run, core);
         // Remaining live objects die at function return. Free them through
@@ -1363,40 +1313,20 @@ impl Machine {
                 core,
                 mproc,
             );
-            run.account.charge(CycleBucket::HwPage, trim);
-            let events = if self.obs.is_some() || run.shadow_pid.is_some() {
-                dev.take_events()
-            } else {
-                Vec::new()
-            };
-            if let Some(obs) = self.obs.as_mut() {
-                obs.charge(core, CycleBucket::HwPage, "arena_fill", trim);
-                obs.on_device_events(&events);
-            }
-            if let Some(pid) = run.shadow_pid {
-                let san = self.san.as_mut().expect("shadow pid implies sanitizer");
-                san.on_device_events(pid, events);
-            }
+            self.charge(run, core, CycleBucket::HwPage, "arena_fill", trim);
+            self.fan_out_events(run);
         }
         // Allocator end-of-request decay (jemalloc purge etc.).
-        {
-            let mut ctx = self.soft_ctx(&mut run.proc, core);
-            let (u, k) = run.soft.on_invocation_end(&mut ctx);
-            run.account.charge(CycleBucket::UserFree, u);
-            run.account.charge(CycleBucket::KernelMm, k);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.charge(core, CycleBucket::UserFree, "mm", u);
-                obs.charge(core, CycleBucket::KernelMm, "kernel", k);
-            }
-        }
+        let mut ctx = self.soft_ctx(&mut run.proc, core);
+        let (u, k) = run.soft.on_invocation_end(&mut ctx);
+        self.charge(run, core, CycleBucket::UserFree, "mm", u);
+        self.charge(run, core, CycleBucket::KernelMm, "kernel", k);
         // Library re-init (if the decay dropped it) belongs to container
         // setup, same as at exit; taking it each boundary also keeps the
         // ledger complete when a later re-init overwrites the stash.
         let (su, sk) = run.soft.take_setup_cycles();
-        run.account.charge(CycleBucket::Setup, su + sk);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.charge(core, CycleBucket::Setup, "setup", su + sk);
-        }
+        self.charge(run, core, CycleBucket::Setup, "setup", su + sk);
+        run.account = live_account;
     }
 
     /// Serves one invocation of a warm container on core 0: replays the
@@ -1418,7 +1348,7 @@ impl Machine {
             self.reset_frame_window();
         }
         for event in body {
-            self.step(run, event);
+            self.step_on(run, event, 0);
         }
         let serving_peak = self.window_peak_unreclaimable();
         self.end_invocation(run, 0);
@@ -1501,7 +1431,7 @@ impl Machine {
                 let events = &traces[i].events;
                 let end = (cursors[i] + quantum_events).min(events.len());
                 for e in &events[cursors[i]..end] {
-                    self.step(&mut runs[i], e);
+                    self.step_on(&mut runs[i], e, 0);
                 }
                 cursors[i] = end;
                 progressed = true;
@@ -1739,37 +1669,17 @@ impl Machine {
     /// events out, exactly like the hardware alloc/free paths. No-op on
     /// baseline machines — they have no device, hence no event log.
     pub fn note_pm_parked(&mut self, run: &FunctionRun, epoch: u64, records: u64) {
-        let Some(dev) = self.device.as_mut() else {
-            return;
-        };
-        dev.note_pm_parked(epoch, records);
-        self.drain_pm_events(run);
+        if let Some(dev) = self.device.as_mut() {
+            dev.note_pm_parked(epoch, records);
+            self.fan_out_events(run);
+        }
     }
 
     /// Emits the restore transition (see [`Machine::note_pm_parked`]).
     pub fn note_pm_restored(&mut self, run: &FunctionRun, epoch: u64) {
-        let Some(dev) = self.device.as_mut() else {
-            return;
-        };
-        dev.note_pm_restored(epoch);
-        self.drain_pm_events(run);
-    }
-
-    fn drain_pm_events(&mut self, run: &FunctionRun) {
-        let Some(dev) = self.device.as_mut() else {
-            return;
-        };
-        let events = if self.obs.is_some() || run.shadow_pid.is_some() {
-            dev.take_events()
-        } else {
-            Vec::new()
-        };
-        if let Some(obs) = self.obs.as_mut() {
-            obs.on_device_events(&events);
-        }
-        if let Some(pid) = run.shadow_pid {
-            let san = self.san.as_mut().expect("shadow pid implies sanitizer");
-            san.on_device_events(pid, events);
+        if let Some(dev) = self.device.as_mut() {
+            dev.note_pm_restored(epoch);
+            self.fan_out_events(run);
         }
     }
 

@@ -13,9 +13,13 @@
 //! unstall cores, must give the same run statistics, scheduler counters,
 //! TLB, walker and memory-system counters, demand-latency histogram,
 //! sanitizer report and, when traced, the same trace and metrics.
+//!
+//! A machine with both device-event consumers on (tracer and sanitizer)
+//! must also match, consumer by consumer, the machines with one of them.
 
 use super::*;
 use crate::config::SystemConfig;
+use crate::WarmContainer;
 use memento_cache::MemSystemStats;
 use memento_obs::MetricsRegistry;
 use memento_vm::tlb::TlbStats;
@@ -86,7 +90,7 @@ impl Machine {
     fn run_trace_serial(&mut self, spec: &WorkloadSpec, trace: &Trace) -> RunStats {
         let mut run = self.start(spec);
         for event in &trace.events {
-            self.step(&mut run, event);
+            self.step_on(&mut run, event, 0);
         }
         self.collect(&run)
     }
@@ -236,6 +240,10 @@ fn designs() -> Vec<(&'static str, SystemConfig)> {
         ("iso-storage", SystemConfig::iso_storage()),
         ("ideal-mallacc", SystemConfig::ideal_mallacc()),
         ("sanitized", SystemConfig::memento_sanitized()),
+        (
+            "sanitized+traced",
+            SystemConfig::memento_sanitized().traced_in_memory(),
+        ),
         ("traced", SystemConfig::memento().traced_in_memory()),
         (
             "traced-baseline",
@@ -283,8 +291,8 @@ fn scheduled_batches_match_the_per_event_and_per_line_oracles() {
             let new = scheduled(&cfg, &specs, seed, false);
             let old = scheduled(&cfg, &specs, seed, true);
             assert_same(&new, &old, &format!("{name} on {cores} cores"));
-            assert!(new.trace.is_some() == name.starts_with("traced"));
-            assert!(new.sanitizer.is_some() == (name == "sanitized"));
+            assert!(new.trace.is_some() == name.contains("traced"));
+            assert!(new.sanitizer.is_some() == name.starts_with("sanitized"));
             stalls += new.stalls;
         }
     }
@@ -332,4 +340,58 @@ fn warm_invocations_match_the_per_line_oracle() {
             assert_eq!(run(false), run(true), "{name}: {}", spec.name);
         }
     }
+}
+
+/// Warm runs under `cfg`: three invocations of html, bfs-go and Redis,
+/// then an html container taken through a keep-alive park and a
+/// park-to-PM round trip before its next invocation.
+fn warm_outcomes(cfg: &SystemConfig) -> Vec<Outcome> {
+    let mut out = Vec::new();
+    for name in ["html", "bfs-go", "Redis"] {
+        let mut machine = Machine::new(cfg.clone());
+        let warm = machine.run_invocations(&spec(name, 60_000), 3);
+        let mut runs = warm.invocations;
+        runs.push(warm.steady);
+        out.push(outcome(&machine, &runs));
+    }
+    let (mut container, cold) = WarmContainer::cold_start(cfg.clone(), &spec("html", 60_000));
+    let shed = container.park();
+    let persist = container.park_to_pm(7);
+    let restore = container.restore_from_pm();
+    let warm = container.invoke();
+    let mut last = outcome(container.machine(), &[cold, warm]);
+    last.runs
+        .push(format!("shed {shed}, persist {persist}, restore {restore}"));
+    out.push(last);
+    out
+}
+
+#[test]
+fn sanitized_traced_machine_matches_each_consumer_alone() {
+    // Device events are the one drain with two consumers. With both on,
+    // the tracer and the sanitizer each see what they see alone, and
+    // neither changes what the machine computes.
+    let plain = warm_outcomes(&SystemConfig::memento());
+    let traced = warm_outcomes(&SystemConfig::memento().traced_in_memory());
+    let sanitized = warm_outcomes(&SystemConfig::memento_sanitized());
+    let both = warm_outcomes(&SystemConfig::memento_sanitized().traced_in_memory());
+    for (i, b) in both.iter().enumerate() {
+        assert_eq!(b.runs, plain[i].runs, "case {i}: statistics");
+        assert_eq!(b.mem, plain[i].mem, "case {i}: memory system");
+        assert!(b.trace.is_some(), "case {i}: traced");
+        assert!(b.trace == traced[i].trace, "case {i}: traces differ");
+        assert_eq!(b.metrics, traced[i].metrics, "case {i}: metrics");
+        assert!(b.sanitizer.is_some(), "case {i}: sanitized");
+        assert_eq!(b.sanitizer, sanitized[i].sanitizer, "case {i}: sanitizer");
+    }
+    let pm = both
+        .last()
+        .and_then(|o| o.metrics.as_ref())
+        .expect("traced");
+    assert_eq!(
+        pm.counter("device.pm_parks"),
+        1,
+        "the park reached the tracer"
+    );
+    assert_eq!(pm.counter("device.pm_restores"), 1);
 }

@@ -6,8 +6,14 @@
 //! code paths and the layer costs nothing. When present it mirrors every
 //! cycle charge into a [`Tracer`] span (one track per core) and into its
 //! own [`CycleAccount`] ledger, so the exported Perfetto trace reconciles
-//! with the machine's reported cycle totals *by construction*: each charge
-//! becomes exactly one span of the same length.
+//! with the machine's reported cycle totals *by construction*: the
+//! machine charges every cycle through one private method,
+//! `Machine::charge`, which writes the run's ledger and calls
+//! [`MachineObs::charge`] together, so each charge becomes exactly one
+//! span of the same length. Device events reach
+//! [`MachineObs::on_device_events`] through one fan-out as well,
+//! `Machine::fan_out_events`, which hands the same batch to the
+//! sanitizer.
 //!
 //! The ledger covers the whole execution. For warm containers
 //! ([`crate::Machine::run_invocations`], [`crate::WarmContainer`]) the
