@@ -449,12 +449,6 @@ impl MemSystem {
         out
     }
 
-    /// Writes a full line back to DRAM directly (used for explicit flushes
-    /// of hardware structures such as the HOT).
-    pub fn writeback_line(&mut self, addr: PhysAddr) {
-        self.dram.write_line(addr.line_base());
-    }
-
     /// Flushes every cache on every core (dirty lines generate DRAM
     /// writebacks). Heavyweight; only used between experiment phases.
     pub fn flush_all(&mut self) {

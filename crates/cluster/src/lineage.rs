@@ -87,15 +87,30 @@ struct Lineage {
     shared: bool,
 }
 
-/// Boots and steps machines, counting every op it simulates.
-struct Runner {
+/// Boots and steps machines, counting every op it simulates. The one
+/// place a cluster-layer [`WarmContainer`] is booted or stepped: the
+/// lineage store runs the fleet's ops through it, and
+/// [`crate::profile::calibrate`] its fixed calibration script.
+pub(crate) struct Runner {
     cfg: Box<SystemConfig>,
     specs: Vec<WorkloadSpec>,
     simulated: u64,
 }
 
 impl Runner {
-    fn boot(&mut self, workload: u32, kind: ColdStart) -> (WarmContainer, Record) {
+    /// A runner booting containers of `specs` (indexed by workload) under
+    /// `cfg`.
+    pub(crate) fn new(cfg: Box<SystemConfig>, specs: Vec<WorkloadSpec>) -> Self {
+        Runner {
+            cfg,
+            specs,
+            simulated: 0,
+        }
+    }
+
+    /// Boots a container of `workload` and returns it with the boot's
+    /// record.
+    pub(crate) fn boot(&mut self, workload: u32, kind: ColdStart) -> (WarmContainer, Record) {
         self.simulated += 1;
         let spec = &self.specs[workload as usize];
         let (m, cycles) = match kind {
@@ -109,7 +124,8 @@ impl Runner {
         (m, r)
     }
 
-    fn apply(&mut self, m: &mut WarmContainer, op: Op) -> Record {
+    /// Applies `op` to `m` and returns the op's record.
+    pub(crate) fn apply(&mut self, m: &mut WarmContainer, op: Op) -> Record {
         self.simulated += 1;
         let cycles = match op {
             Op::Invoke { pm_restore } => {
@@ -168,11 +184,7 @@ impl Lineages {
     /// An empty store for containers of `mix` booting under `cfg`.
     pub(crate) fn new(cfg: Box<SystemConfig>, mix: &WorkloadMix) -> Self {
         Lineages {
-            runner: Runner {
-                cfg,
-                specs: mix.specs().to_vec(),
-                simulated: 0,
-            },
+            runner: Runner::new(cfg, mix.specs().to_vec()),
             lineages: Vec::new(),
             free: Vec::new(),
             roots: vec![NO_LINEAGE; mix.len() * 2],

@@ -1,15 +1,18 @@
 //! Service profiles: calibrated per-(workload, config) cost tables that
 //! let the simulator scale to millions of invocations.
 //!
-//! The Measured engine runs a real [`WarmContainer`] machine for every
+//! The Measured engine runs a real
+//! [`WarmContainer`](memento_system::WarmContainer) machine for every
 //! container in the fleet — exact, but each invocation simulates the full
 //! memory hierarchy. The Profiled engine instead *calibrates once* per
-//! (workload, system config): one cold start plus a handful of warm
-//! invocations of a real machine yield a [`ServiceProfile`] with the
-//! cold/warm service times and the active/idle frame footprints, and the
-//! fleet simulation then replays those numbers. Because the underlying
-//! machine is deterministic, the profile is a pure function of
-//! (spec, config) and the profiled fleet remains byte-deterministic.
+//! (workload, system config): [`calibrate`] runs one fixed op script
+//! through the Measured engine's runner (boot, a handful of park/invoke
+//! rounds, park, park to PM) and reads a [`ServiceProfile`] — cold/warm
+//! service times, active/idle frame footprints, restore and re-fault
+//! costs — from the records those ops return. The fleet simulation then
+//! replays those numbers. Because the underlying machine is
+//! deterministic, the profile is a pure function of (spec, config) and
+//! the profiled fleet remains byte-deterministic.
 //!
 //! The Profiled service model (`Profiled`, crate-private) turns a
 //! mix's profiles into one constant cost record per (workload, container
@@ -19,11 +22,12 @@
 
 use std::collections::BTreeMap;
 
-use memento_system::{SystemConfig, WarmContainer};
+use memento_system::{strictly_between, SystemConfig};
 use memento_workloads::spec::WorkloadSpec;
 
 use crate::arrival::WorkloadMix;
 use crate::error::ClusterError;
+use crate::lineage::Runner;
 use crate::model::{Op, Record, ServiceModel};
 use crate::policy::ColdStart;
 use crate::sim::MAX_CYCLES;
@@ -45,9 +49,11 @@ pub struct ServiceProfile {
     /// cannot give back. This is the keep-alive footprint a fleet pays
     /// per warm container.
     pub idle_frames: u64,
-    /// Cycles for a REAP-style snapshot restore: a warm invocation plus
-    /// the calibrated stable-working-set prefetch, clamped strictly
-    /// between `warm_cycles` and `cold_cycles`.
+    /// Cycles for a REAP-style snapshot restore: the steady warm
+    /// invocation plus the stable-working-set prefetch read after its
+    /// park, clamped [`strictly_between`] `warm_cycles` and
+    /// `cold_cycles`. (The Measured engine's snapshot boot prices the
+    /// first warm invocation after a cold start instead.)
     pub restore_cycles: u64,
     /// Frames a pressure squeeze cannot reclaim from this container while
     /// it idles warm (page tables + kernel metadata; never above
@@ -71,57 +77,42 @@ pub struct ServiceProfile {
     /// container is idle when it parks — but reported so operators can see
     /// the PM write traffic the policy generates.
     pub pm_persist_cycles: u64,
-    /// DRAM frames a parked-to-PM container keeps resident. The image
-    /// itself lives in PM, so this is 0: park-to-PM's entire point is
-    /// that idle containers stop costing DRAM.
-    pub pm_idle_frames: u64,
 }
 
 /// Calibrates a profile by running a real machine through the cluster's
-/// warm lifecycle: one cold start, then `warm_samples` park → invoke
-/// rounds (the last invocation is taken as steady state, so its cycles
-/// include the post-park pool refill a scheduled warm start pays).
-/// `warm_samples` is clamped to ≥ 1.
+/// warm lifecycle on the Measured engine's runner: boot, then
+/// `warm_samples` park → invoke rounds (the last invocation is taken as
+/// steady state, so its cycles include the post-park pool refill a
+/// scheduled warm start pays), then park and park to PM. `warm_samples`
+/// is clamped to ≥ 1.
 pub fn calibrate(cfg: &SystemConfig, spec: &WorkloadSpec, warm_samples: usize) -> ServiceProfile {
-    let (mut container, cold) = WarmContainer::cold_start(cfg.clone(), spec);
-    let mut warm = cold.clone();
+    let mut runner = Runner::new(Box::new(cfg.clone()), vec![spec.clone()]);
+    let (mut m, cold) = runner.boot(0, ColdStart::Boot);
+    let mut warm = cold;
     for _ in 0..warm_samples.max(1) {
-        container.park();
-        warm = container.invoke();
+        runner.apply(&mut m, Op::Park);
+        warm = runner.apply(&mut m, Op::Invoke { pm_restore: false });
     }
-    let active_frames = container.serving_peak_pages();
-    container.park();
-    let cold_cycles = cold.total_cycles().raw().max(1);
-    let warm_cycles = warm.total_cycles().raw().max(1);
-    let idle_frames = container.unreclaimable_pages();
-    // Snapshot restore replays a warm invocation plus the stable-working-
-    // set prefetch, clamped strictly inside the (warm, cold) interval —
-    // the same formula `WarmContainer::restore_start` charges.
-    let restore_cycles = (warm_cycles + container.snapshot_restore_cycles())
-        .clamp(warm_cycles + 1, (cold_cycles - 1).max(warm_cycles + 1));
-    let squeeze_floor_frames = container.squeeze_floor_pages().min(idle_frames);
-    let squeeze_refault_cycles =
-        (idle_frames - squeeze_floor_frames) * container.squeeze_refault_unit_cycles();
-    // Park-to-PM round trip on the same machine: the persist is measured
-    // directly; the restore premium rides on a warm invocation and is
-    // clamped strictly inside (warm, snapshot-restore) — PM image replay
-    // must undercut a snapshot's bulk page-in but never beat staying warm.
-    let pm_persist_cycles = container.park_to_pm(0);
-    let pm_extra = container.restore_from_pm();
-    let pm_restore_cycles =
-        (warm_cycles + pm_extra).clamp(warm_cycles + 1, (restore_cycles - 1).max(warm_cycles + 1));
+    let parked = runner.apply(&mut m, Op::Park);
+    // The two costs no record carries: the snapshot prefetch of the
+    // parked container, and the PM restore premium after a park to PM.
+    let prefetch = m.snapshot_restore_cycles();
+    let persist = runner.apply(&mut m, Op::ParkToPm);
+    let pm_extra = m.restore_from_pm();
+    let cold_cycles = cold.cycles.max(1);
+    let warm_cycles = warm.cycles.max(1);
+    let restore_cycles = strictly_between(warm_cycles, prefetch, cold_cycles);
     ServiceProfile {
         workload: spec.name.clone(),
         cold_cycles,
         warm_cycles,
-        active_frames,
-        idle_frames,
+        active_frames: parked.serving_peak,
+        idle_frames: parked.idle_frames,
         restore_cycles,
-        squeeze_floor_frames,
-        squeeze_refault_cycles,
-        pm_restore_cycles,
-        pm_persist_cycles,
-        pm_idle_frames: 0,
+        squeeze_floor_frames: parked.squeeze_floor,
+        squeeze_refault_cycles: parked.squeeze_refault,
+        pm_restore_cycles: strictly_between(warm_cycles, pm_extra, restore_cycles),
+        pm_persist_cycles: persist.cycles,
     }
 }
 
@@ -223,9 +214,11 @@ impl Profiled {
                 record(p.warm_cycles),
                 record(p.pm_restore_cycles),
                 record(0),
+                // A PM-parked container holds no DRAM while idle, as
+                // `Record::read` reads a PM-parked machine.
                 Record {
-                    idle_frames: p.pm_idle_frames,
-                    squeeze_floor: squeeze_floor.min(p.pm_idle_frames),
+                    idle_frames: 0,
+                    squeeze_floor: 0,
                     ..record(p.pm_persist_cycles)
                 },
             ];
@@ -329,7 +322,78 @@ mod tests {
                 p.pm_restore_cycles
             );
             assert!(p.pm_persist_cycles > 0, "persist work is accounted");
-            assert_eq!(p.pm_idle_frames, 0, "parked images cost no DRAM");
+        }
+    }
+
+    /// Every field of four calibrations, pinned to recorded values: the
+    /// PM and squeeze costs reach no other golden.
+    #[test]
+    fn calibration_matches_recorded_profiles() {
+        let recorded = [
+            (
+                SystemConfig::baseline(),
+                ServiceProfile {
+                    workload: "aes".into(),
+                    cold_cycles: 271_706,
+                    warm_cycles: 228_446,
+                    active_frames: 28,
+                    idle_frames: 11,
+                    restore_cycles: 235_496,
+                    squeeze_floor_frames: 5,
+                    squeeze_refault_cycles: 12_960,
+                    pm_restore_cycles: 235_495,
+                    pm_persist_cycles: 5_370,
+                },
+            ),
+            (
+                SystemConfig::memento(),
+                ServiceProfile {
+                    workload: "aes".into(),
+                    cold_cycles: 206_753,
+                    warm_cycles: 158_964,
+                    active_frames: 71,
+                    idle_frames: 12,
+                    restore_cycles: 166_464,
+                    squeeze_floor_frames: 5,
+                    squeeze_refault_cycles: 4_970,
+                    pm_restore_cycles: 162_654,
+                    pm_persist_cycles: 7_860,
+                },
+            ),
+            (
+                SystemConfig::baseline(),
+                ServiceProfile {
+                    workload: "html".into(),
+                    cold_cycles: 393_775,
+                    warm_cycles: 301_922,
+                    active_frames: 43,
+                    idle_frames: 18,
+                    restore_cycles: 312_122,
+                    squeeze_floor_frames: 5,
+                    squeeze_refault_cycles: 28_080,
+                    pm_restore_cycles: 312_121,
+                    pm_persist_cycles: 8_520,
+                },
+            ),
+            (
+                SystemConfig::memento(),
+                ServiceProfile {
+                    workload: "html".into(),
+                    cold_cycles: 277_813,
+                    warm_cycles: 177_228,
+                    active_frames: 102,
+                    idle_frames: 19,
+                    restore_cycles: 187_878,
+                    squeeze_floor_frames: 5,
+                    squeeze_refault_cycles: 9_940,
+                    pm_restore_cycles: 181_638,
+                    pm_persist_cycles: 11_970,
+                },
+            ),
+        ];
+        for (cfg, want) in recorded {
+            let got = calibrate(&cfg, &small(&want.workload), 3);
+            assert_eq!(got, want, "{} under {:?}", want.workload, cfg.mode);
         }
     }
 

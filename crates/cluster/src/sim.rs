@@ -1485,7 +1485,6 @@ mod tests {
                 squeeze_refault_cycles: 5_000 + 500 * i as u64,
                 pm_restore_cycles: 20_000 + 2_000 * i as u64,
                 pm_persist_cycles: 8_000 + 800 * i as u64,
-                pm_idle_frames: 0,
             });
         }
         t

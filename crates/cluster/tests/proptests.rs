@@ -54,7 +54,6 @@ fn table_for(
             pm_restore_cycles: (warm_cycles + cold_over_warm / 4)
                 .clamp(warm_cycles + 1, (cold_cycles - 1).max(warm_cycles + 1)),
             pm_persist_cycles: 37 + 11 * i as u64,
-            pm_idle_frames: 0,
         });
     }
     t

@@ -58,7 +58,6 @@ fn table_for(mix: &WorkloadMix, warm: u64, cold_over_warm: u64, idle: u64) -> Pr
             pm_restore_cycles: (warm_cycles + cold_over_warm / 4)
                 .clamp(warm_cycles + 1, (cold_cycles - 1).max(warm_cycles + 1)),
             pm_persist_cycles: 53 + 7 * i as u64,
-            pm_idle_frames: 0,
         });
     }
     t

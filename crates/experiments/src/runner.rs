@@ -10,7 +10,6 @@
 //! only the wall-clock (reported via [`RunnerTiming`], outside the result
 //! tables) differs.
 
-use memento_obs::MetricsRegistry;
 use std::time::{Duration, Instant};
 
 // The pool itself lives in `memento_simcore::pool`, next to the other
@@ -117,25 +116,6 @@ where
     map_ordered(jobs, items, |item| timed(|| f(item)))
 }
 
-/// Folds per-shard metric registries into one harness-level registry, in
-/// plan order.
-///
-/// Shards see different value ranges, so their histograms come back with
-/// *different bucket-vector lengths* — in particular the tail shard of an
-/// uneven split (item count not divisible by `--jobs`) is shorter than the
-/// full shards. The fold delegates to [`MetricsRegistry::merge`], which
-/// resizes before adding; an earlier zip-based merge truncated at the
-/// shorter bucket vector and silently dropped every high bucket the tail
-/// shard had not touched. `merge_metrics_keeps_uneven_tail_shard_buckets`
-/// fails on that implementation.
-pub fn merge_metrics(shards: &[MetricsRegistry]) -> MetricsRegistry {
-    let mut total = MetricsRegistry::default();
-    for shard in shards {
-        total.merge(shard);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,48 +149,5 @@ mod tests {
         assert!(text.contains("points/sec"));
         assert!(text.contains("study") && text.contains("100.0%"), "{text}");
         assert!(text.contains("shard-1"));
-    }
-
-    /// Five events sharded across two workers split 3/2: the tail shard
-    /// only ever sees small values, so its histogram bucket vector is
-    /// shorter than the main shard's. Every sample — including the main
-    /// shard's high buckets — must survive the harness merge regardless of
-    /// fold direction (the old zip-based merge dropped them whenever the
-    /// event count was not divisible by the job count).
-    #[test]
-    fn merge_metrics_keeps_uneven_tail_shard_buckets() {
-        let values: [u64; 5] = [3, 700, 90_000, 1, 2];
-        let shard_stats = |chunk: &[u64]| {
-            let mut reg = MetricsRegistry::new();
-            for v in chunk {
-                reg.observe("walk.latency", *v);
-                reg.add("events", 1);
-            }
-            reg
-        };
-        // jobs=2 over 5 items: main shard gets 3 events, tail shard 2.
-        let shards: Vec<MetricsRegistry> = values.chunks(3).map(shard_stats).collect();
-        assert_eq!(shards.len(), 2);
-        let main_len = shards[0]
-            .hist("walk.latency")
-            .expect("main")
-            .buckets()
-            .len();
-        let tail_len = shards[1]
-            .hist("walk.latency")
-            .expect("tail")
-            .buckets()
-            .len();
-        assert!(tail_len < main_len, "tail shard must be the short one");
-
-        for order in [vec![0usize, 1], vec![1, 0]] {
-            let picked: Vec<MetricsRegistry> = order.iter().map(|i| shards[*i].clone()).collect();
-            let total = merge_metrics(&picked);
-            assert_eq!(total.counter("events"), 5);
-            let h = total.hist("walk.latency").expect("merged histogram");
-            assert_eq!(h.count(), 5, "no sample may be dropped (order {order:?})");
-            assert_eq!(h.sum(), u128::from(values.iter().sum::<u64>()));
-            assert_eq!(h.buckets().len(), main_len, "high buckets preserved");
-        }
     }
 }

@@ -11,7 +11,6 @@
 //! microseconds — Perfetto will label them "µs", so read 1 µs as 1 cycle
 //! (at the simulated 3 GHz, 3000 displayed µs = 1 real µs).
 
-use crate::metrics::Log2Hist;
 use memento_simcore::cycles::Cycles;
 use memento_simcore::json::Value;
 use std::collections::BTreeMap;
@@ -179,15 +178,6 @@ impl Tracer {
     /// Total cycles recorded across all charge spans and cores.
     pub fn total_charged(&self) -> u64 {
         self.charges.iter().map(|c| c.dur).sum()
-    }
-
-    /// Distribution of charge-span durations per label (for the appendix).
-    pub fn span_hist(&self) -> BTreeMap<&'static str, Log2Hist> {
-        let mut hists: BTreeMap<&'static str, Log2Hist> = BTreeMap::new();
-        for c in &self.charges {
-            hists.entry(c.name).or_default().record(c.dur);
-        }
-        hists
     }
 
     /// A flame-style breakdown table: per-label cycle totals with share

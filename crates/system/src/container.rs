@@ -32,6 +32,15 @@ use memento_workloads::event::Trace;
 use memento_workloads::generator::generate;
 use memento_workloads::spec::WorkloadSpec;
 
+/// A restore's service time: a warm invocation (`warm`) plus the
+/// restore's own work (`extra`), clamped strictly between `warm` and
+/// `ceiling`, the cost of the path the restore stands in for (a cold
+/// start for a snapshot restore, a snapshot restore for a PM restore).
+/// When no value fits strictly between, the result is `warm + 1`.
+pub fn strictly_between(warm: u64, extra: u64, ceiling: u64) -> u64 {
+    (warm + extra).clamp(warm + 1, ceiling.saturating_sub(1).max(warm + 1))
+}
+
 /// A warm serverless container: a booted [`Machine`] plus the live process
 /// state of one function, serving invocations on demand.
 pub struct WarmContainer {
@@ -76,25 +85,22 @@ impl WarmContainer {
     /// [`WarmContainer::cold_start`] (snapshots capture exactly the booted
     /// state), but the *charged* service time replaces instruction replay
     /// with a warm invocation plus the calibrated working-set prefetch
-    /// ([`Machine::snapshot_restore_cycles`]), clamped strictly between
-    /// the warm and cold costs. Returns the container and the restore
-    /// service time in cycles.
+    /// ([`Machine::snapshot_restore_cycles`]), clamped
+    /// [`strictly_between`] the warm and cold costs. Returns the container
+    /// and the restore service time in cycles.
     pub fn restore_start(cfg: SystemConfig, spec: &WorkloadSpec) -> (Self, u64) {
         let (mut container, cold) = WarmContainer::cold_start(cfg, spec);
         container.park();
         let prefetch = container.machine.snapshot_restore_cycles();
-        let warm = container.invoke();
-        let warm_cycles = warm.total_cycles().raw().max(1);
-        let cold_cycles = cold.total_cycles().raw().max(1);
-        let restore =
-            (warm_cycles + prefetch).clamp(warm_cycles + 1, (cold_cycles - 1).max(warm_cycles + 1));
+        let warm = container.invoke().total_cycles().raw().max(1);
+        let restore = strictly_between(warm, prefetch, cold.total_cycles().raw().max(1));
         (container, restore)
     }
 
     /// Serves one warm invocation and returns its statistics (the warm
     /// service time). The container stays alive: frames recycled at the
     /// boundary serve the next request without fresh OS grants. After the
-    /// call, [`WarmContainer::window_peak_pages`] reports the footprint
+    /// call, [`WarmContainer::serving_peak_pages`] reports the footprint
     /// this invocation pinned.
     pub fn invoke(&mut self) -> RunStats {
         self.serve(true)
@@ -281,6 +287,20 @@ mod tests {
         let mut s = suite::by_name(name).expect("workload exists");
         s.total_instructions = 300_000;
         s
+    }
+
+    #[test]
+    fn strictly_between_lands_in_the_open_interval() {
+        assert_eq!(strictly_between(100, 50, 200), 150, "inside: unclamped");
+        assert_eq!(strictly_between(100, 0, 200), 101, "never as cheap as warm");
+        assert_eq!(
+            strictly_between(100, 500, 200),
+            199,
+            "never as dear as the ceiling"
+        );
+        // An empty interval (ceiling at or below warm + 1) yields warm + 1.
+        assert_eq!(strictly_between(100, 50, 101), 101);
+        assert_eq!(strictly_between(100, 50, 0), 101);
     }
 
     #[test]

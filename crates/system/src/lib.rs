@@ -42,7 +42,7 @@ pub mod scheduler;
 pub mod stats;
 
 pub use config::{Mode, SystemConfig, TraceConfig};
-pub use container::WarmContainer;
+pub use container::{strictly_between, WarmContainer};
 pub use machine::Machine;
 pub use scheduler::{SchedStats, Scheduler};
 pub use stats::RunStats;

@@ -1053,7 +1053,6 @@ impl Machine {
             // intact (HOT entries, page table, bump pointers).
             if let Some(pid) = run.shadow_pid.take() {
                 let san = self.san.as_mut().expect("shadow pid implies sanitizer");
-                san.on_device_events(pid, dev.take_events());
                 san.detach(pid, dev, &mproc, &self.mem);
             }
             let mut backend = OsBackend {
@@ -1456,13 +1455,6 @@ impl Machine {
     /// footprint as the cluster layer accounts it.
     pub fn resident_pages(&self) -> u64 {
         self.kernel.frame_stats().current_total()
-    }
-
-    /// Per-use snapshot of the machine's physical-frame accounting
-    /// (diagnostic accessor; the cluster layer splits pool reserve from
-    /// data-backing frames with it).
-    pub fn frame_breakdown(&self) -> memento_kernel::buddy::FrameStats {
-        self.kernel.frame_stats().clone()
     }
 
     /// Keep-alive park: hands the hardware pool's idle reserve back to the
