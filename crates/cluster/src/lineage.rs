@@ -37,6 +37,15 @@ use crate::policy::ColdStart;
 /// Sentinel for "no lineage yet" in the per-(workload, boot kind) roots.
 const NO_LINEAGE: u32 = u32::MAX;
 
+/// A restore's service time: a warm invocation (`warm`) plus the
+/// restore's own work (`extra`), clamped strictly between `warm` and
+/// `ceiling`, the cost of the path the restore stands in for (a cold
+/// start for a snapshot restore, a snapshot restore for a PM restore).
+/// When no value fits strictly between, the result is `warm + 1`.
+pub(crate) fn strictly_between(warm: u64, extra: u64, ceiling: u64) -> u64 {
+    (warm + extra).clamp(warm + 1, ceiling.saturating_sub(1).max(warm + 1))
+}
+
 impl Record {
     /// The values read from `m` after an op that took `cycles`. A
     /// container parked in persistent memory holds no DRAM while idle.
@@ -110,15 +119,26 @@ impl Runner {
 
     /// Boots a container of `workload` and returns it with the boot's
     /// record.
+    ///
+    /// A REAP-style snapshot boot builds the machine the same way as a
+    /// cold start (snapshots capture exactly the booted state), but
+    /// charges a warm invocation after a park plus the working-set
+    /// prefetch ([`WarmContainer::snapshot_restore_cycles`]) in place of
+    /// instruction replay, clamped [`strictly_between`] the warm and cold
+    /// costs.
     pub(crate) fn boot(&mut self, workload: u32, kind: ColdStart) -> (WarmContainer, Record) {
         self.simulated += 1;
         let spec = &self.specs[workload as usize];
-        let (m, cycles) = match kind {
-            ColdStart::Boot => {
-                let (m, stats) = WarmContainer::cold_start(self.cfg.as_ref().clone(), spec);
-                (m, stats.total_cycles().raw())
+        let (mut m, stats) = WarmContainer::cold_start(self.cfg.as_ref().clone(), spec);
+        let cold = stats.total_cycles().raw();
+        let cycles = match kind {
+            ColdStart::Boot => cold,
+            ColdStart::Snapshot => {
+                m.park();
+                let prefetch = m.snapshot_restore_cycles();
+                let warm = m.invoke().total_cycles().raw().max(1);
+                strictly_between(warm, prefetch, cold.max(1))
             }
-            ColdStart::Snapshot => WarmContainer::restore_start(self.cfg.as_ref().clone(), spec),
         };
         let r = Record::read(&m, cycles);
         (m, r)
@@ -410,6 +430,20 @@ mod tests {
     use memento_workloads::suite;
     use proptest::prelude::*;
 
+    #[test]
+    fn strictly_between_lands_in_the_open_interval() {
+        assert_eq!(strictly_between(100, 50, 200), 150, "inside: unclamped");
+        assert_eq!(strictly_between(100, 0, 200), 101, "never as cheap as warm");
+        assert_eq!(
+            strictly_between(100, 500, 200),
+            199,
+            "never as dear as the ceiling"
+        );
+        // An empty interval (ceiling at or below warm + 1) yields warm + 1.
+        assert_eq!(strictly_between(100, 50, 101), 101);
+        assert_eq!(strictly_between(100, 50, 0), 101);
+    }
+
     /// Logical containers a script interleaves; even ones serve workload
     /// 0, odd ones workload 1, so several share each workload.
     const CONTAINERS: usize = 6;
@@ -471,32 +505,26 @@ mod tests {
         cfg: &SystemConfig,
         script: &[(usize, u8, u8)],
     ) -> TestCaseResult {
-        let mix = mix();
+        // Boots the private reference machines.
+        let mut boots = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
         let mut live: Vec<Option<Logical>> = (0..CONTAINERS).map(|_| None).collect();
         for &(who, action, param) in script {
             let Some(mut c) = live[who].take() else {
                 let workload = (who % 2) as u32;
-                let spec = mix.spec(workload as usize);
                 let kind = if param % 2 == 0 {
                     ColdStart::Boot
                 } else {
                     ColdStart::Snapshot
                 };
                 let (pos, got) = store.boot(workload, kind);
-                let (reference, cycles) = match kind {
-                    ColdStart::Boot => {
-                        let (m, stats) = WarmContainer::cold_start(cfg.clone(), spec);
-                        (m, stats.total_cycles().raw())
-                    }
-                    ColdStart::Snapshot => WarmContainer::restore_start(cfg.clone(), spec),
-                };
+                let (reference, want) = boots.boot(workload, kind);
                 let c = Logical {
                     pos,
                     reference,
                     serving: true,
                 };
-                prop_assert_eq!(got, Record::read(&c.reference, cycles));
-                same_state(store, &c, cycles)?;
+                prop_assert_eq!(got, want);
+                same_state(store, &c, want.cycles)?;
                 live[who] = Some(c);
                 continue;
             };

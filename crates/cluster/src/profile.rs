@@ -22,12 +22,12 @@
 
 use std::collections::BTreeMap;
 
-use memento_system::{strictly_between, SystemConfig};
+use memento_system::SystemConfig;
 use memento_workloads::spec::WorkloadSpec;
 
 use crate::arrival::WorkloadMix;
 use crate::error::ClusterError;
-use crate::lineage::Runner;
+use crate::lineage::{strictly_between, Runner};
 use crate::model::{Op, Record, ServiceModel};
 use crate::policy::ColdStart;
 use crate::sim::MAX_CYCLES;
@@ -51,7 +51,7 @@ pub struct ServiceProfile {
     pub idle_frames: u64,
     /// Cycles for a REAP-style snapshot restore: the steady warm
     /// invocation plus the stable-working-set prefetch read after its
-    /// park, clamped [`strictly_between`] `warm_cycles` and
+    /// park, clamped strictly between `warm_cycles` and
     /// `cold_cycles`. (The Measured engine's snapshot boot prices the
     /// first warm invocation after a cold start instead.)
     pub restore_cycles: u64,

@@ -64,7 +64,6 @@ pub mod arena;
 pub mod costs;
 pub mod device;
 pub mod hot;
-pub mod isa;
 pub mod page_alloc;
 pub mod region;
 pub mod size_class;
@@ -74,7 +73,6 @@ pub use device::{
     AllocOutcome, FreeOutcome, MementoConfig, MementoDevice, MementoError, MementoProcess, ObjStats,
 };
 pub use hot::HotStats;
-pub use isa::{ExecOutcome, MementoInstr};
 pub use page_alloc::{PageAllocStats, PageAllocatorConfig, PoolBackend};
 pub use region::MementoRegion;
 pub use size_class::{SizeClass, MAX_OBJECT_SIZE, NUM_SIZE_CLASSES, OBJECTS_PER_ARENA};

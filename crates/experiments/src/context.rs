@@ -421,7 +421,7 @@ mod tests {
             ConfigKind::BaselinePopulate,
         ] {
             let cfg = kind.system_config();
-            assert!(cfg.cores >= 1);
+            assert!(cfg.cores() >= 1);
         }
     }
 }

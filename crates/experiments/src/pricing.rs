@@ -8,7 +8,7 @@ use memento_system::RunStats;
 use memento_workloads::spec::{Category, WorkloadSpec};
 use std::fmt;
 
-/// AWS Lambda pricing constants (the paper's §6.5 source, [4]).
+/// AWS Lambda pricing constants (the paper's §6.5 source, \[4\]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AwsPricing {
     /// Dollars per GB-second of configured memory.

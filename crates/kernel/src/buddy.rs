@@ -67,12 +67,11 @@ pub struct FrameStats {
     page_table: UseStats,
     kernel_meta: UseStats,
     memento_pool: UseStats,
-    /// True concurrently-resident peak (all uses summed at each
-    /// allocation) since the last window reset — unlike [`Self::peak_total`]
-    /// this is not a per-use upper bound, so it can attribute one
-    /// invocation's footprint.
-    window_peak: u64,
-    /// Same window, excluding Memento-pool frames: from the kernel's side
+    /// True concurrently-resident peak of the non-pool uses (user heap,
+    /// page tables, kernel metadata, summed at each allocation) since the
+    /// last window reset — unlike [`Self::peak_total`] this is not a
+    /// per-use upper bound, so it can attribute one invocation's
+    /// footprint. Memento-pool frames are excluded: from the kernel's side
     /// a device pool grant is one opaque bucket covering both mapped data
     /// and the pool's free staging, so fleet accounting takes the mapped
     /// part from the device and only the non-pool uses from here.
@@ -129,13 +128,7 @@ impl FrameStats {
     /// Restarts the resident-peak window at the current level (start of a
     /// warm invocation's measurement window).
     pub fn reset_window_peak(&mut self) {
-        self.window_peak = self.current_total();
         self.window_peak_nonpool = self.current_total() - self.memento_pool.current;
-    }
-
-    /// Peak concurrently-resident frames since the last window reset.
-    pub fn window_peak(&self) -> u64 {
-        self.window_peak
     }
 
     /// Peak concurrently-resident non-pool frames (user heap, page
@@ -145,7 +138,6 @@ impl FrameStats {
     }
 
     fn note_window(&mut self) {
-        self.window_peak = self.window_peak.max(self.current_total());
         self.window_peak_nonpool = self
             .window_peak_nonpool
             .max(self.current_total() - self.memento_pool.current);
@@ -173,7 +165,6 @@ impl FrameStats {
             page_table: self.page_table.delta(earlier.page_table),
             kernel_meta: self.kernel_meta.delta(earlier.kernel_meta),
             memento_pool: self.memento_pool.delta(earlier.memento_pool),
-            window_peak: self.window_peak,
             window_peak_nonpool: self.window_peak_nonpool,
         }
     }

@@ -1,10 +1,11 @@
 //! The kernel proper: processes, syscalls, the page-fault handler.
 //!
 //! Timing contract: every operation returns the [`Cycles`] it spent; callers
-//! charge them to [`CycleBucket::KernelMm`] (or `Setup` for platform
-//! bring-up). Page-table writes and kernel-metadata touches issue real cache
-//! accesses, so kernel work also produces memory traffic that Memento's
-//! hardware page allocator later removes.
+//! charge them to
+//! [`CycleBucket::KernelMm`](memento_simcore::CycleBucket::KernelMm) (or
+//! `Setup` for platform bring-up). Page-table writes and kernel-metadata
+//! touches issue real cache accesses, so kernel work also produces memory
+//! traffic that Memento's hardware page allocator later removes.
 
 use crate::buddy::{BuddyAllocator, FrameStats, FrameUse, OutOfFrames};
 use crate::costs::KernelCosts;
@@ -233,7 +234,7 @@ impl Kernel {
     }
 
     /// Restarts the resident-peak window at the current level (see
-    /// [`FrameStats::window_peak`]).
+    /// [`FrameStats::window_peak_nonpool`]).
     pub fn reset_frame_window(&mut self) {
         self.buddy.stats_mut().reset_window_peak();
     }

@@ -7,9 +7,9 @@
 //!
 //! - [`addr`] — strongly-typed virtual/physical addresses and page/line
 //!   geometry constants.
-//! - [`cycles`] — the [`Cycles`](cycles::Cycles) quantity and the
-//!   [`CycleAccount`](cycles::CycleAccount) attribution ledger used to split
-//!   execution time into the buckets the paper reports (Table 2, Fig. 9).
+//! - [`cycles`] — the [`Cycles`] quantity and the [`CycleAccount`]
+//!   attribution ledger used to split execution time into the buckets the
+//!   paper reports (Table 2, Fig. 9).
 //! - [`hash`] — a seedless integer hasher for the simulator's hot maps.
 //! - [`physmem`] — a sparse model of simulated physical memory holding real
 //!   bytes, so page tables and allocator metadata are genuine data structures

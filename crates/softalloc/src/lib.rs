@@ -27,7 +27,6 @@
 pub mod glibc;
 pub mod go;
 pub mod je;
-pub mod large;
 pub mod py;
 pub mod traits;
 

@@ -64,8 +64,6 @@ pub struct SystemConfig {
     pub touch_overlap: f64,
     /// Simulated physical memory in bytes.
     pub phys_mem_bytes: u64,
-    /// Cores (each with private L1/L2/TLB/HOT).
-    pub cores: usize,
     /// Fixed container-setup cycles prepended to the run (cold starts,
     /// §6.6); zero for the default warm-start methodology.
     pub coldstart_cycles: u64,
@@ -98,7 +96,6 @@ impl SystemConfig {
             cpi: 0.5,
             touch_overlap: 0.4,
             phys_mem_bytes: 2 << 30,
-            cores: 1,
             coldstart_cycles: 0,
             proactive_gc_free: false,
             sanitizer: None,
@@ -206,15 +203,16 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn with_cores(self, n: usize) -> Self {
+    pub fn with_cores(mut self, n: usize) -> Self {
         assert!(n > 0, "a machine needs at least one core");
-        let mut mem = self.mem;
-        mem.cores = n;
-        SystemConfig {
-            cores: n,
-            mem,
-            ..self
-        }
+        self.mem.cores = n;
+        self
+    }
+
+    /// Cores (each with private L1/L2/TLB/HOT): the memory system's core
+    /// count, the one place it is set.
+    pub fn cores(&self) -> usize {
+        self.mem.cores
     }
 
     /// Whether this configuration runs the Memento hardware.

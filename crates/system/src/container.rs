@@ -22,7 +22,7 @@
 //!
 //! Between invocations the container idles warm: the pool and Memento
 //! page table keep their recycled frames, which is what
-//! [`WarmContainer::resident_pages`] reports to the fleet accountant.
+//! [`WarmContainer::unreclaimable_pages`] reports to the fleet accountant.
 
 use crate::config::SystemConfig;
 use crate::machine::{FunctionRun, Machine};
@@ -32,23 +32,12 @@ use memento_workloads::event::Trace;
 use memento_workloads::generator::generate;
 use memento_workloads::spec::WorkloadSpec;
 
-/// A restore's service time: a warm invocation (`warm`) plus the
-/// restore's own work (`extra`), clamped strictly between `warm` and
-/// `ceiling`, the cost of the path the restore stands in for (a cold
-/// start for a snapshot restore, a snapshot restore for a PM restore).
-/// When no value fits strictly between, the result is `warm + 1`.
-pub fn strictly_between(warm: u64, extra: u64, ceiling: u64) -> u64 {
-    (warm + extra).clamp(warm + 1, ceiling.saturating_sub(1).max(warm + 1))
-}
-
 /// A warm serverless container: a booted [`Machine`] plus the live process
 /// state of one function, serving invocations on demand.
 pub struct WarmContainer {
     machine: Machine,
     run: FunctionRun,
-    spec: WorkloadSpec,
     trace: Trace,
-    invocations: u64,
     serving_peak_pages: u64,
     /// The container's persistent checkpoint pool, created on the first
     /// [`WarmContainer::park_to_pm`] and reused for every later park (the
@@ -69,32 +58,13 @@ impl WarmContainer {
         let mut container = WarmContainer {
             machine,
             run,
-            spec: spec.clone(),
             trace: generate(spec),
-            invocations: 0,
             serving_peak_pages: 0,
             pm: None,
             pm_parked: false,
         };
         let cold = container.serve(false);
         (container, cold)
-    }
-
-    /// Boots a container from a REAP-style snapshot and serves the first
-    /// invocation. The machine state is built the same way as
-    /// [`WarmContainer::cold_start`] (snapshots capture exactly the booted
-    /// state), but the *charged* service time replaces instruction replay
-    /// with a warm invocation plus the calibrated working-set prefetch
-    /// ([`Machine::snapshot_restore_cycles`]), clamped
-    /// [`strictly_between`] the warm and cold costs. Returns the container
-    /// and the restore service time in cycles.
-    pub fn restore_start(cfg: SystemConfig, spec: &WorkloadSpec) -> (Self, u64) {
-        let (mut container, cold) = WarmContainer::cold_start(cfg, spec);
-        container.park();
-        let prefetch = container.machine.snapshot_restore_cycles();
-        let warm = container.invoke().total_cycles().raw().max(1);
-        let restore = strictly_between(warm, prefetch, cold.total_cycles().raw().max(1));
-        (container, restore)
     }
 
     /// Serves one warm invocation and returns its statistics (the warm
@@ -111,7 +81,6 @@ impl WarmContainer {
             self.machine
                 .serve_invocation(&mut self.run, self.trace.body(), warm);
         self.serving_peak_pages = serving_peak;
-        self.invocations += 1;
         stats
     }
 
@@ -131,30 +100,6 @@ impl WarmContainer {
         let stats = self.machine.collect_inner(&self.run);
         let report = self.machine.sanitizer_report().cloned();
         (stats, report)
-    }
-
-    /// Invocations served so far (cold start included).
-    pub fn invocations(&self) -> u64 {
-        self.invocations
-    }
-
-    /// The workload this container serves.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
-    /// Frames currently resident on this container's machine — its live
-    /// contribution to the fleet memory footprint (idle-warm containers
-    /// keep their recycled pool and page tables resident; that residency
-    /// is the price of keep-alive).
-    pub fn resident_pages(&self) -> u64 {
-        self.machine.resident_pages()
-    }
-
-    /// Peak concurrently-resident frames over the container's lifetime —
-    /// the footprint it pins while actively serving a request.
-    pub fn peak_resident_pages(&self) -> u64 {
-        self.machine.peak_resident_pages()
     }
 
     /// The machine this container runs on (frame accounting, pool audits).
@@ -205,8 +150,9 @@ impl WarmContainer {
     /// Brings a parked-to-PM container back to serving: runs PM recovery
     /// (picking the newest sealed epoch, scrubbing any in-flight one) and
     /// replays the sealed image. Returns the extra cycles the next warm
-    /// invocation must be charged on top of its warm service time (see
-    /// [`Machine::pm_restore_cycles`]); frames shed at park re-enter
+    /// invocation must be charged on top of its warm service time (PM
+    /// recovery plus image replay, or a demand refault of the working set
+    /// when the image is empty); frames shed at park re-enter
     /// through the normal low-water pool refill, whose cost lands in that
     /// invocation's own ledger. Returns 0 if the container is not parked.
     pub fn restore_from_pm(&mut self) -> u64 {
@@ -290,26 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn strictly_between_lands_in_the_open_interval() {
-        assert_eq!(strictly_between(100, 50, 200), 150, "inside: unclamped");
-        assert_eq!(strictly_between(100, 0, 200), 101, "never as cheap as warm");
-        assert_eq!(
-            strictly_between(100, 500, 200),
-            199,
-            "never as dear as the ceiling"
-        );
-        // An empty interval (ceiling at or below warm + 1) yields warm + 1.
-        assert_eq!(strictly_between(100, 50, 101), 101);
-        assert_eq!(strictly_between(100, 50, 0), 101);
-    }
-
-    #[test]
     fn warm_invocations_cost_less_than_cold() {
         let spec = small_spec("aes");
         let (mut c, cold) = WarmContainer::cold_start(SystemConfig::memento(), &spec);
         let warm = c.invoke();
         assert!(cold.total_cycles() > warm.total_cycles(), "cold start paid");
-        assert_eq!(c.invocations(), 2);
         let teardown = c.finish();
         assert!(teardown.kernel.munmaps > 0 || teardown.kernel.context_switches > 0);
     }
@@ -349,16 +280,16 @@ mod tests {
         let spec = small_spec("US");
         let (mut c, _) = WarmContainer::cold_start(SystemConfig::memento(), &spec);
         c.invoke();
-        let after_second = c.resident_pages();
+        let after_second = c.machine().resident_pages();
         for _ in 0..3 {
             c.invoke();
         }
-        let after_fifth = c.resident_pages();
+        let after_fifth = c.machine().resident_pages();
         assert!(
             after_fifth <= after_second + after_second / 8,
             "idle footprint grew: {after_second} -> {after_fifth} frames"
         );
-        assert!(c.peak_resident_pages() >= after_fifth);
+        assert!(c.machine().peak_resident_pages() >= after_fifth);
     }
 
     #[test]
@@ -444,6 +375,6 @@ mod tests {
         let warm = c.invoke();
         assert!(warm.total_cycles().raw() > 0);
         assert!(cold.total_cycles() >= warm.total_cycles());
-        assert!(c.resident_pages() > 0);
+        assert!(c.machine().resident_pages() > 0);
     }
 }

@@ -222,7 +222,7 @@ impl Machine {
         let pointer_block = mem.alloc_frame().expect("boot frame").base_addr();
         let kernel = Kernel::boot(&mut mem, cfg.kernel_costs);
         let mut device = match cfg.mode {
-            Mode::Memento(mcfg) => Some(MementoDevice::new(mcfg, cfg.cores, pointer_block)),
+            Mode::Memento(mcfg) => Some(MementoDevice::new(mcfg, cfg.cores(), pointer_block)),
             _ => None,
         };
         // The sanitizer only has hardware to shadow in Memento modes; when
@@ -236,14 +236,14 @@ impl Machine {
         };
         // Observability mirrors charges into a tracer/metrics registry; the
         // device's arena-lifecycle events feed its counters (untimed).
-        let obs = cfg.trace.clone().map(|tc| MachineObs::new(tc, cfg.cores));
+        let obs = cfg.trace.clone().map(|tc| MachineObs::new(tc, cfg.cores()));
         if let (Some(dev), true) = (device.as_mut(), obs.is_some()) {
             dev.record_events(true);
         }
         Machine {
             mem_sys: MemSystem::new(cfg.mem.clone()),
-            tlbs: (0..cfg.cores).map(|_| Tlb::default()).collect(),
-            walkers: (0..cfg.cores).map(|_| PageWalker::new()).collect(),
+            tlbs: (0..cfg.cores()).map(|_| Tlb::default()).collect(),
+            walkers: (0..cfg.cores()).map(|_| PageWalker::new()).collect(),
             kernel,
             device,
             san,
@@ -754,7 +754,7 @@ impl Machine {
     /// hardware page allocator are shared).
     pub(crate) fn step_on(&mut self, run: &mut FunctionRun, event: &Event, core: usize) {
         debug_assert!(!run.finished, "step after Exit");
-        debug_assert!(core < self.cfg.cores, "core {core} out of range");
+        debug_assert!(core < self.cfg.cores(), "core {core} out of range");
         if let Some(san) = self.san.as_mut() {
             san.note_event();
         }
@@ -930,7 +930,7 @@ impl Machine {
     ) -> (Vec<RunStats>, SchedStats) {
         let traces = traces_for(specs);
         let traces = traces.iter().map(|t| &**t).collect();
-        self.run_batch(Batch::new(specs, traces, self.cfg.cores, seed), hook)
+        self.run_batch(Batch::new(specs, traces, self.cfg.cores(), seed), hook)
     }
 
     /// The batch driver behind [`Machine::run_scheduled_with`] and
@@ -1265,7 +1265,7 @@ impl Machine {
     /// [`Machine::run_scheduled`]). A trace without a trailing `Exit`
     /// finishes as if it had one.
     pub fn run_trace(&mut self, spec: &WorkloadSpec, trace: &Trace) -> RunStats {
-        let batch = Batch::new(std::slice::from_ref(spec), vec![trace], self.cfg.cores, 0);
+        let batch = Batch::new(std::slice::from_ref(spec), vec![trace], self.cfg.cores(), 0);
         let (mut stats, _) = self.run_batch(batch, |_, _| {});
         stats.pop().expect("a one-job batch yields one run")
     }
@@ -1477,20 +1477,12 @@ impl Machine {
     }
 
     /// Restarts the resident-peak window (see
-    /// [`Machine::window_peak_pages`]).
+    /// [`Machine::window_peak_unreclaimable`]).
     pub fn reset_frame_window(&mut self) {
         self.kernel.reset_frame_window();
         if let Some(dev) = self.device.as_mut() {
             dev.reset_window();
         }
-    }
-
-    /// True peak of concurrently-resident frames since the last
-    /// [`Machine::reset_frame_window`] — the footprint one invocation
-    /// pins, free of `peak_resident_pages`'s whole-lifetime per-use
-    /// upper bound.
-    pub fn window_peak_pages(&self) -> u64 {
-        self.kernel.frame_stats().window_peak()
     }
 
     /// Peak *unreclaimable* frames since the last window reset: non-pool
@@ -1574,7 +1566,7 @@ impl Machine {
     /// baseline machine has no device state to persist — its image is
     /// empty, so a PM restore degenerates to demand-refaulting the whole
     /// working set (the cost edge [`Machine::pm_restore_cycles`] prices).
-    pub fn pm_records(&self, run: &FunctionRun) -> Vec<memento_pmem::PmRecord> {
+    pub(crate) fn pm_records(&self, run: &FunctionRun) -> Vec<memento_pmem::PmRecord> {
         use memento_pmem::PmRecord;
         let (Some(dev), Some(mproc)) = (self.device.as_ref(), run.mproc.as_ref()) else {
             return Vec::new();
@@ -1621,7 +1613,7 @@ impl Machine {
     /// own fault path (hardware pool refill on Memento, full fault
     /// handling on baselines) so replay-vs-refault decisions stay
     /// consistent with the reclamation study's unit costs.
-    pub fn pm_costs(&self) -> memento_pmem::PmCosts {
+    pub(crate) fn pm_costs(&self) -> memento_pmem::PmCosts {
         memento_pmem::PmCosts {
             refault_page_cycles: self.squeeze_refault_unit_cycles(),
             ..memento_pmem::PmCosts::paper_default()
@@ -1633,7 +1625,7 @@ impl Machine {
     /// is copied at the kernel's populate cost. Paid off the latency path
     /// (the container is idle when it parks), so schedulers account it as
     /// background work, not service time.
-    pub fn pm_persist_data_cycles(&self) -> u64 {
+    pub(crate) fn pm_persist_data_cycles(&self) -> u64 {
         self.unreclaimable_pages() * self.kernel.costs().populate_per_page
     }
 
@@ -1646,7 +1638,7 @@ impl Machine {
     /// restores land strictly between a warm hit and a snapshot restore
     /// on Memento machines, and degrade toward the snapshot cost on
     /// baselines.
-    pub fn pm_restore_cycles(&self, image: &memento_pmem::PmImage) -> u64 {
+    pub(crate) fn pm_restore_cycles(&self, image: &memento_pmem::PmImage) -> u64 {
         let costs = self.kernel.costs();
         let base = costs.syscall_overhead + costs.mmap_work;
         if image.is_empty() {
@@ -1660,7 +1652,7 @@ impl Machine {
     /// sanitizer and observability layers see it) and fans the drained
     /// events out, exactly like the hardware alloc/free paths. No-op on
     /// baseline machines — they have no device, hence no event log.
-    pub fn note_pm_parked(&mut self, run: &FunctionRun, epoch: u64, records: u64) {
+    pub(crate) fn note_pm_parked(&mut self, run: &FunctionRun, epoch: u64, records: u64) {
         if let Some(dev) = self.device.as_mut() {
             dev.note_pm_parked(epoch, records);
             self.fan_out_events(run);
@@ -1668,7 +1660,7 @@ impl Machine {
     }
 
     /// Emits the restore transition (see [`Machine::note_pm_parked`]).
-    pub fn note_pm_restored(&mut self, run: &FunctionRun, epoch: u64) {
+    pub(crate) fn note_pm_restored(&mut self, run: &FunctionRun, epoch: u64) {
         if let Some(dev) = self.device.as_mut() {
             dev.note_pm_restored(epoch);
             self.fan_out_events(run);
@@ -1678,7 +1670,7 @@ impl Machine {
     /// Runs the sanitizer's crash-injected recovery audit for one
     /// park-to-PM checkpoint (no-op when the sanitizer is off). `pool`
     /// must be the container's pool *before* the checkpoint runs.
-    pub fn audit_pm_recovery(
+    pub(crate) fn audit_pm_recovery(
         &mut self,
         pool: &memento_pmem::PmPool,
         records: &[memento_pmem::PmRecord],
@@ -1994,6 +1986,21 @@ mod tests {
         // Both cores did work and paid DRAM queueing while co-resident.
         assert!(sa.per_core_jobs.iter().all(|&j| j > 0));
         assert!(a.iter().map(|s| s.mem.dram_queue_cycles).sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn core_count_comes_from_the_memory_system() {
+        // A config built with a two-core memory system runs on two cores,
+        // exactly as `with_cores(2)` does.
+        let specs = [small_spec_n("aes", 200_000), small_spec_n("jl", 200_000)];
+        let literal = SystemConfig {
+            mem: memento_cache::MemSystemConfig::paper_default(2),
+            ..SystemConfig::memento()
+        };
+        let (a, sa) = Machine::new(literal).run_scheduled(&specs, 5);
+        let (b, sb) = Machine::new(SystemConfig::memento().with_cores(2)).run_scheduled(&specs, 5);
+        assert_eq!(sa, sb);
+        assert_eq!(unnamed(&a), unnamed(&b));
     }
 
     /// Every field of `stats` but the workload name, for equality checks.

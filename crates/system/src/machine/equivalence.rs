@@ -60,7 +60,7 @@ impl Machine {
     ) -> (Vec<RunStats>, SchedStats) {
         let traces = traces_for(specs);
         let traces = traces.iter().map(|t| &**t).collect();
-        let mut batch = Batch::new(specs, traces, self.cfg.cores, seed);
+        let mut batch = Batch::new(specs, traces, self.cfg.cores(), seed);
         let mut steps: u64 = 0;
         let mut idle_spins: u32 = 0;
         while !batch.sched.all_done() {
@@ -70,7 +70,7 @@ impl Machine {
             self.mem_sys
                 .set_active_cores(batch.sched.active_cores().max(1));
             let sched = &batch.sched;
-            let Some(core) = (0..self.cfg.cores)
+            let Some(core) = (0..self.cfg.cores())
                 .filter(|&c| !sched.is_stalled(c) && sched.current(c).is_some())
                 .min_by_key(|&c| sched.clock(c))
             else {
@@ -159,7 +159,7 @@ struct Outcome {
 
 fn scheduled(cfg: &SystemConfig, specs: &[WorkloadSpec], seed: u64, oracle: bool) -> Outcome {
     let mut machine = Machine::new(cfg.clone());
-    let mut chaos = Chaos::new(seed, cfg.cores);
+    let mut chaos = Chaos::new(seed, cfg.cores());
     let hook = |sched: &mut Scheduler, _: u64| chaos.hook(sched);
     let (runs, sched) = if oracle {
         machine.per_line_touch = true;

@@ -26,11 +26,9 @@
 #![warn(missing_docs)]
 
 pub mod pagetable;
-pub mod pwc;
 pub mod tlb;
 pub mod walker;
 
 pub use pagetable::{MapError, PageTable, Pte, PtePerms, Translation};
-pub use pwc::{PagingStructureCache, PwcConfig};
 pub use tlb::{Tlb, TlbConfig, TlbLookup, TlbStats};
 pub use walker::{PageWalker, WalkOutcome, WalkResult};

@@ -9,7 +9,6 @@
 //! baseline.
 
 use crate::pagetable::Pte;
-use crate::pwc::PagingStructureCache;
 use memento_cache::{AccessKind, MemSystem};
 use memento_obs::Log2Hist;
 use memento_simcore::addr::{PhysAddr, VirtAddr};
@@ -68,8 +67,8 @@ impl PageWalker {
         self.stats
     }
 
-    /// Distribution of PTE reads per walk (1 = PWC leaf hit, 4 = full
-    /// four-level walk).
+    /// Distribution of PTE reads per walk (4 = full four-level walk, fewer
+    /// when an upper-level entry is not present).
     pub fn depth_hist(&self) -> &Log2Hist {
         &self.depth
     }
@@ -84,62 +83,10 @@ impl PageWalker {
         root: Frame,
         va: VirtAddr,
     ) -> WalkResult {
-        self.walk_from(mem_sys, mem, core, root, va, 3, None)
-    }
-
-    /// Walks with a paging-structure cache: the PWC may skip the upper
-    /// levels entirely, and every structure table discovered on the way
-    /// down is inserted for future walks.
-    ///
-    /// Invalidation contract: the caller must [`PagingStructureCache::flush`]
-    /// whenever structure tables may have been freed (munmap that empties
-    /// tables, address-space teardown, context switch) — exactly when real
-    /// kernels execute `INVLPG`/CR3 writes. A stale entry would resume the
-    /// walk from a recycled frame.
-    #[allow(clippy::too_many_arguments)]
-    pub fn walk_with_pwc(
-        &mut self,
-        mem_sys: &mut MemSystem,
-        mem: &PhysMem,
-        core: usize,
-        root: Frame,
-        va: VirtAddr,
-        pwc: &mut PagingStructureCache,
-    ) -> WalkResult {
-        let (start_level, start_table) = match pwc.lookup(root, va) {
-            Some((table_level, table)) => (table_level, table),
-            None => (3, root),
-        };
-        self.walk_from(
-            mem_sys,
-            mem,
-            core,
-            root,
-            va,
-            start_level,
-            Some((start_table, pwc)),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn walk_from(
-        &mut self,
-        mem_sys: &mut MemSystem,
-        mem: &PhysMem,
-        core: usize,
-        root: Frame,
-        va: VirtAddr,
-        start_level: u8,
-        pwc_state: Option<(Frame, &mut PagingStructureCache)>,
-    ) -> WalkResult {
-        let (start_table, mut pwc) = match pwc_state {
-            Some((t, p)) => (t, Some(p)),
-            None => (root, None),
-        };
         let mut cycles = Cycles::ZERO;
-        let mut table = start_table;
+        let mut table = root;
         let mut reads = 0u64;
-        for level in (0..=start_level).rev() {
+        for level in (0..=3u8).rev() {
             let entry_addr = table.base_addr().add(va.pt_index(level) as u64 * 8);
             cycles += mem_sys.access(core, AccessKind::Read, entry_addr).cycles;
             self.stats.pte_reads += 1;
@@ -162,11 +109,6 @@ impl PageWalker {
                 };
             }
             table = pte.frame();
-            if let Some(p) = pwc.as_deref_mut() {
-                // `table` is the structure table reached after consuming
-                // the entry at `level`; it serves lookups at `level - 1`.
-                p.insert(root, va, level - 1, table);
-            }
         }
         // lint:allow(panic-in-lib): the level loop runs 3..=0 and level 0 always returns
         unreachable!("walk terminates at level 0");
@@ -228,37 +170,6 @@ mod tests {
             }
             other => panic!("expected leaf fault, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn pwc_skips_upper_levels() {
-        let (mut mem, mut sys, mut pt, mut walker) = setup();
-        let mut pwc = crate::pwc::PagingStructureCache::default();
-        let frame = mem.alloc_frame().unwrap();
-        let va = VirtAddr::new(0x5000_0000);
-        pt.map_boot(&mut mem, va, frame, PtePerms::rw()).unwrap();
-        let reads_before = walker.stats().pte_reads;
-        let first = walker.walk_with_pwc(&mut sys, &mem, 0, pt.root(), va, &mut pwc);
-        assert_eq!(first.outcome, WalkOutcome::Mapped(frame));
-        assert_eq!(
-            walker.stats().pte_reads - reads_before,
-            4,
-            "cold: full walk"
-        );
-        // Map a neighbour sharing the leaf table: the PWC jumps straight
-        // to the leaf level (one PTE read).
-        let f2 = mem.alloc_frame().unwrap();
-        let va2 = va.add(memento_simcore::addr::PAGE_SIZE as u64);
-        pt.map_boot(&mut mem, va2, f2, PtePerms::rw()).unwrap();
-        let reads_before = walker.stats().pte_reads;
-        let second = walker.walk_with_pwc(&mut sys, &mem, 0, pt.root(), va2, &mut pwc);
-        assert_eq!(second.outcome, WalkOutcome::Mapped(f2));
-        assert_eq!(
-            walker.stats().pte_reads - reads_before,
-            1,
-            "warm: leaf only"
-        );
-        assert!(pwc.stats().hits >= 1);
     }
 
     #[test]

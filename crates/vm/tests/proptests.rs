@@ -6,7 +6,6 @@ use memento_simcore::addr::{VirtAddr, PAGE_SIZE};
 use memento_simcore::cycles::Cycles;
 use memento_simcore::physmem::{Frame, PhysMem};
 use memento_vm::pagetable::{PageTable, PtePerms};
-use memento_vm::pwc::{PagingStructureCache, PwcConfig};
 use memento_vm::tlb::Tlb;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -191,75 +190,5 @@ proptest! {
         // LRU entry, never these two.)
         prop_assert_eq!(tlb.lookup(set0(survivor)).cycles, Cycles::ZERO);
         prop_assert_eq!(tlb.lookup(set0(4)).cycles, Cycles::ZERO);
-    }
-
-    /// The PWC never resumes a walk from a table the insert/flush history
-    /// does not justify: a hit must match the deepest matching entry of a
-    /// hash-map model exactly; misses are always allowed (capacity).
-    #[test]
-    fn pwc_matches_model(
-        ops in proptest::collection::vec(
-            (0u8..3, 0u8..2, 0u8..3, any::<u8>()), 1..200
-        )
-    ) {
-        let mut pwc = PagingStructureCache::new(PwcConfig::typical());
-        let mut model: HashMap<(u64, u8, u64), Frame> = HashMap::new();
-        let mut lookups = 0u64;
-        let mut next_table = 1_000u64;
-        for (kind, root_n, level, win) in ops {
-            let root = Frame::from_number(root_n as u64 + 7);
-            // Distinct 2 MB windows; upper bits exercise all tag widths.
-            let va = VirtAddr::new((win as u64) << 21);
-            let tag = |lv: u8| va.raw() >> (12 + 9 * (lv as u32 + 1));
-            match kind {
-                0 => {
-                    let table = Frame::from_number(next_table);
-                    next_table += 1;
-                    pwc.insert(root, va, level, table);
-                    model.insert((root.number(), level, tag(level)), table);
-                }
-                1 => {
-                    pwc.flush();
-                    model.clear();
-                }
-                _ => {
-                    lookups += 1;
-                    let got = pwc.lookup(root, va);
-                    if let Some((lv, table)) = got {
-                        // A hit must match what was inserted for exactly
-                        // this (root, level, tag); capacity evictions only
-                        // ever *remove* entries, so misses and shallower
-                        // hits are always allowed.
-                        prop_assert_eq!(
-                            model.get(&(root.number(), lv, tag(lv))),
-                            Some(&table),
-                            "PWC returned a table the model disagrees with"
-                        );
-                    }
-                }
-            }
-        }
-        let s = pwc.stats();
-        prop_assert_eq!(s.hits + s.misses, lookups, "every lookup accounted");
-    }
-
-    /// PWC replacement with a 2-entry level evicts exactly the
-    /// least-recently-used entry, whichever entry the history favours.
-    #[test]
-    fn pwc_lru_victim_is_least_recently_used(favour_first in any::<bool>()) {
-        let mut pwc = PagingStructureCache::new(PwcConfig { entries_per_level: 2 });
-        let root = Frame::from_number(7);
-        let win = |i: u64| VirtAddr::new(i << 21);
-        pwc.insert(root, win(1), 0, Frame::from_number(1));
-        pwc.insert(root, win(2), 0, Frame::from_number(2));
-        let (touched, victim) = if favour_first { (1u64, 2u64) } else { (2, 1) };
-        prop_assert!(pwc.lookup(root, win(touched)).is_some());
-        pwc.insert(root, win(3), 0, Frame::from_number(3));
-        prop_assert_eq!(pwc.lookup(root, win(victim)), None, "LRU entry evicted");
-        prop_assert_eq!(
-            pwc.lookup(root, win(touched)),
-            Some((0, Frame::from_number(touched)))
-        );
-        prop_assert_eq!(pwc.lookup(root, win(3)), Some((0, Frame::from_number(3))));
     }
 }
