@@ -40,6 +40,10 @@ pub enum ClusterError {
     /// file would hold an arbitrary container's trace; trace in memory
     /// instead.
     MeasuredTraceFile(std::path::PathBuf),
+    /// A Measured fleet's container machines would have no core or more
+    /// than [`memento_system::SystemConfig::MAX_CORES`] (the count after
+    /// [`crate::ClusterConfig::cores_per_node`] is applied).
+    InvalidCores(usize),
     /// The arrival slice is not time-sorted, an arrival names a workload
     /// outside the mix, or an arrival time exceeds
     /// [`crate::sim::MAX_CYCLES`] (also when a generator would draw one).
@@ -75,6 +79,11 @@ impl fmt::Display for ClusterError {
                 "a Measured fleet cannot write a per-machine trace file ({}): \
                  every container would overwrite it; trace in memory instead",
                 path.display()
+            ),
+            ClusterError::InvalidCores(n) => write!(
+                f,
+                "a Measured container machine needs 1 to {} cores, got {n}",
+                memento_system::SystemConfig::MAX_CORES
             ),
             ClusterError::InvalidArrivals(why) => write!(f, "invalid arrivals: {why}"),
         }

@@ -13,17 +13,29 @@
 //! in it ([`Pos`]). An op the lineage already ran at that depth returns
 //! the recorded values without touching a machine; only a container at
 //! the tip advances the live machine. One lineage per (workload, boot
-//! kind) is shared by the whole fleet.
+//! kind) is shared by the whole fleet: its **root**.
 //!
+//! - **Run-ahead.** Within one run, every container of a root asks for
+//!   the same op at each depth ([`OpCycle`]), so a root's records are a
+//!   fixed stream. Helper threads ([`RunAhead::help`]) step idle root
+//!   machines up to [`LOOKAHEAD`] records past the deepest container.
+//!   The fleet thread takes a buffered record, steps the root itself
+//!   when its machine is idle, or waits while a helper holds it. Records
+//!   are a pure function of the op history, so every output is the same
+//!   at any helper count.
 //! - **Divergence.** A container that asks for a different op than the
-//!   one recorded at its depth forks a private lineage holding a copy of
-//!   the prefix. The fork's machine is rebuilt by replaying that prefix
-//!   on a fresh boot when it first needs one.
+//!   one recorded at its depth, or that leaves the cycle at a root's
+//!   tip, forks a private lineage holding a copy of the prefix. The
+//!   fork's machine is rebuilt by replaying that prefix on a fresh boot
+//!   when it first needs one. Forks and replays run on the fleet thread.
 //! - **Teardown.** [`ServiceModel::release`] needs a machine only when the
 //!   machine has a sanitizer: the finish report is computed once per
-//!   depth and memoized, from the tip machine if it sits at that depth,
-//!   else from a replay. Without a sanitizer teardown reads nothing, so
-//!   the tip machine stays for later containers.
+//!   depth and memoized, from the tip machine if it sits idle at that
+//!   depth, else from a replay. Without a sanitizer teardown reads
+//!   nothing, so the tip machine stays for later containers.
+
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use memento_obs::metrics::MetricsRegistry;
 use memento_sanitizer::SanitizerReport;
@@ -32,10 +44,13 @@ use memento_workloads::spec::WorkloadSpec;
 
 use crate::arrival::WorkloadMix;
 use crate::model::{Op, Record, ServiceModel};
-use crate::policy::ColdStart;
+use crate::policy::{ColdStart, KeepAlive};
 
 /// Sentinel for "no lineage yet" in the per-(workload, boot kind) roots.
 const NO_LINEAGE: u32 = u32::MAX;
+
+/// Most records a helper steps a root past its deepest container.
+const LOOKAHEAD: usize = 4;
 
 /// A restore's service time: a warm invocation (`warm`) plus the
 /// restore's own work (`extra`), clamped strictly between `warm` and
@@ -66,6 +81,252 @@ impl Record {
     }
 }
 
+/// Applies `op` to `m` and returns the op's record.
+fn run_op(m: &mut WarmContainer, op: Op) -> Record {
+    let cycles = match op {
+        Op::Invoke { pm_restore } => {
+            let pm_extra = if pm_restore { m.restore_from_pm() } else { 0 };
+            m.invoke().total_cycles().raw() + pm_extra
+        }
+        Op::Park => {
+            m.park();
+            0
+        }
+        // Seed the crash-injection audit from the container's own
+        // checkpoint history, a pure function of its op history.
+        Op::ParkToPm => m.park_to_pm(m.pm_sealed_epoch().map_or(0, |e| e.raw())),
+    };
+    Record::read(m, cycles)
+}
+
+/// The ops every container of a root asks for in one run, in order:
+/// `Park`, then `(Invoke { pm_restore: false }, Park)*`; under
+/// [`KeepAlive::ParkToPM`], `Park, ParkToPm`, then
+/// `(Invoke { pm_restore: true }, Park, ParkToPm)*`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct OpCycle {
+    park_to_pm: bool,
+}
+
+impl OpCycle {
+    /// The cycle of a fleet under `keep_alive`.
+    pub(crate) fn new(keep_alive: KeepAlive) -> Self {
+        OpCycle {
+            park_to_pm: matches!(keep_alive, KeepAlive::ParkToPM { .. }),
+        }
+    }
+
+    /// The op that takes a container from depth `depth` (1 right after
+    /// boot) to `depth + 1`.
+    fn op(self, depth: usize) -> Op {
+        if self.park_to_pm {
+            match depth % 3 {
+                1 => Op::Park,
+                2 => Op::ParkToPm,
+                _ => Op::Invoke { pm_restore: true },
+            }
+        } else if depth % 2 == 1 {
+            Op::Park
+        } else {
+            Op::Invoke { pm_restore: false }
+        }
+    }
+}
+
+/// A root's machine in the run-ahead store.
+enum Tip {
+    /// No machine: the root is not booted yet, or a sanitized teardown
+    /// took it.
+    Gone,
+    /// Idle at the root's `depth`; any thread may step it. Boxed: the
+    /// machine moves between threads, the box does not.
+    Idle(Box<WarmContainer>),
+    /// A thread is stepping it.
+    Busy,
+}
+
+/// One root as the run-ahead store holds it.
+struct AheadRoot {
+    tip: Tip,
+    /// The machine's depth: the root's records plus `buffered`.
+    depth: usize,
+    /// Records stepped past the root's deepest container, oldest first,
+    /// each with the machine's sanitizer report after it.
+    buffered: VecDeque<(Record, Option<SanitizerReport>)>,
+}
+
+struct AheadState {
+    /// Indexed like [`Lineages`]' roots: `workload * 2 + boot kind`.
+    roots: Vec<AheadRoot>,
+    stopped: bool,
+    /// A helper panicked, and the machine it held is lost.
+    failed: bool,
+}
+
+impl AheadState {
+    /// The idle root with room that has the fewest buffered records.
+    fn next_to_step(&self) -> Option<usize> {
+        self.roots
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| matches!(r.tip, Tip::Idle(_)) && r.buffered.len() < LOOKAHEAD)
+            .min_by_key(|(_, r)| r.buffered.len())
+            .map(|(key, _)| key)
+    }
+}
+
+/// What the fleet thread gets when it asks a root for its next record.
+enum Next {
+    /// A record a helper stepped ahead, with its sanitizer report.
+    Buffered(Record, Option<SanitizerReport>),
+    /// The root's idle machine, now held by the fleet thread; `None`
+    /// when the root has none, and the fleet thread rebuilds it by
+    /// replay.
+    Machine(Option<Box<WarmContainer>>),
+}
+
+/// The root machines of one run, shared between the fleet thread and
+/// the helper threads that step them ahead along the [`OpCycle`].
+pub(crate) struct RunAhead {
+    cycle: OpCycle,
+    state: Mutex<AheadState>,
+    /// Signalled when a root gains a record, frees room or goes idle, and
+    /// when the store stops or fails.
+    changed: Condvar,
+}
+
+/// Marks the store failed when a helper unwinds, so the fleet thread
+/// stops waiting for the machine the helper held.
+struct FailOnUnwind<'a>(&'a RunAhead);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().failed = true;
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+impl RunAhead {
+    /// A store for the roots of `mix` under `cycle`; no root is booted.
+    pub(crate) fn new(cycle: OpCycle, mix: &WorkloadMix) -> Self {
+        let roots = (0..mix.len() * 2)
+            .map(|_| AheadRoot {
+                tip: Tip::Gone,
+                depth: 0,
+                buffered: VecDeque::with_capacity(LOOKAHEAD),
+            })
+            .collect();
+        RunAhead {
+            cycle,
+            state: Mutex::new(AheadState {
+                roots,
+                stopped: false,
+                failed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// The state lock. A poisoned lock only means a thread panicked; that
+    /// panic reaches the caller of `simulate` through the thread pool.
+    fn lock(&self) -> MutexGuard<'_, AheadState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'g>(&self, st: MutexGuard<'g, AheadState>) -> MutexGuard<'g, AheadState> {
+        self.changed
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper thread's loop: step the least-buffered idle root along
+    /// the cycle, until [`Self::stop`].
+    pub(crate) fn help(&self) {
+        let _fail = FailOnUnwind(self);
+        let mut st = self.lock();
+        while !st.stopped {
+            let Some(key) = st.next_to_step() else {
+                st = self.wait(st);
+                continue;
+            };
+            let root = &mut st.roots[key];
+            let mut m = match std::mem::replace(&mut root.tip, Tip::Busy) {
+                Tip::Idle(m) => m,
+                other => {
+                    root.tip = other;
+                    continue;
+                }
+            };
+            let op = self.cycle.op(root.depth);
+            drop(st);
+            let r = run_op(&mut m, op);
+            let report = m.machine().sanitizer_report().cloned();
+            st = self.lock();
+            let root = &mut st.roots[key];
+            root.tip = Tip::Idle(m);
+            root.depth += 1;
+            root.buffered.push_back((r, report));
+            self.changed.notify_all();
+        }
+    }
+
+    /// Stops the helpers; each returns after its current step.
+    pub(crate) fn stop(&self) {
+        self.lock().stopped = true;
+        self.changed.notify_all();
+    }
+
+    /// Root `key`'s next record, or its idle machine for the fleet thread
+    /// to step, waiting while a helper steps it.
+    fn next(&self, key: usize) -> Next {
+        let mut st = self.lock();
+        loop {
+            assert!(!st.failed, "a run-ahead helper panicked");
+            let root = &mut st.roots[key];
+            let full = root.buffered.len() == LOOKAHEAD;
+            if let Some((r, report)) = root.buffered.pop_front() {
+                if full {
+                    // The root has room again.
+                    self.changed.notify_all();
+                }
+                return Next::Buffered(r, report);
+            }
+            match std::mem::replace(&mut root.tip, Tip::Busy) {
+                Tip::Idle(m) => return Next::Machine(Some(m)),
+                Tip::Gone => return Next::Machine(None),
+                Tip::Busy => st = self.wait(st),
+            }
+        }
+    }
+
+    /// Hands root `key`'s machine back at `depth`, where helpers may step
+    /// it again.
+    fn put(&self, key: usize, m: Box<WarmContainer>, depth: usize) {
+        let mut st = self.lock();
+        let root = &mut st.roots[key];
+        debug_assert!(!matches!(root.tip, Tip::Idle(_)) && root.buffered.is_empty());
+        root.tip = Tip::Idle(m);
+        root.depth = depth;
+        self.changed.notify_all();
+    }
+
+    /// Takes root `key`'s machine if it sits idle at `depth` (so nothing
+    /// is buffered past the root's records).
+    fn take_at(&self, key: usize, depth: usize) -> Option<Box<WarmContainer>> {
+        let mut st = self.lock();
+        let root = &mut st.roots[key];
+        match std::mem::replace(&mut root.tip, Tip::Gone) {
+            Tip::Idle(m) if root.depth == depth => Some(m),
+            tip => {
+                root.tip = tip;
+                None
+            }
+        }
+    }
+}
+
 /// A container's place in the store: `depth` records reached on
 /// `lineage` (1 right after boot).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,7 +348,8 @@ struct Lineage {
     reports: Vec<SanitizerReport>,
     /// Memoized teardown reports, `finished[d - 1]` for depth `d`.
     finished: Vec<Option<SanitizerReport>>,
-    /// The live machine, always at depth `records.len()` when present.
+    /// A private lineage's live machine, always at depth `records.len()`
+    /// when present. A root's machine lives in the [`RunAhead`] store.
     machine: Option<WarmContainer>,
     /// Containers currently positioned on this lineage.
     holders: u32,
@@ -97,9 +359,11 @@ struct Lineage {
 }
 
 /// Boots and steps machines, counting every op it simulates. The one
-/// place a cluster-layer [`WarmContainer`] is booted or stepped: the
-/// lineage store runs the fleet's ops through it, and
-/// [`crate::profile::calibrate`] its fixed calibration script.
+/// place a cluster-layer [`WarmContainer`] is booted or stepped for a
+/// result the fleet reads: the lineage store runs the fleet's ops
+/// through it, and [`crate::profile::calibrate`] its fixed calibration
+/// script. (Run-ahead helpers step roots without counting; the store
+/// counts a buffered record when the fleet consumes it.)
 pub(crate) struct Runner {
     cfg: Box<SystemConfig>,
     specs: Vec<WorkloadSpec>,
@@ -147,20 +411,7 @@ impl Runner {
     /// Applies `op` to `m` and returns the op's record.
     pub(crate) fn apply(&mut self, m: &mut WarmContainer, op: Op) -> Record {
         self.simulated += 1;
-        let cycles = match op {
-            Op::Invoke { pm_restore } => {
-                let pm_extra = if pm_restore { m.restore_from_pm() } else { 0 };
-                m.invoke().total_cycles().raw() + pm_extra
-            }
-            Op::Park => {
-                m.park();
-                0
-            }
-            // Seed the crash-injection audit from the container's own
-            // checkpoint history, a pure function of its op history.
-            Op::ParkToPm => m.park_to_pm(m.pm_sealed_epoch().map_or(0, |e| e.raw())),
-        };
-        Record::read(m, cycles)
+        run_op(m, op)
     }
 
     /// A fresh machine at `depth` on lineage `l`: boot, then the first
@@ -178,10 +429,11 @@ impl Runner {
 }
 
 /// The Measured engine's lineage store: one shared lineage per
-/// (workload, boot kind), plus the private forks of containers that
-/// diverged.
-pub(crate) struct Lineages {
+/// (workload, boot kind), whose machines live in a [`RunAhead`] store,
+/// plus the private forks of containers that diverged.
+pub(crate) struct Lineages<'a> {
     runner: Runner,
+    ahead: &'a RunAhead,
     lineages: Vec<Option<Lineage>>,
     free: Vec<u32>,
     /// Shared lineage per `workload * 2 + boot kind`.
@@ -193,18 +445,21 @@ pub(crate) struct Lineages {
     per_container: bool,
 }
 
-fn kind_index(kind: ColdStart) -> usize {
-    match kind {
+fn root_key(workload: u32, kind: ColdStart) -> usize {
+    let kind = match kind {
         ColdStart::Boot => 0,
         ColdStart::Snapshot => 1,
-    }
+    };
+    workload as usize * 2 + kind
 }
 
-impl Lineages {
-    /// An empty store for containers of `mix` booting under `cfg`.
-    pub(crate) fn new(cfg: Box<SystemConfig>, mix: &WorkloadMix) -> Self {
+impl<'a> Lineages<'a> {
+    /// An empty store for containers of `mix` booting under `cfg`, whose
+    /// roots run in `ahead`.
+    pub(crate) fn new(cfg: Box<SystemConfig>, mix: &WorkloadMix, ahead: &'a RunAhead) -> Self {
         Lineages {
             runner: Runner::new(cfg, mix.specs().to_vec()),
+            ahead,
             lineages: Vec::new(),
             free: Vec::new(),
             roots: vec![NO_LINEAGE; mix.len() * 2],
@@ -216,10 +471,14 @@ impl Lineages {
 
     /// A store that keys every container's lineage to that container.
     #[cfg(test)]
-    pub(crate) fn per_container(cfg: Box<SystemConfig>, mix: &WorkloadMix) -> Self {
+    pub(crate) fn per_container(
+        cfg: Box<SystemConfig>,
+        mix: &WorkloadMix,
+        ahead: &'a RunAhead,
+    ) -> Self {
         Lineages {
             per_container: true,
-            ..Lineages::new(cfg, mix)
+            ..Lineages::new(cfg, mix, ahead)
         }
     }
 
@@ -289,6 +548,33 @@ impl Lineages {
         self.insert(fork)
     }
 
+    /// Appends root `id`'s next record, the cycle's `op` from its deepest
+    /// container: a record a helper buffered (counted as simulated now
+    /// that the fleet consumes it), else one stepped here.
+    fn advance_root(&mut self, id: u32, op: Op) -> Record {
+        let l = self.lineages[id as usize]
+            .as_mut()
+            .expect("positions point at live lineages");
+        let key = root_key(l.workload, l.boot);
+        let (r, report) = match self.ahead.next(key) {
+            Next::Buffered(r, report) => {
+                self.runner.simulated += 1;
+                (r, report)
+            }
+            Next::Machine(m) => {
+                let mut m = m.unwrap_or_else(|| Box::new(self.runner.replay(l, l.records.len())));
+                let r = self.runner.apply(&mut m, op);
+                let report = m.machine().sanitizer_report().cloned();
+                self.ahead.put(key, m, l.records.len() + 1);
+                (r, report)
+            }
+        };
+        l.ops.push(op);
+        l.records.push(r);
+        l.reports.extend(report);
+        r
+    }
+
     fn finish_report(&mut self, pos: Pos) -> SanitizerReport {
         let depth = pos.depth as usize;
         let l = self.lineages[pos.lineage as usize]
@@ -297,13 +583,20 @@ impl Lineages {
         if let Some(Some(r)) = l.finished.get(depth - 1) {
             return r.clone();
         }
-        let m = match l.machine.take() {
-            Some(m) if depth == l.records.len() => m,
-            tip => {
-                l.machine = tip;
-                self.runner.replay(l, depth)
+        let tip = if l.shared {
+            self.ahead
+                .take_at(root_key(l.workload, l.boot), depth)
+                .map(|m| *m)
+        } else {
+            match l.machine.take() {
+                Some(m) if depth == l.records.len() => Some(m),
+                tip => {
+                    l.machine = tip;
+                    None
+                }
             }
         };
+        let m = tip.unwrap_or_else(|| self.runner.replay(l, depth));
         let report = m.finish_with_report().1.unwrap_or_default();
         if l.finished.len() < depth {
             l.finished.resize(depth, None);
@@ -313,14 +606,14 @@ impl Lineages {
     }
 }
 
-impl ServiceModel for Lineages {
+impl ServiceModel for Lineages<'_> {
     type Pos = Pos;
 
     /// Boots a container of `workload` and returns its position and the
     /// boot's record.
     fn boot(&mut self, workload: u32, kind: ColdStart) -> (Pos, Record) {
         self.steps += 1;
-        let key = workload as usize * 2 + kind_index(kind);
+        let key = root_key(workload, kind);
         let shared = self.shares();
         let root = self.roots[key];
         if shared && root != NO_LINEAGE {
@@ -333,19 +626,26 @@ impl ServiceModel for Lineages {
             return (pos, l.records[0]);
         }
         let (m, r) = self.runner.boot(workload, kind);
+        let reports = m
+            .machine()
+            .sanitizer_report()
+            .cloned()
+            .into_iter()
+            .collect();
+        let machine = if shared {
+            self.ahead.put(key, Box::new(m), 1);
+            None
+        } else {
+            Some(m)
+        };
         let id = self.insert(Lineage {
             workload,
             boot: kind,
             ops: Vec::new(),
             records: vec![r],
-            reports: m
-                .machine()
-                .sanitizer_report()
-                .cloned()
-                .into_iter()
-                .collect(),
+            reports,
             finished: Vec::new(),
-            machine: Some(m),
+            machine,
             holders: 1,
             shared,
         });
@@ -372,6 +672,14 @@ impl ServiceModel for Lineages {
                 pos.depth += 1;
                 return l.records[at];
             }
+            pos.lineage = self.fork(pos.lineage, at);
+        } else if l.shared {
+            if op == self.ahead.cycle.op(at) {
+                pos.depth += 1;
+                return self.advance_root(pos.lineage, op);
+            }
+            // A root's machine only follows the cycle (a helper may have
+            // stepped it past `at` already), so leaving the cycle forks.
             pos.lineage = self.fork(pos.lineage, at);
         }
         // Borrowed field by field (not through `get_mut`) so the runner
@@ -418,7 +726,8 @@ impl ServiceModel for Lineages {
     }
 
     fn add_metrics(&self, metrics: &mut MetricsRegistry) {
-        // How much of the op stream lineage sharing served from records.
+        // How much of the op stream lineage sharing served from records;
+        // run-ahead records the fleet never consumed are not counted.
         metrics.add("cluster.measured.steps", self.steps);
         metrics.add("cluster.measured.steps_simulated", self.runner.simulated);
     }
@@ -427,6 +736,7 @@ impl ServiceModel for Lineages {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memento_simcore::pool::with_helpers;
     use memento_workloads::suite;
     use proptest::prelude::*;
 
@@ -583,37 +893,58 @@ mod tests {
 
     type TestCaseResult = Result<(), TestCaseError>;
 
+    impl RunAhead {
+        /// Waits until root `key` holds `n` buffered records.
+        fn wait_buffered(&self, key: usize, n: usize) {
+            let mut st = self.lock();
+            while st.roots[key].buffered.len() < n {
+                st = self.wait(st);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
         fn shared_lineages_match_private_machines(
             which in 0u8..3,
+            park_to_pm in any::<bool>(),
+            helpers in 0usize..2,
             script in collection::vec((0usize..CONTAINERS, 0u8..8, 0u8..4), 1..64),
         ) {
             let cfg = config(which);
-            let mut store = Lineages::new(Box::new(cfg.clone()), &mix());
-            check(&mut store, &cfg, &script)?;
+            let keep_alive = if park_to_pm {
+                KeepAlive::ParkToPM { ttl_cycles: 1 }
+            } else {
+                KeepAlive::Infinite
+            };
+            let ahead = RunAhead::new(OpCycle::new(keep_alive), &mix());
+            with_helpers(helpers, || ahead.help(), || ahead.stop(), || {
+                let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
+                check(&mut store, &cfg, &script)
+            })?;
         }
     }
 
     #[test]
     fn repeats_are_served_from_records_and_divergence_forks() {
         let cfg = SystemConfig::memento();
-        let mut store = Lineages::new(Box::new(cfg.clone()), &mix());
+        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
+        let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
         let (mut a, _) = store.boot(0, ColdStart::Boot);
         let (mut b, _) = store.boot(0, ColdStart::Boot);
-        let invoke = Op::Invoke { pm_restore: false };
-        let first = store.apply(&mut a, invoke);
-        let again = store.apply(&mut b, invoke);
+        let first = store.apply(&mut a, Op::Park);
+        let again = store.apply(&mut b, Op::Park);
         assert_eq!(first, again, "same history, same numbers");
         assert_eq!((store.steps, store.runner.simulated), (4, 2));
-        // `a` is at the tip, so its park advances the machine.
-        store.apply(&mut a, Op::Park);
+        // `a` is at the tip, so its invoke advances the machine.
+        let invoke = Op::Invoke { pm_restore: false };
+        store.apply(&mut a, invoke);
         assert_eq!(store.runner.simulated, 3);
-        // `b` asks for an invoke where the lineage recorded a park: it
-        // forks, replaying boot + invoke before running its own op.
-        store.apply(&mut b, invoke);
+        // `b` asks for a park where the lineage recorded an invoke: it
+        // forks, replaying boot + park before running its own op.
+        store.apply(&mut b, Op::Park);
         assert_eq!(store.runner.simulated, 3 + 3);
         assert_ne!(a.lineage, b.lineage, "divergence forks a private lineage");
         // Without a sanitizer, teardown needs no machine.
@@ -628,9 +959,80 @@ mod tests {
     }
 
     #[test]
+    fn leaving_the_cycle_forks_while_a_helper_runs_ahead() {
+        let cfg = SystemConfig::memento();
+        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
+        with_helpers(
+            1,
+            || ahead.help(),
+            || ahead.stop(),
+            || {
+                let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
+                let mut refs = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
+                let (mut a, _) = store.boot(0, ColdStart::Boot);
+                let (mut b, _) = store.boot(0, ColdStart::Boot);
+                let root = a.lineage;
+                // The helper steps the root's machine along the cycle (park,
+                // invoke, park, invoke) ahead of both containers; nothing it
+                // stepped counts until a container consumes it.
+                ahead.wait_buffered(root_key(0, ColdStart::Boot), LOOKAHEAD);
+                assert_eq!(store.runner.simulated, 1);
+                // `b` asks for an invoke where the cycle parks: it forks,
+                // replaying the boot, and runs its op on a private machine.
+                let invoke = Op::Invoke { pm_restore: false };
+                let (mut want_b, _) = refs.boot(0, ColdStart::Boot);
+                assert_eq!(store.apply(&mut b, invoke), refs.apply(&mut want_b, invoke));
+                assert_ne!(b.lineage, root, "leaving the cycle forks");
+                assert_eq!(store.runner.simulated, 1 + 2);
+                // `a` follows the cycle and is served the helper's records,
+                // each counted once as the fleet consumes it.
+                let (mut want_a, _) = refs.boot(0, ColdStart::Boot);
+                for op in [Op::Park, invoke, Op::Park] {
+                    assert_eq!(store.apply(&mut a, op), refs.apply(&mut want_a, op));
+                }
+                assert_eq!(a.lineage, root);
+                assert_eq!(store.runner.simulated, 3 + 3);
+                assert_eq!(
+                    store.apply(&mut b, Op::Park),
+                    refs.apply(&mut want_b, Op::Park)
+                );
+                assert!(store.release(a).is_none());
+                assert!(store.release(b).is_none());
+            },
+        );
+    }
+
+    #[test]
+    fn a_helper_panic_reaches_the_fleet_thread_waiting_on_its_root() {
+        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
+        // As if a helper held root 0 when it failed.
+        ahead.lock().roots[0].tip = Tip::Busy;
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_helpers(
+                1,
+                || {
+                    let _fail = FailOnUnwind(&ahead);
+                    panic!("helper step failed");
+                },
+                || ahead.stop(),
+                || {
+                    ahead.next(0);
+                },
+            )
+        }))
+        .expect_err("the fleet thread stops waiting");
+        assert_eq!(
+            failed.downcast_ref::<&str>(),
+            Some(&"helper step failed"),
+            "the helper's own panic is re-raised"
+        );
+    }
+
+    #[test]
     fn per_container_keying_never_shares() {
         let cfg = SystemConfig::memento_sanitized();
-        let mut store = Lineages::per_container(Box::new(cfg.clone()), &mix());
+        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
+        let mut store = Lineages::per_container(Box::new(cfg.clone()), &mix(), &ahead);
         let script: Vec<(usize, u8, u8)> = (0..40)
             .map(|i| (i % CONTAINERS, (i % 3) as u8, 0))
             .collect();

@@ -70,11 +70,12 @@ use memento_obs::metrics::{Log2Hist, MetricsRegistry};
 use memento_obs::selfprof;
 use memento_sanitizer::fleet::{FleetAuditor, InvocationCounts};
 use memento_sanitizer::SanitizerReport;
+use memento_simcore::pool;
 use memento_system::SystemConfig;
 
 use crate::arrival::{Arrival, WorkloadMix};
 use crate::error::ClusterError;
-use crate::lineage::Lineages;
+use crate::lineage::{Lineages, OpCycle, RunAhead};
 use crate::model::{Op, ServiceModel};
 use crate::policy::{
     Autoscaler, AutoscalerConfig, ColdStart, KeepAlive, Placement, Reclamation, RejectReason,
@@ -285,14 +286,19 @@ fn validate(
 }
 
 /// Runs the fleet simulation over a pre-drawn arrival sequence and drains
-/// it to quiescence, serially on the calling thread. The arrival slice
+/// it to quiescence. The fleet's events run on the calling thread; a
+/// Measured engine may step its shared container histories ahead on
+/// helper threads (one per spare [`pool::effective_jobs`] thread), which
+/// changes no output and all return before this does. The arrival slice
 /// must be time-sorted (as [`crate::arrival::generate_arrivals`]
 /// produces) and every arrival must index into `mix`; anything else is
 /// [`ClusterError::InvalidArrivals`]. A Profiled engine needs a profile
 /// for every workload in the mix ([`ClusterError::MissingProfile`]) whose
 /// costs keep the clock within [`MAX_CYCLES`] over the run
 /// ([`ClusterError::InvalidProfile`]); a Measured engine must not name a
-/// trace file ([`ClusterError::MeasuredTraceFile`]).
+/// trace file ([`ClusterError::MeasuredTraceFile`]), and its machines
+/// need 1 to [`SystemConfig::MAX_CORES`] cores
+/// ([`ClusterError::InvalidCores`]).
 pub fn simulate(
     engine: Engine,
     cfg: &ClusterConfig,
@@ -308,22 +314,57 @@ pub fn simulate(
             if let Some(path) = sys.trace.as_ref().and_then(|t| t.path.as_ref()) {
                 return Err(ClusterError::MeasuredTraceFile(path.clone()));
             }
-            // Machines take the node's core count, so a container's
-            // memory hierarchy matches the node hardware; one core keeps
-            // the config as it is.
-            let cores = cfg.cores_per_node;
-            let sys = if cores > 1 {
-                Box::new(sys.with_cores(cores))
-            } else {
-                sys
-            };
-            Ok(run(Lineages::new(sys, mix), cfg, mix, arrivals))
+            let sys = container_config(sys, cfg.cores_per_node)?;
+            // One run-ahead helper per spare host thread, at most one per
+            // root; `MEMENTO_JOBS=1` starts none.
+            let helpers = (pool::effective_jobs(None) - 1).min(mix.len());
+            Ok(run_measured(sys, cfg, mix, arrivals, helpers))
         }
         Engine::Profiled(table) => {
             let model = Profiled::new(&table, mix, arrivals.len())?;
             Ok(run(model, cfg, mix, arrivals))
         }
     }
+}
+
+/// A Measured fleet's container machine config. Machines take the
+/// node's core count, so a container's memory hierarchy matches the node
+/// hardware; one core per node keeps the config's own count, which must
+/// name at least one core and at most [`SystemConfig::MAX_CORES`].
+fn container_config(
+    sys: Box<SystemConfig>,
+    cores_per_node: usize,
+) -> Result<Box<SystemConfig>, ClusterError> {
+    let sys = if cores_per_node > 1 {
+        Box::new(sys.with_cores(cores_per_node))
+    } else {
+        sys
+    };
+    if (1..=SystemConfig::MAX_CORES).contains(&sys.cores()) {
+        Ok(sys)
+    } else {
+        Err(ClusterError::InvalidCores(sys.cores()))
+    }
+}
+
+/// Runs a Measured fleet over validated inputs, with `helpers` threads
+/// stepping the shared lineages' roots ahead of the fleet (DESIGN.md
+/// §10). The outputs are the same at any helper count; no helper
+/// outlives the call.
+fn run_measured(
+    sys: Box<SystemConfig>,
+    cfg: &ClusterConfig,
+    mix: &WorkloadMix,
+    arrivals: &[Arrival],
+    helpers: usize,
+) -> ClusterResult {
+    let ahead = RunAhead::new(OpCycle::new(cfg.keep_alive), mix);
+    pool::with_helpers(
+        helpers,
+        || ahead.help(),
+        || ahead.stop(),
+        || run(Lineages::new(sys, mix, &ahead), cfg, mix, arrivals),
+    )
 }
 
 /// Runs the fleet over validated inputs on one service model.
@@ -2692,13 +2733,11 @@ mod tests {
         mix: &WorkloadMix,
         arrivals: &[Arrival],
     ) -> ClusterResult {
-        let sys = if cfg.cores_per_node > 1 {
-            sys.clone().with_cores(cfg.cores_per_node)
-        } else {
-            sys.clone()
-        };
+        let sys = container_config(Box::new(sys.clone()), cfg.cores_per_node)
+            .expect("a valid core count");
+        let ahead = RunAhead::new(OpCycle::new(cfg.keep_alive), mix);
         run(
-            Lineages::per_container(Box::new(sys), mix),
+            Lineages::per_container(sys, mix, &ahead),
             cfg,
             mix,
             arrivals,
@@ -2795,35 +2834,81 @@ mod tests {
                 ..fixed
             },
         ];
+        let steps = |r: &ClusterResult| {
+            (
+                r.metrics.counter("cluster.measured.steps"),
+                r.metrics.counter("cluster.measured.steps_simulated"),
+            )
+        };
         let mut shared_any = false;
         for sys in [SystemConfig::memento(), SystemConfig::memento_sanitized()] {
+            let sanitized = sys.sanitizer.is_some();
             for cfg in &policies {
-                let shared = simulate(
-                    Engine::Measured(Box::new(sys.clone())),
-                    cfg,
-                    &mix,
-                    &arrivals,
-                )
-                .expect("valid cluster run");
                 let private = run_per_container(&sys, cfg, &mix, &arrivals);
-                assert_eq!(
-                    observable(&shared),
-                    observable(&private),
-                    "sharing changed an output under {cfg:?}"
-                );
-                let steps = |r: &ClusterResult| {
-                    (
-                        r.metrics.counter("cluster.measured.steps"),
-                        r.metrics.counter("cluster.measured.steps_simulated"),
-                    )
-                };
                 let (ops, ran) = steps(&private);
                 assert_eq!(ops, ran, "a private machine runs every op");
-                let (ops, ran) = steps(&shared);
-                shared_any |= ran < ops;
+                let want = observable(&private);
+                // The shared store, with its roots stepped by the fleet
+                // thread alone and with one and three run-ahead helpers.
+                let mut simulated = Vec::new();
+                for helpers in [0, 1, 3] {
+                    let sys = container_config(Box::new(sys.clone()), cfg.cores_per_node)
+                        .expect("a valid core count");
+                    let shared = run_measured(sys, cfg, &mix, &arrivals, helpers);
+                    assert_eq!(
+                        observable(&shared),
+                        want,
+                        "sharing with {helpers} helpers changed an output under {cfg:?}"
+                    );
+                    let (ops, ran) = steps(&shared);
+                    shared_any |= ran < ops;
+                    simulated.push(ran);
+                }
+                // Run-ahead records count only once consumed. A sanitized
+                // teardown replays unless the root machine sits at its
+                // depth, which depends on how far helpers ran.
+                if !sanitized {
+                    assert!(
+                        simulated.iter().all(|&n| n == simulated[0]),
+                        "steps_simulated varies with the helper count under {cfg:?}: {simulated:?}"
+                    );
+                }
             }
         }
         assert!(shared_any, "some fleet must serve ops from records");
+    }
+
+    #[test]
+    fn measured_core_counts_out_of_range_are_typed_errors() {
+        let mix = two_mix();
+        let arrivals = generate_arrivals(
+            &ArrivalConfig {
+                seed: 3,
+                count: 4,
+                mean_interarrival_cycles: 200_000.0,
+            },
+            &mix,
+        )
+        .expect("valid arrivals");
+        let cfg = ClusterConfig::default();
+        for cores in [0, SystemConfig::MAX_CORES + 1] {
+            let mut sys = SystemConfig::memento();
+            sys.mem.cores = cores;
+            let err = simulate(Engine::Measured(Box::new(sys)), &cfg, &mix, &arrivals).err();
+            assert_eq!(err, Some(ClusterError::InvalidCores(cores)));
+            let err = err.expect("checked above");
+            assert!(err.to_string().contains(&cores.to_string()), "{err}");
+        }
+        // `cores_per_node` reshapes the machines before the check.
+        let mut sys = SystemConfig::memento();
+        sys.mem.cores = 0;
+        let two = ClusterConfig {
+            cores_per_node: 2,
+            ..cfg
+        };
+        let r = simulate(Engine::Measured(Box::new(sys)), &two, &mix, &arrivals)
+            .expect("two cores per node");
+        assert_eq!(r.completed, 4);
     }
 
     #[test]

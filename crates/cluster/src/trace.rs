@@ -42,6 +42,7 @@
 use crate::arrival::{Arrival, ArrivalConfig, WorkloadMix};
 use crate::error::ClusterError;
 use crate::sim::MAX_CYCLES;
+use memento_simcore::cycles::round_u64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -423,17 +424,6 @@ impl ArrivalTrace for EmpiricalTrace {
     }
 }
 
-/// Rounds `x >= 0` half away from zero, as `x.round() as u64` does, but
-/// without the libm call (baseline x86-64 has no rounding instruction)
-/// and without a branch on the fraction, which is a coin flip. Exact:
-/// below 2^53 the fraction `x - ⌊x⌋` is representable, and above it `x`
-/// is already an integer; past `u64::MAX` (and at +∞) both saturate.
-#[inline]
-fn round_gap(x: f64) -> u64 {
-    let i = x as u64;
-    i.saturating_add(u64::from(x - i as f64 >= 0.5))
-}
-
 /// The piece of `trace` covering candidate time `t`, checked once: its
 /// formula must stay in 64-bit range up to its end or [`MAX_CYCLES`],
 /// whichever comes first.
@@ -500,7 +490,7 @@ pub fn generate_trace<T: ArrivalTrace + ?Sized>(
         // Exponential gap via inverse transform; u ∈ [0, 1) keeps ln
         // finite.
         let u = rng.gen_range(0.0..1.0);
-        let gap = round_gap(-candidate_mean * (1.0 - u).ln());
+        let gap = round_u64(-candidate_mean * (1.0 - u).ln());
         t = t.saturating_add(gap.max(1));
         if t >= end {
             // `end` never passes MAX_CYCLES + 1, so the clock bound is
@@ -1032,29 +1022,6 @@ mod tests {
             ] {
                 assert_eq!(piece.at(n), n / den, "{n} / {den}");
             }
-        }
-    }
-
-    #[test]
-    fn round_gap_matches_libm_round() {
-        let mut xs = vec![
-            -0.0,
-            0.0,
-            0.49999999999999994,
-            0.5,
-            1.5,
-            2.5,
-            4_503_599_627_370_495.5,
-            4_503_599_627_370_496.0,
-            9_007_199_254_740_993.0,
-            1.8e19,
-            1e300,
-            f64::INFINITY,
-        ];
-        let mut rng = StdRng::seed_from_u64(5);
-        xs.extend((0..100_000).map(|_| -3_000.0 * (1.0 - rng.gen_range(0.0..1.0)).ln()));
-        for x in xs {
-            assert_eq!(round_gap(x), x.round() as u64, "x = {x}");
         }
     }
 

@@ -71,6 +71,29 @@ impl fmt::Display for Cycles {
     }
 }
 
+/// Rounds `x >= 0` half away from zero to a cycle count, as
+/// `x.round() as u64` does, but without the libm call (baseline x86-64
+/// has no rounding instruction) and without a branch on the fraction,
+/// which is a coin flip. Exact: below 2^53 the fraction `x - trunc(x)` is
+/// representable, and from 2^53 up `x` is already an integer; past
+/// `u64::MAX` (and at +∞) both saturate, and negative or NaN `x` gives 0.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let i = x as u64;
+    i.saturating_add(u64::from(x - i as f64 >= 0.5))
+}
+
+/// Rounds `x >= 0` up to a cycle count, as `x.ceil() as u64` does, without
+/// the libm call. Exact for the same reason as [`round_u64`]: `trunc(x)`
+/// converts back to `f64` exactly below 2^64, so `trunc(x) < x` holds
+/// exactly when `x` has a fraction. Saturates past `u64::MAX`; negative or
+/// NaN `x` gives 0.
+#[inline]
+pub fn ceil_u64(x: f64) -> u64 {
+    let i = x as u64;
+    i.saturating_add(u64::from((i as f64) < x))
+}
+
 /// Attribution bucket for a simulated cycle.
 ///
 /// The buckets mirror the paper's reporting axes:
@@ -244,8 +267,61 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    #[test]
+    fn rounding_matches_libm_at_the_edges() {
+        let two53 = 9_007_199_254_740_992.0;
+        let xs = [
+            -1.5,
+            -0.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            0.5,
+            0.5000000000000001,
+            1.0,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            9_007_199_254_740_993.0,
+            1.8e19,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for x in xs {
+            assert_eq!(round_u64(x), x.round() as u64, "round({x})");
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "ceil({x})");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both roundings equal libm's over cycle-sized values, at and
+        /// around every half and whole step.
+        #[test]
+        fn rounding_matches_libm(
+            whole in 0u64..1 << 53,
+            frac in 0.0f64..1.0,
+            scale in 0.0f64..4.0,
+        ) {
+            for x in [
+                whole as f64 + frac,
+                whole as f64 + 0.5,
+                whole as f64 * scale,
+                frac * 1e6,
+            ] {
+                prop_assert_eq!(round_u64(x), x.round() as u64, "round({})", x);
+                prop_assert_eq!(ceil_u64(x), x.ceil() as u64, "ceil({})", x);
+            }
+        }
 
         /// The running total equals the bucket sum after any sequence of
         /// charges and merges (a merge folds in a ledger charged with the

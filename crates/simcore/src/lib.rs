@@ -19,7 +19,8 @@
 //!   record/replay and report export (the build environment is offline).
 //! - [`pool`] — the order-preserving worker pool behind every
 //!   `--jobs`/`MEMENTO_JOBS` parallel path (results slotted by input
-//!   index, so parallel sweeps are byte-identical to serial ones).
+//!   index, so parallel sweeps are byte-identical to serial ones), and
+//!   the scoped helper threads that run ahead of one caller.
 //!
 //! # Examples
 //!

@@ -7,7 +7,12 @@
 //! workers run or how the OS schedules them — workers pull work from a
 //! shared index and send `(index, result)` back, and results are slotted
 //! by index. A parallel sweep is byte-identical to a serial one.
+//!
+//! [`with_helpers`] is the other shape: one caller-driven computation
+//! with scoped helper threads that work ahead of it. The caller decides
+//! every result's order; the helpers only change when a result is ready.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
@@ -77,9 +82,103 @@ where
     })
 }
 
+/// Runs `main` on the calling thread while `helpers` scoped threads each
+/// run `helper`. When `main` returns or unwinds, `stop` runs so the
+/// helpers can return; every helper is joined before this returns, so
+/// none outlives the call. A helper's panic is re-raised here, ahead of
+/// a panic of `main` (which the helper's failure may have caused).
+/// `helpers == 0` runs `main` alone and starts no thread.
+pub fn with_helpers<R>(
+    helpers: usize,
+    helper: impl Fn() + Sync,
+    stop: impl FnOnce(),
+    main: impl FnOnce() -> R,
+) -> R {
+    if helpers == 0 {
+        return main();
+    }
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(&helper)).collect();
+        let out = panic::catch_unwind(AssertUnwindSafe(main));
+        stop();
+        for h in handles {
+            if let Err(p) = h.join() {
+                panic::resume_unwind(p);
+            }
+        }
+        out.unwrap_or_else(|p| panic::resume_unwind(p))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Condvar, Mutex};
+
+    /// A stop flag the helpers of a test wait on.
+    struct Gate {
+        stopped: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn new() -> Self {
+            Gate {
+                stopped: Mutex::new(false),
+                cv: Condvar::new(),
+            }
+        }
+
+        fn wait(&self) {
+            let mut stopped = self.stopped.lock().expect("gate lock");
+            while !*stopped {
+                stopped = self.cv.wait(stopped).expect("gate lock");
+            }
+        }
+
+        fn stop(&self) {
+            *self.stopped.lock().expect("gate lock") = true;
+            self.cv.notify_all();
+        }
+    }
+
+    #[test]
+    fn with_helpers_joins_every_helper_after_stop() {
+        let gate = Gate::new();
+        let ran = AtomicUsize::new(0);
+        let out = with_helpers(
+            3,
+            || {
+                gate.wait();
+                ran.fetch_add(1, Ordering::SeqCst);
+            },
+            || gate.stop(),
+            || 7,
+        );
+        assert_eq!(out, 7);
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            3,
+            "every helper ran and was joined"
+        );
+        // No helper: `main` runs alone and `stop` is never needed.
+        assert_eq!(with_helpers(0, || unreachable!(), || {}, || 8), 8);
+    }
+
+    #[test]
+    fn with_helpers_reraises_a_panic_from_either_side() {
+        let gate = Gate::new();
+        let main_panic = panic::catch_unwind(AssertUnwindSafe(|| {
+            with_helpers(1, || gate.wait(), || gate.stop(), || panic!("main failed"))
+        }))
+        .expect_err("a panic of main reaches the caller");
+        assert_eq!(main_panic.downcast_ref::<&str>(), Some(&"main failed"));
+        let helper_panic = panic::catch_unwind(AssertUnwindSafe(|| {
+            with_helpers(1, || panic!("helper failed"), || {}, || 9)
+        }))
+        .expect_err("a helper's panic reaches the caller");
+        assert_eq!(helper_panic.downcast_ref::<&str>(), Some(&"helper failed"));
+    }
 
     #[test]
     fn map_ordered_preserves_input_order() {

@@ -195,6 +195,10 @@ impl SystemConfig {
         }
     }
 
+    /// Most cores a machine can have: the LLC's packed line-owner field
+    /// names at most this many ([`memento_cache::cache::MAX_OWNERS`]).
+    pub const MAX_CORES: usize = memento_cache::cache::MAX_OWNERS;
+
     /// This configuration with `n` cores. Each core gets a private
     /// L1I/L1D/L2, TLB, page walker, and (under Memento) HOT; the LLC,
     /// DRAM, kernel, and the hardware page pool stay shared. With `n = 1`

@@ -16,7 +16,7 @@ use memento_kernel::kernel::{Kernel, Process};
 use memento_obs::{Log2Hist, ProfileSample};
 use memento_sanitizer::{HeapSanitizer, SanitizerReport, ShadowPid};
 use memento_simcore::addr::{VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
-use memento_simcore::cycles::{CycleAccount, CycleBucket, Cycles};
+use memento_simcore::cycles::{ceil_u64, round_u64, CycleAccount, CycleBucket, Cycles};
 use memento_simcore::hash::BuildIntHasher;
 use memento_simcore::physmem::{Frame, PhysMem};
 use memento_softalloc::go::GoAlloc;
@@ -501,7 +501,7 @@ impl Machine {
     /// Cycles of a data access left on the critical path once out-of-order
     /// overlap (`touch_overlap`) hides the rest.
     fn discount(&self, c: Cycles) -> Cycles {
-        Cycles::new((c.raw() as f64 * self.cfg.touch_overlap).ceil() as u64)
+        Cycles::new(ceil_u64(c.raw() as f64 * self.cfg.touch_overlap))
     }
 
     /// One demand data access at `va` for a run, honouring the configured
@@ -760,7 +760,7 @@ impl Machine {
         }
         match event {
             Event::Compute { instructions } => {
-                let cycles = Cycles::new((*instructions as f64 * self.cfg.cpi).round() as u64);
+                let cycles = Cycles::new(round_u64(*instructions as f64 * self.cfg.cpi));
                 self.charge(run, core, CycleBucket::Compute, "user", cycles);
             }
             Event::Alloc { id, size } => {
