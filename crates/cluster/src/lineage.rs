@@ -19,10 +19,13 @@
 //!   the same op at each depth ([`OpCycle`]), so a root's records are a
 //!   fixed stream. Helper threads ([`RunAhead::help`]) step idle root
 //!   machines up to [`LOOKAHEAD`] records past the deepest container.
-//!   The fleet thread takes a buffered record, steps the root itself
-//!   when its machine is idle, or waits while a helper holds it. Records
-//!   are a pure function of the op history, so every output is the same
-//!   at any helper count.
+//!   The fleet thread takes a buffered record, or steps the root itself
+//!   when its machine is idle. While a helper holds that machine, the
+//!   fleet thread steps another root ahead the same way a helper would,
+//!   and waits only when no root is idle with room. Records are a pure
+//!   function of the op history, so every output is the same at any
+//!   helper count. Sanitized fleets start no helper (see
+//!   `sim::run_ahead_helpers`).
 //! - **Divergence.** A container that asks for a different op than the
 //!   one recorded at its depth, or that leaves the cycle at a root's
 //!   tip, forks a private lineage holding a copy of the prefix. The
@@ -49,8 +52,11 @@ use crate::policy::{ColdStart, KeepAlive};
 /// Sentinel for "no lineage yet" in the per-(workload, boot kind) roots.
 const NO_LINEAGE: u32 = u32::MAX;
 
-/// Most records a helper steps a root past its deepest container.
-const LOOKAHEAD: usize = 4;
+/// Most records a root is stepped past its deepest container. At 16 the
+/// fleet thread and one helper are each busy for 95 % or more of a
+/// `measured_fleet` repetition; 8 measured slower and 32 no faster
+/// (EXPERIMENTS.md "Benchmarking").
+const LOOKAHEAD: usize = 16;
 
 /// A restore's service time: a warm invocation (`warm`) plus the
 /// restore's own work (`extra`), clamped strictly between `warm` and
@@ -161,6 +167,10 @@ struct AheadState {
     stopped: bool,
     /// A helper panicked, and the machine it held is lost.
     failed: bool,
+    /// The root whose next step ahead panics: a test's stand-in for a
+    /// machine that fails mid-op.
+    #[cfg(test)]
+    fail_step: Option<usize>,
 }
 
 impl AheadState {
@@ -224,6 +234,8 @@ impl RunAhead {
                 roots,
                 stopped: false,
                 failed: false,
+                #[cfg(test)]
+                fail_step: None,
             }),
             changed: Condvar::new(),
         }
@@ -241,34 +253,65 @@ impl RunAhead {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A helper thread's loop: step the least-buffered idle root along
-    /// the cycle, until [`Self::stop`].
+    /// Steps idle root `key` one op along the cycle outside the lock and
+    /// buffers the record with the machine's sanitizer report, counted
+    /// only when the fleet consumes it. The one step ahead of a root's
+    /// deepest container, taken by helpers and by the fleet thread while
+    /// its own root is busy. Returns the lock, retaken.
+    fn step_ahead<'g>(
+        &'g self,
+        mut st: MutexGuard<'g, AheadState>,
+        key: usize,
+    ) -> MutexGuard<'g, AheadState> {
+        let root = &mut st.roots[key];
+        let mut m = match std::mem::replace(&mut root.tip, Tip::Busy) {
+            Tip::Idle(m) => m,
+            // Only an idle root is stepped ahead.
+            tip => {
+                root.tip = tip;
+                return st;
+            }
+        };
+        let op = self.cycle.op(root.depth);
+        #[cfg(test)]
+        let fail = st.fail_step == Some(key);
+        drop(st);
+        #[cfg(test)]
+        assert!(!fail, "injected step failure");
+        let r = run_op(&mut m, op);
+        let report = m.machine().sanitizer_report().cloned();
+        let mut st = self.lock();
+        let root = &mut st.roots[key];
+        root.tip = Tip::Idle(m);
+        root.depth += 1;
+        root.buffered.push_back((r, report));
+        debug_assert!(
+            root.buffered.len() <= LOOKAHEAD,
+            "root {key} buffered past LOOKAHEAD"
+        );
+        self.changed.notify_all();
+        st
+    }
+
+    /// Steps the least-buffered idle root with room ahead, or waits for
+    /// a change when no root has both.
+    fn step_any_or_wait<'g>(
+        &'g self,
+        st: MutexGuard<'g, AheadState>,
+    ) -> MutexGuard<'g, AheadState> {
+        match st.next_to_step() {
+            Some(key) => self.step_ahead(st, key),
+            None => self.wait(st),
+        }
+    }
+
+    /// A helper thread's loop: step roots ahead along the cycle until
+    /// [`Self::stop`].
     pub(crate) fn help(&self) {
         let _fail = FailOnUnwind(self);
         let mut st = self.lock();
         while !st.stopped {
-            let Some(key) = st.next_to_step() else {
-                st = self.wait(st);
-                continue;
-            };
-            let root = &mut st.roots[key];
-            let mut m = match std::mem::replace(&mut root.tip, Tip::Busy) {
-                Tip::Idle(m) => m,
-                other => {
-                    root.tip = other;
-                    continue;
-                }
-            };
-            let op = self.cycle.op(root.depth);
-            drop(st);
-            let r = run_op(&mut m, op);
-            let report = m.machine().sanitizer_report().cloned();
-            st = self.lock();
-            let root = &mut st.roots[key];
-            root.tip = Tip::Idle(m);
-            root.depth += 1;
-            root.buffered.push_back((r, report));
-            self.changed.notify_all();
+            st = self.step_any_or_wait(st);
         }
     }
 
@@ -279,7 +322,8 @@ impl RunAhead {
     }
 
     /// Root `key`'s next record, or its idle machine for the fleet thread
-    /// to step, waiting while a helper steps it.
+    /// to step. While a helper steps it, the fleet thread steps another
+    /// root ahead instead, and waits only when no root is idle with room.
     fn next(&self, key: usize) -> Next {
         let mut st = self.lock();
         loop {
@@ -296,7 +340,7 @@ impl RunAhead {
             match std::mem::replace(&mut root.tip, Tip::Busy) {
                 Tip::Idle(m) => return Next::Machine(Some(m)),
                 Tip::Gone => return Next::Machine(None),
-                Tip::Busy => st = self.wait(st),
+                Tip::Busy => st = self.step_any_or_wait(st),
             }
         }
     }
@@ -739,6 +783,7 @@ mod tests {
     use memento_simcore::pool::with_helpers;
     use memento_workloads::suite;
     use proptest::prelude::*;
+    use std::time::Duration;
 
     #[test]
     fn strictly_between_lands_in_the_open_interval() {
@@ -894,12 +939,17 @@ mod tests {
     type TestCaseResult = Result<(), TestCaseError>;
 
     impl RunAhead {
-        /// Waits until root `key` holds `n` buffered records.
+        /// Waits until root `key` holds `n` buffered records, or for 30 s,
+        /// so a schedule that never gets there fails a later check
+        /// rather than hanging.
         fn wait_buffered(&self, key: usize, n: usize) {
-            let mut st = self.lock();
-            while st.roots[key].buffered.len() < n {
-                st = self.wait(st);
-            }
+            let st = self.lock();
+            let waited = self
+                .changed
+                .wait_timeout_while(st, Duration::from_secs(30), |st| {
+                    st.roots[key].buffered.len() < n
+                });
+            drop(waited);
         }
     }
 
@@ -910,7 +960,7 @@ mod tests {
         fn shared_lineages_match_private_machines(
             which in 0u8..3,
             park_to_pm in any::<bool>(),
-            helpers in 0usize..2,
+            helpers in 0usize..3,
             script in collection::vec((0usize..CONTAINERS, 0u8..8, 0u8..4), 1..64),
         ) {
             let cfg = config(which);
@@ -973,7 +1023,7 @@ mod tests {
                 let (mut b, _) = store.boot(0, ColdStart::Boot);
                 let root = a.lineage;
                 // The helper steps the root's machine along the cycle (park,
-                // invoke, park, invoke) ahead of both containers; nothing it
+                // invoke, park, ...) ahead of both containers; nothing it
                 // stepped counts until a container consumes it.
                 ahead.wait_buffered(root_key(0, ColdStart::Boot), LOOKAHEAD);
                 assert_eq!(store.runner.simulated, 1);
@@ -1025,6 +1075,100 @@ mod tests {
             failed.downcast_ref::<&str>(),
             Some(&"helper step failed"),
             "the helper's own panic is re-raised"
+        );
+    }
+
+    #[test]
+    fn the_fleet_thread_steps_another_root_while_its_own_is_busy() {
+        let cfg = SystemConfig::memento();
+        let cycle = OpCycle::new(KeepAlive::Infinite);
+        let ahead = RunAhead::new(cycle, &mix());
+        let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
+        let (mut a, _) = store.boot(0, ColdStart::Boot);
+        let (mut b, _) = store.boot(1, ColdStart::Boot);
+        let (key_a, key_b) = (root_key(0, ColdStart::Boot), root_key(1, ColdStart::Boot));
+        // B runs one record short of full.
+        for _ in 1..LOOKAHEAD {
+            drop(ahead.step_ahead(ahead.lock(), key_b));
+        }
+        // As if a helper held A's machine.
+        let Tip::Idle(m) = std::mem::replace(&mut ahead.lock().roots[key_a].tip, Tip::Busy) else {
+            panic!("A's machine sits idle after its boot");
+        };
+        std::thread::scope(|s| {
+            // The "helper" hands A back once B is full, so the fleet
+            // thread has stepped B exactly once meanwhile.
+            s.spawn(|| {
+                ahead.wait_buffered(key_b, LOOKAHEAD);
+                ahead.put(key_a, m, 1);
+            });
+            store.apply(&mut a, Op::Park);
+        });
+        assert_eq!(ahead.lock().roots[key_b].buffered.len(), LOOKAHEAD);
+        // Two boots and A's park; B's records count once consumed.
+        assert_eq!(store.runner.simulated, 3);
+        let mut refs = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
+        let (mut want, _) = refs.boot(1, ColdStart::Boot);
+        for depth in 1..=LOOKAHEAD {
+            let op = cycle.op(depth);
+            let r = refs.apply(&mut want, op);
+            if depth == LOOKAHEAD {
+                let st = ahead.lock();
+                let (last, _) = st.roots[key_b].buffered.back().expect("B is full");
+                assert_eq!(
+                    *last, r,
+                    "the fleet thread's step matches a private machine"
+                );
+            }
+            assert_eq!(store.apply(&mut b, op), r);
+            assert_eq!(store.runner.simulated, 3 + depth as u64);
+        }
+    }
+
+    #[test]
+    fn a_fleet_thread_panic_stepping_another_root_reaches_the_caller() {
+        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
+        let mut boots = Runner::new(Box::new(SystemConfig::memento()), mix().specs().to_vec());
+        let key_b = root_key(1, ColdStart::Boot);
+        ahead.put(key_b, Box::new(boots.boot(1, ColdStart::Boot).0), 1);
+        {
+            let mut st = ahead.lock();
+            // As if a helper held root 0, while B's next step fails.
+            st.roots[0].tip = Tip::Busy;
+            st.fail_step = Some(key_b);
+        }
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_helpers(
+                1,
+                || {
+                    // A helper with nothing to step, waiting on the store
+                    // until it stops. (Should the fleet thread only wait,
+                    // the helper fails the store after the timeout, so the
+                    // test fails rather than hangs.)
+                    let st = ahead.lock();
+                    let (mut st, waited) = ahead
+                        .changed
+                        .wait_timeout_while(st, Duration::from_secs(30), |st| !st.stopped)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if waited.timed_out() {
+                        st.failed = true;
+                        ahead.changed.notify_all();
+                    }
+                },
+                || ahead.stop(),
+                || {
+                    ahead.next(0);
+                },
+            )
+        }))
+        .expect_err("the fleet thread's panic reaches the caller");
+        assert_eq!(
+            failed.downcast_ref::<&str>(),
+            Some(&"injected step failure")
+        );
+        assert!(
+            matches!(ahead.lock().roots[key_b].tip, Tip::Busy),
+            "the fleet thread held B's machine when it failed"
         );
     }
 

@@ -288,8 +288,9 @@ fn validate(
 /// Runs the fleet simulation over a pre-drawn arrival sequence and drains
 /// it to quiescence. The fleet's events run on the calling thread; a
 /// Measured engine may step its shared container histories ahead on
-/// helper threads (one per spare [`pool::effective_jobs`] thread), which
-/// changes no output and all return before this does. The arrival slice
+/// helper threads (one per spare [`pool::effective_jobs`] thread, none
+/// for a sanitized machine), which changes no output and all return
+/// before this does. The arrival slice
 /// must be time-sorted (as [`crate::arrival::generate_arrivals`]
 /// produces) and every arrival must index into `mix`; anything else is
 /// [`ClusterError::InvalidArrivals`]. A Profiled engine needs a profile
@@ -315,9 +316,7 @@ pub fn simulate(
                 return Err(ClusterError::MeasuredTraceFile(path.clone()));
             }
             let sys = container_config(sys, cfg.cores_per_node)?;
-            // One run-ahead helper per spare host thread, at most one per
-            // root; `MEMENTO_JOBS=1` starts none.
-            let helpers = (pool::effective_jobs(None) - 1).min(mix.len());
+            let helpers = run_ahead_helpers(&sys, mix.len(), pool::effective_jobs(None));
             Ok(run_measured(sys, cfg, mix, arrivals, helpers))
         }
         Engine::Profiled(table) => {
@@ -344,6 +343,21 @@ fn container_config(
         Ok(sys)
     } else {
         Err(ClusterError::InvalidCores(sys.cores()))
+    }
+}
+
+/// Run-ahead helper threads for a Measured fleet of `workloads`
+/// workloads whose machines run under `sys`, on `jobs` host threads: one
+/// per spare thread, at most one per workload (one root each), so
+/// `MEMENTO_JOBS=1` starts none. A
+/// sanitized fleet runs serially: its teardown reports come from the
+/// root's machine only while it sits at the retiring container's depth,
+/// so running roots ahead turns most of them into replays from boot.
+fn run_ahead_helpers(sys: &SystemConfig, workloads: usize, jobs: usize) -> usize {
+    if sys.sanitizer.is_some() {
+        0
+    } else {
+        jobs.saturating_sub(1).min(workloads)
     }
 }
 
@@ -2909,6 +2923,49 @@ mod tests {
         let r = simulate(Engine::Measured(Box::new(sys)), &two, &mix, &arrivals)
             .expect("two cores per node");
         assert_eq!(r.completed, 4);
+    }
+
+    #[test]
+    fn sanitized_measured_fleets_start_no_helpers() {
+        // One helper per spare host thread, at most one per workload.
+        let plain = SystemConfig::memento();
+        assert_eq!(run_ahead_helpers(&plain, 2, 1), 0);
+        assert_eq!(run_ahead_helpers(&plain, 2, 2), 1);
+        assert_eq!(run_ahead_helpers(&plain, 2, 8), 2);
+        let sanitized = SystemConfig::memento_sanitized();
+        for jobs in [1, 2, 8] {
+            assert_eq!(run_ahead_helpers(&sanitized, 2, jobs), 0, "{jobs} jobs");
+        }
+        // So a sanitized `simulate` runs as many machine ops as the
+        // serial schedule, whatever the host's thread count.
+        let mix = two_mix();
+        let arrivals = generate_arrivals(
+            &ArrivalConfig {
+                seed: 23,
+                count: 40,
+                mean_interarrival_cycles: 120_000.0,
+            },
+            &mix,
+        )
+        .expect("valid arrivals");
+        let cfg = ClusterConfig {
+            nodes: 2,
+            queue_capacity: 4,
+            keep_alive: KeepAlive::Fixed(400_000),
+            ..ClusterConfig::default()
+        };
+        let simulated = |r: ClusterResult| r.metrics.counter("cluster.measured.steps_simulated");
+        let got = simulate(
+            Engine::Measured(Box::new(sanitized.clone())),
+            &cfg,
+            &mix,
+            &arrivals,
+        )
+        .expect("valid cluster run");
+        let sys =
+            container_config(Box::new(sanitized), cfg.cores_per_node).expect("a valid core count");
+        let serial = run_measured(sys, &cfg, &mix, &arrivals, 0);
+        assert_eq!(simulated(got), simulated(serial));
     }
 
     #[test]
