@@ -54,8 +54,10 @@ const NO_LINEAGE: u32 = u32::MAX;
 
 /// Most records a root is stepped past its deepest container. At 16 the
 /// fleet thread and one helper are each busy for 95 % or more of a
-/// `measured_fleet` repetition; 8 measured slower and 32 no faster
-/// (EXPERIMENTS.md "Benchmarking").
+/// `measured_fleet` repetition. Against the old bound of 4, runs read
+/// 8 at 1.18× and 16 at 1.23×; 16 over 8 head to head stayed
+/// unresolved, and 32 read no faster than 16 while leaving more
+/// records unconsumed (EXPERIMENTS.md "Benchmarking").
 const LOOKAHEAD: usize = 16;
 
 /// A restore's service time: a warm invocation (`warm`) plus the
@@ -939,17 +941,19 @@ mod tests {
     type TestCaseResult = Result<(), TestCaseError>;
 
     impl RunAhead {
-        /// Waits until root `key` holds `n` buffered records, or for 30 s,
-        /// so a schedule that never gets there fails a later check
-        /// rather than hanging.
+        /// Waits until root `key` holds `n` buffered records, and fails
+        /// after 30 s, so a schedule that never gets there fails the
+        /// test rather than hanging it.
         fn wait_buffered(&self, key: usize, n: usize) {
             let st = self.lock();
-            let waited = self
+            let (st, waited) = self
                 .changed
                 .wait_timeout_while(st, Duration::from_secs(30), |st| {
                     st.roots[key].buffered.len() < n
-                });
-            drop(waited);
+                })
+                .unwrap_or_else(PoisonError::into_inner);
+            drop(st);
+            assert!(!waited.timed_out(), "root {key} never buffered {n}");
         }
     }
 
@@ -1097,10 +1101,17 @@ mod tests {
         };
         std::thread::scope(|s| {
             // The "helper" hands A back once B is full, so the fleet
-            // thread has stepped B exactly once meanwhile.
+            // thread has stepped B exactly once meanwhile. It hands A
+            // back even when B never fills, so the fleet thread finishes
+            // and the scope re-raises the timeout.
             s.spawn(|| {
-                ahead.wait_buffered(key_b, LOOKAHEAD);
+                let full = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ahead.wait_buffered(key_b, LOOKAHEAD)
+                }));
                 ahead.put(key_a, m, 1);
+                if let Err(p) = full {
+                    std::panic::resume_unwind(p);
+                }
             });
             store.apply(&mut a, Op::Park);
         });
