@@ -40,8 +40,8 @@
 //!   fleet-footprint accounting, per-node metrics, exact tail-latency
 //!   quantiles, and drain-time conservation audits from
 //!   `memento_sanitizer::fleet`, generic over one service-model seam. Its
-//!   Measured model simulates each (function, op history) once per fleet
-//!   and serves repeats from a shared lineage store.
+//!   Measured model simulates each function's op script once per fleet
+//!   and serves every container of that function from the one history.
 //! - [`error`] — typed construction/validation errors.
 //!
 //! # Examples

@@ -1,41 +1,41 @@
 //! The Measured service model: shared container histories.
 //!
 //! Every container of one function in a Measured fleet boots from the
-//! same [`SystemConfig`], replays the same generated trace and receives
-//! the same op sequence: boot, then park/invoke pairs, then teardown. A
-//! [`WarmContainer`]'s results depend only on its config, its spec and
-//! the ops applied to it, so the k-th op of one container yields exactly
-//! the numbers every other container of that function read at step k.
+//! same [`SystemConfig`], replays the same generated trace and follows
+//! the same op script: the run's boot, then its [`OpCycle`], then
+//! teardown. A [`WarmContainer`]'s results depend only on its config,
+//! its spec and the ops applied to it, so the k-th op of one container
+//! yields exactly the numbers every other container of that function
+//! read at step k.
 //!
-//! A **lineage** records one such history: the ops applied so far, the
-//! values the engine reads after each op ([`Record`]), and at most one
-//! live machine at its tip. A container is a position `(lineage, depth)`
-//! in it ([`Pos`]). An op the lineage already ran at that depth returns
-//! the recorded values without touching a machine; only a container at
-//! the tip advances the live machine. One lineage per (workload, boot
-//! kind) is shared by the whole fleet: its **root**.
+//! The store keeps one history per workload of the mix, its **root**:
+//! the values the engine reads after each op ([`Record`]) and one live
+//! machine at its tip. A container is a position `(workload, depth)` in
+//! it ([`Pos`]). A depth the root already reached returns the recorded
+//! values without touching a machine; only the deepest container
+//! advances the root.
 //!
-//! - **Run-ahead.** Within one run, every container of a root asks for
-//!   the same op at each depth ([`OpCycle`]), so a root's records are a
-//!   fixed stream. Helper threads ([`RunAhead::help`]) step idle root
-//!   machines up to [`LOOKAHEAD`] records past the deepest container.
-//!   The fleet thread takes a buffered record, or steps the root itself
-//!   when its machine is idle. While a helper holds that machine, the
-//!   fleet thread steps another root ahead the same way a helper would,
-//!   and waits only when no root is idle with room. Records are a pure
-//!   function of the op history, so every output is the same at any
-//!   helper count. Sanitized fleets start no helper (see
-//!   `sim::run_ahead_helpers`).
-//! - **Divergence.** A container that asks for a different op than the
-//!   one recorded at its depth, or that leaves the cycle at a root's
-//!   tip, forks a private lineage holding a copy of the prefix. The
-//!   fork's machine is rebuilt by replaying that prefix on a fresh boot
-//!   when it first needs one. Forks and replays run on the fleet thread.
+//! - **The contract.** Asking for a boot kind or an op the run's cycle
+//!   does not hold is a bug in the caller, and panics: one compare per
+//!   op. `sim::Sim` boots with `cfg.cold_start`, parks after every
+//!   completion, parks to PM exactly under [`KeepAlive::ParkToPM`], and
+//!   then restores from PM on every warm start. A new op must enter
+//!   [`OpCycle`] (see [`Op`]).
+//! - **Run-ahead.** A root's records are a fixed stream. Helper threads
+//!   ([`RunAhead::help`]) step idle root machines up to [`LOOKAHEAD`]
+//!   records past the deepest container. The fleet thread takes a
+//!   buffered record, or steps the root itself when its machine is
+//!   idle. While a helper holds that machine, the fleet thread steps
+//!   another root ahead the same way a helper would, and waits only
+//!   when no root is idle with room. Records are a pure function of the
+//!   op history, so every output is the same at any helper count.
+//!   Sanitized fleets start no helper (see `sim::run_ahead_helpers`).
 //! - **Teardown.** [`ServiceModel::release`] needs a machine only when the
 //!   machine has a sanitizer: the finish report is computed once per
-//!   depth and memoized, from the tip machine if it sits idle at that
-//!   depth, else from a replay. Without a sanitizer teardown reads
-//!   nothing, so the tip machine stays for later containers.
+//!   depth and memoized, from the root's machine if it sits idle at that
+//!   depth, else from a replay of the script on the fleet thread.
+//!   Without a sanitizer teardown reads nothing, so the root's machine
+//!   stays for later containers.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -48,9 +48,6 @@ use memento_workloads::spec::WorkloadSpec;
 use crate::arrival::WorkloadMix;
 use crate::model::{Op, Record, ServiceModel};
 use crate::policy::{ColdStart, KeepAlive};
-
-/// Sentinel for "no lineage yet" in the per-(workload, boot kind) roots.
-const NO_LINEAGE: u32 = u32::MAX;
 
 /// Most records a root is stepped past its deepest container. At 16 the
 /// fleet thread and one helper are each busy for 95 % or more of a
@@ -107,19 +104,22 @@ fn run_op(m: &mut WarmContainer, op: Op) -> Record {
     Record::read(m, cycles)
 }
 
-/// The ops every container of a root asks for in one run, in order:
-/// `Park`, then `(Invoke { pm_restore: false }, Park)*`; under
-/// [`KeepAlive::ParkToPM`], `Park, ParkToPm`, then
+/// The script every container follows in one run: a boot of kind
+/// `boot`, then `Park`, then `(Invoke { pm_restore: false }, Park)*`;
+/// under [`KeepAlive::ParkToPM`], `Park, ParkToPm`, then
 /// `(Invoke { pm_restore: true }, Park, ParkToPm)*`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct OpCycle {
+    boot: ColdStart,
     park_to_pm: bool,
 }
 
 impl OpCycle {
-    /// The cycle of a fleet under `keep_alive`.
-    pub(crate) fn new(keep_alive: KeepAlive) -> Self {
+    /// The script of a fleet that comes up under `cold_start` and keeps
+    /// containers alive under `keep_alive`.
+    pub(crate) fn new(cold_start: ColdStart, keep_alive: KeepAlive) -> Self {
         OpCycle {
+            boot: cold_start,
             park_to_pm: matches!(keep_alive, KeepAlive::ParkToPM { .. }),
         }
     }
@@ -164,7 +164,7 @@ struct AheadRoot {
 }
 
 struct AheadState {
-    /// Indexed like [`Lineages`]' roots: `workload * 2 + boot kind`.
+    /// Indexed by workload, like [`Lineages`]' roots.
     roots: Vec<AheadRoot>,
     stopped: bool,
     /// A helper panicked, and the machine it held is lost.
@@ -192,8 +192,8 @@ enum Next {
     /// A record a helper stepped ahead, with its sanitizer report.
     Buffered(Record, Option<SanitizerReport>),
     /// The root's idle machine, now held by the fleet thread; `None`
-    /// when the root has none, and the fleet thread rebuilds it by
-    /// replay.
+    /// when a sanitized teardown took it, and the fleet thread rebuilds
+    /// it by replay.
     Machine(Option<Box<WarmContainer>>),
 }
 
@@ -221,9 +221,10 @@ impl Drop for FailOnUnwind<'_> {
 }
 
 impl RunAhead {
-    /// A store for the roots of `mix` under `cycle`; no root is booted.
+    /// A store for the roots of `mix` under `cycle`, one per workload;
+    /// no root is booted.
     pub(crate) fn new(cycle: OpCycle, mix: &WorkloadMix) -> Self {
-        let roots = (0..mix.len() * 2)
+        let roots = (0..mix.len())
             .map(|_| AheadRoot {
                 tip: Tip::Gone,
                 depth: 0,
@@ -373,35 +374,12 @@ impl RunAhead {
     }
 }
 
-/// A container's place in the store: `depth` records reached on
-/// `lineage` (1 right after boot).
+/// A container's place in the store: `depth` records reached on the
+/// root of `workload` (1 right after boot).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Pos {
-    lineage: u32,
-    depth: u32,
-}
-
-/// One op history.
-struct Lineage {
     workload: u32,
-    boot: ColdStart,
-    /// `ops[i]` takes a container from depth `i + 1` to depth `i + 2`.
-    ops: Vec<Op>,
-    /// `records[d - 1]` holds the values read at depth `d`.
-    records: Vec<Record>,
-    /// `reports[d - 1]` is the machine's sanitizer report at depth `d`;
-    /// empty when the machine has no sanitizer.
-    reports: Vec<SanitizerReport>,
-    /// Memoized teardown reports, `finished[d - 1]` for depth `d`.
-    finished: Vec<Option<SanitizerReport>>,
-    /// A private lineage's live machine, always at depth `records.len()`
-    /// when present. A root's machine lives in the [`RunAhead`] store.
-    machine: Option<WarmContainer>,
-    /// Containers currently positioned on this lineage.
-    holders: u32,
-    /// A fleet-wide root, kept when no container holds it; a private
-    /// fork is dropped with its last holder.
-    shared: bool,
+    depth: u32,
 }
 
 /// Boots and steps machines, counting every op it simulates. The one
@@ -459,44 +437,30 @@ impl Runner {
         self.simulated += 1;
         run_op(m, op)
     }
-
-    /// A fresh machine at `depth` on lineage `l`: boot, then the first
-    /// `depth - 1` ops. A debug build checks the replay reproduces the
-    /// lineage's records.
-    fn replay(&mut self, l: &Lineage, depth: usize) -> WarmContainer {
-        let (mut m, r) = self.boot(l.workload, l.boot);
-        debug_assert_eq!(r, l.records[0], "replayed boot diverged");
-        for (i, &op) in l.ops[..depth - 1].iter().enumerate() {
-            let r = self.apply(&mut m, op);
-            debug_assert_eq!(r, l.records[i + 1], "replayed op {i} diverged");
-        }
-        m
-    }
 }
 
-/// The Measured engine's lineage store: one shared lineage per
-/// (workload, boot kind), whose machines live in a [`RunAhead`] store,
-/// plus the private forks of containers that diverged.
+/// One root's history, as the fleet thread holds it. Its machine lives
+/// in the [`RunAhead`] store.
+#[derive(Default)]
+struct Root {
+    /// `records[d - 1]` holds the values read at depth `d`; empty until
+    /// the workload's first boot.
+    records: Vec<Record>,
+    /// `reports[d - 1]` is the machine's sanitizer report at depth `d`;
+    /// empty when the machine has no sanitizer.
+    reports: Vec<SanitizerReport>,
+    /// Memoized teardown reports, `finished[d - 1]` for depth `d`.
+    finished: Vec<Option<SanitizerReport>>,
+}
+
+/// The Measured engine's store: one root per workload of the mix, whose
+/// machines live in a [`RunAhead`] store.
 pub(crate) struct Lineages<'a> {
     runner: Runner,
     ahead: &'a RunAhead,
-    lineages: Vec<Option<Lineage>>,
-    free: Vec<u32>,
-    /// Shared lineage per `workload * 2 + boot kind`.
-    roots: Vec<u32>,
+    /// Indexed by workload.
+    roots: Vec<Root>,
     steps: u64,
-    /// Gives every container a private lineage (no sharing): the
-    /// reference the shared store is tested against.
-    #[cfg(test)]
-    per_container: bool,
-}
-
-fn root_key(workload: u32, kind: ColdStart) -> usize {
-    let kind = match kind {
-        ColdStart::Boot => 0,
-        ColdStart::Snapshot => 1,
-    };
-    workload as usize * 2 + kind
 }
 
 impl<'a> Lineages<'a> {
@@ -506,148 +470,66 @@ impl<'a> Lineages<'a> {
         Lineages {
             runner: Runner::new(cfg, mix.specs().to_vec()),
             ahead,
-            lineages: Vec::new(),
-            free: Vec::new(),
-            roots: vec![NO_LINEAGE; mix.len() * 2],
+            roots: (0..mix.len()).map(|_| Root::default()).collect(),
             steps: 0,
-            #[cfg(test)]
-            per_container: false,
         }
     }
 
-    /// A store that keys every container's lineage to that container.
-    #[cfg(test)]
-    pub(crate) fn per_container(
-        cfg: Box<SystemConfig>,
-        mix: &WorkloadMix,
-        ahead: &'a RunAhead,
-    ) -> Self {
-        Lineages {
-            per_container: true,
-            ..Lineages::new(cfg, mix, ahead)
+    /// A fresh machine at `depth` on `workload`'s root: the run's boot,
+    /// then the cycle's ops up to `depth`. A debug build checks the
+    /// replay reproduces the root's records.
+    fn replay(&mut self, workload: u32, depth: usize) -> WarmContainer {
+        let cycle = self.ahead.cycle;
+        let records = &self.roots[workload as usize].records;
+        let (mut m, r) = self.runner.boot(workload, cycle.boot);
+        debug_assert_eq!(r, records[0], "replayed boot diverged");
+        for (d, want) in (1..).zip(&records[1..depth]) {
+            let r = self.runner.apply(&mut m, cycle.op(d));
+            debug_assert_eq!(r, *want, "replayed op at depth {d} diverged");
         }
+        m
     }
 
-    fn shares(&self) -> bool {
-        #[cfg(test)]
-        {
-            !self.per_container
-        }
-        #[cfg(not(test))]
-        {
-            true
-        }
-    }
-
-    fn get(&self, id: u32) -> &Lineage {
-        self.lineages[id as usize]
-            .as_ref()
-            .expect("positions point at live lineages")
-    }
-
-    fn get_mut(&mut self, id: u32) -> &mut Lineage {
-        self.lineages[id as usize]
-            .as_mut()
-            .expect("positions point at live lineages")
-    }
-
-    fn insert(&mut self, l: Lineage) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                self.lineages[id as usize] = Some(l);
-                id
-            }
-            None => {
-                self.lineages.push(Some(l));
-                u32::try_from(self.lineages.len() - 1).expect("fewer than 2^32 lineages")
-            }
-        }
-    }
-
-    /// A container leaves lineage `id`; a private one goes with its last
-    /// holder.
-    fn unhold(&mut self, id: u32) {
-        let l = self.get_mut(id);
-        l.holders -= 1;
-        if l.holders == 0 && !l.shared {
-            self.lineages[id as usize] = None;
-            self.free.push(id);
-        }
-    }
-
-    /// Moves one holder of lineage `id` onto a new private lineage that
-    /// copies its first `depth` records, and returns the fork's id.
-    fn fork(&mut self, id: u32, depth: usize) -> u32 {
-        let src = self.get(id);
-        let fork = Lineage {
-            workload: src.workload,
-            boot: src.boot,
-            ops: src.ops[..depth - 1].to_vec(),
-            records: src.records[..depth].to_vec(),
-            reports: src.reports[..depth.min(src.reports.len())].to_vec(),
-            finished: src.finished[..depth.min(src.finished.len())].to_vec(),
-            machine: None,
-            holders: 1,
-            shared: false,
-        };
-        self.unhold(id);
-        self.insert(fork)
-    }
-
-    /// Appends root `id`'s next record, the cycle's `op` from its deepest
+    /// Appends the next record of `workload`'s root, for its deepest
     /// container: a record a helper buffered (counted as simulated now
     /// that the fleet consumes it), else one stepped here.
-    fn advance_root(&mut self, id: u32, op: Op) -> Record {
-        let l = self.lineages[id as usize]
-            .as_mut()
-            .expect("positions point at live lineages");
-        let key = root_key(l.workload, l.boot);
+    fn advance_root(&mut self, workload: u32) -> Record {
+        let key = workload as usize;
+        let depth = self.roots[key].records.len();
         let (r, report) = match self.ahead.next(key) {
             Next::Buffered(r, report) => {
                 self.runner.simulated += 1;
                 (r, report)
             }
             Next::Machine(m) => {
-                let mut m = m.unwrap_or_else(|| Box::new(self.runner.replay(l, l.records.len())));
-                let r = self.runner.apply(&mut m, op);
+                let mut m = m.unwrap_or_else(|| Box::new(self.replay(workload, depth)));
+                let r = self.runner.apply(&mut m, self.ahead.cycle.op(depth));
                 let report = m.machine().sanitizer_report().cloned();
-                self.ahead.put(key, m, l.records.len() + 1);
+                self.ahead.put(key, m, depth + 1);
                 (r, report)
             }
         };
-        l.ops.push(op);
-        l.records.push(r);
-        l.reports.extend(report);
+        let root = &mut self.roots[key];
+        root.records.push(r);
+        root.reports.extend(report);
         r
     }
 
     fn finish_report(&mut self, pos: Pos) -> SanitizerReport {
-        let depth = pos.depth as usize;
-        let l = self.lineages[pos.lineage as usize]
-            .as_mut()
-            .expect("positions point at live lineages");
-        if let Some(Some(r)) = l.finished.get(depth - 1) {
+        let (key, depth) = (pos.workload as usize, pos.depth as usize);
+        if let Some(Some(r)) = self.roots[key].finished.get(depth - 1) {
             return r.clone();
         }
-        let tip = if l.shared {
-            self.ahead
-                .take_at(root_key(l.workload, l.boot), depth)
-                .map(|m| *m)
-        } else {
-            match l.machine.take() {
-                Some(m) if depth == l.records.len() => Some(m),
-                tip => {
-                    l.machine = tip;
-                    None
-                }
-            }
+        let m = match self.ahead.take_at(key, depth) {
+            Some(m) => *m,
+            None => self.replay(pos.workload, depth),
         };
-        let m = tip.unwrap_or_else(|| self.runner.replay(l, depth));
         let report = m.finish_with_report().1.unwrap_or_default();
-        if l.finished.len() < depth {
-            l.finished.resize(depth, None);
+        let finished = &mut self.roots[key].finished;
+        if finished.len() < depth {
+            finished.resize(depth, None);
         }
-        l.finished[depth - 1] = Some(report.clone());
+        finished[depth - 1] = Some(report.clone());
         report
     }
 }
@@ -656,105 +538,55 @@ impl ServiceModel for Lineages<'_> {
     type Pos = Pos;
 
     /// Boots a container of `workload` and returns its position and the
-    /// boot's record.
+    /// boot's record. `kind` must be the run's boot kind.
     fn boot(&mut self, workload: u32, kind: ColdStart) -> (Pos, Record) {
+        assert_eq!(
+            kind, self.ahead.cycle.boot,
+            "a container booted off the run's cycle"
+        );
         self.steps += 1;
-        let key = root_key(workload, kind);
-        let shared = self.shares();
-        let root = self.roots[key];
-        if shared && root != NO_LINEAGE {
-            let l = self.get_mut(root);
-            l.holders += 1;
-            let pos = Pos {
-                lineage: root,
-                depth: 1,
-            };
-            return (pos, l.records[0]);
+        let pos = Pos { workload, depth: 1 };
+        let key = workload as usize;
+        if let Some(&r) = self.roots[key].records.first() {
+            return (pos, r);
         }
         let (m, r) = self.runner.boot(workload, kind);
-        let reports = m
-            .machine()
-            .sanitizer_report()
-            .cloned()
-            .into_iter()
-            .collect();
-        let machine = if shared {
-            self.ahead.put(key, Box::new(m), 1);
-            None
-        } else {
-            Some(m)
-        };
-        let id = self.insert(Lineage {
-            workload,
-            boot: kind,
-            ops: Vec::new(),
-            records: vec![r],
-            reports,
-            finished: Vec::new(),
-            machine,
-            holders: 1,
-            shared,
-        });
-        if shared {
-            self.roots[key] = id;
-        }
-        (
-            Pos {
-                lineage: id,
-                depth: 1,
-            },
-            r,
-        )
+        let root = &mut self.roots[key];
+        root.records.push(r);
+        root.reports.extend(m.machine().sanitizer_report().cloned());
+        self.ahead.put(key, Box::new(m), 1);
+        (pos, r)
     }
 
     /// Applies `op` to the container at `pos`, moves it one step deeper
-    /// and returns the op's record.
+    /// and returns the op's record. `op` must be the cycle's op at
+    /// `pos`.
     fn apply(&mut self, pos: &mut Pos, op: Op) -> Record {
+        let depth = pos.depth as usize;
+        assert_eq!(
+            op,
+            self.ahead.cycle.op(depth),
+            "a container left the run's cycle"
+        );
         self.steps += 1;
-        let at = pos.depth as usize;
-        let l = self.get(pos.lineage);
-        if let Some(&recorded) = l.ops.get(at - 1) {
-            if recorded == op {
-                pos.depth += 1;
-                return l.records[at];
-            }
-            pos.lineage = self.fork(pos.lineage, at);
-        } else if l.shared {
-            if op == self.ahead.cycle.op(at) {
-                pos.depth += 1;
-                return self.advance_root(pos.lineage, op);
-            }
-            // A root's machine only follows the cycle (a helper may have
-            // stepped it past `at` already), so leaving the cycle forks.
-            pos.lineage = self.fork(pos.lineage, at);
-        }
-        // Borrowed field by field (not through `get_mut`) so the runner
-        // can replay while the lineage is held.
-        let l = self.lineages[pos.lineage as usize]
-            .as_mut()
-            .expect("positions point at live lineages");
-        let mut m = match l.machine.take() {
-            Some(m) => m,
-            None => self.runner.replay(l, at),
-        };
-        let r = self.runner.apply(&mut m, op);
-        l.ops.push(op);
-        l.records.push(r);
-        l.reports.extend(m.machine().sanitizer_report().cloned());
-        l.machine = Some(m);
         pos.depth += 1;
-        r
+        match self.roots[pos.workload as usize].records.get(depth) {
+            Some(&r) => r,
+            None => self.advance_root(pos.workload),
+        }
     }
 
     /// The values read at `pos`.
     fn record(&self, pos: Pos) -> Record {
-        self.get(pos.lineage).records[pos.depth as usize - 1]
+        self.roots[pos.workload as usize].records[pos.depth as usize - 1]
     }
 
     /// The machine's sanitizer report at `pos` (`None` without a
     /// sanitizer).
     fn report(&self, pos: Pos) -> Option<&SanitizerReport> {
-        self.get(pos.lineage).reports.get(pos.depth as usize - 1)
+        self.roots[pos.workload as usize]
+            .reports
+            .get(pos.depth as usize - 1)
     }
 
     /// Tears down the container at `pos` and returns the machine's final
@@ -762,20 +594,82 @@ impl ServiceModel for Lineages<'_> {
     fn release(&mut self, pos: Pos) -> Option<SanitizerReport> {
         // Reports are recorded only when the machine has a sanitizer;
         // without one, teardown reads nothing and needs no machine.
-        let report = if self.get(pos.lineage).reports.is_empty() {
+        if self.roots[pos.workload as usize].reports.is_empty() {
             None
         } else {
             Some(self.finish_report(pos))
-        };
-        self.unhold(pos.lineage);
-        report
+        }
     }
 
     fn add_metrics(&self, metrics: &mut MetricsRegistry) {
-        // How much of the op stream lineage sharing served from records;
+        // How much of the op stream sharing served from records;
         // run-ahead records the fleet never consumed are not counted.
         metrics.add("cluster.measured.steps", self.steps);
         metrics.add("cluster.measured.steps_simulated", self.runner.simulated);
+    }
+}
+
+/// The reference the shared store is tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// A [`ServiceModel`] with one private machine per container, booted
+    /// and stepped through [`Runner`]: every op runs a machine, so it
+    /// reports `steps == steps_simulated`.
+    pub(crate) struct PerContainer {
+        runner: Runner,
+        /// Each container's machine and last record, indexed by
+        /// position; a released container's entry is `None`.
+        containers: Vec<Option<(WarmContainer, Record)>>,
+    }
+
+    impl PerContainer {
+        /// An empty model for containers of `mix` booting under `cfg`.
+        pub(crate) fn new(cfg: Box<SystemConfig>, mix: &WorkloadMix) -> Self {
+            PerContainer {
+                runner: Runner::new(cfg, mix.specs().to_vec()),
+                containers: Vec::new(),
+            }
+        }
+
+        fn get(&self, pos: usize) -> &(WarmContainer, Record) {
+            self.containers[pos].as_ref().expect("a live container")
+        }
+    }
+
+    impl ServiceModel for PerContainer {
+        type Pos = usize;
+
+        fn boot(&mut self, workload: u32, kind: ColdStart) -> (usize, Record) {
+            let (m, r) = self.runner.boot(workload, kind);
+            self.containers.push(Some((m, r)));
+            (self.containers.len() - 1, r)
+        }
+
+        fn apply(&mut self, pos: &mut usize, op: Op) -> Record {
+            let (m, record) = self.containers[*pos].as_mut().expect("a live container");
+            *record = self.runner.apply(m, op);
+            *record
+        }
+
+        fn record(&self, pos: usize) -> Record {
+            self.get(pos).1
+        }
+
+        fn report(&self, pos: usize) -> Option<&SanitizerReport> {
+            self.get(pos).0.machine().sanitizer_report()
+        }
+
+        fn release(&mut self, pos: usize) -> Option<SanitizerReport> {
+            let (m, _) = self.containers[pos].take().expect("a live container");
+            m.finish_with_report().1
+        }
+
+        fn add_metrics(&self, metrics: &mut MetricsRegistry) {
+            metrics.add("cluster.measured.steps", self.runner.simulated);
+            metrics.add("cluster.measured.steps_simulated", self.runner.simulated);
+        }
     }
 }
 
@@ -802,7 +696,7 @@ mod tests {
     }
 
     /// Logical containers a script interleaves; even ones serve workload
-    /// 0, odd ones workload 1, so several share each workload.
+    /// 0, odd ones workload 1, so several share each root.
     const CONTAINERS: usize = 6;
 
     fn mix() -> WorkloadMix {
@@ -827,8 +721,6 @@ mod tests {
     struct Logical {
         pos: Pos,
         reference: WarmContainer,
-        /// The last op served a request (boots included).
-        serving: bool,
     }
 
     fn same_report(
@@ -854,61 +746,36 @@ mod tests {
         same_report(got.as_ref(), want.as_ref())
     }
 
-    /// Runs `script` — `(container, action, parameter)` steps — on a
-    /// shared store and on one private machine per logical container,
-    /// comparing every value and report the store hands back.
+    /// Runs `script` — `(container, retire)` steps — on a shared store
+    /// and on one private machine per logical container, comparing every
+    /// value and report the store hands back. A step boots a container
+    /// that is not live; else it retires the container, or applies the
+    /// cycle's next op to it.
     fn check(
         store: &mut Lineages,
         cfg: &SystemConfig,
-        script: &[(usize, u8, u8)],
+        cycle: OpCycle,
+        script: &[(usize, bool)],
     ) -> TestCaseResult {
         // Boots the private reference machines.
         let mut boots = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
         let mut live: Vec<Option<Logical>> = (0..CONTAINERS).map(|_| None).collect();
-        for &(who, action, param) in script {
+        for &(who, retire) in script {
             let Some(mut c) = live[who].take() else {
                 let workload = (who % 2) as u32;
-                let kind = if param % 2 == 0 {
-                    ColdStart::Boot
-                } else {
-                    ColdStart::Snapshot
-                };
-                let (pos, got) = store.boot(workload, kind);
-                let (reference, want) = boots.boot(workload, kind);
-                let c = Logical {
-                    pos,
-                    reference,
-                    serving: true,
-                };
+                let (pos, got) = store.boot(workload, cycle.boot);
+                let (reference, want) = boots.boot(workload, cycle.boot);
+                let c = Logical { pos, reference };
                 prop_assert_eq!(got, want);
                 same_state(store, &c, want.cycles)?;
                 live[who] = Some(c);
                 continue;
             };
-            let parked = c.reference.is_pm_parked();
-            // Half the actions follow the fleet's own rhythm (park after
-            // serving, serve after parking), so containers share long
-            // prefixes; the rest diverge at random.
-            let action = match action % 8 {
-                0..=3 if c.serving => 1,
-                0..=3 => 0,
-                a => a - 4,
-            };
-            let op = match action {
-                // A PM-parked container must be revived before serving;
-                // an unparked one may still ask for the (no-op) restore.
-                0 => Op::Invoke {
-                    pm_restore: parked || param % 2 == 1,
-                },
-                1 if !parked => Op::Park,
-                2 if !parked => Op::ParkToPm,
-                3 => {
-                    teardown(store, c)?;
-                    continue;
-                }
-                _ => Op::Invoke { pm_restore: true },
-            };
-            c.serving = matches!(op, Op::Invoke { .. });
+            if retire {
+                teardown(store, c)?;
+                continue;
+            }
+            let op = cycle.op(c.pos.depth as usize);
             let got = store.apply(&mut c.pos, op);
             let cycles = match op {
                 Op::Invoke { pm_restore } => {
@@ -963,59 +830,95 @@ mod tests {
         #[test]
         fn shared_lineages_match_private_machines(
             which in 0u8..3,
+            snapshot in any::<bool>(),
             park_to_pm in any::<bool>(),
             helpers in 0usize..3,
-            script in collection::vec((0usize..CONTAINERS, 0u8..8, 0u8..4), 1..64),
+            // One step in eight retires its container, so containers
+            // reach several depths of the cycle.
+            script in collection::vec((0usize..CONTAINERS, (0u8..8).prop_map(|r| r == 0)), 1..64),
         ) {
             let cfg = config(which);
+            let boot = if snapshot {
+                ColdStart::Snapshot
+            } else {
+                ColdStart::Boot
+            };
             let keep_alive = if park_to_pm {
                 KeepAlive::ParkToPM { ttl_cycles: 1 }
             } else {
                 KeepAlive::Infinite
             };
-            let ahead = RunAhead::new(OpCycle::new(keep_alive), &mix());
+            let cycle = OpCycle::new(boot, keep_alive);
+            let ahead = RunAhead::new(cycle, &mix());
             with_helpers(helpers, || ahead.help(), || ahead.stop(), || {
                 let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
-                check(&mut store, &cfg, &script)
+                check(&mut store, &cfg, cycle, &script)
             })?;
         }
     }
 
+    /// A store over [`mix`] running the plain cycle (full boots, no PM).
+    fn plain(ahead: &RunAhead) -> Lineages<'_> {
+        Lineages::new(Box::new(SystemConfig::memento()), &mix(), ahead)
+    }
+
+    const PLAIN: OpCycle = OpCycle {
+        boot: ColdStart::Boot,
+        park_to_pm: false,
+    };
+
     #[test]
-    fn repeats_are_served_from_records_and_divergence_forks() {
-        let cfg = SystemConfig::memento();
-        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
-        let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
+    fn repeats_are_served_from_records() {
+        let ahead = RunAhead::new(PLAIN, &mix());
+        let mut store = plain(&ahead);
         let (mut a, _) = store.boot(0, ColdStart::Boot);
         let (mut b, _) = store.boot(0, ColdStart::Boot);
         let first = store.apply(&mut a, Op::Park);
         let again = store.apply(&mut b, Op::Park);
         assert_eq!(first, again, "same history, same numbers");
         assert_eq!((store.steps, store.runner.simulated), (4, 2));
-        // `a` is at the tip, so its invoke advances the machine.
-        let invoke = Op::Invoke { pm_restore: false };
-        store.apply(&mut a, invoke);
+        // `a` is the deepest, so its invoke advances the machine.
+        store.apply(&mut a, Op::Invoke { pm_restore: false });
         assert_eq!(store.runner.simulated, 3);
-        // `b` asks for a park where the lineage recorded an invoke: it
-        // forks, replaying boot + park before running its own op.
-        store.apply(&mut b, Op::Park);
-        assert_eq!(store.runner.simulated, 3 + 3);
-        assert_ne!(a.lineage, b.lineage, "divergence forks a private lineage");
         // Without a sanitizer, teardown needs no machine.
         assert!(store.release(a).is_none());
         assert!(store.release(b).is_none());
-        assert_eq!(store.runner.simulated, 6);
-        // The shared root survives with no holders; the fork does not.
-        let (c, boot) = store.boot(0, ColdStart::Boot);
-        assert_eq!(c.lineage, a.lineage);
+        assert_eq!(store.runner.simulated, 3);
+        // The root survives with no container on it.
+        let (mut c, boot) = store.boot(0, ColdStart::Boot);
+        assert_eq!(
+            c,
+            Pos {
+                workload: 0,
+                depth: 1
+            }
+        );
         assert_eq!(boot, store.record(c));
-        assert_eq!(store.runner.simulated, 6);
+        assert_eq!(store.apply(&mut c, Op::Park), first);
+        assert_eq!((store.steps, store.runner.simulated), (7, 3));
     }
 
     #[test]
-    fn leaving_the_cycle_forks_while_a_helper_runs_ahead() {
+    #[should_panic(expected = "a container left the run's cycle")]
+    fn an_op_off_the_cycle_panics() {
+        let ahead = RunAhead::new(PLAIN, &mix());
+        let mut store = plain(&ahead);
+        let (mut a, _) = store.boot(0, ColdStart::Boot);
+        // The cycle parks right after a boot.
+        store.apply(&mut a, Op::Invoke { pm_restore: false });
+    }
+
+    #[test]
+    #[should_panic(expected = "a container booted off the run's cycle")]
+    fn a_boot_of_the_wrong_kind_panics() {
+        let ahead = RunAhead::new(PLAIN, &mix());
+        plain(&ahead).boot(0, ColdStart::Snapshot);
+    }
+
+    #[test]
+    fn a_helper_runs_a_root_ahead_and_each_record_counts_once() {
         let cfg = SystemConfig::memento();
-        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
+        let ahead = RunAhead::new(PLAIN, &mix());
         with_helpers(
             1,
             || ahead.help(),
@@ -1025,31 +928,27 @@ mod tests {
                 let mut refs = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
                 let (mut a, _) = store.boot(0, ColdStart::Boot);
                 let (mut b, _) = store.boot(0, ColdStart::Boot);
-                let root = a.lineage;
-                // The helper steps the root's machine along the cycle (park,
-                // invoke, park, ...) ahead of both containers; nothing it
-                // stepped counts until a container consumes it.
-                ahead.wait_buffered(root_key(0, ColdStart::Boot), LOOKAHEAD);
+                // The helper steps the root's machine along the cycle
+                // (park, invoke, park, ...) ahead of both containers;
+                // nothing it stepped counts until a container consumes it.
+                ahead.wait_buffered(0, LOOKAHEAD);
                 assert_eq!(store.runner.simulated, 1);
-                // `b` asks for an invoke where the cycle parks: it forks,
-                // replaying the boot, and runs its op on a private machine.
-                let invoke = Op::Invoke { pm_restore: false };
-                let (mut want_b, _) = refs.boot(0, ColdStart::Boot);
-                assert_eq!(store.apply(&mut b, invoke), refs.apply(&mut want_b, invoke));
-                assert_ne!(b.lineage, root, "leaving the cycle forks");
-                assert_eq!(store.runner.simulated, 1 + 2);
-                // `a` follows the cycle and is served the helper's records,
-                // each counted once as the fleet consumes it.
-                let (mut want_a, _) = refs.boot(0, ColdStart::Boot);
-                for op in [Op::Park, invoke, Op::Park] {
-                    assert_eq!(store.apply(&mut a, op), refs.apply(&mut want_a, op));
+                // `a` leads and is served the helper's records, each
+                // counted once as the fleet consumes it.
+                let (mut want, _) = refs.boot(0, ColdStart::Boot);
+                let mut served = Vec::new();
+                for depth in 1..=3 {
+                    let op = PLAIN.op(depth);
+                    let r = store.apply(&mut a, op);
+                    assert_eq!(r, refs.apply(&mut want, op));
+                    assert_eq!(store.runner.simulated, 1 + depth as u64);
+                    served.push(r);
                 }
-                assert_eq!(a.lineage, root);
-                assert_eq!(store.runner.simulated, 3 + 3);
-                assert_eq!(
-                    store.apply(&mut b, Op::Park),
-                    refs.apply(&mut want_b, Op::Park)
-                );
+                // `b` follows and reads the same records, counting none.
+                for (depth, r) in (1..=3).zip(served) {
+                    assert_eq!(store.apply(&mut b, PLAIN.op(depth)), r);
+                }
+                assert_eq!((store.steps, store.runner.simulated), (8, 4));
                 assert!(store.release(a).is_none());
                 assert!(store.release(b).is_none());
             },
@@ -1058,7 +957,7 @@ mod tests {
 
     #[test]
     fn a_helper_panic_reaches_the_fleet_thread_waiting_on_its_root() {
-        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
+        let ahead = RunAhead::new(PLAIN, &mix());
         // As if a helper held root 0 when it failed.
         ahead.lock().roots[0].tip = Tip::Busy;
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1085,12 +984,11 @@ mod tests {
     #[test]
     fn the_fleet_thread_steps_another_root_while_its_own_is_busy() {
         let cfg = SystemConfig::memento();
-        let cycle = OpCycle::new(KeepAlive::Infinite);
-        let ahead = RunAhead::new(cycle, &mix());
+        let ahead = RunAhead::new(PLAIN, &mix());
         let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
         let (mut a, _) = store.boot(0, ColdStart::Boot);
         let (mut b, _) = store.boot(1, ColdStart::Boot);
-        let (key_a, key_b) = (root_key(0, ColdStart::Boot), root_key(1, ColdStart::Boot));
+        let (key_a, key_b) = (0, 1);
         // B runs one record short of full.
         for _ in 1..LOOKAHEAD {
             drop(ahead.step_ahead(ahead.lock(), key_b));
@@ -1121,7 +1019,7 @@ mod tests {
         let mut refs = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
         let (mut want, _) = refs.boot(1, ColdStart::Boot);
         for depth in 1..=LOOKAHEAD {
-            let op = cycle.op(depth);
+            let op = PLAIN.op(depth);
             let r = refs.apply(&mut want, op);
             if depth == LOOKAHEAD {
                 let st = ahead.lock();
@@ -1138,9 +1036,9 @@ mod tests {
 
     #[test]
     fn a_fleet_thread_panic_stepping_another_root_reaches_the_caller() {
-        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
+        let ahead = RunAhead::new(PLAIN, &mix());
         let mut boots = Runner::new(Box::new(SystemConfig::memento()), mix().specs().to_vec());
-        let key_b = root_key(1, ColdStart::Boot);
+        let key_b = 1;
         ahead.put(key_b, Box::new(boots.boot(1, ColdStart::Boot).0), 1);
         {
             let mut st = ahead.lock();
@@ -1181,17 +1079,5 @@ mod tests {
             matches!(ahead.lock().roots[key_b].tip, Tip::Busy),
             "the fleet thread held B's machine when it failed"
         );
-    }
-
-    #[test]
-    fn per_container_keying_never_shares() {
-        let cfg = SystemConfig::memento_sanitized();
-        let ahead = RunAhead::new(OpCycle::new(KeepAlive::Infinite), &mix());
-        let mut store = Lineages::per_container(Box::new(cfg.clone()), &mix(), &ahead);
-        let script: Vec<(usize, u8, u8)> = (0..40)
-            .map(|i| (i % CONTAINERS, (i % 3) as u8, 0))
-            .collect();
-        check(&mut store, &cfg, &script).expect("per-container store matches private machines");
-        assert_eq!(store.steps, store.runner.simulated);
     }
 }

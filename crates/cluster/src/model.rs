@@ -6,9 +6,9 @@
 //! the warm-start re-fault and the drain audit read its costs back with
 //! [`ServiceModel::record`]; the simulator caches none. The Measured
 //! model is [`crate::lineage::Lineages`] (records read from real
-//! machines, one op history per (workload, boot kind) shared by the
-//! fleet); the Profiled model is [`crate::profile::Profiled`] (one
-//! constant record per (workload, state), from calibrated profiles).
+//! machines, one op history per workload shared by the fleet); the
+//! Profiled model is [`crate::profile::Profiled`] (one constant record
+//! per (workload, state), from calibrated profiles).
 
 use memento_obs::metrics::MetricsRegistry;
 use memento_sanitizer::SanitizerReport;
@@ -16,8 +16,11 @@ use memento_sanitizer::SanitizerReport;
 use crate::policy::ColdStart;
 
 /// A container operation after boot. Any new operation on a container
-/// must become a variant here, or the Measured model's shared histories
-/// would hand out values from a history the container never had.
+/// must become a variant here and enter [`crate::lineage::OpCycle`],
+/// the script every Measured container follows: the Measured model
+/// serves each container from one history per workload, and panics on
+/// an op its cycle does not hold rather than hand out values from a
+/// history the container never had.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Op {
     /// Serve one warm invocation, first reviving the container from

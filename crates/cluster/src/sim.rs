@@ -85,12 +85,13 @@ use crate::profile::{ProfileTable, Profiled};
 /// How the simulator obtains service times and frame footprints.
 pub enum Engine {
     /// Every container runs on an exact [`memento_system::WarmContainer`]
-    /// simulation of the full memory hierarchy. Containers of one
-    /// function that receive the same ops share one op history, so the
-    /// engine simulates each (function, op history) once per fleet (see
-    /// DESIGN.md §10, "Shared container histories"). The config must not
-    /// name a trace file. Boxed: a `SystemConfig` is much larger than a
-    /// profile-table handle.
+    /// simulation of the full memory hierarchy. Every container of one
+    /// function follows the same op script in a run (its boot kind and
+    /// keep-alive policy fix it), so the engine simulates each
+    /// function's script once per fleet and serves every container from
+    /// that one history (see DESIGN.md §10, "Shared container
+    /// histories"). The config must not name a trace file. Boxed: a
+    /// `SystemConfig` is much larger than a profile-table handle.
     Measured(Box<SystemConfig>),
     /// Containers replay calibrated [`crate::profile::ServiceProfile`]
     /// costs. Use to scale the same scheduler/keep-alive dynamics to
@@ -362,9 +363,9 @@ fn run_ahead_helpers(sys: &SystemConfig, workloads: usize, jobs: usize) -> usize
 }
 
 /// Runs a Measured fleet over validated inputs, with `helpers` threads
-/// stepping the shared lineages' roots ahead of the fleet (DESIGN.md
-/// §10). The outputs are the same at any helper count; no helper
-/// outlives the call.
+/// stepping the workloads' shared histories ahead of the fleet
+/// (DESIGN.md §10). The outputs are the same at any helper count; no
+/// helper outlives the call.
 fn run_measured(
     sys: Box<SystemConfig>,
     cfg: &ClusterConfig,
@@ -372,7 +373,7 @@ fn run_measured(
     arrivals: &[Arrival],
     helpers: usize,
 ) -> ClusterResult {
-    let ahead = RunAhead::new(OpCycle::new(cfg.keep_alive), mix);
+    let ahead = RunAhead::new(OpCycle::new(cfg.cold_start, cfg.keep_alive), mix);
     pool::with_helpers(
         helpers,
         || ahead.help(),
@@ -1514,6 +1515,7 @@ impl<M: ServiceModel> Sim<'_, M> {
 mod tests {
     use super::*;
     use crate::arrival::{generate_arrivals, ArrivalConfig};
+    use crate::lineage::reference::PerContainer;
     use crate::policy::AutoscalerConfig;
     use crate::profile::ServiceProfile;
     use memento_workloads::suite;
@@ -2738,9 +2740,8 @@ mod tests {
         );
     }
 
-    /// Runs a Measured fleet with one private lineage per container: one
-    /// live machine per container, the engine before lineages were
-    /// shared.
+    /// Runs a Measured fleet with one private machine per container, the
+    /// engine before containers shared histories.
     fn run_per_container(
         sys: &SystemConfig,
         cfg: &ClusterConfig,
@@ -2749,13 +2750,7 @@ mod tests {
     ) -> ClusterResult {
         let sys = container_config(Box::new(sys.clone()), cfg.cores_per_node)
             .expect("a valid core count");
-        let ahead = RunAhead::new(OpCycle::new(cfg.keep_alive), mix);
-        run(
-            Lineages::per_container(sys, mix, &ahead),
-            cfg,
-            mix,
-            arrivals,
-        )
+        run(PerContainer::new(sys, mix), cfg, mix, arrivals)
     }
 
     /// Every observable output of two runs, except the count of ops that
