@@ -55,6 +55,15 @@ impl CacheConfig {
         self.size_bytes / (self.assoc * CACHE_LINE_SIZE)
     }
 
+    /// The first physical address a cache of this geometry cannot hold:
+    /// a line's tag is its line number shifted right by the set bits, and
+    /// must fit the 32-bit tag field below the invalid sentinel. About
+    /// 2^(38 + set bits) bytes, 16 TiB for the 64-set paper L1s.
+    pub fn addr_limit(&self) -> u64 {
+        let shift = CACHE_LINE_SHIFT + self.num_sets().trailing_zeros();
+        u64::try_from(u128::from(INVALID) << shift).unwrap_or(u64::MAX)
+    }
+
     /// 32 KB, 8-way, 2-cycle L1 (paper Table 3).
     pub fn paper_l1(name: &str) -> Self {
         CacheConfig::new(name, 32 * 1024, 8, 2)
@@ -79,44 +88,48 @@ impl CacheConfig {
 }
 
 /// Tag of an invalid way. Tags are line numbers (`addr >> 6`) shifted right
-/// by the set bits, so a real tag is below 2^58 and never equals it.
-const INVALID: u64 = u64::MAX;
-/// `Line::meta` bit 0: the line is dirty.
-const DIRTY: u64 = 1;
-/// Width of the owner field, `Line::meta` bits 1..=8.
+/// by the set bits; addresses below [`CacheConfig::addr_limit`] give tags
+/// below this, so a real tag never equals it.
+const INVALID: u32 = u32::MAX;
+/// `Line::word` bit 0: the line is dirty.
+const DIRTY: u32 = 1;
+/// Width of the owner field, `Line::word` bits 1..=8.
 const OWNER_BITS: u32 = 8;
-/// `Line::meta` bits above the owner hold the LRU stamp.
+/// `Line::word` bits above the owner hold the LRU stamp.
 const STAMP_SHIFT: u32 = 1 + OWNER_BITS;
 /// The dirty bit and the owner field: what an LRU refresh keeps.
-const LOW_BITS: u64 = (1 << STAMP_SHIFT) - 1;
+const LOW_BITS: u32 = (1 << STAMP_SHIFT) - 1;
+/// The largest LRU stamp the 23-bit field holds. The stamp after it
+/// renumbers the cache (`SetAssocCache::renumber`).
+const STAMP_TOP: u32 = u32::MAX >> STAMP_SHIFT;
 
 /// Owners (cores) the packed owner field of a line can name.
 pub const MAX_OWNERS: usize = 1 << OWNER_BITS;
 
-/// One way of a set, 16 bytes.
+/// One way of a set, 8 bytes.
 #[derive(Clone, Copy, Debug)]
 struct Line {
     /// The line's tag, or [`INVALID`].
-    tag: u64,
-    /// LRU stamp (high 55 bits), then the core that last filled the line
+    tag: u32,
+    /// LRU stamp (high 23 bits), then the core that last filled the line
     /// (fair-share accounting in the LLC; always 0 in private levels),
-    /// then the dirty bit. Valid lines of one cache carry distinct stamps,
-    /// so ordering by stamp is ordering by recency.
-    meta: u64,
+    /// then the dirty bit. Valid lines of one set carry distinct stamps,
+    /// so ordering by stamp is ordering by recency within the set.
+    word: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Line>() == 16);
+const _: () = assert!(std::mem::size_of::<Line>() == 8);
 
 impl Line {
     const EMPTY: Line = Line {
         tag: INVALID,
-        meta: 0,
+        word: 0,
     };
 
-    fn new(tag: u64, dirty: bool, stamp: u64, owner: usize) -> Line {
+    fn new(tag: u32, dirty: bool, stamp: u32, owner: usize) -> Line {
         Line {
             tag,
-            meta: (stamp << STAMP_SHIFT) | ((owner as u64) << 1) | dirty as u64,
+            word: (stamp << STAMP_SHIFT) | ((owner as u32) << 1) | dirty as u32,
         }
     }
 
@@ -125,20 +138,20 @@ impl Line {
     }
 
     fn dirty(&self) -> bool {
-        self.meta & DIRTY != 0
+        self.word & DIRTY != 0
     }
 
     fn owner(&self) -> usize {
-        ((self.meta & LOW_BITS) >> 1) as usize
+        ((self.word & LOW_BITS) >> 1) as usize
     }
 
-    fn stamp(&self) -> u64 {
-        self.meta >> STAMP_SHIFT
+    fn stamp(&self) -> u32 {
+        self.word >> STAMP_SHIFT
     }
 
     /// Marks the line most recently used, merging `dirty` into its dirty bit.
-    fn touch(&mut self, stamp: u64, dirty: bool) {
-        self.meta = (stamp << STAMP_SHIFT) | (self.meta & LOW_BITS) | dirty as u64;
+    fn touch(&mut self, stamp: u32, dirty: bool) {
+        self.word = (stamp << STAMP_SHIFT) | (self.word & LOW_BITS) | dirty as u32;
     }
 }
 
@@ -179,6 +192,10 @@ pub enum Eviction {
 }
 
 /// One set-associative cache level.
+///
+/// Addresses must lie below [`CacheConfig::addr_limit`]; debug builds
+/// check each one, and [`crate::MemSystem`] checks once per access in
+/// every build.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
@@ -186,7 +203,8 @@ pub struct SetAssocCache {
     /// `lines[s * assoc..(s + 1) * assoc]`.
     lines: Vec<Line>,
     assoc: usize,
-    stamp: u64,
+    /// The last LRU stamp handed out, at most [`STAMP_TOP`].
+    stamp: u32,
     stats: CacheStats,
     set_mask: u64,
     set_bits: u32,
@@ -194,7 +212,19 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Builds an empty cache from its config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.assoc` reaches 2^22: a renumbering restarts the
+    /// 23-bit LRU stamp above the associativity, which must leave most
+    /// stamps free.
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(
+            cfg.assoc <= (STAMP_TOP / 2) as usize,
+            "cache {}: {} ways leave too few LRU stamps",
+            cfg.name,
+            cfg.assoc
+        );
         let num_sets = cfg.num_sets();
         SetAssocCache {
             lines: vec![Line::EMPTY; num_sets * cfg.assoc],
@@ -207,6 +237,24 @@ impl SetAssocCache {
         }
     }
 
+    /// An empty cache whose LRU stamp renumbers at its `left + 1`th
+    /// access or fill: the way tests reach the renumbering without
+    /// 8.4 M operations first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `left` leaves no stamp above the associativity.
+    #[doc(hidden)]
+    pub fn with_stamps_left(cfg: CacheConfig, left: u32) -> Self {
+        let mut cache = SetAssocCache::new(cfg);
+        assert!(
+            left <= STAMP_TOP - cache.assoc as u32,
+            "{left} stamps left exceed the field"
+        );
+        cache.stamp = STAMP_TOP - left;
+        cache
+    }
+
     /// This level's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
@@ -217,9 +265,17 @@ impl SetAssocCache {
         self.stats
     }
 
-    fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
+    fn set_and_tag(&self, addr: PhysAddr) -> (usize, u32) {
         let line = addr.raw() >> CACHE_LINE_SHIFT;
-        ((line & self.set_mask) as usize, line >> self.set_bits)
+        let tag = line >> self.set_bits;
+        debug_assert!(
+            tag < u64::from(INVALID),
+            "address {:#x} is past cache {}'s limit {:#x}",
+            addr.raw(),
+            self.cfg.name,
+            self.cfg.addr_limit()
+        );
+        ((line & self.set_mask) as usize, tag as u32)
     }
 
     /// Where set `set_idx` starts in `lines`.
@@ -228,18 +284,34 @@ impl SetAssocCache {
     }
 
     /// Base address of the line with `tag` in set `set_idx`.
-    fn line_addr(set_bits: u32, tag: u64, set_idx: usize) -> PhysAddr {
-        PhysAddr::new(((tag << set_bits) | set_idx as u64) << CACHE_LINE_SHIFT)
+    fn line_addr(set_bits: u32, tag: u32, set_idx: usize) -> PhysAddr {
+        PhysAddr::new(((u64::from(tag) << set_bits) | set_idx as u64) << CACHE_LINE_SHIFT)
     }
 
-    fn next_stamp(&mut self) -> u64 {
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == STAMP_TOP {
+            self.renumber();
+        }
         self.stamp += 1;
-        debug_assert!(
-            self.stamp < 1 << (u64::BITS - STAMP_SHIFT),
-            "LRU stamp outgrew its {}-bit field",
-            u64::BITS - STAMP_SHIFT
-        );
         self.stamp
+    }
+
+    /// Renumbers each set's valid lines 1..=k in recency order and
+    /// restarts the stamp at the associativity, so every later stamp is
+    /// above every renumbered one. Hits and victims depend only on the
+    /// order of stamps within a set, which this keeps.
+    #[cold]
+    fn renumber(&mut self) {
+        let mut order = Vec::with_capacity(self.assoc);
+        for set in self.lines.chunks_exact_mut(self.assoc) {
+            order.clear();
+            order.extend((0..set.len()).filter(|&i| set[i].valid()));
+            order.sort_unstable_by_key(|&i| set[i].stamp());
+            for (rank, &i) in (1..).zip(&order) {
+                set[i].touch(rank, false);
+            }
+        }
+        self.stamp = self.assoc as u32;
     }
 
     /// Looks up the line holding `addr`. On a hit the LRU stamp is refreshed
@@ -448,15 +520,37 @@ mod tests {
     }
 
     #[test]
-    fn high_owner_and_huge_tag_round_trip() {
-        // The widest owner and the largest tag a 64-bit address can carry
-        // share the 16-byte line without disturbing each other.
+    fn high_owner_and_largest_tag_round_trip() {
+        // The widest owner and the largest tag below the invalid sentinel
+        // share the 8-byte line without disturbing each other, and the
+        // victim address rebuilt from that tag is the filled one.
         let mut c = tiny();
-        let top = PhysAddr::new(u64::MAX).line_base();
+        let top = PhysAddr::new(c.config().addr_limit() - 1).line_base();
+        assert_eq!(c.set_and_tag(top), (1, INVALID - 1));
         c.fill_owned(top, true, MAX_OWNERS - 1, 0);
         assert_eq!(c.owner_occupancy(MAX_OWNERS - 1), 1);
         assert!(c.access(top, false));
         assert_eq!(c.flush(), vec![top]);
+        c.fill_owned(top, true, MAX_OWNERS - 1, 0);
+        c.fill(addr(1, 0), false);
+        assert_eq!(c.fill(addr(1, 1), false), Eviction::Dirty(top));
+    }
+
+    #[test]
+    fn address_limits_follow_the_set_bits() {
+        // (2^32 - 1) tags of 64-byte lines per set.
+        assert_eq!(
+            CacheConfig::paper_l1("L1D").addr_limit(),
+            u64::from(u32::MAX) << 12
+        );
+        assert_eq!(tiny().config().addr_limit(), u64::from(u32::MAX) << 7);
+        assert_eq!(
+            CacheConfig::paper_llc().addr_limit(),
+            u64::from(u32::MAX) << 17
+        );
+        // A geometry whose tags always fit saturates instead of wrapping.
+        let huge = CacheConfig::new("H", 1 << 60, 1, 1);
+        assert_eq!(huge.addr_limit(), u64::MAX);
     }
 
     #[test]
@@ -488,6 +582,25 @@ mod tests {
         assert!(c.probe(a));
         assert!(!c.probe(b));
         assert!(c.probe(d));
+    }
+
+    #[test]
+    fn renumbering_keeps_the_lru_order() {
+        let mut c = SetAssocCache::with_stamps_left(tiny().cfg, 2);
+        let (a, b, d) = (addr(0, 1), addr(0, 2), addr(0, 3));
+        c.fill(b, true);
+        c.fill(a, false);
+        assert_eq!(c.stamp, STAMP_TOP);
+        // This miss renumbers b to 1 and a to 2, and takes stamp assoc + 1.
+        assert!(!c.access(d, false));
+        assert_eq!(c.stamp, 3);
+        assert_eq!(
+            c.fill(d, false),
+            Eviction::Dirty(b),
+            "b stays LRU and dirty"
+        );
+        assert!(c.access(a, false));
+        assert_eq!(c.fill(b, false), Eviction::Clean(d));
     }
 
     #[test]

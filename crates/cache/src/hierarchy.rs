@@ -87,6 +87,16 @@ impl MemSystemConfig {
         cfg.l1d = CacheConfig::iso_storage_l1d();
         cfg
     }
+
+    /// The first physical address the hierarchy cannot hold: the lowest
+    /// [`CacheConfig::addr_limit`] of its levels, 16 TiB for the paper's.
+    pub fn addr_limit(&self) -> u64 {
+        [&self.l1i, &self.l1d, &self.l2, &self.llc]
+            .into_iter()
+            .map(CacheConfig::addr_limit)
+            .min()
+            .expect("four levels")
+    }
 }
 
 struct CoreCaches {
@@ -170,6 +180,8 @@ pub struct MemSystem {
     /// single-core model regardless of how many cores exist.
     active_cores: usize,
     dram_queue_cycles: u64,
+    /// [`MemSystemConfig::addr_limit`], checked once per access.
+    addr_limit: u64,
 }
 
 impl MemSystem {
@@ -204,6 +216,7 @@ impl MemSystem {
             demand_lat_oracle: Log2Hist::default(),
             active_cores: 1,
             dram_queue_cycles: 0,
+            addr_limit: cfg.addr_limit(),
             cfg,
         }
     }
@@ -343,6 +356,12 @@ impl MemSystem {
         addr: PhysAddr,
         bypass_on_miss: bool,
     ) -> AccessOutcome {
+        assert!(
+            addr.raw() < self.addr_limit,
+            "physical address {:#x} is past the cache hierarchy's limit {:#x}",
+            addr.raw(),
+            self.addr_limit
+        );
         let addr = addr.line_base();
         let instr = kind == AccessKind::InstrFetch;
         let write = kind == AccessKind::Write;
@@ -428,7 +447,8 @@ impl MemSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `core_id` is out of range.
+    /// Panics if `core_id` is out of range or `addr` is at or past
+    /// [`MemSystemConfig::addr_limit`].
     pub fn access(&mut self, core_id: usize, kind: AccessKind, addr: PhysAddr) -> AccessOutcome {
         let out = self.access_inner(core_id, kind, addr, false);
         self.note_demand(kind, out);
@@ -438,6 +458,10 @@ impl MemSystem {
     /// Performs a demand access that is *eligible for main-memory bypass*:
     /// if the line misses everywhere, it is instantiated in the LLC instead
     /// of being fetched from DRAM.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::access`].
     pub fn access_bypassed(
         &mut self,
         core_id: usize,
@@ -605,6 +629,18 @@ mod tests {
     #[should_panic(expected = "257 cores exceed the 256 LLC line owners")]
     fn cores_must_fit_the_llc_owner_field() {
         MemSystem::new(MemSystemConfig::paper_default(MAX_OWNERS + 1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "physical address 0xffffffff000 is past the cache hierarchy's limit 0xffffffff000"
+    )]
+    fn an_address_past_the_limit_panics() {
+        let mut m = sys();
+        let limit = m.config().addr_limit();
+        assert_eq!(limit, u64::from(u32::MAX) << 12, "the L1s bind");
+        m.access(0, AccessKind::Read, PhysAddr::new(limit - 1));
+        m.access(0, AccessKind::Read, PhysAddr::new(limit));
     }
 
     #[test]

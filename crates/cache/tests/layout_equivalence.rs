@@ -1,5 +1,7 @@
-//! Differential test of the flat [`SetAssocCache`] against the nested
-//! `Vec<Vec<Line>>` layout it replaced: the same operation sequence must
+//! Differential test of the flat, packed [`SetAssocCache`] (8-byte lines
+//! with a 32-bit tag and a 23-bit LRU stamp that renumbers when it runs
+//! out) against the nested `Vec<Vec<Line>>` layout it replaced, whose
+//! 64-bit tags and stamps never wrap: the same operation sequence must
 //! give the same return values, evictions and counters after every step,
 //! and the same total and per-owner occupancy.
 
@@ -214,7 +216,9 @@ enum Op {
 
 /// An operation and the line it targets, as `(set, tag)` drawn from small
 /// ranges so every set overflows and lines recur; `far`, when present, is
-/// a random 64-bit address used instead, to reach the top of the tag range.
+/// a distance below the cache's address limit used instead, uniform over
+/// the supported range or within its top 4096 lines, to reach the largest
+/// tags.
 fn ops() -> impl Strategy<Value = Vec<(Op, u64, u64, Option<u64>)>> {
     let access = || any::<bool>().prop_map(|write| Op::Access { write });
     let fill = || {
@@ -237,14 +241,18 @@ fn ops() -> impl Strategy<Value = Vec<(Op, u64, u64, Option<u64>)>> {
         Just(None),
         Just(None),
         Just(None),
-        any::<u64>().prop_map(Some)
+        any::<u64>().prop_map(Some),
+        (0u64..4096 * 64).prop_map(Some)
     ];
     proptest::collection::vec((op, 0u64..4, 0u64..24, far), 1..600)
 }
 
 fn line_addr(cfg: &CacheConfig, set: u64, tag: u64, far: Option<u64>) -> PhysAddr {
     match far {
-        Some(raw) => PhysAddr::new(raw).line_base(),
+        Some(below) => {
+            let limit = cfg.addr_limit();
+            PhysAddr::new(limit - 1 - below % limit).line_base()
+        }
         None => {
             let sets = cfg.num_sets() as u64;
             let set_bits = sets.trailing_zeros();
@@ -284,8 +292,25 @@ const FULL_SCAN_LINES: usize = 4096;
 
 /// Runs `seq` on both layouts of `cfg`, comparing every return value and
 /// the stats after every step, and occupancy as often as affordable.
-fn run(cfg: CacheConfig, seq: &[(Op, u64, u64, Option<u64>)]) -> Result<(), TestCaseError> {
-    let mut flat = SetAssocCache::new(cfg.clone());
+/// With `renumber_at`, the flat cache's LRU stamp starts so close to the
+/// top of its field that it renumbers at access or fill number
+/// `renumber_at` (modulo their count) of `seq`.
+fn run(
+    cfg: CacheConfig,
+    seq: &[(Op, u64, u64, Option<u64>)],
+    renumber_at: Option<u32>,
+) -> Result<(), TestCaseError> {
+    let mut flat = match renumber_at {
+        None => SetAssocCache::new(cfg.clone()),
+        Some(at) => {
+            let stamping = seq
+                .iter()
+                .filter(|(op, ..)| matches!(op, Op::Access { .. } | Op::Fill { .. }))
+                .count();
+            prop_assume!(stamping > 0, "no op takes a stamp");
+            SetAssocCache::with_stamps_left(cfg.clone(), at % stamping as u32)
+        }
+    };
     let mut nested = NestedCache::new(&cfg);
     let scan_every = if flat.capacity_lines() <= FULL_SCAN_LINES {
         1
@@ -347,37 +372,79 @@ proptest! {
     /// 2 sets x 2 ways: every op conflicts.
     #[test]
     fn tiny_2x2_matches_nested_oracle(seq in ops()) {
-        run(CacheConfig::new("tiny 2x2", 256, 2, 1), &seq)?;
+        run(CacheConfig::new("tiny 2x2", 256, 2, 1), &seq, None)?;
     }
 
     /// One 4-way set: fair-share victim choice among four owners.
     #[test]
     fn fair_share_4_way_set_matches_nested_oracle(seq in ops()) {
-        run(CacheConfig::new("one set, 4 ways", 256, 4, 1), &seq)?;
+        run(CacheConfig::new("one set, 4 ways", 256, 4, 1), &seq, None)?;
     }
 
     /// Paper L1 (64 sets x 8 ways).
     #[test]
     fn paper_l1_matches_nested_oracle(seq in ops()) {
-        run(CacheConfig::paper_l1("L1D"), &seq)?;
+        run(CacheConfig::paper_l1("L1D"), &seq, None)?;
     }
 
     /// Iso-storage L1D (64 sets x 9 ways): a way count that is not a power
     /// of two.
     #[test]
     fn iso_storage_l1d_matches_nested_oracle(seq in ops()) {
-        run(CacheConfig::iso_storage_l1d(), &seq)?;
+        run(CacheConfig::iso_storage_l1d(), &seq, None)?;
     }
 
     /// Paper L2 (512 sets x 8 ways).
     #[test]
     fn paper_l2_matches_nested_oracle(seq in ops()) {
-        run(CacheConfig::paper_l2(), &seq)?;
+        run(CacheConfig::paper_l2(), &seq, None)?;
     }
 
     /// Paper LLC (2048 sets x 16 ways).
     #[test]
     fn paper_llc_matches_nested_oracle(seq in ops()) {
-        run(CacheConfig::paper_llc(), &seq)?;
+        run(CacheConfig::paper_llc(), &seq, None)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Each case renumbers the flat cache's stamps once, at a random
+    /// access or fill, while its sets hold lines.
+    #[test]
+    fn tiny_2x2_across_a_renumbering_matches_nested_oracle(seq in ops(), at in any::<u32>()) {
+        run(CacheConfig::new("tiny 2x2", 256, 2, 1), &seq, Some(at))?;
+    }
+
+    #[test]
+    fn fair_share_4_way_set_across_a_renumbering_matches_nested_oracle(
+        seq in ops(),
+        at in any::<u32>(),
+    ) {
+        run(CacheConfig::new("one set, 4 ways", 256, 4, 1), &seq, Some(at))?;
+    }
+
+    #[test]
+    fn paper_l1_across_a_renumbering_matches_nested_oracle(seq in ops(), at in any::<u32>()) {
+        run(CacheConfig::paper_l1("L1D"), &seq, Some(at))?;
+    }
+
+    #[test]
+    fn iso_storage_l1d_across_a_renumbering_matches_nested_oracle(
+        seq in ops(),
+        at in any::<u32>(),
+    ) {
+        run(CacheConfig::iso_storage_l1d(), &seq, Some(at))?;
+    }
+
+    #[test]
+    fn paper_l2_across_a_renumbering_matches_nested_oracle(seq in ops(), at in any::<u32>()) {
+        run(CacheConfig::paper_l2(), &seq, Some(at))?;
+    }
+
+    #[test]
+    fn paper_llc_across_a_renumbering_matches_nested_oracle(seq in ops(), at in any::<u32>()) {
+        run(CacheConfig::paper_llc(), &seq, Some(at))?;
     }
 }

@@ -44,6 +44,15 @@ pub enum ClusterError {
     /// than [`memento_system::SystemConfig::MAX_CORES`] (the count after
     /// [`crate::ClusterConfig::cores_per_node`] is applied).
     InvalidCores(usize),
+    /// A Measured fleet's container machines would have more physical
+    /// memory than their caches can address, which
+    /// [`memento_system::Machine::new`] refuses.
+    InvalidPhysMem {
+        /// The configured physical memory.
+        bytes: u64,
+        /// The first address the caches cannot hold.
+        limit: u64,
+    },
     /// The arrival slice is not time-sorted, an arrival names a workload
     /// outside the mix, or an arrival time exceeds
     /// [`crate::sim::MAX_CYCLES`] (also when a generator would draw one).
@@ -84,6 +93,11 @@ impl fmt::Display for ClusterError {
                 f,
                 "a Measured container machine needs 1 to {} cores, got {n}",
                 memento_system::SystemConfig::MAX_CORES
+            ),
+            ClusterError::InvalidPhysMem { bytes, limit } => write!(
+                f,
+                "a Measured container machine's {bytes} B of physical memory exceed \
+                 its caches' address limit of {limit} B"
             ),
             ClusterError::InvalidArrivals(why) => write!(f, "invalid arrivals: {why}"),
         }

@@ -300,7 +300,8 @@ fn validate(
 /// ([`ClusterError::InvalidProfile`]); a Measured engine must not name a
 /// trace file ([`ClusterError::MeasuredTraceFile`]), and its machines
 /// need 1 to [`SystemConfig::MAX_CORES`] cores
-/// ([`ClusterError::InvalidCores`]).
+/// ([`ClusterError::InvalidCores`]) and no more physical memory than
+/// their caches can address ([`ClusterError::InvalidPhysMem`]).
 pub fn simulate(
     engine: Engine,
     cfg: &ClusterConfig,
@@ -330,7 +331,8 @@ pub fn simulate(
 /// A Measured fleet's container machine config. Machines take the
 /// node's core count, so a container's memory hierarchy matches the node
 /// hardware; one core per node keeps the config's own count, which must
-/// name at least one core and at most [`SystemConfig::MAX_CORES`].
+/// name at least one core and at most [`SystemConfig::MAX_CORES`]. Its
+/// physical memory must fit the caches' address limit.
 fn container_config(
     sys: Box<SystemConfig>,
     cores_per_node: usize,
@@ -340,11 +342,17 @@ fn container_config(
     } else {
         sys
     };
-    if (1..=SystemConfig::MAX_CORES).contains(&sys.cores()) {
-        Ok(sys)
-    } else {
-        Err(ClusterError::InvalidCores(sys.cores()))
+    if !(1..=SystemConfig::MAX_CORES).contains(&sys.cores()) {
+        return Err(ClusterError::InvalidCores(sys.cores()));
     }
+    let limit = sys.mem.addr_limit();
+    if sys.phys_mem_bytes > limit {
+        return Err(ClusterError::InvalidPhysMem {
+            bytes: sys.phys_mem_bytes,
+            limit,
+        });
+    }
+    Ok(sys)
 }
 
 /// Run-ahead helper threads for a Measured fleet of `workloads`
@@ -2918,6 +2926,39 @@ mod tests {
         let r = simulate(Engine::Measured(Box::new(sys)), &two, &mix, &arrivals)
             .expect("two cores per node");
         assert_eq!(r.completed, 4);
+    }
+
+    #[test]
+    fn measured_phys_mem_past_the_cache_limit_is_a_typed_error() {
+        let mix = two_mix();
+        let arrivals = generate_arrivals(
+            &ArrivalConfig {
+                seed: 3,
+                count: 4,
+                mean_interarrival_cycles: 200_000.0,
+            },
+            &mix,
+        )
+        .expect("valid arrivals");
+        let mut sys = SystemConfig::memento();
+        let limit = sys.mem.addr_limit();
+        sys.phys_mem_bytes = limit + 1;
+        let err = simulate(
+            Engine::Measured(Box::new(sys)),
+            &ClusterConfig::default(),
+            &mix,
+            &arrivals,
+        )
+        .err();
+        assert_eq!(
+            err,
+            Some(ClusterError::InvalidPhysMem {
+                bytes: limit + 1,
+                limit
+            })
+        );
+        let msg = err.expect("checked above").to_string();
+        assert!(msg.contains(&limit.to_string()), "{msg}");
     }
 
     #[test]

@@ -214,8 +214,17 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if physical memory is too small to boot.
+    /// Panics if physical memory is too small to boot, or larger than the
+    /// cache hierarchy can address ([`MemSystemConfig::addr_limit`]).
+    ///
+    /// [`MemSystemConfig::addr_limit`]: memento_cache::MemSystemConfig::addr_limit
     pub fn new(cfg: SystemConfig) -> Self {
+        assert!(
+            cfg.phys_mem_bytes <= cfg.mem.addr_limit(),
+            "{} B of physical memory exceed the caches' address limit of {} B",
+            cfg.phys_mem_bytes,
+            cfg.mem.addr_limit()
+        );
         let mut mem = PhysMem::new(cfg.phys_mem_bytes);
         // Reserve the AAC pointer block before the kernel takes over the
         // rest of physical memory.
@@ -1787,6 +1796,16 @@ mod tests {
         let mut s = suite::by_name(name).expect("workload exists");
         s.total_instructions = insts; // keep unit tests fast
         s
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "17592186040321 B of physical memory exceed the caches' address limit of 17592186040320 B"
+    )]
+    fn physical_memory_past_the_cache_address_limit_panics() {
+        let mut cfg = SystemConfig::baseline();
+        cfg.phys_mem_bytes = cfg.mem.addr_limit() + 1;
+        Machine::new(cfg);
     }
 
     #[test]
