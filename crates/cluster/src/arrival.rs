@@ -23,8 +23,6 @@
 use crate::error::ClusterError;
 use crate::trace::{generate_trace, UniformTrace};
 use memento_workloads::spec::WorkloadSpec;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// A weighted set of workloads that arrivals sample from.
 #[derive(Clone, Debug)]
@@ -83,12 +81,6 @@ impl WorkloadMix {
         self.specs.is_empty()
     }
 
-    /// Draws one workload index.
-    #[inline]
-    pub(crate) fn sample(&self, rng: &mut StdRng) -> usize {
-        self.index(rng.gen_range(0.0..1.0))
-    }
-
     /// The mix index a uniform draw `u ∈ [0, 1)` selects: the first
     /// bucket whose cumulative weight exceeds `u`. The cumulative weights
     /// only fall where float drift carried one past 1.0 and the last is
@@ -96,7 +88,7 @@ impl WorkloadMix {
     /// the number of weights at or below `u` — a branchless count, where
     /// an early-exit scan would mispredict its exit on most draws.
     #[inline]
-    fn index(&self, u: f64) -> usize {
+    pub(crate) fn index(&self, u: f64) -> usize {
         let below: usize = self.cumulative.iter().map(|&c| usize::from(c <= u)).sum();
         below.min(self.specs.len() - 1)
     }
@@ -151,7 +143,8 @@ pub fn generate_arrivals(
 mod tests {
     use super::*;
     use memento_workloads::suite;
-    use rand::SeedableRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn two_mix() -> WorkloadMix {
         WorkloadMix::uniform(vec![

@@ -38,11 +38,17 @@
 //!   homogeneous Poisson process
 //!   [`crate::arrival::generate_arrivals`] returns, which is this
 //!   generator over a [`UniformTrace`].
+//!
+//! A long trace may draw its random numbers on a helper thread
+//! ([`generate_trace`]). The helper steps the same seeded generator and
+//! the walk reads its draws in the same order, so only the thread that
+//! computes a draw changes, never its value or its use.
 
 use crate::arrival::{Arrival, ArrivalConfig, WorkloadMix};
 use crate::error::ClusterError;
 use crate::sim::MAX_CYCLES;
 use memento_simcore::cycles::round_u64;
+use memento_simcore::pool::{self, Filled};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -453,6 +459,12 @@ fn checked_piece<T: ArrivalTrace + ?Sized>(trace: &T, t: u64) -> Result<Piece, C
 /// Poisson process ([`crate::arrival::generate_arrivals`]). Generic, so
 /// a concrete trace's pieces are fetched directly, not through a vtable.
 ///
+/// A trace of at least 2^14 arrivals on a host with a spare thread
+/// draws its random numbers on a helper thread from
+/// [`pool::with_producer`], which also takes every draw's gap logarithm;
+/// the thinning walk stays on the calling thread. The arrivals and
+/// errors are the same with and without the helper.
+///
 /// Fails with [`ClusterError::InvalidTrace`] when the trace's peak is 0
 /// or saturates, or a piece's arithmetic would overflow, and with
 /// [`ClusterError::InvalidArrivals`] when a candidate would land past
@@ -461,6 +473,45 @@ pub fn generate_trace<T: ArrivalTrace + ?Sized>(
     cfg: &ArrivalConfig,
     mix: &WorkloadMix,
     trace: &T,
+) -> Result<Vec<Arrival>, ClusterError> {
+    let helpers = draw_helpers(cfg.count, pool::effective_jobs(None));
+    generate_trace_on(cfg, mix, trace, helpers)
+}
+
+/// Draws per block the helper fills: 64 KiB of [`Draw`]s.
+const BLOCK_DRAWS: usize = 4_096;
+
+/// Blocks the caller allocates for the helper (256 KiB): the walk reads
+/// one, the helper fills one, and two queue between them so neither
+/// thread waits on the other's jitter.
+const BLOCKS: usize = 4;
+
+/// The fewest arrivals a trace needs before a helper draws them. Below
+/// it the saving is a few hundred microseconds at most, and starting the
+/// thread and filling blocks the walk never reads eat most of it: a
+/// uniform trace, whose helper takes twice the serial path's logarithms,
+/// breaks even only near 2^15 arrivals (EXPERIMENTS.md "Arrival draws on
+/// two threads").
+const AHEAD_MIN_ARRIVALS: u64 = 1 << 14;
+
+/// Draw helper threads for a trace of `count` arrivals on `jobs` host
+/// threads: one when there is a spare thread and the trace is long
+/// enough, so `MEMENTO_JOBS=1` starts none.
+fn draw_helpers(count: u64, jobs: usize) -> usize {
+    if count < AHEAD_MIN_ARRIVALS {
+        0
+    } else {
+        jobs.saturating_sub(1).min(1)
+    }
+}
+
+/// [`generate_trace`] with `helpers` draw helper threads: none at 0,
+/// one at any other count.
+fn generate_trace_on<T: ArrivalTrace + ?Sized>(
+    cfg: &ArrivalConfig,
+    mix: &WorkloadMix,
+    trace: &T,
+    helpers: usize,
 ) -> Result<Vec<Arrival>, ClusterError> {
     // Rejects NaN, infinities, zero, and negatives in one test.
     if !cfg.mean_interarrival_cycles.is_finite() || cfg.mean_interarrival_cycles <= 0.0 {
@@ -476,10 +527,120 @@ pub fn generate_trace<T: ArrivalTrace + ?Sized>(
             if peak == 0 { "zero" } else { "an overflowing" }
         )));
     }
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    if helpers == 0 {
+        return walk(&mut rng, cfg, mix, trace, peak);
+    }
+    let blocks = (0..BLOCKS)
+        .map(|_| vec![Draw::default(); BLOCK_DRAWS].into_boxed_slice())
+        .collect();
+    let fill = move |block: &mut Box<[Draw]>| {
+        for d in block.iter_mut() {
+            *d = Draw::from_unit(rng.gen_range(0.0..1.0));
+        }
+    };
+    pool::with_producer(blocks, fill, |filled| {
+        walk(&mut Ahead::new(filled), cfg, mix, trace, peak)
+    })
+}
+
+/// One uniform draw `u ∈ [0, 1)` and the exponential gap logarithm
+/// `ln(1 − u)` it gives if the walk reads it as a gap.
+#[derive(Clone, Copy, Debug, Default)]
+struct Draw {
+    u: f64,
+    ln: f64,
+}
+
+impl Draw {
+    fn from_unit(u: f64) -> Self {
+        // u ∈ [0, 1) keeps ln finite.
+        Draw {
+            u,
+            ln: (1.0 - u).ln(),
+        }
+    }
+}
+
+/// The walk's stream of uniform draws. Each call consumes the next draw
+/// of the seeded generator's `gen_range(0.0..1.0)` sequence, so every
+/// source yields the same values in the same order.
+trait Draws {
+    /// The next draw's `u`.
+    fn unit(&mut self) -> f64;
+    /// The next draw's `ln(1 − u)`.
+    fn gap_ln(&mut self) -> f64;
+}
+
+/// The serial source: draws straight from the generator and takes `ln`
+/// of gap draws only.
+impl Draws for StdRng {
+    #[inline]
+    fn unit(&mut self) -> f64 {
+        self.gen_range(0.0..1.0)
+    }
+
+    #[inline]
+    fn gap_ln(&mut self) -> f64 {
+        Draw::from_unit(self.unit()).ln
+    }
+}
+
+/// The helper's source: draws it computed ahead, read in order from
+/// recycled blocks.
+struct Ahead<'a> {
+    filled: &'a Filled<Box<[Draw]>>,
+    block: Box<[Draw]>,
+    next: usize,
+}
+
+impl<'a> Ahead<'a> {
+    fn new(filled: &'a Filled<Box<[Draw]>>) -> Self {
+        Ahead {
+            filled,
+            block: filled.next(),
+            next: 0,
+        }
+    }
+
+    #[inline]
+    fn draw(&mut self) -> Draw {
+        if self.next == self.block.len() {
+            // Recycle first, so the helper can refill while we wait.
+            self.filled.recycle(std::mem::take(&mut self.block));
+            self.block = self.filled.next();
+            self.next = 0;
+        }
+        let d = self.block[self.next];
+        self.next += 1;
+        d
+    }
+}
+
+impl Draws for Ahead<'_> {
+    #[inline]
+    fn unit(&mut self) -> f64 {
+        self.draw().u
+    }
+
+    #[inline]
+    fn gap_ln(&mut self) -> f64 {
+        self.draw().ln
+    }
+}
+
+/// The thinning walk over validated inputs, reading its draws from
+/// `draws`: the arrivals of [`generate_trace`].
+fn walk<T: ArrivalTrace + ?Sized>(
+    draws: &mut impl Draws,
+    cfg: &ArrivalConfig,
+    mix: &WorkloadMix,
+    trace: &T,
+    peak: u64,
+) -> Result<Vec<Arrival>, ClusterError> {
     // Candidates arrive at the envelope rate: base rate × peak multiplier,
     // i.e. mean gap shrunk by peak/PPM.
     let candidate_mean = cfg.mean_interarrival_cycles * PPM as f64 / peak as f64;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut arrivals = Vec::with_capacity(cfg.count as usize);
     let mut t = 0u64;
     let mut id = 0u64;
@@ -487,10 +648,8 @@ pub fn generate_trace<T: ArrivalTrace + ?Sized>(
     let mut piece = Piece::constant(0, 0);
     let mut end = 0;
     while id < cfg.count {
-        // Exponential gap via inverse transform; u ∈ [0, 1) keeps ln
-        // finite.
-        let u = rng.gen_range(0.0..1.0);
-        let gap = round_u64(-candidate_mean * (1.0 - u).ln());
+        // Exponential gap via inverse transform.
+        let gap = round_u64(-candidate_mean * draws.gap_ln());
         t = t.saturating_add(gap.max(1));
         if t >= end {
             // `end` never passes MAX_CYCLES + 1, so the clock bound is
@@ -508,12 +667,12 @@ pub fn generate_trace<T: ArrivalTrace + ?Sized>(
         if lam < peak {
             // Thinning accept test — skipped at full intensity, so a
             // uniform trace draws one gap and one workload per arrival.
-            let a = rng.gen_range(0.0..1.0);
+            let a = draws.unit();
             if a * peak as f64 >= lam as f64 {
                 continue;
             }
         }
-        let workload = mix.sample(&mut rng);
+        let workload = mix.index(draws.unit());
         arrivals.push(Arrival {
             id,
             time: t,
@@ -989,6 +1148,19 @@ mod tests {
         }
 
         #[test]
+        fn draws_ahead_match_serial_draws(
+            seed in any::<u64>(),
+            count in 1u64..3 * BLOCK_DRAWS as u64,
+            mean in 1.0f64..1e7,
+            shape in 0usize..6,
+        ) {
+            let cfg = ArrivalConfig { seed, count, mean_interarrival_cycles: mean };
+            let (label, trace) = all_shapes(6_000_000).swap_remove(shape);
+            let [serial, ahead] = both_sides(&cfg, trace.as_ref());
+            prop_assert_eq!(serial, ahead, "{}", label);
+        }
+
+        #[test]
         fn reciprocal_division_is_exact(n in any::<u64>(), den in 1u64..u64::MAX) {
             let piece = Piece::rising(0, 0, 1, den, u64::MAX);
             prop_assert_eq!(piece.at(n), n / den);
@@ -1094,6 +1266,195 @@ mod tests {
                 "{label} arrivals changed"
             );
         }
+    }
+
+    /// Every trace shape the generator serves, over `day`-cycle days.
+    fn all_shapes(day: u64) -> Vec<(&'static str, Box<dyn ArrivalTrace>)> {
+        let diurnal = DiurnalTrace {
+            day_cycles: day,
+            trough_ppm: 250_000,
+            peak_ppm: 1_000_000,
+        };
+        let inverted = DiurnalTrace {
+            trough_ppm: 1_000_000,
+            peak_ppm: 250_000,
+            ..diurnal
+        };
+        vec![
+            ("uniform", Box::new(UniformTrace)),
+            ("diurnal", Box::new(diurnal)),
+            ("inverted", Box::new(inverted)),
+            (
+                "flash-diurnal",
+                Box::new(flash(diurnal, (day / 7, day / 70, 4))),
+            ),
+            (
+                "flash-azure",
+                Box::new(flash(
+                    EmpiricalTrace::azure_day(day + 7),
+                    (day / 7, day / 70, 3),
+                )),
+            ),
+            ("empirical", Box::new(EmpiricalTrace::azure_day(day / 3))),
+        ]
+    }
+
+    /// The trace drawn serially and with a draw helper, as one string
+    /// per side: the arrivals or the error.
+    fn both_sides(cfg: &ArrivalConfig, trace: &dyn ArrivalTrace) -> [String; 2] {
+        let mix = two_mix();
+        [0, 1].map(
+            |helpers| match generate_trace_on(cfg, &mix, trace, helpers) {
+                Ok(arrivals) => format!("{:016x}", arrivals_digest(&arrivals)),
+                Err(e) => e.to_string(),
+            },
+        )
+    }
+
+    #[test]
+    fn draws_ahead_match_serial_draws_at_every_block_edge() {
+        // A uniform arrival reads two draws, so `BLOCK_DRAWS / 2` arrivals
+        // end exactly on a block edge; the other shapes read a varying
+        // number, so their counts land anywhere in a block.
+        let block = BLOCK_DRAWS as u64;
+        let counts = [
+            1,
+            block / 2 - 1,
+            block / 2,
+            block / 2 + 1,
+            block - 1,
+            block,
+            block + 1,
+            BLOCKS as u64 * block + 3,
+            AHEAD_MIN_ARRIVALS - 1,
+            AHEAD_MIN_ARRIVALS,
+            AHEAD_MIN_ARRIVALS + 1,
+        ];
+        let mix = two_mix();
+        for (label, trace) in all_shapes(6_000_000) {
+            for count in counts {
+                let cfg = ArrivalConfig {
+                    seed: 77 + count,
+                    count,
+                    mean_interarrival_cycles: 3_000.0,
+                };
+                let serial = generate_trace_on(&cfg, &mix, trace.as_ref(), 0).expect("valid");
+                let ahead = generate_trace_on(&cfg, &mix, trace.as_ref(), 1).expect("valid");
+                assert_eq!(serial.len() as u64, count);
+                assert!(serial == ahead, "{label} at {count} arrivals");
+                // The public entry, which picks its own helper count.
+                let public = generate_trace(&cfg, &mix, trace.as_ref()).expect("valid");
+                assert!(serial == public, "{label} at {count} arrivals");
+            }
+        }
+    }
+
+    #[test]
+    fn draw_helpers_start_only_for_long_traces_with_a_spare_thread() {
+        assert_eq!(draw_helpers(AHEAD_MIN_ARRIVALS - 1, 2), 0);
+        assert_eq!(draw_helpers(AHEAD_MIN_ARRIVALS, 1), 0, "MEMENTO_JOBS=1");
+        assert_eq!(draw_helpers(AHEAD_MIN_ARRIVALS, 2), 1);
+        assert_eq!(draw_helpers(u64::MAX, 8), 1, "one helper at most");
+    }
+
+    #[test]
+    fn draws_ahead_give_the_serial_errors() {
+        let overflowing: [(f64, Box<dyn ArrivalTrace>); 3] = [
+            (
+                1e10,
+                Box::new(DiurnalTrace {
+                    day_cycles: 1 << 40,
+                    trough_ppm: 0,
+                    peak_ppm: 1 << 30,
+                }),
+            ),
+            (
+                1_000.0,
+                Box::new(flash(UniformTrace, (1_000, 100, u64::MAX / 2))),
+            ),
+            (1e15, Box::new(EmpiricalTrace::azure_day(u64::MAX / 2))),
+        ];
+        for (mean, trace) in &overflowing {
+            let [serial, ahead] = both_sides(&slow_config(*mean), trace.as_ref());
+            assert!(serial.contains("overflow"), "{serial}");
+            assert_eq!(serial, ahead);
+        }
+        let [serial, ahead] = both_sides(&slow_config(1e18), &UniformTrace);
+        assert!(serial.contains("clock bound"), "{serial}");
+        assert_eq!(serial, ahead);
+    }
+
+    #[test]
+    fn a_walk_that_fails_after_its_first_block_stops_the_helper() {
+        // A uniform trace (two draws an arrival) that passes the clock
+        // bound near arrival 3,000, and a rising half-day cut into short
+        // pieces by flash windows whose formula overflows only once a
+        // piece reaches 2^34 cycles past the day start (dozens of draws an
+        // arrival). Each fits `ok` arrivals, which read several blocks.
+        let rising = flash(
+            DiurnalTrace {
+                day_cycles: 1 << 40,
+                trough_ppm: 0,
+                peak_ppm: 1 << 30,
+            },
+            (1 << 20, 1 << 19, 1),
+        );
+        let cases: [(&dyn ArrivalTrace, f64, u64, &str); 2] = [
+            (
+                &UniformTrace,
+                MAX_CYCLES as f64 / 3_000.0,
+                2_500,
+                "clock bound",
+            ),
+            (&rising, 1e8, 1_000, "overflow"),
+        ];
+        for (seed, (trace, mean, ok, want)) in cases.into_iter().enumerate() {
+            let cfg = ArrivalConfig {
+                seed: seed as u64,
+                count: 100_000,
+                mean_interarrival_cycles: mean,
+            };
+            let fits = ArrivalConfig { count: ok, ..cfg };
+            assert!(generate_trace_on(&fits, &two_mix(), trace, 1).is_ok());
+            let [serial, ahead] = both_sides(&cfg, trace);
+            assert!(serial.contains(want), "{serial}");
+            assert_eq!(serial, ahead);
+        }
+    }
+
+    /// A half-intensity trace that panics when asked for a piece past
+    /// cycle 10^7.
+    struct PanicsLate;
+
+    impl ArrivalTrace for PanicsLate {
+        fn piece(&self, t: u64) -> Piece {
+            assert!(t < 10_000_000, "piece asked for past the panic point");
+            Piece::constant(PPM / 2, t + 1)
+        }
+
+        fn peak_ppm(&self) -> u64 {
+            PPM
+        }
+
+        fn label(&self) -> String {
+            "panics".to_owned()
+        }
+    }
+
+    #[test]
+    fn a_walk_panic_stops_the_helper_and_reaches_the_caller() {
+        let cfg = ArrivalConfig {
+            seed: 3,
+            count: 100_000,
+            mean_interarrival_cycles: 1_000.0,
+        };
+        let walk_panic =
+            std::panic::catch_unwind(|| generate_trace_on(&cfg, &two_mix(), &PanicsLate, 1))
+                .expect_err("the walk's panic reaches the caller");
+        assert_eq!(
+            walk_panic.downcast_ref::<&str>(),
+            Some(&"piece asked for past the panic point")
+        );
     }
 
     fn slow_config(mean: f64) -> ArrivalConfig {

@@ -11,10 +11,12 @@
 //! [`with_helpers`] is the other shape: one caller-driven computation
 //! with scoped helper threads that work ahead of it. The caller decides
 //! every result's order; the helpers only change when a result is ready.
+//! [`with_producer`] is its bounded pipeline: one helper fills recycled
+//! blocks in order while the caller consumes them.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::thread;
 
 /// Environment variable overriding the worker count (`--jobs` equivalent
@@ -110,10 +112,77 @@ pub fn with_helpers<R>(
     })
 }
 
+/// The blocks a [`with_producer`] helper fills ahead of the caller,
+/// handed over in the order they were filled.
+pub struct Filled<B> {
+    full: mpsc::Receiver<B>,
+    empty: mpsc::SyncSender<B>,
+}
+
+impl<B> Filled<B> {
+    /// The next filled block, waiting while the producer is behind.
+    /// Panics when the producer stopped first, which it does only by
+    /// panicking; [`with_producer`] re-raises that panic ahead of this one.
+    pub fn next(&self) -> B {
+        self.full
+            .recv()
+            .expect("the block producer stopped before its consumer")
+    }
+
+    /// Hands a consumed block back for the producer to refill.
+    pub fn recycle(&self, block: B) {
+        // The channel has room for every block, so this never waits; it
+        // fails only once the producer is gone, which `next` reports.
+        let _ = self.empty.send(block);
+    }
+}
+
+/// Runs `main` on the calling thread while one scoped helper thread
+/// fills `blocks` with `fill`, one block after another, for as long as
+/// `main` recycles them. `main` takes each block from its [`Filled`] in
+/// fill order, so a sequential `fill` yields one stream however far
+/// ahead the helper runs. No block is made beyond `blocks`, so the
+/// helper allocates none. When `main` returns or unwinds, its
+/// [`Filled`] is dropped, which stops the helper; the helper is joined
+/// before this returns and its panic is re-raised here (through
+/// [`with_helpers`]). `blocks` must not be empty.
+pub fn with_producer<B: Send, R>(
+    blocks: Vec<B>,
+    fill: impl FnMut(&mut B) + Send,
+    main: impl FnOnce(&Filled<B>) -> R,
+) -> R {
+    assert!(!blocks.is_empty(), "a producer needs a block to fill");
+    let (empty, to_fill) = mpsc::sync_channel(blocks.len());
+    let (filled, full) = mpsc::sync_channel(blocks.len());
+    for block in blocks {
+        empty.send(block).expect("the channel holds every block");
+    }
+    let producer = Mutex::new(Some((fill, to_fill, filled)));
+    with_helpers(
+        1,
+        || {
+            let (mut fill, to_fill, filled) = producer
+                .lock()
+                .expect("producer lock")
+                .take()
+                .expect("one helper takes the producer");
+            // Either channel closes when `main`'s `Filled` is dropped.
+            while let Ok(mut block) = to_fill.recv() {
+                fill(&mut block);
+                if filled.send(block).is_err() {
+                    break;
+                }
+            }
+        },
+        || {},
+        move || main(&Filled { full, empty }),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Condvar, Mutex};
+    use std::sync::Condvar;
 
     /// A stop flag the helpers of a test wait on.
     struct Gate {
@@ -178,6 +247,73 @@ mod tests {
         }))
         .expect_err("a helper's panic reaches the caller");
         assert_eq!(helper_panic.downcast_ref::<&str>(), Some(&"helper failed"));
+    }
+
+    #[test]
+    fn with_producer_hands_blocks_over_in_fill_order() {
+        // Three blocks recycled over and over carry one counting stream.
+        let mut next = 0u64;
+        let fill = |block: &mut Vec<u64>| {
+            for v in block.iter_mut() {
+                *v = next;
+                next += 1;
+            }
+        };
+        let blocks = vec![vec![0; 5]; 3];
+        let read = with_producer(blocks, fill, |filled| {
+            let mut read = Vec::new();
+            for _ in 0..20 {
+                let block = filled.next();
+                read.extend_from_slice(&block);
+                filled.recycle(block);
+            }
+            read
+        });
+        assert_eq!(read, (0..100).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn with_producer_stops_the_helper_when_main_is_done() {
+        // `main` returns holding a block and with the helper blocked on a
+        // full channel; returning still stops and joins it.
+        let filled_blocks = AtomicUsize::new(0);
+        let fill = |_: &mut u8| {
+            filled_blocks.fetch_add(1, Ordering::SeqCst);
+        };
+        let out = with_producer(vec![0u8; 2], fill, |filled| filled.next() + 7);
+        assert_eq!(out, 7);
+        let made = filled_blocks.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&made), "filled {made} of 2 blocks");
+        // A panic of `main` stops the helper the same way.
+        let main_panic = panic::catch_unwind(AssertUnwindSafe(|| {
+            with_producer(vec![0u8; 2], |_| {}, |_| -> u8 { panic!("main failed") })
+        }))
+        .expect_err("a panic of main reaches the caller");
+        assert_eq!(main_panic.downcast_ref::<&str>(), Some(&"main failed"));
+    }
+
+    #[test]
+    fn with_producer_reraises_a_producer_panic() {
+        // The producer fails on its second block, while `main` waits for
+        // it: the producer's panic, not `main`'s, reaches the caller.
+        let mut calls = 0;
+        let fill = |_: &mut u8| {
+            calls += 1;
+            if calls == 2 {
+                panic!("producer failed");
+            }
+        };
+        let producer_panic = panic::catch_unwind(AssertUnwindSafe(|| {
+            with_producer(vec![0u8; 1], fill, |filled| loop {
+                let block = filled.next();
+                filled.recycle(block);
+            })
+        }))
+        .expect_err("a producer panic reaches the caller");
+        assert_eq!(
+            producer_panic.downcast_ref::<&str>(),
+            Some(&"producer failed")
+        );
     }
 
     #[test]

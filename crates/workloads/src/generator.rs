@@ -134,13 +134,28 @@ fn class_index(size: u32) -> usize {
     }
 }
 
+/// The most events [`generate`] can emit for `spec` over `n_allocs`
+/// allocations. Each allocation emits one compute, at most
+/// `⌈1.5 · touch_intensity⌉` re-touches (the count is `touch_intensity`
+/// times a draw in `[0.5, 1.5]`, rounded), the alloc and its init touch;
+/// each object is freed at most once; and the trace ends in one exit.
+fn event_bound(spec: &WorkloadSpec, n_allocs: u64) -> usize {
+    // A negative or NaN intensity casts to 0 re-touches, as in the loop.
+    let touches = (1.5 * spec.touch_intensity).ceil() as u64;
+    let per_alloc = touches.saturating_add(4);
+    n_allocs.saturating_mul(per_alloc).saturating_add(1) as usize
+}
+
 /// Generates the trace for `spec`. Deterministic in `spec.seed`.
 pub fn generate(spec: &WorkloadSpec) -> Trace {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let n_allocs = spec.expected_allocs().max(1);
     let compute_per_alloc = (1000.0 / spec.malloc_pki.max(0.001)) as u64;
 
-    let mut events = Vec::with_capacity(n_allocs as usize * 5);
+    // Reserved once: a vector that outgrows its reservation reallocates,
+    // and its allocation then peaks at about twice the trace's size.
+    let mut events = Vec::with_capacity(event_bound(spec, n_allocs));
+    let reserved = events.capacity();
     let mut next_id = 0u64;
     // Allocation counter per size class (distance is measured in same-class
     // allocations, matching the paper's metric).
@@ -247,6 +262,12 @@ pub fn generate(spec: &WorkloadSpec) -> Trace {
     }
 
     events.push(Event::Exit);
+    debug_assert_eq!(
+        events.capacity(),
+        reserved,
+        "{} outgrew its event bound",
+        spec.name
+    );
     Trace {
         name: spec.name.clone(),
         events,
@@ -388,6 +409,23 @@ mod tests {
                     generate(&s).events,
                     generate_oracle(&s).events,
                     "{} at scale 1/{scale}",
+                    s.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_suite_trace_fits_its_event_bound() {
+        for scale in [1, 8, 32] {
+            for mut s in crate::suite::all_workloads() {
+                s.total_instructions /= scale;
+                let n_allocs = s.expected_allocs().max(1);
+                let events = generate(&s).events.len();
+                let bound = event_bound(&s, n_allocs);
+                assert!(
+                    events <= bound,
+                    "{} at scale 1/{scale}: {events} events over a bound of {bound}",
                     s.name
                 );
             }
