@@ -26,9 +26,6 @@
 //! assert!(!warm.dram_fill);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cache;
 pub mod dram;
 pub mod hierarchy;

@@ -25,6 +25,8 @@
 //! push/pop programs against a `BTreeMap`-keyed reference and requires
 //! identical output.
 
+#![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
+
 /// One pending event: the key the heap orders by plus the payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry<E> {

@@ -74,9 +74,6 @@
 //! assert!(p50 <= p95 && p95 <= p99);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod arrival;
 pub mod error;
 pub mod event_heap;

@@ -997,6 +997,10 @@ mod tests {
         let Tip::Idle(m) = std::mem::replace(&mut ahead.lock().roots[key_a].tip, Tip::Busy) else {
             panic!("A's machine sits idle after its boot");
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test stands in for a helper thread holding A's machine"
+        )]
         std::thread::scope(|s| {
             // The "helper" hands A back once B is full, so the fleet
             // thread has stepped B exactly once meanwhile. It hands A

@@ -23,8 +23,9 @@
 //! The flat layout replaced `BTreeMap`-keyed event/node/container state
 //! (see DESIGN.md §10): per event, the engine now does O(1) array
 //! indexing where it used to chase tree nodes and compare workload-name
-//! strings. The workspace analyzer (`tools/analyzer`) bans `BTreeMap`
-//! from this file's hot paths so the flattening cannot regress silently.
+//! strings. This file denies `clippy::disallowed_types` (which lists
+//! `BTreeMap`) and `clippy::cast_possible_truncation`, so neither a tree
+//! nor an unchecked narrowing cast can creep back in silently.
 //!
 //! # Policy families
 //!
@@ -63,7 +64,13 @@
 //! conservation — any drift surfaces as a sanitizer violation in
 //! [`ClusterResult::audit`].
 
-use std::collections::BTreeMap; // lint:allow(btreemap-in-hot-path): result-surface type only — built once at drain, never touched per event
+#![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "result-surface type only, built once at drain and never touched per event"
+)]
+use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use memento_obs::metrics::{Log2Hist, MetricsRegistry};
@@ -159,7 +166,10 @@ pub struct ClusterResult {
     /// Arrivals turned away at admission.
     pub rejected: u64,
     /// Rejections broken down by typed reason.
-    // lint:allow(btreemap-in-hot-path): result surface, written once at drain
+    #[expect(
+        clippy::disallowed_types,
+        reason = "result surface, written once at drain"
+    )]
     pub rejected_by: BTreeMap<RejectReason, u64>,
     /// Invocations that paid a container cold start.
     pub cold_starts: u64,
@@ -598,6 +608,10 @@ fn radix_sort_u64(v: &mut Vec<u64>) {
 /// completion keys and the per-entry keep-alive deadlines after the
 /// cached minimum fires.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "keys index lanes or warm entries, both far below 2^32"
+)]
 fn argmin(keys: &[(u64, u64)]) -> ((u64, u64), u32) {
     // Branchless select: event times are unpredictable, so a conditional
     // move beats a data-dependent branch per entry.
@@ -606,7 +620,6 @@ fn argmin(keys: &[(u64, u64)]) -> ((u64, u64), u32) {
     for (i, &key) in keys.iter().enumerate() {
         let better = key < min;
         min = if better { key } else { min };
-        // lint:allow(narrowing-cast-in-hot-path): keys index lanes or warm entries, both far below 2^32
         min_idx = if better { i as u32 } else { min_idx };
     }
     (min, min_idx)
@@ -823,7 +836,10 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
 
     fn on_arrival(&mut self, a: &Arrival) {
         self.submitted += 1;
-        // lint:allow(narrowing-cast-in-hot-path): workload ids index the mix table, far below 2^32
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "workload ids index the mix table, far below 2^32"
+        )]
         let workload = a.workload as u32;
         match self.place(a.workload) {
             Ok(node) => {
@@ -997,8 +1013,12 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         self.done[lane] = (done_time, seq);
         if (done_time, seq) < self.done_min {
             self.done_min = (done_time, seq);
-            // lint:allow(narrowing-cast-in-hot-path): lane indexes nodes * cores_per_node, far below 2^32
-            self.done_min_lane = lane as u32;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "lane indexes nodes * cores_per_node, far below 2^32"
+            )]
+            let lane = lane as u32;
+            self.done_min_lane = lane;
         }
         self.serving[lane] = InFlight {
             arrive_time,
@@ -1009,11 +1029,14 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
 
     /// Allocates a slab slot for a fresh container (recycling retired
     /// slots).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "node indexes cfg.nodes and slots are bounded by live containers, both far below 2^32"
+    )]
     fn alloc_slot(&mut self, node: usize, pos: M::Pos) -> u32 {
         self.live_count += 1;
         let fresh = Slot {
             live: true,
-            // lint:allow(narrowing-cast-in-hot-path): node indexes cfg.nodes, far below 2^32
             node: node as u32,
             contrib: 0,
             squeezed: false,
@@ -1028,7 +1051,6 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             slot
         } else {
             self.slots.push(fresh);
-            // lint:allow(narrowing-cast-in-hot-path): slot count is bounded by live containers < 2^32
             (self.slots.len() - 1) as u32
         }
     }
@@ -1110,8 +1132,12 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
                 self.deadline[widx] = key;
                 if key < self.next_expiry {
                     self.next_expiry = key;
-                    // lint:allow(narrowing-cast-in-hot-path): widx indexes max_nodes (<= 2^16) x mix, far below 2^32
-                    self.next_expiry_idx = widx as u32;
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "widx indexes max_nodes (<= 2^16) x mix, far below 2^32"
+                    )]
+                    let widx = widx as u32;
+                    self.next_expiry_idx = widx;
                 }
             }
         }
@@ -1292,7 +1318,10 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
         metrics.set_hist("cluster.queue_wait_cycles", self.queue_wait_hist.clone());
 
         radix_sort_u64(&mut self.latencies);
-        // lint:allow(btreemap-in-hot-path): drain-time fold of a 2-entry array
+        #[expect(
+            clippy::disallowed_types,
+            reason = "drain-time fold of a 2-entry array"
+        )]
         let mut rejected_by = BTreeMap::new();
         for (i, reason) in REJECT_REASONS.iter().enumerate() {
             if self.rejected_by[i] > 0 {
@@ -1401,6 +1430,10 @@ impl<M: ServiceModel> Sim<'_, M> {
         // want = ceil(in_flight / (cores_per_node × target%)) nodes,
         // clamped to the controller's range. Integer arithmetic only.
         let capacity_unit = (self.cfg.cores_per_node as u64 * ac.target_load_pct).max(1);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "want is clamped to max_nodes, a usize"
+        )]
         let want = (self.in_flight * 100)
             .div_ceil(capacity_unit)
             .clamp(ac.min_nodes as u64, ac.max_nodes as u64) as usize;
@@ -1424,7 +1457,10 @@ impl<M: ServiceModel> Sim<'_, M> {
             self.node_state[node] = NodeState::Booting;
             self.refresh_node_key(node);
             let seq = self.alloc_seq();
-            // lint:allow(narrowing-cast-in-hot-path): node indexes max_nodes <= 2^16
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "node indexes max_nodes <= 2^16"
+            )]
             let node = node as u32;
             sc.boots
                 .push_back((self.now + sc.cfg.spinup_cycles, seq, node));
@@ -1476,7 +1512,10 @@ impl<M: ServiceModel> Sim<'_, M> {
     fn node_off(&mut self, node: usize) {
         debug_assert_eq!(self.load[node], 0, "node_off requires a drained node");
         for workload in 0..self.mix.len() {
-            // lint:allow(narrowing-cast-in-hot-path): workload ids index the mix table, far below 2^32
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "workload ids index the mix table, far below 2^32"
+            )]
             let widx = self.warm_idx(workload as u32, node);
             if self.warm[widx] != NO_WARM {
                 let slot = self.take_warm(widx);
@@ -2130,7 +2169,7 @@ mod tests {
         let r = run_profiled(&cfg, &arrival, &mix);
         assert!(r.expired > 0, "sparse arrivals must outlive the TTL");
         assert!(r.pm_parks > 0);
-        assert_eq!(r.live_containers as usize, 0, "short TTL drains the pool");
+        assert_eq!(r.live_containers, 0, "short TTL drains the pool");
         assert!(r.is_clean(), "{}", r.audit);
     }
 

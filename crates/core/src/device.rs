@@ -535,7 +535,6 @@ impl MementoDevice {
     ///
     /// [`MementoError::SizeTooLarge`] for requests above 512 bytes — the
     /// software allocator integration (§4) routes those to `malloc`.
-    #[allow(clippy::too_many_arguments)]
     pub fn obj_alloc(
         &mut self,
         mem: &mut PhysMem,
@@ -685,7 +684,10 @@ impl MementoDevice {
     /// Requests a new arena from the page allocator and installs it as the
     /// current HOT entry with the given list heads. Returns the page-side
     /// cycles and adds header-init cost to `obj_cycles`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each machine part is a separate borrow of the caller's state"
+    )]
     fn install_new_arena(
         &mut self,
         mem: &mut PhysMem,
@@ -794,7 +796,10 @@ impl MementoDevice {
     /// region (software free) and [`MementoError::DoubleFree`] when the
     /// object's bitmap bit is already clear (raised to software as an
     /// exception, §4).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each machine part is a separate borrow of the caller's state"
+    )]
     pub fn obj_free(
         &mut self,
         mem: &mut PhysMem,

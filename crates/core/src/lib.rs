@@ -57,9 +57,6 @@
 //! # Ok::<(), memento_core::device::MementoError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod arena;
 pub mod costs;
 pub mod device;

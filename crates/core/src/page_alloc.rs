@@ -493,7 +493,8 @@ impl HardwarePageAllocator {
         let mut cycles = Cycles::ZERO;
         let mut allocated = 0u64;
         let mut table = proc.page_table.root();
-        for level in (0..=3u8).rev() {
+        let mut level = 3u8;
+        loop {
             let entry_addr = table.base_addr().add(va.pt_index(level) as u64 * 8);
             cycles += mem_sys.access(core, AccessKind::Read, entry_addr).cycles;
             let pte = Pte::from_raw(mem.read_u64(entry_addr));
@@ -525,9 +526,8 @@ impl HardwarePageAllocator {
                 allocated += 1;
                 new_table
             };
+            level -= 1;
         }
-        // lint:allow(panic-in-lib): the level loop runs 3..=0 and level 0 always returns
-        unreachable!("walk terminates at level 0");
     }
 
     /// Allocates a new arena of `class` for `core`: bumps the VA pointer
@@ -607,7 +607,10 @@ impl HardwarePageAllocator {
     /// frames into the pool, invalidates entries, and reports the pages and
     /// cores needing shootdowns. Surplus frames above the configured
     /// high-water mark are returned to the OS backend.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each machine part is a separate borrow of the caller's state"
+    )]
     pub fn free_arena(
         &mut self,
         mem: &mut PhysMem,

@@ -12,7 +12,7 @@ use memento_simcore::addr::VirtAddr;
 use memento_simcore::physmem::{Frame, PhysMem};
 use memento_vm::tlb::Tlb;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn arena_bitmap_model(ops in proptest::collection::vec((0usize..OBJECTS_PER_ARENA, any::<bool>()), 1..300)) {
         let mut header = ArenaHeader::fresh(VirtAddr::new(0x6000_0000_0000));
-        let mut model: HashSet<usize> = HashSet::new();
+        let mut model: BTreeSet<usize> = BTreeSet::new();
         for (idx, set) in ops {
             // set/clear contract-check redundant transitions in debug
             // builds, so only issue state-changing ops (as the FSM does).
@@ -115,7 +115,7 @@ proptest! {
             .expect("attach with live backend");
 
         // live: address -> rounded size.
-        let mut live: HashMap<u64, usize> = HashMap::new();
+        let mut live: BTreeMap<u64, usize> = BTreeMap::new();
         let mut order: Vec<u64> = Vec::new();
 
         for op in ops {

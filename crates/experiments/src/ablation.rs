@@ -49,7 +49,6 @@ fn summarize(baselines: &[RunStats], runs: &[RunStats]) -> (f64, f64) {
         .collect();
     (
         stats::geomean(&speedups),
-        // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
         miss_rates.iter().sum::<f64>() / miss_rates.len().max(1) as f64,
     )
 }

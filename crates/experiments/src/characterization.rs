@@ -87,7 +87,6 @@ impl fmt::Display for CharacterizationResult {
         ]);
         for g in &self.groups {
             let h = &g.ch.size_hist;
-            // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
             let tail: f64 = (4..h.bins()).map(|b| h.percent(b)).sum::<f64>()
                 + h.percent_overflow()
                 + h.percent(3);
@@ -117,7 +116,6 @@ impl fmt::Display for CharacterizationResult {
         for g in &self.groups {
             let h = &g.ch.lifetime_hist;
             let b33_64: f64 = h.percent(2) + h.percent(3);
-            // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
             let b65_256: f64 = (4..16).map(|b| h.percent(b)).sum();
             t.row(vec![
                 g.label.clone(),
@@ -184,9 +182,7 @@ pub fn mm_breakdown(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> MmBreakdow
             let n = user[i].len() as f64;
             (
                 (*label).to_owned(),
-                // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
                 user[i].iter().sum::<f64>() / n,
-                // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
                 kernel[i].iter().sum::<f64>() / n,
             )
         })

@@ -48,12 +48,7 @@ pub(crate) fn cycles_per_us() -> f64 {
 
 /// Mean warm service time of `profiles`, in cycles.
 pub(crate) fn mean_warm_cycles(profiles: &[ServiceProfile]) -> f64 {
-    profiles
-        .iter()
-        .map(|p| p.warm_cycles as f64)
-        // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
-        .sum::<f64>()
-        / profiles.len().max(1) as f64
+    profiles.iter().map(|p| p.warm_cycles as f64).sum::<f64>() / profiles.len().max(1) as f64
 }
 
 /// Fleet shape and traffic knobs for the cluster experiment.

@@ -179,8 +179,11 @@ impl EvalContext {
     ///
     /// Panics on an unknown name; fallible callers use
     /// [`EvalContext::try_workload`].
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking variant; fallible callers use try_workload"
+    )]
     pub fn workload(&self, name: &str) -> WorkloadSpec {
-        // lint:allow(panic-in-lib): documented panicking variant; fallible callers use try_workload
         self.try_workload(name).unwrap_or_else(|e| panic!("{e}"))
     }
 

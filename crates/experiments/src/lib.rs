@@ -46,9 +46,6 @@
 //! assert!(fig8.func_avg > 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ablation;
 pub mod arena_list;
 pub mod bandwidth;

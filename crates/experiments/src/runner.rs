@@ -99,6 +99,10 @@ impl std::fmt::Display for RunnerTiming {
 }
 
 /// Runs `f`, pairing its result with the wall-clock it took.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness timer; host time is reported apart from the tables"
+)]
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let result = f();

@@ -55,9 +55,7 @@ pub fn populate(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> PopulateResult
         }
         rows.push((
             lang.to_string(),
-            // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
             speedups.iter().sum::<f64>() / speedups.len() as f64,
-            // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
             footprints.iter().sum::<f64>() / footprints.len() as f64,
         ));
     }
@@ -175,7 +173,6 @@ pub fn fragmentation(ctx: &mut EvalContext, specs: &[WorkloadSpec]) -> Fragmenta
         }
     }
     let mean_gap =
-        // lint:allow(float-accumulation-order): fixed-order reduction over map_ordered output
         rows.iter().map(|(_, m, b)| (m - b).abs()).sum::<f64>() / rows.len().max(1) as f64;
     FragmentationResult { rows, mean_gap }
 }

@@ -38,7 +38,10 @@ pub struct DemandAccess {
 ///
 /// Propagates [`KernelError::Segfault`] / [`KernelError::OutOfMemory`] from
 /// the fault handler.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each machine part is a separate borrow of the caller's state"
+)]
 pub fn demand_access(
     kernel: &mut Kernel,
     walker: &mut PageWalker,

@@ -336,7 +336,10 @@ impl Kernel {
     /// # Errors
     ///
     /// [`KernelError::OutOfMemory`] when populate cannot back the range.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each machine part is a separate borrow of the caller's state"
+    )]
     pub fn mmap(
         &mut self,
         mem: &mut PhysMem,
@@ -383,7 +386,10 @@ impl Kernel {
     /// # Errors
     ///
     /// [`KernelError::BadMunmap`] if the range is not an exact prior mapping.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each machine part is a separate borrow of the caller's state"
+    )]
     pub fn munmap(
         &mut self,
         mem: &mut PhysMem,
@@ -431,7 +437,10 @@ impl Kernel {
     /// those lose their frame and demand-fault on the next touch. The VMA
     /// itself stays mapped throughout. `reclaim_stride == 0` marks without
     /// reclaiming.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each machine part is a separate borrow of the caller's state"
+    )]
     pub fn madvise_free(
         &mut self,
         mem: &mut PhysMem,

@@ -17,9 +17,6 @@
 //! and kernel-metadata touches issue real accesses through the cache
 //! hierarchy so kernel work also shows up as memory traffic.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod access;
 pub mod buddy;
 pub mod costs;

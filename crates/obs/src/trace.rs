@@ -117,12 +117,15 @@ impl Tracer {
     /// # Panics
     ///
     /// Panics when no phase span is open on `core` (unbalanced `end`).
+    #[expect(
+        clippy::panic,
+        reason = "an unmatched end() is an instrumentation bug worth a loud stop"
+    )]
     pub fn end(&mut self, core: usize) {
         let idx = self
             .open
             .iter()
             .rposition(|s| s.core == core)
-            // lint:allow(panic-in-lib): unmatched end() is an instrumentation bug worth a loud stop
             .unwrap_or_else(|| panic!("tracer: end() on core {core} with no open span"));
         let span = self.open.remove(idx);
         self.phases.push(PhaseSpan {
@@ -155,9 +158,12 @@ impl Tracer {
     /// Panics with the open-span stack in the message when a span was left
     /// open at run end — a dangling span means some phase's cycles would be
     /// silently unattributed.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract check; a dangling span hides cycles"
+    )]
     pub fn assert_closed(&self) {
         if !self.open.is_empty() {
-            // lint:allow(panic-in-lib): documented contract check; a dangling span hides cycles
             panic!(
                 "tracer: span(s) left open at run end: [{}]",
                 self.open_spans().join(" > ")

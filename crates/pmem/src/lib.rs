@@ -26,9 +26,6 @@
 //! cycles; the cluster layer prices `KeepAlive::ParkToPM` from the same
 //! model via profile calibration.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod costs;
 pub mod image;
 pub mod pool;

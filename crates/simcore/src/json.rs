@@ -35,9 +35,12 @@ impl Value {
     /// # Panics
     ///
     /// Panics when `self` is not an object.
+    #[expect(
+        clippy::panic,
+        reason = "documented builder contract; callers construct the object"
+    )]
     pub fn set(&mut self, key: &str, value: impl Into<Value>) -> &mut Self {
         let Value::Object(members) = self else {
-            // lint:allow(panic-in-lib): documented builder contract; callers construct the object
             panic!("set on non-object JSON value");
         };
         let value = value.into();

@@ -35,9 +35,6 @@
 //! assert_eq!(VirtAddr::new(0x1234).page_offset(), 0x234);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod addr;
 pub mod cycles;
 pub mod hash;

@@ -43,6 +43,10 @@ pub fn effective_jobs(requested: Option<usize>) -> usize {
 /// Maps `f` over `items` on a pool of `jobs` threads, returning results in
 /// input order. `jobs <= 1` (or a single item) runs inline on the caller's
 /// thread — the serial reference the parallel path must match.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool's workers; results are slotted by input index"
+)]
 pub fn map_ordered<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -61,7 +65,7 @@ where
             let next = &next;
             let f = &f;
             s.spawn(move || loop {
-                // lint:allow(atomic-ordering-audit): pure claim counter; results ride the channel
+                // Relaxed: a pure claim counter; results ride the channel.
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= items.len() {
                     break;
@@ -90,6 +94,10 @@ where
 /// none outlives the call. A helper's panic is re-raised here, ahead of
 /// a panic of `main` (which the helper's failure may have caused).
 /// `helpers == 0` runs `main` alone and starts no thread.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool's helpers; the caller decides every result's order"
+)]
 pub fn with_helpers<R>(
     helpers: usize,
     helper: impl Fn() + Sync,
@@ -231,7 +239,10 @@ mod tests {
             "every helper ran and was joined"
         );
         // No helper: `main` runs alone and `stop` is never needed.
-        assert_eq!(with_helpers(0, || unreachable!(), || {}, || 8), 8);
+        assert_eq!(
+            with_helpers(0, || panic!("no helper starts"), || {}, || 8),
+            8
+        );
     }
 
     #[test]

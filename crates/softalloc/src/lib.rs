@@ -21,9 +21,6 @@
 //! and take real page faults via the kernel model, so the user/kernel
 //! split emerges from the design rather than being asserted.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod glibc;
 pub mod go;
 pub mod je;

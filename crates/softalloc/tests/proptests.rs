@@ -10,7 +10,7 @@ use memento_softalloc::{GoAlloc, JeMalloc, PyMalloc};
 use memento_vm::tlb::Tlb;
 use memento_vm::walker::PageWalker;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -38,7 +38,7 @@ fn exercise(make: fn() -> Box<dyn SoftwareAllocator>, ops: Vec<Op>) -> Result<()
     let mut alloc = make();
 
     // live: start -> size (rounded up to 8 to cover header-free design).
-    let mut live: HashMap<u64, usize> = HashMap::new();
+    let mut live: BTreeMap<u64, usize> = BTreeMap::new();
     let mut order: Vec<u64> = Vec::new();
 
     for op in ops {

@@ -47,7 +47,8 @@ fn measure(spec: &memento_workloads::spec::WorkloadSpec) -> f64 {
 
 fn main() {
     for (name, target) in TARGETS {
-        let mut spec = suite::by_name(name).unwrap();
+        let mut spec =
+            suite::by_name(name).expect("every calibration target names a suite workload");
         let target_gain = target - 1.0;
         let mut best = (f64::MAX, spec.malloc_pki, spec.touch_intensity);
         for _iter in 0..8 {

@@ -1,3 +1,5 @@
+//! Prints each suite workload's aggregate user and kernel pages and its
+//! mmap count under Memento next to the baseline (Memento/baseline).
 use memento_system::{Machine, SystemConfig};
 use memento_workloads::{spec::Category, suite};
 fn main() {

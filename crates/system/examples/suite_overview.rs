@@ -1,3 +1,7 @@
+//! Prints one row per suite workload: Memento's speedup, the baseline's
+//! memory-management share and user/kernel split, the bandwidth
+//! reduction, HOT hit rates, relative memory use and page faults, then
+//! the geomean speedup over the functions.
 use memento_system::{stats, Machine, SystemConfig};
 use memento_workloads::{spec::Category, suite};
 
@@ -20,7 +24,7 @@ fn main() {
         let (base, mem) = (run(SystemConfig::baseline()), run(SystemConfig::memento()));
         let s = stats::speedup(&base, &mem);
         let bw = stats::bandwidth_reduction(&base, &mem);
-        let hot = mem.hot.unwrap();
+        let hot = mem.hot.expect("a Memento run reports its HOT stats");
         let usage = (mem.user_pages_agg + mem.kernel_pages_agg) as f64
             / (base.user_pages_agg + base.kernel_pages_agg).max(1) as f64;
         println!(

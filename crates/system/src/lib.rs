@@ -30,9 +30,6 @@
 //! assert!(memento.total_cycles() < baseline.total_cycles());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod config;
 pub mod container;
 pub mod gc;

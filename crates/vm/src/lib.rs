@@ -22,9 +22,6 @@
 //! assert_eq!(pt.translate(&mem, va).unwrap().frame, frame);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod pagetable;
 pub mod tlb;
 pub mod walker;

@@ -215,8 +215,8 @@ impl PageTable {
     }
 
     /// Physical address of the entry for `va` at `level` within the current
-    /// tree, or `None` if an intermediate table is missing. Level 3 is the
-    /// root, level 0 the leaf.
+    /// tree, or `None` if an intermediate table is missing or `level` is
+    /// past the root. Level 3 is the root, level 0 the leaf.
     pub fn entry_addr(&self, mem: &PhysMem, va: VirtAddr, level: u8) -> Option<PhysAddr> {
         let mut table = self.root;
         for lvl in (level..=3).rev() {
@@ -230,8 +230,8 @@ impl PageTable {
             }
             table = pte.frame();
         }
-        // lint:allow(panic-in-lib): the range loop always reaches the target level and returns
-        unreachable!("loop covers level..=3");
+        // Reached only when `level > 3`: the range above is empty.
+        None
     }
 
     /// Maps `va -> frame` with `perms`, allocating intermediate tables from
@@ -570,5 +570,16 @@ mod tests {
             leaf_addr,
             "translate and entry_addr agree"
         );
+    }
+
+    #[test]
+    fn entry_addr_past_the_root_is_none() {
+        let (mut mem, mut pt) = setup();
+        let frame = mem.alloc_frame().unwrap();
+        let va = VirtAddr::new(0x7000);
+        pt.map_boot(&mut mem, va, frame, PtePerms::rw()).unwrap();
+        for level in [4, u8::MAX] {
+            assert_eq!(pt.entry_addr(&mem, va, level), None, "level {level}");
+        }
     }
 }

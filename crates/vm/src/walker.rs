@@ -86,7 +86,8 @@ impl PageWalker {
         let mut cycles = Cycles::ZERO;
         let mut table = root;
         let mut reads = 0u64;
-        for level in (0..=3u8).rev() {
+        let mut level = 3u8;
+        loop {
             let entry_addr = table.base_addr().add(va.pt_index(level) as u64 * 8);
             cycles += mem_sys.access(core, AccessKind::Read, entry_addr).cycles;
             self.stats.pte_reads += 1;
@@ -109,9 +110,8 @@ impl PageWalker {
                 };
             }
             table = pte.frame();
+            level -= 1;
         }
-        // lint:allow(panic-in-lib): the level loop runs 3..=0 and level 0 always returns
-        unreachable!("walk terminates at level 0");
     }
 }
 

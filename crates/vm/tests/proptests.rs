@@ -8,7 +8,7 @@ use memento_simcore::physmem::{Frame, PhysMem};
 use memento_vm::pagetable::{PageTable, PtePerms};
 use memento_vm::tlb::Tlb;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum PtOp {
@@ -40,7 +40,7 @@ proptest! {
     fn page_table_matches_model(ops in pt_ops()) {
         let mut mem = PhysMem::new(256 << 20);
         let mut pt = PageTable::new(&mut mem).unwrap();
-        let mut model: HashMap<u64, Frame> = HashMap::new();
+        let mut model: BTreeMap<u64, Frame> = BTreeMap::new();
         let mut next_frame = 10_000u64;
 
         for op in ops {
@@ -50,7 +50,7 @@ proptest! {
                     let frame = Frame::from_number(next_frame);
                     next_frame += 1;
                     let res = pt.map_boot(&mut mem, va, frame, PtePerms::rw());
-                    if let std::collections::hash_map::Entry::Vacant(e) = model.entry(va.raw()) {
+                    if let std::collections::btree_map::Entry::Vacant(e) = model.entry(va.raw()) {
                         prop_assert!(res.is_ok());
                         e.insert(frame);
                     } else {
@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn tlb_never_lies(ops in proptest::collection::vec((0u8..3, any::<u16>()), 1..300)) {
         let mut tlb = Tlb::default();
-        let mut model: HashMap<u64, Frame> = HashMap::new();
+        let mut model: BTreeMap<u64, Frame> = BTreeMap::new();
         for (kind, n) in ops {
             let va = page_va(n);
             match kind {

@@ -174,7 +174,7 @@ pub fn generate(spec: &WorkloadSpec) -> Trace {
         }
     };
 
-    #[allow(clippy::explicit_counter_loop)] // next_id also grows via frees
+    #[expect(clippy::explicit_counter_loop, reason = "next_id also grows via frees")]
     for _ in 0..n_allocs {
         // Application compute between allocations (±30% jitter).
         let jitter = rng.gen_range(0.7..1.3);
@@ -300,7 +300,7 @@ mod tests {
         // Hot set for re-touches: (id, size).
         let mut hot: Vec<(ObjectId, u32)> = Vec::new();
 
-        #[allow(clippy::explicit_counter_loop)] // next_id also grows via frees
+        #[expect(clippy::explicit_counter_loop, reason = "next_id also grows via frees")]
         for _ in 0..n_allocs {
             // Application compute between allocations (±30% jitter).
             let jitter = rng.gen_range(0.7..1.3);

@@ -20,9 +20,6 @@
 //! `Exit`) that `memento-system` executes against either the baseline
 //! software stack or the Memento hardware.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod analysis;
 pub mod event;
 pub mod generator;

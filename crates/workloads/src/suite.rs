@@ -8,7 +8,10 @@
 use crate::spec::{Category, Language, LifetimeProfile, SizeProfile, WorkloadSpec};
 
 /// Builder for one suite entry.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per column of the suite table"
+)]
 fn spec(
     name: &str,
     language: Language,
