@@ -99,6 +99,7 @@ impl MemSystemConfig {
     }
 }
 
+#[derive(Clone)]
 struct CoreCaches {
     l1i: SetAssocCache,
     l1d: SetAssocCache,
@@ -158,6 +159,7 @@ struct Downstream<'a> {
 }
 
 /// The full memory system: private L1s/L2 per core, shared LLC and DRAM.
+#[derive(Clone)]
 pub struct MemSystem {
     cfg: MemSystemConfig,
     cores: Vec<CoreCaches>,

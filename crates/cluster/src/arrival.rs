@@ -116,12 +116,11 @@ pub struct ArrivalConfig {
     pub mean_interarrival_cycles: f64,
 }
 
-/// One offered invocation: its id (submission order), arrival time in
-/// simulated cycles, and the mix index of the workload it runs.
+/// One offered invocation: its arrival time in simulated cycles, and the
+/// mix index of the workload it runs. Its place in an arrival sequence is
+/// its submission order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Arrival {
-    /// Submission-order id, dense from 0.
-    pub id: u64,
     /// Arrival time in simulated cycles.
     pub time: u64,
     /// Index into the [`WorkloadMix`].

@@ -28,14 +28,14 @@
 //!   idle. While a helper holds that machine, the fleet thread steps
 //!   another root ahead the same way a helper would, and waits only
 //!   when no root is idle with room. Records are a pure function of the
-//!   op history, so every output is the same at any helper count.
-//!   Sanitized fleets start no helper (see `sim::run_ahead_helpers`).
-//! - **Teardown.** [`ServiceModel::release`] needs a machine only when the
-//!   machine has a sanitizer: the finish report is computed once per
-//!   depth and memoized, from the root's machine if it sits idle at that
-//!   depth, else from a replay of the script on the fleet thread.
-//!   Without a sanitizer teardown reads nothing, so the root's machine
-//!   stays for later containers.
+//!   op history, so every output is the same at any helper count,
+//!   sanitized or not.
+//! - **Teardown.** A step that leaves a sanitized machine at a depth
+//!   also tears down a clone of it there ([`Audit::read`]), and the root
+//!   keeps that report with the depth's record, so
+//!   [`ServiceModel::release`] only reads it. No machine is rebuilt for a
+//!   teardown. Without a sanitizer teardown reads nothing and nothing is
+//!   cloned.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -83,6 +83,23 @@ impl Record {
             squeeze_floor,
             squeeze_refault: (idle_frames - squeeze_floor) * m.squeeze_refault_unit_cycles(),
         }
+    }
+}
+
+/// A sanitized machine's reports at one depth: its live report, and the
+/// report a teardown there hands back.
+struct Audit {
+    live: SanitizerReport,
+    teardown: SanitizerReport,
+}
+
+impl Audit {
+    /// `m`'s reports, `None` without a sanitizer. The teardown runs on a
+    /// clone, so `m` stays where it is.
+    fn read(m: &WarmContainer) -> Option<Audit> {
+        let live = m.machine().sanitizer_report()?.clone();
+        let teardown = m.clone().finish_with_report().1?;
+        Some(Audit { live, teardown })
     }
 }
 
@@ -141,26 +158,17 @@ impl OpCycle {
     }
 }
 
-/// A root's machine in the run-ahead store.
-enum Tip {
-    /// No machine: the root is not booted yet, or a sanitized teardown
-    /// took it.
-    Gone,
-    /// Idle at the root's `depth`; any thread may step it. Boxed: the
-    /// machine moves between threads, the box does not.
-    Idle(Box<WarmContainer>),
-    /// A thread is stepping it.
-    Busy,
-}
-
 /// One root as the run-ahead store holds it.
 struct AheadRoot {
-    tip: Tip,
+    /// The root's machine while it sits idle at `depth`, where any thread
+    /// may step it; `None` while a thread steps it, and before the root's
+    /// boot. Boxed: the machine moves between threads, the box does not.
+    idle: Option<Box<WarmContainer>>,
     /// The machine's depth: the root's records plus `buffered`.
     depth: usize,
     /// Records stepped past the root's deepest container, oldest first,
-    /// each with the machine's sanitizer report after it.
-    buffered: VecDeque<(Record, Option<SanitizerReport>)>,
+    /// each with the machine's reports after it.
+    buffered: VecDeque<(Record, Option<Audit>)>,
 }
 
 struct AheadState {
@@ -181,20 +189,10 @@ impl AheadState {
         self.roots
             .iter()
             .enumerate()
-            .filter(|(_, r)| matches!(r.tip, Tip::Idle(_)) && r.buffered.len() < LOOKAHEAD)
+            .filter(|(_, r)| r.idle.is_some() && r.buffered.len() < LOOKAHEAD)
             .min_by_key(|(_, r)| r.buffered.len())
             .map(|(key, _)| key)
     }
-}
-
-/// What the fleet thread gets when it asks a root for its next record.
-enum Next {
-    /// A record a helper stepped ahead, with its sanitizer report.
-    Buffered(Record, Option<SanitizerReport>),
-    /// The root's idle machine, now held by the fleet thread; `None`
-    /// when a sanitized teardown took it, and the fleet thread rebuilds
-    /// it by replay.
-    Machine(Option<Box<WarmContainer>>),
 }
 
 /// The root machines of one run, shared between the fleet thread and
@@ -226,7 +224,7 @@ impl RunAhead {
     pub(crate) fn new(cycle: OpCycle, mix: &WorkloadMix) -> Self {
         let roots = (0..mix.len())
             .map(|_| AheadRoot {
-                tip: Tip::Gone,
+                idle: None,
                 depth: 0,
                 buffered: VecDeque::with_capacity(LOOKAHEAD),
             })
@@ -257,23 +255,18 @@ impl RunAhead {
     }
 
     /// Steps idle root `key` one op along the cycle outside the lock and
-    /// buffers the record with the machine's sanitizer report, counted
-    /// only when the fleet consumes it. The one step ahead of a root's
-    /// deepest container, taken by helpers and by the fleet thread while
-    /// its own root is busy. Returns the lock, retaken.
+    /// buffers the record with the machine's reports, counted only when
+    /// the fleet consumes it. The one step of a root, taken by helpers
+    /// and by the fleet thread. Returns the lock, retaken.
     fn step_ahead<'g>(
         &'g self,
         mut st: MutexGuard<'g, AheadState>,
         key: usize,
     ) -> MutexGuard<'g, AheadState> {
         let root = &mut st.roots[key];
-        let mut m = match std::mem::replace(&mut root.tip, Tip::Busy) {
-            Tip::Idle(m) => m,
-            // Only an idle root is stepped ahead.
-            tip => {
-                root.tip = tip;
-                return st;
-            }
+        // Only an idle root is stepped.
+        let Some(mut m) = root.idle.take() else {
+            return st;
         };
         let op = self.cycle.op(root.depth);
         #[cfg(test)]
@@ -282,12 +275,12 @@ impl RunAhead {
         #[cfg(test)]
         assert!(!fail, "injected step failure");
         let r = run_op(&mut m, op);
-        let report = m.machine().sanitizer_report().cloned();
+        let audit = Audit::read(&m);
         let mut st = self.lock();
         let root = &mut st.roots[key];
-        root.tip = Tip::Idle(m);
+        root.idle = Some(m);
         root.depth += 1;
-        root.buffered.push_back((r, report));
+        root.buffered.push_back((r, audit));
         debug_assert!(
             root.buffered.len() <= LOOKAHEAD,
             "root {key} buffered past LOOKAHEAD"
@@ -324,27 +317,29 @@ impl RunAhead {
         self.changed.notify_all();
     }
 
-    /// Root `key`'s next record, or its idle machine for the fleet thread
-    /// to step. While a helper steps it, the fleet thread steps another
-    /// root ahead instead, and waits only when no root is idle with room.
-    fn next(&self, key: usize) -> Next {
+    /// Root `key`'s next record, with the machine's reports after it:
+    /// one a helper buffered, else one the fleet thread steps here. While
+    /// a helper steps the root, the fleet thread steps another root ahead
+    /// instead, and waits only when no root is idle with room. The root
+    /// must be booted.
+    fn next(&self, key: usize) -> (Record, Option<Audit>) {
         let mut st = self.lock();
         loop {
             assert!(!st.failed, "a run-ahead helper panicked");
             let root = &mut st.roots[key];
             let full = root.buffered.len() == LOOKAHEAD;
-            if let Some((r, report)) = root.buffered.pop_front() {
+            if let Some(step) = root.buffered.pop_front() {
                 if full {
                     // The root has room again.
                     self.changed.notify_all();
                 }
-                return Next::Buffered(r, report);
+                return step;
             }
-            match std::mem::replace(&mut root.tip, Tip::Busy) {
-                Tip::Idle(m) => return Next::Machine(Some(m)),
-                Tip::Gone => return Next::Machine(None),
-                Tip::Busy => st = self.step_any_or_wait(st),
-            }
+            st = if root.idle.is_some() {
+                self.step_ahead(st, key)
+            } else {
+                self.step_any_or_wait(st)
+            };
         }
     }
 
@@ -353,24 +348,10 @@ impl RunAhead {
     fn put(&self, key: usize, m: Box<WarmContainer>, depth: usize) {
         let mut st = self.lock();
         let root = &mut st.roots[key];
-        debug_assert!(!matches!(root.tip, Tip::Idle(_)) && root.buffered.is_empty());
-        root.tip = Tip::Idle(m);
+        debug_assert!(root.idle.is_none() && root.buffered.is_empty());
+        root.idle = Some(m);
         root.depth = depth;
         self.changed.notify_all();
-    }
-
-    /// Takes root `key`'s machine if it sits idle at `depth` (so nothing
-    /// is buffered past the root's records).
-    fn take_at(&self, key: usize, depth: usize) -> Option<Box<WarmContainer>> {
-        let mut st = self.lock();
-        let root = &mut st.roots[key];
-        match std::mem::replace(&mut root.tip, Tip::Gone) {
-            Tip::Idle(m) if root.depth == depth => Some(m),
-            tip => {
-                root.tip = tip;
-                None
-            }
-        }
     }
 }
 
@@ -386,8 +367,9 @@ pub(crate) struct Pos {
 /// place a cluster-layer [`WarmContainer`] is booted or stepped for a
 /// result the fleet reads: the lineage store runs the fleet's ops
 /// through it, and [`crate::profile::calibrate`] its fixed calibration
-/// script. (Run-ahead helpers step roots without counting; the store
-/// counts a buffered record when the fleet consumes it.)
+/// script. (The store's roots step in [`RunAhead`], on helpers and on
+/// the fleet thread alike, and each record counts here when the fleet
+/// consumes it.)
 pub(crate) struct Runner {
     cfg: Box<SystemConfig>,
     specs: Vec<WorkloadSpec>,
@@ -446,11 +428,9 @@ struct Root {
     /// `records[d - 1]` holds the values read at depth `d`; empty until
     /// the workload's first boot.
     records: Vec<Record>,
-    /// `reports[d - 1]` is the machine's sanitizer report at depth `d`;
-    /// empty when the machine has no sanitizer.
-    reports: Vec<SanitizerReport>,
-    /// Memoized teardown reports, `finished[d - 1]` for depth `d`.
-    finished: Vec<Option<SanitizerReport>>,
+    /// `audits[d - 1]` holds the machine's reports at depth `d`; empty
+    /// when the machine has no sanitizer.
+    audits: Vec<Audit>,
 }
 
 /// The Measured engine's store: one root per workload of the mix, whose
@@ -475,62 +455,23 @@ impl<'a> Lineages<'a> {
         }
     }
 
-    /// A fresh machine at `depth` on `workload`'s root: the run's boot,
-    /// then the cycle's ops up to `depth`. A debug build checks the
-    /// replay reproduces the root's records.
-    fn replay(&mut self, workload: u32, depth: usize) -> WarmContainer {
-        let cycle = self.ahead.cycle;
-        let records = &self.roots[workload as usize].records;
-        let (mut m, r) = self.runner.boot(workload, cycle.boot);
-        debug_assert_eq!(r, records[0], "replayed boot diverged");
-        for (d, want) in (1..).zip(&records[1..depth]) {
-            let r = self.runner.apply(&mut m, cycle.op(d));
-            debug_assert_eq!(r, *want, "replayed op at depth {d} diverged");
-        }
-        m
+    /// The machine's reports at `pos` (`None` without a sanitizer).
+    fn audit(&self, pos: Pos) -> Option<&Audit> {
+        self.roots[pos.workload as usize]
+            .audits
+            .get(pos.depth as usize - 1)
     }
 
     /// Appends the next record of `workload`'s root, for its deepest
-    /// container: a record a helper buffered (counted as simulated now
-    /// that the fleet consumes it), else one stepped here.
+    /// container, counted as simulated now that the fleet consumes it.
     fn advance_root(&mut self, workload: u32) -> Record {
         let key = workload as usize;
-        let depth = self.roots[key].records.len();
-        let (r, report) = match self.ahead.next(key) {
-            Next::Buffered(r, report) => {
-                self.runner.simulated += 1;
-                (r, report)
-            }
-            Next::Machine(m) => {
-                let mut m = m.unwrap_or_else(|| Box::new(self.replay(workload, depth)));
-                let r = self.runner.apply(&mut m, self.ahead.cycle.op(depth));
-                let report = m.machine().sanitizer_report().cloned();
-                self.ahead.put(key, m, depth + 1);
-                (r, report)
-            }
-        };
+        let (r, audit) = self.ahead.next(key);
+        self.runner.simulated += 1;
         let root = &mut self.roots[key];
         root.records.push(r);
-        root.reports.extend(report);
+        root.audits.extend(audit);
         r
-    }
-
-    fn finish_report(&mut self, pos: Pos) -> SanitizerReport {
-        let (key, depth) = (pos.workload as usize, pos.depth as usize);
-        if let Some(Some(r)) = self.roots[key].finished.get(depth - 1) {
-            return r.clone();
-        }
-        let m = match self.ahead.take_at(key, depth) {
-            Some(m) => *m,
-            None => self.replay(pos.workload, depth),
-        };
-        let report = m.finish_with_report().1.unwrap_or_default();
-        let finished = &mut self.roots[key].finished;
-        if finished.len() < depth {
-            finished.resize(depth, None);
-        }
-        finished[depth - 1] = Some(report.clone());
-        report
     }
 }
 
@@ -553,7 +494,7 @@ impl ServiceModel for Lineages<'_> {
         let (m, r) = self.runner.boot(workload, kind);
         let root = &mut self.roots[key];
         root.records.push(r);
-        root.reports.extend(m.machine().sanitizer_report().cloned());
+        root.audits.extend(Audit::read(&m));
         self.ahead.put(key, Box::new(m), 1);
         (pos, r)
     }
@@ -584,21 +525,14 @@ impl ServiceModel for Lineages<'_> {
     /// The machine's sanitizer report at `pos` (`None` without a
     /// sanitizer).
     fn report(&self, pos: Pos) -> Option<&SanitizerReport> {
-        self.roots[pos.workload as usize]
-            .reports
-            .get(pos.depth as usize - 1)
+        self.audit(pos).map(|a| &a.live)
     }
 
     /// Tears down the container at `pos` and returns the machine's final
-    /// sanitizer report (`None` without a sanitizer).
+    /// sanitizer report (`None` without a sanitizer): the report of the
+    /// clone its root tore down at that depth.
     fn release(&mut self, pos: Pos) -> Option<SanitizerReport> {
-        // Reports are recorded only when the machine has a sanitizer;
-        // without one, teardown reads nothing and needs no machine.
-        if self.roots[pos.workload as usize].reports.is_empty() {
-            None
-        } else {
-            Some(self.finish_report(pos))
-        }
+        self.audit(pos).map(|a| a.teardown.clone())
     }
 
     fn add_metrics(&self, metrics: &mut MetricsRegistry) {
@@ -958,8 +892,8 @@ mod tests {
     #[test]
     fn a_helper_panic_reaches_the_fleet_thread_waiting_on_its_root() {
         let ahead = RunAhead::new(PLAIN, &mix());
-        // As if a helper held root 0 when it failed.
-        ahead.lock().roots[0].tip = Tip::Busy;
+        // Root 0 holds no idle machine, as if a helper held it when it
+        // failed.
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_helpers(
                 1,
@@ -994,9 +928,10 @@ mod tests {
             drop(ahead.step_ahead(ahead.lock(), key_b));
         }
         // As if a helper held A's machine.
-        let Tip::Idle(m) = std::mem::replace(&mut ahead.lock().roots[key_a].tip, Tip::Busy) else {
-            panic!("A's machine sits idle after its boot");
-        };
+        let m = ahead.lock().roots[key_a]
+            .idle
+            .take()
+            .expect("A's machine sits idle after its boot");
         #[expect(
             clippy::disallowed_methods,
             reason = "the test stands in for a helper thread holding A's machine"
@@ -1046,8 +981,8 @@ mod tests {
         ahead.put(key_b, Box::new(boots.boot(1, ColdStart::Boot).0), 1);
         {
             let mut st = ahead.lock();
-            // As if a helper held root 0, while B's next step fails.
-            st.roots[0].tip = Tip::Busy;
+            // Root 0 holds no idle machine, as if a helper held it, while
+            // B's next step fails.
             st.fail_step = Some(key_b);
         }
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1080,7 +1015,7 @@ mod tests {
             Some(&"injected step failure")
         );
         assert!(
-            matches!(ahead.lock().roots[key_b].tip, Tip::Busy),
+            ahead.lock().roots[key_b].idle.is_none(),
             "the fleet thread held B's machine when it failed"
         );
     }

@@ -299,9 +299,8 @@ fn validate(
 /// Runs the fleet simulation over a pre-drawn arrival sequence and drains
 /// it to quiescence. The fleet's events run on the calling thread; a
 /// Measured engine may step its shared container histories ahead on
-/// helper threads (one per spare [`pool::effective_jobs`] thread, none
-/// for a sanitized machine), which changes no output and all return
-/// before this does. The arrival slice
+/// helper threads (one per spare [`pool::effective_jobs`] thread), which
+/// changes no output and all return before this does. The arrival slice
 /// must be time-sorted (as [`crate::arrival::generate_arrivals`]
 /// produces) and every arrival must index into `mix`; anything else is
 /// [`ClusterError::InvalidArrivals`]. A Profiled engine needs a profile
@@ -328,7 +327,7 @@ pub fn simulate(
                 return Err(ClusterError::MeasuredTraceFile(path.clone()));
             }
             let sys = container_config(sys, cfg.cores_per_node)?;
-            let helpers = run_ahead_helpers(&sys, mix.len(), pool::effective_jobs(None));
+            let helpers = run_ahead_helpers(mix.len(), pool::effective_jobs(None));
             Ok(run_measured(sys, cfg, mix, arrivals, helpers))
         }
         Engine::Profiled(table) => {
@@ -366,18 +365,10 @@ fn container_config(
 }
 
 /// Run-ahead helper threads for a Measured fleet of `workloads`
-/// workloads whose machines run under `sys`, on `jobs` host threads: one
-/// per spare thread, at most one per workload (one root each), so
-/// `MEMENTO_JOBS=1` starts none. A
-/// sanitized fleet runs serially: its teardown reports come from the
-/// root's machine only while it sits at the retiring container's depth,
-/// so running roots ahead turns most of them into replays from boot.
-fn run_ahead_helpers(sys: &SystemConfig, workloads: usize, jobs: usize) -> usize {
-    if sys.sanitizer.is_some() {
-        0
-    } else {
-        jobs.saturating_sub(1).min(workloads)
-    }
+/// workloads on `jobs` host threads: one per spare thread, at most one
+/// per workload (one root each), so `MEMENTO_JOBS=1` starts none.
+fn run_ahead_helpers(workloads: usize, jobs: usize) -> usize {
+    jobs.saturating_sub(1).min(workloads)
 }
 
 /// Runs a Measured fleet over validated inputs, with `helpers` threads
@@ -1868,19 +1859,16 @@ mod tests {
             .expect("must fail")
         };
         let out_of_mix = [Arrival {
-            id: 0,
             time: 10,
             workload: 3,
         }];
         assert!(matches!(run(&out_of_mix), ClusterError::InvalidArrivals(_)));
         let unsorted = [
             Arrival {
-                id: 0,
                 time: 100_000,
                 workload: 0,
             },
             Arrival {
-                id: 1,
                 time: 10,
                 workload: 0,
             },
@@ -2898,7 +2886,6 @@ mod tests {
         };
         let mut shared_any = false;
         for sys in [SystemConfig::memento(), SystemConfig::memento_sanitized()] {
-            let sanitized = sys.sanitizer.is_some();
             for cfg in &policies {
                 let private = run_per_container(&sys, cfg, &mix, &arrivals);
                 let (ops, ran) = steps(&private);
@@ -2920,15 +2907,11 @@ mod tests {
                     shared_any |= ran < ops;
                     simulated.push(ran);
                 }
-                // Run-ahead records count only once consumed. A sanitized
-                // teardown replays unless the root machine sits at its
-                // depth, which depends on how far helpers ran.
-                if !sanitized {
-                    assert!(
-                        simulated.iter().all(|&n| n == simulated[0]),
-                        "steps_simulated varies with the helper count under {cfg:?}: {simulated:?}"
-                    );
-                }
+                // Run-ahead records count only once consumed.
+                assert!(
+                    simulated.iter().all(|&n| n == simulated[0]),
+                    "steps_simulated varies with the helper count under {cfg:?}: {simulated:?}"
+                );
             }
         }
         assert!(shared_any, "some fleet must serve ops from records");
@@ -3001,18 +2984,15 @@ mod tests {
     }
 
     #[test]
-    fn sanitized_measured_fleets_start_no_helpers() {
-        // One helper per spare host thread, at most one per workload.
-        let plain = SystemConfig::memento();
-        assert_eq!(run_ahead_helpers(&plain, 2, 1), 0);
-        assert_eq!(run_ahead_helpers(&plain, 2, 2), 1);
-        assert_eq!(run_ahead_helpers(&plain, 2, 8), 2);
-        let sanitized = SystemConfig::memento_sanitized();
-        for jobs in [1, 2, 8] {
-            assert_eq!(run_ahead_helpers(&sanitized, 2, jobs), 0, "{jobs} jobs");
-        }
-        // So a sanitized `simulate` runs as many machine ops as the
-        // serial schedule, whatever the host's thread count.
+    fn sanitized_measured_fleets_simulate_the_plain_fleets_ops() {
+        // One helper per spare host thread, at most one per workload,
+        // sanitized or not.
+        assert_eq!(run_ahead_helpers(2, 1), 0);
+        assert_eq!(run_ahead_helpers(2, 2), 1);
+        assert_eq!(run_ahead_helpers(2, 8), 2);
+        // A sanitized teardown reads a report its root computed on the
+        // way, so a sanitized fleet runs as many machine ops as the same
+        // fleet without a sanitizer, at any helper count.
         let mix = two_mix();
         let arrivals = generate_arrivals(
             &ArrivalConfig {
@@ -3029,18 +3009,21 @@ mod tests {
             keep_alive: KeepAlive::Fixed(400_000),
             ..ClusterConfig::default()
         };
-        let simulated = |r: ClusterResult| r.metrics.counter("cluster.measured.steps_simulated");
-        let got = simulate(
-            Engine::Measured(Box::new(sanitized.clone())),
-            &cfg,
-            &mix,
-            &arrivals,
-        )
-        .expect("valid cluster run");
-        let sys =
-            container_config(Box::new(sanitized), cfg.cores_per_node).expect("a valid core count");
-        let serial = run_measured(sys, &cfg, &mix, &arrivals, 0);
-        assert_eq!(simulated(got), simulated(serial));
+        let simulated = |sys: SystemConfig, helpers| {
+            let sys =
+                container_config(Box::new(sys), cfg.cores_per_node).expect("a valid core count");
+            run_measured(sys, &cfg, &mix, &arrivals, helpers)
+                .metrics
+                .counter("cluster.measured.steps_simulated")
+        };
+        let plain = simulated(SystemConfig::memento(), 0);
+        for helpers in [0, 1, 2] {
+            assert_eq!(
+                simulated(SystemConfig::memento_sanitized(), helpers),
+                plain,
+                "{helpers} helpers"
+            );
+        }
     }
 
     #[test]

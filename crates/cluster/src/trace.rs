@@ -456,8 +456,10 @@ fn checked_piece<T: ArrivalTrace + ?Sized>(trace: &T, t: u64) -> Result<Piece, C
 ///
 /// For a [`UniformTrace`] the accept test is never drawn (intensity
 /// equals the envelope everywhere), so the output is a homogeneous
-/// Poisson process ([`crate::arrival::generate_arrivals`]). Generic, so
-/// a concrete trace's pieces are fetched directly, not through a vtable.
+/// Poisson process ([`crate::arrival::generate_arrivals`]). The walk
+/// fetches the trace's pieces through one dynamic call per piece, not per
+/// candidate, so it compiles once per draw source, whatever the trace
+/// type.
 ///
 /// A trace of at least 2^14 arrivals on a host with a spare thread
 /// draws its random numbers on a helper thread from
@@ -527,9 +529,25 @@ fn generate_trace_on<T: ArrivalTrace + ?Sized>(
             if peak == 0 { "zero" } else { "an overflowing" }
         )));
     }
+    draw_arrivals(cfg, mix, &mut |t| checked_piece(trace, t), peak, helpers)
+}
+
+/// The walk's source of trace pieces: the checked piece covering a
+/// candidate time.
+type Pieces<'a> = dyn FnMut(u64) -> Result<Piece, ClusterError> + 'a;
+
+/// The thinning walk over a validated rate and `peak`, with `helpers`
+/// draw helper threads; the trace enters only through `pieces`.
+fn draw_arrivals(
+    cfg: &ArrivalConfig,
+    mix: &WorkloadMix,
+    pieces: &mut Pieces<'_>,
+    peak: u64,
+    helpers: usize,
+) -> Result<Vec<Arrival>, ClusterError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     if helpers == 0 {
-        return walk(&mut rng, cfg, mix, trace, peak);
+        return walk(&mut rng, cfg, mix, pieces, peak);
     }
     let blocks = (0..BLOCKS)
         .map(|_| vec![Draw::default(); BLOCK_DRAWS].into_boxed_slice())
@@ -540,7 +558,7 @@ fn generate_trace_on<T: ArrivalTrace + ?Sized>(
         }
     };
     pool::with_producer(blocks, fill, |filled| {
-        walk(&mut Ahead::new(filled), cfg, mix, trace, peak)
+        walk(&mut Ahead::new(filled), cfg, mix, pieces, peak)
     })
 }
 
@@ -630,12 +648,13 @@ impl Draws for Ahead<'_> {
 }
 
 /// The thinning walk over validated inputs, reading its draws from
-/// `draws`: the arrivals of [`generate_trace`].
-fn walk<T: ArrivalTrace + ?Sized>(
+/// `draws` and its pieces from `pieces`: the arrivals of
+/// [`generate_trace`].
+fn walk(
     draws: &mut impl Draws,
     cfg: &ArrivalConfig,
     mix: &WorkloadMix,
-    trace: &T,
+    pieces: &mut Pieces<'_>,
     peak: u64,
 ) -> Result<Vec<Arrival>, ClusterError> {
     // Candidates arrive at the envelope rate: base rate × peak multiplier,
@@ -643,11 +662,10 @@ fn walk<T: ArrivalTrace + ?Sized>(
     let candidate_mean = cfg.mean_interarrival_cycles * PPM as f64 / peak as f64;
     let mut arrivals = Vec::with_capacity(cfg.count as usize);
     let mut t = 0u64;
-    let mut id = 0u64;
     // An empty piece: the first candidate fetches the real one.
     let mut piece = Piece::constant(0, 0);
     let mut end = 0;
-    while id < cfg.count {
+    while (arrivals.len() as u64) < cfg.count {
         // Exponential gap via inverse transform.
         let gap = round_u64(-candidate_mean * draws.gap_ln());
         t = t.saturating_add(gap.max(1));
@@ -656,10 +674,11 @@ fn walk<T: ArrivalTrace + ?Sized>(
             // checked here, once per piece, not once per candidate.
             if t > MAX_CYCLES {
                 return Err(ClusterError::InvalidArrivals(format!(
-                    "arrival {id} would land at cycle {t}, past the clock bound {MAX_CYCLES}"
+                    "arrival {} would land at cycle {t}, past the clock bound {MAX_CYCLES}",
+                    arrivals.len()
                 )));
             }
-            piece = checked_piece(trace, t)?;
+            piece = pieces(t)?;
             end = piece.end.min(MAX_CYCLES + 1);
         }
         let lam = piece.at(t);
@@ -673,12 +692,7 @@ fn walk<T: ArrivalTrace + ?Sized>(
             }
         }
         let workload = mix.index(draws.unit());
-        arrivals.push(Arrival {
-            id,
-            time: t,
-            workload,
-        });
-        id += 1;
+        arrivals.push(Arrival { time: t, workload });
     }
     Ok(arrivals)
 }
@@ -698,16 +712,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut arrivals = Vec::with_capacity(cfg.count as usize);
         let mut t = 0u64;
-        for id in 0..cfg.count {
+        for _ in 0..cfg.count {
             let u = rng.gen_range(0.0..1.0);
             let gap = (-cfg.mean_interarrival_cycles * (1.0 - u).ln()).round() as u64;
             t += gap.max(1);
             let workload = mix.scan_index(rng.gen_range(0.0..1.0));
-            arrivals.push(Arrival {
-                id,
-                time: t,
-                workload,
-            });
+            arrivals.push(Arrival { time: t, workload });
         }
         arrivals
     }
@@ -1200,8 +1210,10 @@ mod tests {
     /// FNV-1a over every arrival's id, time and workload index.
     fn arrivals_digest(arrivals: &[Arrival]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for a in arrivals {
-            for word in [a.id, a.time, a.workload as u64] {
+        // Each arrival hashes its index where it once carried it as an
+        // id, so the recorded digests still hold.
+        for (i, a) in (0u64..).zip(arrivals) {
+            for word in [i, a.time, a.workload as u64] {
                 for b in word.to_le_bytes() {
                     h ^= u64::from(b);
                     h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -173,7 +173,7 @@ struct SavedClass {
 }
 
 /// Per-process Memento state: paging plus spilled HOT state.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MementoProcess {
     /// Paging state (region registers, MPTR table, bump pointers).
     pub paging: ProcessPaging,
@@ -287,6 +287,7 @@ impl ObjStats {
 
 /// The Memento device (Fig. 7): per-core object allocators (HOTs) plus the
 /// memory-controller page allocator.
+#[derive(Clone)]
 pub struct MementoDevice {
     cfg: MementoConfig,
     hots: Vec<Hot>,

@@ -155,7 +155,7 @@ impl PageAllocStats {
 /// Per-process paging state owned by the hardware page allocator:
 /// the reserved region (MRS/MRE), the Memento page table (MPTR), per-core
 /// bump pointers, and the shootdown bit vector.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ProcessPaging {
     /// The reserved region (MRS/MRE register values).
     pub region: MementoRegion,
@@ -251,6 +251,7 @@ impl PoolAudit {
 }
 
 /// The hardware page allocator.
+#[derive(Clone)]
 pub struct HardwarePageAllocator {
     cfg: PageAllocatorConfig,
     costs: MementoCosts,

@@ -30,7 +30,7 @@ impl fmt::Display for ProcessId {
 }
 
 /// A simulated process.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Process {
     /// Its identifier.
     pub pid: ProcessId,
@@ -160,6 +160,7 @@ pub struct FaultOutcome {
 }
 
 /// The kernel model.
+#[derive(Clone)]
 pub struct Kernel {
     /// The physical page allocator.
     pub buddy: BuddyAllocator,

@@ -71,7 +71,7 @@ impl fmt::Display for VmaError {
 impl std::error::Error for VmaError {}
 
 /// A process address space: VMAs plus the regular page table (CR3).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AddressSpace {
     /// The process's regular page table.
     pub page_table: PageTable,

@@ -66,6 +66,7 @@ impl SanitizerConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShadowPid(usize);
 
+#[derive(Clone)]
 struct ProcSlot {
     shadow: ShadowHeap,
     oracle: Option<SoftOracle>,
@@ -74,6 +75,7 @@ struct ProcSlot {
 
 /// The run-level sanitizer: one shadow heap (and optional oracle) per
 /// attached process, plus the accumulated report.
+#[derive(Clone)]
 pub struct HeapSanitizer {
     cfg: SanitizerConfig,
     procs: Vec<ProcSlot>,

@@ -21,6 +21,7 @@ use memento_vm::walker::PageWalker;
 use std::collections::BTreeMap;
 
 /// The softalloc differential oracle.
+#[derive(Clone)]
 pub struct SoftOracle {
     kernel: Kernel,
     walker: PageWalker,

@@ -21,7 +21,7 @@ pub const MMAP_THRESHOLD: u64 = 128 * 1024;
 const GROW_BYTES: u64 = 1 << 20;
 
 /// The glibc-style large-object heap.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GlibcHeap {
     user_cost: u64,
     flags: MmapFlags,

@@ -63,7 +63,7 @@ struct Span {
 }
 
 /// The Go allocator model.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GoAlloc {
     costs: GoCosts,
     flags: MmapFlags,
@@ -246,6 +246,10 @@ impl SoftwareAllocator for GoAlloc {
 
     fn stats(&self) -> SoftAllocStats {
         self.stats
+    }
+
+    fn box_clone(&self) -> Box<dyn SoftwareAllocator> {
+        Box::new(self.clone())
     }
 }
 

@@ -78,7 +78,7 @@ struct Slab {
 }
 
 /// The jemalloc model.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct JeMalloc {
     costs: JeCosts,
     cfg: JeConfig,
@@ -352,6 +352,10 @@ impl SoftwareAllocator for JeMalloc {
 
     fn stats(&self) -> SoftAllocStats {
         self.stats
+    }
+
+    fn box_clone(&self) -> Box<dyn SoftwareAllocator> {
+        Box::new(self.clone())
     }
 }
 

@@ -61,14 +61,14 @@ impl PyCosts {
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct ArenaInfo {
     free_pools: Vec<u64>,
     committed_pools: usize,
 }
 
 /// The pymalloc model.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PyMalloc {
     costs: PyCosts,
     flags: MmapFlags,
@@ -324,6 +324,10 @@ impl SoftwareAllocator for PyMalloc {
 
     fn stats(&self) -> SoftAllocStats {
         self.stats
+    }
+
+    fn box_clone(&self) -> Box<dyn SoftwareAllocator> {
+        Box::new(self.clone())
     }
 }
 

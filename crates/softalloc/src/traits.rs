@@ -225,6 +225,16 @@ pub trait SoftwareAllocator: Send {
 
     /// Activity counters.
     fn stats(&self) -> SoftAllocStats;
+
+    /// A boxed copy of the allocator in its current state, so a machine
+    /// that owns one as a trait object can be cloned.
+    fn box_clone(&self) -> Box<dyn SoftwareAllocator>;
+}
+
+impl Clone for Box<dyn SoftwareAllocator> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
 }
 
 #[cfg(test)]

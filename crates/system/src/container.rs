@@ -34,6 +34,7 @@ use memento_workloads::spec::WorkloadSpec;
 
 /// A warm serverless container: a booted [`Machine`] plus the live process
 /// state of one function, serving invocations on demand.
+#[derive(Clone)]
 pub struct WarmContainer {
     machine: Machine,
     run: FunctionRun,
@@ -358,6 +359,61 @@ mod tests {
             restore > memento_restore,
             "demand-refault restore ({restore}) must exceed image replay ({memento_restore})"
         );
+    }
+
+    /// What a scheduler reads off `c` between ops, as text.
+    fn reads(c: &WarmContainer) -> String {
+        format!(
+            "{:?}",
+            (
+                c.is_pm_parked(),
+                c.unreclaimable_pages(),
+                c.serving_peak_pages(),
+                c.squeeze_floor_pages(),
+                c.squeeze_refault_unit_cycles(),
+                c.snapshot_restore_cycles(),
+                c.pm_sealed_epoch(),
+                c.machine().sanitizer_report(),
+            )
+        )
+    }
+
+    /// Invokes, parks, parks to PM, restores from PM and invokes again,
+    /// returning each op's result and the reads after it.
+    fn run_script(c: &mut WarmContainer) -> Vec<String> {
+        let mut out = vec![format!("{:?}", c.invoke()), reads(c)];
+        out.extend([c.park().to_string(), reads(c)]);
+        out.extend([c.park_to_pm(7).to_string(), reads(c)]);
+        out.extend([c.restore_from_pm().to_string(), reads(c)]);
+        out.extend([format!("{:?}", c.invoke()), reads(c)]);
+        out
+    }
+
+    #[test]
+    fn a_clone_serves_exactly_like_its_original() {
+        for cfg in [
+            SystemConfig::baseline(),
+            SystemConfig::memento(),
+            SystemConfig::memento_sanitized(),
+            SystemConfig::memento_sanitized_oracle(),
+        ] {
+            // One workload per allocator model: pymalloc, jemalloc, Go.
+            for name in ["html", "Redis", "bfs-go"] {
+                let (mut original, _) = WarmContainer::cold_start(cfg.clone(), &small_spec(name));
+                original.invoke();
+                let mut copy = original.clone();
+                // The copy runs first, so state it shared with the
+                // original would show in the original's results.
+                let (got, want) = (run_script(&mut copy), run_script(&mut original));
+                let at = format!("{name} under {:?}/{:?}", cfg.mode, cfg.sanitizer);
+                assert_eq!(got, want, "{at}: the clone diverged");
+                assert_eq!(
+                    format!("{:?}", copy.finish_with_report()),
+                    format!("{:?}", original.finish_with_report()),
+                    "{at}: the clone's teardown diverged"
+                );
+            }
+        }
     }
 
     #[test]

@@ -83,6 +83,7 @@ pub struct WarmRun {
 }
 
 /// Per-run (per-process) execution state.
+#[derive(Clone)]
 pub struct FunctionRun {
     spec: WorkloadSpec,
     proc: Process,
@@ -117,7 +118,7 @@ const FREED: (VirtAddr, u32) = (VirtAddr::new(u64::MAX), 0);
 /// `Trace::from_json` bounds them by the trace's length), so a vector
 /// replaces a hash map. Re-allocating a live id replaces its object, as a
 /// map insert would; only a hand-built trace does that.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ObjectTable {
     slots: Vec<(VirtAddr, u32)>,
     /// Bytes of live objects of at most [`HW_MAX_SIZE`] bytes.
@@ -194,6 +195,7 @@ fn build_allocator(spec: &WorkloadSpec, populate: bool) -> Box<dyn SoftwareAlloc
 }
 
 /// The simulated machine.
+#[derive(Clone)]
 pub struct Machine {
     cfg: SystemConfig,
     mem: PhysMem,

@@ -36,7 +36,7 @@ use memento_obs::{MetricsRegistry, ProfileSample, Tracer};
 use memento_simcore::cycles::{CycleAccount, CycleBucket, Cycles};
 
 /// Per-machine observability state (tracer + metrics + profile samples).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MachineObs {
     cfg: TraceConfig,
     tracer: Tracer,
