@@ -15,21 +15,26 @@
 //! values without touching a machine; only the deepest container
 //! advances the root.
 //!
-//! - **The contract.** Asking for a boot kind or an op the run's cycle
-//!   does not hold is a bug in the caller, and panics: one compare per
-//!   op. `sim::Sim` boots with `cfg.cold_start`, parks after every
-//!   completion, parks to PM exactly under [`KeepAlive::ParkToPM`], and
-//!   then restores from PM on every warm start. A new op must enter
+//! - **One stream from boot on.** A root's records start at its boot:
+//!   one step, [`OpCycle::step`], boots at depth 0 and applies the
+//!   cycle's op after that. The store takes a root's boot the way it
+//!   takes every later record, and [`crate::profile::calibrate`] reads
+//!   the head of a plain-cycle root through the same step.
+//! - **The contract.** The boot kind is the cycle's, fixed when the store
+//!   is built. Asking for an op the cycle does not hold is a bug in the
+//!   caller, and panics: one compare per op. `sim::Sim` parks after
+//!   every completion, parks to PM exactly under [`KeepAlive::ParkToPM`],
+//!   and then restores from PM on every warm start. A new op must enter
 //!   [`OpCycle`] (see [`Op`]).
 //! - **Run-ahead.** A root's records are a fixed stream. Helper threads
 //!   ([`RunAhead::help`]) step idle root machines up to [`LOOKAHEAD`]
-//!   records past the deepest container. The fleet thread takes a
-//!   buffered record, or steps the root itself when its machine is
-//!   idle. While a helper holds that machine, the fleet thread steps
-//!   another root ahead the same way a helper would, and waits only
-//!   when no root is idle with room. Records are a pure function of the
-//!   op history, so every output is the same at any helper count,
-//!   sanitized or not.
+//!   records past the deepest container, but never boot a root. The
+//!   fleet thread takes a buffered record, or steps the root itself when
+//!   its machine is idle or not yet booted. While a helper holds that
+//!   machine, the fleet thread steps another root ahead the same way a
+//!   helper would, and waits only when no root is idle with room.
+//!   Records are a pure function of the op history, so every output is
+//!   the same at any helper count, sanitized or not.
 //! - **Teardown.** A step that leaves a sanitized machine at a depth
 //!   also tears down a clone of it there ([`Audit::read`]), and the root
 //!   keeps that report with the depth's record, so
@@ -104,7 +109,7 @@ impl Audit {
 }
 
 /// Applies `op` to `m` and returns the op's record.
-fn run_op(m: &mut WarmContainer, op: Op) -> Record {
+pub(crate) fn run_op(m: &mut WarmContainer, op: Op) -> Record {
     let cycles = match op {
         Op::Invoke { pm_restore } => {
             let pm_extra = if pm_restore { m.restore_from_pm() } else { 0 };
@@ -156,6 +161,42 @@ impl OpCycle {
             Op::Invoke { pm_restore: false }
         }
     }
+
+    /// The one step of a root of `spec` under `cfg`, from `depth` to
+    /// `depth + 1`, returning the step's record: at depth 0, where `m`
+    /// holds no machine yet, a boot of the cycle's kind that leaves the
+    /// machine in `m`; after that the cycle's op at `depth` on `m`.
+    ///
+    /// A REAP-style snapshot boot builds the machine the same way as a
+    /// cold start (snapshots capture exactly the booted state), but
+    /// charges a warm invocation after a park plus the working-set
+    /// prefetch ([`WarmContainer::snapshot_restore_cycles`]) in place of
+    /// instruction replay, clamped [`strictly_between`] the warm and cold
+    /// costs.
+    pub(crate) fn step(
+        self,
+        cfg: &SystemConfig,
+        spec: &WorkloadSpec,
+        m: &mut Option<Box<WarmContainer>>,
+        depth: usize,
+    ) -> Record {
+        debug_assert_eq!(m.is_none(), depth == 0, "a root boots at depth 0 only");
+        if let Some(m) = m {
+            return run_op(m, self.op(depth));
+        }
+        let (mut booted, stats) = WarmContainer::cold_start(cfg.clone(), spec);
+        let cold = stats.total_cycles().raw();
+        let cycles = match self.boot {
+            ColdStart::Boot => cold,
+            ColdStart::Snapshot => {
+                booted.park();
+                let prefetch = booted.snapshot_restore_cycles();
+                let warm = booted.invoke().total_cycles().raw().max(1);
+                strictly_between(warm, prefetch, cold.max(1))
+            }
+        };
+        Record::read(m.insert(Box::new(booted)), cycles)
+    }
 }
 
 /// One root as the run-ahead store holds it.
@@ -198,6 +239,9 @@ impl AheadState {
 /// The root machines of one run, shared between the fleet thread and
 /// the helper threads that step them ahead along the [`OpCycle`].
 pub(crate) struct RunAhead {
+    cfg: Box<SystemConfig>,
+    /// Indexed by workload, like the roots.
+    specs: Vec<WorkloadSpec>,
     cycle: OpCycle,
     state: Mutex<AheadState>,
     /// Signalled when a root gains a record, frees room or goes idle, and
@@ -219,9 +263,9 @@ impl Drop for FailOnUnwind<'_> {
 }
 
 impl RunAhead {
-    /// A store for the roots of `mix` under `cycle`, one per workload;
-    /// no root is booted.
-    pub(crate) fn new(cycle: OpCycle, mix: &WorkloadMix) -> Self {
+    /// A store for the roots of `mix` under `cycle`, one per workload,
+    /// whose machines run `cfg`; no root is booted.
+    pub(crate) fn new(cfg: Box<SystemConfig>, cycle: OpCycle, mix: &WorkloadMix) -> Self {
         let roots = (0..mix.len())
             .map(|_| AheadRoot {
                 idle: None,
@@ -230,6 +274,8 @@ impl RunAhead {
             })
             .collect();
         RunAhead {
+            cfg,
+            specs: mix.specs().to_vec(),
             cycle,
             state: Mutex::new(AheadState {
                 roots,
@@ -254,31 +300,33 @@ impl RunAhead {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Steps idle root `key` one op along the cycle outside the lock and
-    /// buffers the record with the machine's reports, counted only when
-    /// the fleet consumes it. The one step of a root, taken by helpers
-    /// and by the fleet thread. Returns the lock, retaken.
+    /// Steps root `key` one [`OpCycle::step`] outside the lock, booting
+    /// it at depth 0, and buffers the record with the machine's reports,
+    /// counted only when the fleet consumes it. The one step of a root,
+    /// taken by helpers and by the fleet thread. Returns the lock,
+    /// retaken.
     fn step_ahead<'g>(
         &'g self,
         mut st: MutexGuard<'g, AheadState>,
         key: usize,
     ) -> MutexGuard<'g, AheadState> {
         let root = &mut st.roots[key];
-        // Only an idle root is stepped.
-        let Some(mut m) = root.idle.take() else {
+        let depth = root.depth;
+        let mut m = root.idle.take();
+        // A root another thread holds is not stepped.
+        if m.is_none() && depth > 0 {
             return st;
-        };
-        let op = self.cycle.op(root.depth);
+        }
         #[cfg(test)]
         let fail = st.fail_step == Some(key);
         drop(st);
         #[cfg(test)]
         assert!(!fail, "injected step failure");
-        let r = run_op(&mut m, op);
-        let audit = Audit::read(&m);
+        let r = self.cycle.step(&self.cfg, &self.specs[key], &mut m, depth);
+        let audit = m.as_deref().and_then(Audit::read);
         let mut st = self.lock();
         let root = &mut st.roots[key];
-        root.idle = Some(m);
+        root.idle = m;
         root.depth += 1;
         root.buffered.push_back((r, audit));
         debug_assert!(
@@ -302,7 +350,8 @@ impl RunAhead {
     }
 
     /// A helper thread's loop: step roots ahead along the cycle until
-    /// [`Self::stop`].
+    /// [`Self::stop`]. Only idle roots are stepped, so a helper never
+    /// boots one.
     pub(crate) fn help(&self) {
         let _fail = FailOnUnwind(self);
         let mut st = self.lock();
@@ -318,10 +367,10 @@ impl RunAhead {
     }
 
     /// Root `key`'s next record, with the machine's reports after it:
-    /// one a helper buffered, else one the fleet thread steps here. While
-    /// a helper steps the root, the fleet thread steps another root ahead
-    /// instead, and waits only when no root is idle with room. The root
-    /// must be booted.
+    /// one a helper buffered, else one the fleet thread steps here, the
+    /// root's boot included. While a helper steps the root, the fleet
+    /// thread steps another root ahead instead, and waits only when no
+    /// root is idle with room.
     fn next(&self, key: usize) -> (Record, Option<Audit>) {
         let mut st = self.lock();
         loop {
@@ -335,23 +384,12 @@ impl RunAhead {
                 }
                 return step;
             }
-            st = if root.idle.is_some() {
+            st = if root.idle.is_some() || root.depth == 0 {
                 self.step_ahead(st, key)
             } else {
                 self.step_any_or_wait(st)
             };
         }
-    }
-
-    /// Hands root `key`'s machine back at `depth`, where helpers may step
-    /// it again.
-    fn put(&self, key: usize, m: Box<WarmContainer>, depth: usize) {
-        let mut st = self.lock();
-        let root = &mut st.roots[key];
-        debug_assert!(root.idle.is_none() && root.buffered.is_empty());
-        root.idle = Some(m);
-        root.depth = depth;
-        self.changed.notify_all();
     }
 }
 
@@ -361,64 +399,6 @@ impl RunAhead {
 pub(crate) struct Pos {
     workload: u32,
     depth: u32,
-}
-
-/// Boots and steps machines, counting every op it simulates. The one
-/// place a cluster-layer [`WarmContainer`] is booted or stepped for a
-/// result the fleet reads: the lineage store runs the fleet's ops
-/// through it, and [`crate::profile::calibrate`] its fixed calibration
-/// script. (The store's roots step in [`RunAhead`], on helpers and on
-/// the fleet thread alike, and each record counts here when the fleet
-/// consumes it.)
-pub(crate) struct Runner {
-    cfg: Box<SystemConfig>,
-    specs: Vec<WorkloadSpec>,
-    simulated: u64,
-}
-
-impl Runner {
-    /// A runner booting containers of `specs` (indexed by workload) under
-    /// `cfg`.
-    pub(crate) fn new(cfg: Box<SystemConfig>, specs: Vec<WorkloadSpec>) -> Self {
-        Runner {
-            cfg,
-            specs,
-            simulated: 0,
-        }
-    }
-
-    /// Boots a container of `workload` and returns it with the boot's
-    /// record.
-    ///
-    /// A REAP-style snapshot boot builds the machine the same way as a
-    /// cold start (snapshots capture exactly the booted state), but
-    /// charges a warm invocation after a park plus the working-set
-    /// prefetch ([`WarmContainer::snapshot_restore_cycles`]) in place of
-    /// instruction replay, clamped [`strictly_between`] the warm and cold
-    /// costs.
-    pub(crate) fn boot(&mut self, workload: u32, kind: ColdStart) -> (WarmContainer, Record) {
-        self.simulated += 1;
-        let spec = &self.specs[workload as usize];
-        let (mut m, stats) = WarmContainer::cold_start(self.cfg.as_ref().clone(), spec);
-        let cold = stats.total_cycles().raw();
-        let cycles = match kind {
-            ColdStart::Boot => cold,
-            ColdStart::Snapshot => {
-                m.park();
-                let prefetch = m.snapshot_restore_cycles();
-                let warm = m.invoke().total_cycles().raw().max(1);
-                strictly_between(warm, prefetch, cold.max(1))
-            }
-        };
-        let r = Record::read(&m, cycles);
-        (m, r)
-    }
-
-    /// Applies `op` to `m` and returns the op's record.
-    pub(crate) fn apply(&mut self, m: &mut WarmContainer, op: Op) -> Record {
-        self.simulated += 1;
-        run_op(m, op)
-    }
 }
 
 /// One root's history, as the fleet thread holds it. Its machine lives
@@ -436,22 +416,24 @@ struct Root {
 /// The Measured engine's store: one root per workload of the mix, whose
 /// machines live in a [`RunAhead`] store.
 pub(crate) struct Lineages<'a> {
-    runner: Runner,
     ahead: &'a RunAhead,
     /// Indexed by workload.
     roots: Vec<Root>,
+    /// Container ops served.
     steps: u64,
+    /// Records the fleet consumed from the roots' streams: the ops that
+    /// ran a machine.
+    simulated: u64,
 }
 
 impl<'a> Lineages<'a> {
-    /// An empty store for containers of `mix` booting under `cfg`, whose
-    /// roots run in `ahead`.
-    pub(crate) fn new(cfg: Box<SystemConfig>, mix: &WorkloadMix, ahead: &'a RunAhead) -> Self {
+    /// An empty store whose roots run in `ahead`.
+    pub(crate) fn new(ahead: &'a RunAhead) -> Self {
         Lineages {
-            runner: Runner::new(cfg, mix.specs().to_vec()),
             ahead,
-            roots: (0..mix.len()).map(|_| Root::default()).collect(),
+            roots: ahead.specs.iter().map(|_| Root::default()).collect(),
             steps: 0,
+            simulated: 0,
         }
     }
 
@@ -462,12 +444,18 @@ impl<'a> Lineages<'a> {
             .get(pos.depth as usize - 1)
     }
 
-    /// Appends the next record of `workload`'s root, for its deepest
-    /// container, counted as simulated now that the fleet consumes it.
-    fn advance_root(&mut self, workload: u32) -> Record {
-        let key = workload as usize;
+    /// The record a container reaching `pos` reads: the root's, when the
+    /// root already got there, else the root's next record, for its
+    /// deepest container, counted as simulated now that the fleet
+    /// consumes it.
+    fn reach(&mut self, pos: Pos) -> Record {
+        self.steps += 1;
+        let key = pos.workload as usize;
+        if let Some(&r) = self.roots[key].records.get(pos.depth as usize - 1) {
+            return r;
+        }
         let (r, audit) = self.ahead.next(key);
-        self.runner.simulated += 1;
+        self.simulated += 1;
         let root = &mut self.roots[key];
         root.records.push(r);
         root.audits.extend(audit);
@@ -478,43 +466,24 @@ impl<'a> Lineages<'a> {
 impl ServiceModel for Lineages<'_> {
     type Pos = Pos;
 
-    /// Boots a container of `workload` and returns its position and the
-    /// boot's record. `kind` must be the run's boot kind.
-    fn boot(&mut self, workload: u32, kind: ColdStart) -> (Pos, Record) {
-        assert_eq!(
-            kind, self.ahead.cycle.boot,
-            "a container booted off the run's cycle"
-        );
-        self.steps += 1;
+    /// Boots a container of `workload` the cycle's way and returns its
+    /// position and the boot's record, the root's first.
+    fn boot(&mut self, workload: u32) -> (Pos, Record) {
         let pos = Pos { workload, depth: 1 };
-        let key = workload as usize;
-        if let Some(&r) = self.roots[key].records.first() {
-            return (pos, r);
-        }
-        let (m, r) = self.runner.boot(workload, kind);
-        let root = &mut self.roots[key];
-        root.records.push(r);
-        root.audits.extend(Audit::read(&m));
-        self.ahead.put(key, Box::new(m), 1);
-        (pos, r)
+        (pos, self.reach(pos))
     }
 
     /// Applies `op` to the container at `pos`, moves it one step deeper
     /// and returns the op's record. `op` must be the cycle's op at
     /// `pos`.
     fn apply(&mut self, pos: &mut Pos, op: Op) -> Record {
-        let depth = pos.depth as usize;
         assert_eq!(
             op,
-            self.ahead.cycle.op(depth),
+            self.ahead.cycle.op(pos.depth as usize),
             "a container left the run's cycle"
         );
-        self.steps += 1;
         pos.depth += 1;
-        match self.roots[pos.workload as usize].records.get(depth) {
-            Some(&r) => r,
-            None => self.advance_root(pos.workload),
-        }
+        self.reach(*pos)
     }
 
     /// The values read at `pos`.
@@ -539,7 +508,7 @@ impl ServiceModel for Lineages<'_> {
         // How much of the op stream sharing served from records;
         // run-ahead records the fleet never consumed are not counted.
         metrics.add("cluster.measured.steps", self.steps);
-        metrics.add("cluster.measured.steps_simulated", self.runner.simulated);
+        metrics.add("cluster.measured.steps_simulated", self.simulated);
     }
 }
 
@@ -548,61 +517,105 @@ impl ServiceModel for Lineages<'_> {
 pub(crate) mod reference {
     use super::*;
 
-    /// A [`ServiceModel`] with one private machine per container, booted
-    /// and stepped through [`Runner`]: every op runs a machine, so it
-    /// reports `steps == steps_simulated`.
+    /// A container with a root of its own: its workload, machine, depth
+    /// and last record.
+    struct Private {
+        workload: usize,
+        machine: Option<Box<WarmContainer>>,
+        depth: usize,
+        record: Record,
+    }
+
+    /// A [`ServiceModel`] with one root per container, stepped through
+    /// [`OpCycle::step`]: every op runs a machine, so it reports
+    /// `steps == steps_simulated`.
     pub(crate) struct PerContainer {
-        runner: Runner,
-        /// Each container's machine and last record, indexed by
-        /// position; a released container's entry is `None`.
-        containers: Vec<Option<(WarmContainer, Record)>>,
+        cfg: Box<SystemConfig>,
+        specs: Vec<WorkloadSpec>,
+        cycle: OpCycle,
+        /// Indexed by position; a released container's entry is `None`.
+        containers: Vec<Option<Private>>,
+        simulated: u64,
     }
 
     impl PerContainer {
-        /// An empty model for containers of `mix` booting under `cfg`.
-        pub(crate) fn new(cfg: Box<SystemConfig>, mix: &WorkloadMix) -> Self {
+        /// An empty model for containers of `mix` booting under `cfg`
+        /// and following `cycle`.
+        pub(crate) fn new(cfg: Box<SystemConfig>, cycle: OpCycle, mix: &WorkloadMix) -> Self {
             PerContainer {
-                runner: Runner::new(cfg, mix.specs().to_vec()),
+                cfg,
+                specs: mix.specs().to_vec(),
+                cycle,
                 containers: Vec::new(),
+                simulated: 0,
             }
         }
 
-        fn get(&self, pos: usize) -> &(WarmContainer, Record) {
+        fn get(&self, pos: usize) -> &Private {
             self.containers[pos].as_ref().expect("a live container")
+        }
+
+        fn machine(&self, pos: usize) -> &WarmContainer {
+            self.get(pos)
+                .machine
+                .as_deref()
+                .expect("a booted container")
         }
     }
 
     impl ServiceModel for PerContainer {
         type Pos = usize;
 
-        fn boot(&mut self, workload: u32, kind: ColdStart) -> (usize, Record) {
-            let (m, r) = self.runner.boot(workload, kind);
-            self.containers.push(Some((m, r)));
-            (self.containers.len() - 1, r)
+        fn boot(&mut self, workload: u32) -> (usize, Record) {
+            self.simulated += 1;
+            let workload = workload as usize;
+            let mut machine = None;
+            let record = self
+                .cycle
+                .step(&self.cfg, &self.specs[workload], &mut machine, 0);
+            self.containers.push(Some(Private {
+                workload,
+                machine,
+                depth: 1,
+                record,
+            }));
+            (self.containers.len() - 1, record)
         }
 
         fn apply(&mut self, pos: &mut usize, op: Op) -> Record {
-            let (m, record) = self.containers[*pos].as_mut().expect("a live container");
-            *record = self.runner.apply(m, op);
-            *record
+            self.simulated += 1;
+            let c = self.containers[*pos].as_mut().expect("a live container");
+            assert_eq!(
+                op,
+                self.cycle.op(c.depth),
+                "a container left the run's cycle"
+            );
+            c.record = self
+                .cycle
+                .step(&self.cfg, &self.specs[c.workload], &mut c.machine, c.depth);
+            c.depth += 1;
+            c.record
         }
 
         fn record(&self, pos: usize) -> Record {
-            self.get(pos).1
+            self.get(pos).record
         }
 
         fn report(&self, pos: usize) -> Option<&SanitizerReport> {
-            self.get(pos).0.machine().sanitizer_report()
+            self.machine(pos).machine().sanitizer_report()
         }
 
         fn release(&mut self, pos: usize) -> Option<SanitizerReport> {
-            let (m, _) = self.containers[pos].take().expect("a live container");
-            m.finish_with_report().1
+            let c = self.containers[pos].take().expect("a live container");
+            c.machine
+                .expect("a booted container")
+                .finish_with_report()
+                .1
         }
 
         fn add_metrics(&self, metrics: &mut MetricsRegistry) {
-            metrics.add("cluster.measured.steps", self.runner.simulated);
-            metrics.add("cluster.measured.steps_simulated", self.runner.simulated);
+            metrics.add("cluster.measured.steps", self.simulated);
+            metrics.add("cluster.measured.steps_simulated", self.simulated);
         }
     }
 }
@@ -691,14 +704,16 @@ mod tests {
         cycle: OpCycle,
         script: &[(usize, bool)],
     ) -> TestCaseResult {
-        // Boots the private reference machines.
-        let mut boots = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
+        let mix = mix();
         let mut live: Vec<Option<Logical>> = (0..CONTAINERS).map(|_| None).collect();
         for &(who, retire) in script {
             let Some(mut c) = live[who].take() else {
                 let workload = (who % 2) as u32;
-                let (pos, got) = store.boot(workload, cycle.boot);
-                let (reference, want) = boots.boot(workload, cycle.boot);
+                let (pos, got) = store.boot(workload);
+                // The private reference machine boots through a root step.
+                let mut reference = None;
+                let want = cycle.step(cfg, &mix.specs()[workload as usize], &mut reference, 0);
+                let reference = *reference.expect("a booted machine");
                 let c = Logical { pos, reference };
                 prop_assert_eq!(got, want);
                 same_state(store, &c, want.cycles)?;
@@ -783,17 +798,12 @@ mod tests {
                 KeepAlive::Infinite
             };
             let cycle = OpCycle::new(boot, keep_alive);
-            let ahead = RunAhead::new(cycle, &mix());
+            let ahead = RunAhead::new(Box::new(cfg.clone()), cycle, &mix());
             with_helpers(helpers, || ahead.help(), || ahead.stop(), || {
-                let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
+                let mut store = Lineages::new(&ahead);
                 check(&mut store, &cfg, cycle, &script)
             })?;
         }
-    }
-
-    /// A store over [`mix`] running the plain cycle (full boots, no PM).
-    fn plain(ahead: &RunAhead) -> Lineages<'_> {
-        Lineages::new(Box::new(SystemConfig::memento()), &mix(), ahead)
     }
 
     const PLAIN: OpCycle = OpCycle {
@@ -801,25 +811,39 @@ mod tests {
         park_to_pm: false,
     };
 
+    /// A store for the roots of [`mix`] on memento machines running the
+    /// plain cycle (full boots, no PM).
+    fn plain() -> RunAhead {
+        RunAhead::new(Box::new(SystemConfig::memento()), PLAIN, &mix())
+    }
+
+    /// Stands in for a thread holding root `key`'s machine past its boot.
+    fn hold(ahead: &RunAhead, key: usize) {
+        let mut st = ahead.lock();
+        let root = &mut st.roots[key];
+        root.idle = None;
+        root.depth = root.depth.max(1);
+    }
+
     #[test]
     fn repeats_are_served_from_records() {
-        let ahead = RunAhead::new(PLAIN, &mix());
-        let mut store = plain(&ahead);
-        let (mut a, _) = store.boot(0, ColdStart::Boot);
-        let (mut b, _) = store.boot(0, ColdStart::Boot);
+        let ahead = plain();
+        let mut store = Lineages::new(&ahead);
+        let (mut a, _) = store.boot(0);
+        let (mut b, _) = store.boot(0);
         let first = store.apply(&mut a, Op::Park);
         let again = store.apply(&mut b, Op::Park);
         assert_eq!(first, again, "same history, same numbers");
-        assert_eq!((store.steps, store.runner.simulated), (4, 2));
+        assert_eq!((store.steps, store.simulated), (4, 2));
         // `a` is the deepest, so its invoke advances the machine.
         store.apply(&mut a, Op::Invoke { pm_restore: false });
-        assert_eq!(store.runner.simulated, 3);
+        assert_eq!(store.simulated, 3);
         // Without a sanitizer, teardown needs no machine.
         assert!(store.release(a).is_none());
         assert!(store.release(b).is_none());
-        assert_eq!(store.runner.simulated, 3);
+        assert_eq!(store.simulated, 3);
         // The root survives with no container on it.
-        let (mut c, boot) = store.boot(0, ColdStart::Boot);
+        let (mut c, boot) = store.boot(0);
         assert_eq!(
             c,
             Pos {
@@ -829,60 +853,55 @@ mod tests {
         );
         assert_eq!(boot, store.record(c));
         assert_eq!(store.apply(&mut c, Op::Park), first);
-        assert_eq!((store.steps, store.runner.simulated), (7, 3));
+        assert_eq!((store.steps, store.simulated), (7, 3));
     }
 
     #[test]
     #[should_panic(expected = "a container left the run's cycle")]
     fn an_op_off_the_cycle_panics() {
-        let ahead = RunAhead::new(PLAIN, &mix());
-        let mut store = plain(&ahead);
-        let (mut a, _) = store.boot(0, ColdStart::Boot);
+        let ahead = plain();
+        let mut store = Lineages::new(&ahead);
+        let (mut a, _) = store.boot(0);
         // The cycle parks right after a boot.
         store.apply(&mut a, Op::Invoke { pm_restore: false });
     }
 
     #[test]
-    #[should_panic(expected = "a container booted off the run's cycle")]
-    fn a_boot_of_the_wrong_kind_panics() {
-        let ahead = RunAhead::new(PLAIN, &mix());
-        plain(&ahead).boot(0, ColdStart::Snapshot);
-    }
-
-    #[test]
     fn a_helper_runs_a_root_ahead_and_each_record_counts_once() {
         let cfg = SystemConfig::memento();
-        let ahead = RunAhead::new(PLAIN, &mix());
+        let mix = mix();
+        let ahead = plain();
         with_helpers(
             1,
             || ahead.help(),
             || ahead.stop(),
             || {
-                let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
-                let mut refs = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
-                let (mut a, _) = store.boot(0, ColdStart::Boot);
-                let (mut b, _) = store.boot(0, ColdStart::Boot);
+                let mut store = Lineages::new(&ahead);
+                let (mut a, _) = store.boot(0);
+                let (mut b, _) = store.boot(0);
                 // The helper steps the root's machine along the cycle
                 // (park, invoke, park, ...) ahead of both containers;
                 // nothing it stepped counts until a container consumes it.
                 ahead.wait_buffered(0, LOOKAHEAD);
-                assert_eq!(store.runner.simulated, 1);
+                assert_eq!(store.simulated, 1);
                 // `a` leads and is served the helper's records, each
-                // counted once as the fleet consumes it.
-                let (mut want, _) = refs.boot(0, ColdStart::Boot);
+                // counted once as the fleet consumes it. A private root
+                // steps the same cycle.
+                let mut want = None;
+                PLAIN.step(&cfg, &mix.specs()[0], &mut want, 0);
                 let mut served = Vec::new();
                 for depth in 1..=3 {
                     let op = PLAIN.op(depth);
                     let r = store.apply(&mut a, op);
-                    assert_eq!(r, refs.apply(&mut want, op));
-                    assert_eq!(store.runner.simulated, 1 + depth as u64);
+                    assert_eq!(r, PLAIN.step(&cfg, &mix.specs()[0], &mut want, depth));
+                    assert_eq!(store.simulated, 1 + depth as u64);
                     served.push(r);
                 }
                 // `b` follows and reads the same records, counting none.
                 for (depth, r) in (1..=3).zip(served) {
                     assert_eq!(store.apply(&mut b, PLAIN.op(depth)), r);
                 }
-                assert_eq!((store.steps, store.runner.simulated), (8, 4));
+                assert_eq!((store.steps, store.simulated), (8, 4));
                 assert!(store.release(a).is_none());
                 assert!(store.release(b).is_none());
             },
@@ -891,9 +910,10 @@ mod tests {
 
     #[test]
     fn a_helper_panic_reaches_the_fleet_thread_waiting_on_its_root() {
-        let ahead = RunAhead::new(PLAIN, &mix());
+        let ahead = plain();
         // Root 0 holds no idle machine, as if a helper held it when it
         // failed.
+        hold(&ahead, 0);
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_helpers(
                 1,
@@ -918,10 +938,10 @@ mod tests {
     #[test]
     fn the_fleet_thread_steps_another_root_while_its_own_is_busy() {
         let cfg = SystemConfig::memento();
-        let ahead = RunAhead::new(PLAIN, &mix());
-        let mut store = Lineages::new(Box::new(cfg.clone()), &mix(), &ahead);
-        let (mut a, _) = store.boot(0, ColdStart::Boot);
-        let (mut b, _) = store.boot(1, ColdStart::Boot);
+        let ahead = plain();
+        let mut store = Lineages::new(&ahead);
+        let (mut a, _) = store.boot(0);
+        let (mut b, _) = store.boot(1);
         let (key_a, key_b) = (0, 1);
         // B runs one record short of full.
         for _ in 1..LOOKAHEAD {
@@ -945,7 +965,8 @@ mod tests {
                 let full = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     ahead.wait_buffered(key_b, LOOKAHEAD)
                 }));
-                ahead.put(key_a, m, 1);
+                ahead.lock().roots[key_a].idle = Some(m);
+                ahead.changed.notify_all();
                 if let Err(p) = full {
                     std::panic::resume_unwind(p);
                 }
@@ -954,12 +975,13 @@ mod tests {
         });
         assert_eq!(ahead.lock().roots[key_b].buffered.len(), LOOKAHEAD);
         // Two boots and A's park; B's records count once consumed.
-        assert_eq!(store.runner.simulated, 3);
-        let mut refs = Runner::new(Box::new(cfg.clone()), mix().specs().to_vec());
-        let (mut want, _) = refs.boot(1, ColdStart::Boot);
+        assert_eq!(store.simulated, 3);
+        let spec = &ahead.specs[key_b];
+        let mut want = None;
+        PLAIN.step(&cfg, spec, &mut want, 0);
         for depth in 1..=LOOKAHEAD {
             let op = PLAIN.op(depth);
-            let r = refs.apply(&mut want, op);
+            let r = PLAIN.step(&cfg, spec, &mut want, depth);
             if depth == LOOKAHEAD {
                 let st = ahead.lock();
                 let (last, _) = st.roots[key_b].buffered.back().expect("B is full");
@@ -969,22 +991,20 @@ mod tests {
                 );
             }
             assert_eq!(store.apply(&mut b, op), r);
-            assert_eq!(store.runner.simulated, 3 + depth as u64);
+            assert_eq!(store.simulated, 3 + depth as u64);
         }
     }
 
     #[test]
     fn a_fleet_thread_panic_stepping_another_root_reaches_the_caller() {
-        let ahead = RunAhead::new(PLAIN, &mix());
-        let mut boots = Runner::new(Box::new(SystemConfig::memento()), mix().specs().to_vec());
+        let ahead = plain();
         let key_b = 1;
-        ahead.put(key_b, Box::new(boots.boot(1, ColdStart::Boot).0), 1);
-        {
-            let mut st = ahead.lock();
-            // Root 0 holds no idle machine, as if a helper held it, while
-            // B's next step fails.
-            st.fail_step = Some(key_b);
-        }
+        // The fleet thread boots B.
+        ahead.next(key_b);
+        // Root 0 holds no idle machine, as if a helper held it, while B's
+        // next step fails.
+        hold(&ahead, 0);
+        ahead.lock().fail_step = Some(key_b);
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_helpers(
                 1,

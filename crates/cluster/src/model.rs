@@ -13,8 +13,6 @@
 use memento_obs::metrics::MetricsRegistry;
 use memento_sanitizer::SanitizerReport;
 
-use crate::policy::ColdStart;
-
 /// A container operation after boot. Any new operation on a container
 /// must become a variant here and enter [`crate::lineage::OpCycle`],
 /// the script every Measured container follows: the Measured model
@@ -57,8 +55,9 @@ pub(crate) trait ServiceModel {
     /// A container's place in the model.
     type Pos: Copy;
 
-    /// Brings up a container of mix index `workload`.
-    fn boot(&mut self, workload: u32, kind: ColdStart) -> (Self::Pos, Record);
+    /// Brings up a container of mix index `workload`, the way the model
+    /// was built to (the run's `cold_start`).
+    fn boot(&mut self, workload: u32) -> (Self::Pos, Record);
 
     /// Applies `op` to the container at `pos`, moving it.
     fn apply(&mut self, pos: &mut Self::Pos, op: Op) -> Record;

@@ -206,15 +206,19 @@ pub struct AutoscalerConfig {
 }
 
 impl AutoscalerConfig {
-    /// Rejects a zero interval or target, an empty node range, an initial
-    /// fleet of `nodes` outside it, more than 2^16 nodes, and an interval
-    /// or spin-up delay past [`MAX_CYCLES`].
-    pub(crate) fn validate(&self, nodes: usize) -> Result<(), ClusterError> {
+    /// Rejects a zero interval or target, a target whose capacity unit
+    /// (`cores_per_node × target_load_pct`) overflows `u64`, an empty node
+    /// range, an initial fleet of `nodes` outside it, more than 2^16
+    /// nodes, and an interval or spin-up delay past [`MAX_CYCLES`].
+    pub(crate) fn validate(&self, nodes: usize, cores_per_node: usize) -> Result<(), ClusterError> {
         let (min, max) = (self.min_nodes, self.max_nodes);
+        let pct = self.target_load_pct;
         let why = if self.interval_cycles == 0 {
             "controller interval must be positive".to_owned()
-        } else if self.target_load_pct == 0 {
+        } else if pct == 0 {
             "target load percentage must be positive".to_owned()
+        } else if (cores_per_node as u64).checked_mul(pct).is_none() {
+            format!("target load of {pct}% on {cores_per_node} cores per node overflows")
         } else if min == 0 || min > max {
             format!("node range [{min}, {max}] is empty")
         } else if nodes < min || nodes > max {

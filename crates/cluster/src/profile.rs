@@ -5,12 +5,13 @@
 //! [`WarmContainer`](memento_system::WarmContainer) machine for every
 //! container in the fleet — exact, but each invocation simulates the full
 //! memory hierarchy. The Profiled engine instead *calibrates once* per
-//! (workload, system config): [`calibrate`] runs one fixed op script
-//! through the Measured engine's runner (boot, a handful of park/invoke
-//! rounds, park, park to PM) and reads a [`ServiceProfile`] — cold/warm
-//! service times, active/idle frame footprints, restore and re-fault
-//! costs — from the records those ops return. The fleet simulation then
-//! replays those numbers. Because the underlying machine is
+//! (workload, system config): [`calibrate`] reads the head of one
+//! Measured root stream (boot, a handful of park/invoke rounds, park),
+//! stepped by the same step as every Measured fleet's roots, then parks
+//! that root's machine to PM and restores it. From those records it
+//! reads a [`ServiceProfile`] — cold/warm service times, active/idle
+//! frame footprints, restore and re-fault costs. The fleet simulation
+//! then replays those numbers. Because the underlying machine is
 //! deterministic, the profile is a pure function of (spec, config) and
 //! the profiled fleet remains byte-deterministic.
 //!
@@ -27,9 +28,9 @@ use memento_workloads::spec::WorkloadSpec;
 
 use crate::arrival::WorkloadMix;
 use crate::error::ClusterError;
-use crate::lineage::{strictly_between, Runner};
+use crate::lineage::{run_op, strictly_between, OpCycle};
 use crate::model::{Op, Record, ServiceModel};
-use crate::policy::ColdStart;
+use crate::policy::{ColdStart, KeepAlive};
 use crate::sim::MAX_CYCLES;
 
 /// Calibrated per-(workload, config) service costs.
@@ -79,25 +80,27 @@ pub struct ServiceProfile {
     pub pm_persist_cycles: u64,
 }
 
-/// Calibrates a profile by running a real machine through the cluster's
-/// warm lifecycle on the Measured engine's runner: boot, then
-/// `warm_samples` park → invoke rounds (the last invocation is taken as
-/// steady state, so its cycles include the post-park pool refill a
-/// scheduled warm start pays), then park and park to PM. `warm_samples`
-/// is clamped to ≥ 1.
+/// Calibrates a profile from the head of one Measured root stream: a
+/// root of the plain cycle (full boot, no PM), stepped by the step every
+/// Measured root takes, to depth `2k + 2`, where `k` is `warm_samples`
+/// clamped to ≥ 1. It reads the cold start at depth 1, the k-th warm
+/// start at depth `2k + 1` (taken as steady state, so its cycles include
+/// the post-park pool refill a scheduled warm start pays) and the parked
+/// container at depth `2k + 2`; then it parks that machine to PM and
+/// restores it.
 pub fn calibrate(cfg: &SystemConfig, spec: &WorkloadSpec, warm_samples: usize) -> ServiceProfile {
-    let mut runner = Runner::new(Box::new(cfg.clone()), vec![spec.clone()]);
-    let (mut m, cold) = runner.boot(0, ColdStart::Boot);
-    let mut warm = cold;
-    for _ in 0..warm_samples.max(1) {
-        runner.apply(&mut m, Op::Park);
-        warm = runner.apply(&mut m, Op::Invoke { pm_restore: false });
-    }
-    let parked = runner.apply(&mut m, Op::Park);
+    let k = warm_samples.max(1);
+    let cycle = OpCycle::new(ColdStart::Boot, KeepAlive::Infinite);
+    let mut m = None;
+    let records: Vec<Record> = (0..2 * k + 2)
+        .map(|depth| cycle.step(cfg, spec, &mut m, depth))
+        .collect();
+    let (cold, warm, parked) = (records[0], records[2 * k], records[2 * k + 1]);
+    let mut m = m.expect("a stepped root holds its machine");
     // The two costs no record carries: the snapshot prefetch of the
     // parked container, and the PM restore premium after a park to PM.
     let prefetch = m.snapshot_restore_cycles();
-    let persist = runner.apply(&mut m, Op::ParkToPm);
+    let persist = run_op(&mut m, Op::ParkToPm);
     let pm_extra = m.restore_from_pm();
     let cold_cycles = cold.cycles.max(1);
     let warm_cycles = warm.cycles.max(1);
@@ -180,19 +183,22 @@ pub(crate) struct ProfiledPos {
 /// [`State`]), precomputed in mix order from the calibrated profiles.
 pub(crate) struct Profiled {
     records: Vec<[Record; 6]>,
+    /// A booted container's state: the run's kind of cold start.
+    boot: State,
 }
 
 impl Profiled {
-    /// The model for `mix` over a run of `invocations`. A workload
-    /// without a profile is [`ClusterError::MissingProfile`]. Costs that
-    /// could overflow the clock are [`ClusterError::InvalidProfile`]: the
-    /// largest cycle charge one invocation can carry, times
-    /// `invocations`, above [`MAX_CYCLES`], or a frame count above
-    /// `u32::MAX`.
+    /// The model for `mix` over a run of `invocations` whose containers
+    /// come up under `cold_start`. A workload without a profile is
+    /// [`ClusterError::MissingProfile`]. Costs that could overflow the
+    /// clock are [`ClusterError::InvalidProfile`]: the largest cycle
+    /// charge one invocation can carry, times `invocations`, above
+    /// [`MAX_CYCLES`], or a frame count above `u32::MAX`.
     pub(crate) fn new(
         table: &ProfileTable,
         mix: &WorkloadMix,
         invocations: usize,
+        cold_start: ColdStart,
     ) -> Result<Self, ClusterError> {
         let mut records = Vec::with_capacity(mix.len());
         for spec in mix.specs() {
@@ -244,19 +250,22 @@ impl Profiled {
             }
             records.push(rs);
         }
-        Ok(Profiled { records })
+        let boot = match cold_start {
+            ColdStart::Boot => State::Boot,
+            ColdStart::Snapshot => State::Restore,
+        };
+        Ok(Profiled { records, boot })
     }
 }
 
 impl ServiceModel for Profiled {
     type Pos = ProfiledPos;
 
-    fn boot(&mut self, workload: u32, kind: ColdStart) -> (ProfiledPos, Record) {
-        let state = match kind {
-            ColdStart::Boot => State::Boot,
-            ColdStart::Snapshot => State::Restore,
+    fn boot(&mut self, workload: u32) -> (ProfiledPos, Record) {
+        let pos = ProfiledPos {
+            workload,
+            state: self.boot,
         };
-        let pos = ProfiledPos { workload, state };
         (pos, self.record(pos))
     }
 

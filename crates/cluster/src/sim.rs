@@ -267,7 +267,7 @@ fn validate(
         return Err(ClusterError::EmptyMix);
     }
     if let Autoscaler::TargetUtilization(ac) = cfg.autoscaler {
-        ac.validate(cfg.nodes)?;
+        ac.validate(cfg.nodes, cfg.cores_per_node)?;
     }
     cfg.keep_alive.validate()?;
     let mut prev = 0;
@@ -331,7 +331,7 @@ pub fn simulate(
             Ok(run_measured(sys, cfg, mix, arrivals, helpers))
         }
         Engine::Profiled(table) => {
-            let model = Profiled::new(&table, mix, arrivals.len())?;
+            let model = Profiled::new(&table, mix, arrivals.len(), cfg.cold_start)?;
             Ok(run(model, cfg, mix, arrivals))
         }
     }
@@ -382,12 +382,13 @@ fn run_measured(
     arrivals: &[Arrival],
     helpers: usize,
 ) -> ClusterResult {
-    let ahead = RunAhead::new(OpCycle::new(cfg.cold_start, cfg.keep_alive), mix);
+    let cycle = OpCycle::new(cfg.cold_start, cfg.keep_alive);
+    let ahead = RunAhead::new(sys, cycle, mix);
     pool::with_helpers(
         helpers,
         || ahead.help(),
         || ahead.stop(),
-        || run(Lineages::new(sys, mix, &ahead), cfg, mix, arrivals),
+        || run(Lineages::new(&ahead), cfg, mix, arrivals),
     )
 }
 
@@ -989,7 +990,7 @@ impl<'a, M: ServiceModel> Sim<'a, M> {
             // stable working set is prefetched instead of rebuilt (its
             // service time lands between a warm hit and a cold boot).
             self.cold_starts += 1;
-            let (pos, r) = self.model.boot(workload, self.cfg.cold_start);
+            let (pos, r) = self.model.boot(workload);
             let slot = self.alloc_slot(node, pos);
             self.set_contrib(slot, r.serving_peak);
             (slot, r.cycles)
@@ -1555,7 +1556,7 @@ mod tests {
     use crate::arrival::{generate_arrivals, ArrivalConfig};
     use crate::lineage::reference::PerContainer;
     use crate::policy::AutoscalerConfig;
-    use crate::profile::ServiceProfile;
+    use crate::profile::{calibrate, ServiceProfile};
     use memento_workloads::suite;
 
     fn small_spec(name: &str) -> memento_workloads::spec::WorkloadSpec {
@@ -2577,7 +2578,10 @@ mod tests {
             .err()
             .expect("must fail")
         };
+        // Two nodes sit inside `ok`'s band, so each bad input below is
+        // rejected for its own fault.
         let scaler = |ac: AutoscalerConfig| ClusterConfig {
+            nodes: 2,
             autoscaler: Autoscaler::TargetUtilization(ac),
             ..ClusterConfig::default()
         };
@@ -2588,6 +2592,8 @@ mod tests {
             max_nodes: 4,
             spinup_cycles: 1_000,
         };
+        let table = synthetic_table(&mix);
+        assert!(simulate(Engine::Profiled(table), &scaler(ok), &mix, &arrivals).is_ok());
         for bad in [
             AutoscalerConfig {
                 interval_cycles: 0,
@@ -2609,6 +2615,17 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
+        // A capacity unit (cores per node × target %) past u64.
+        assert!(matches!(
+            run(ClusterConfig {
+                cores_per_node: 2,
+                ..scaler(AutoscalerConfig {
+                    target_load_pct: u64::MAX,
+                    ..ok
+                })
+            }),
+            ClusterError::InvalidAutoscaler(_)
+        ));
         // A fixed fleet outside the autoscaler's [min, max] band.
         assert!(matches!(
             run(ClusterConfig {
@@ -2785,7 +2802,8 @@ mod tests {
     ) -> ClusterResult {
         let sys = container_config(Box::new(sys.clone()), cfg.cores_per_node)
             .expect("a valid core count");
-        run(PerContainer::new(sys, mix), cfg, mix, arrivals)
+        let cycle = OpCycle::new(cfg.cold_start, cfg.keep_alive);
+        run(PerContainer::new(sys, cycle, mix), cfg, mix, arrivals)
     }
 
     /// Every observable output of two runs, except the count of ops that
@@ -2915,6 +2933,51 @@ mod tests {
             }
         }
         assert!(shared_any, "some fleet must serve ops from records");
+    }
+
+    /// A profile is the head of the Measured stream: a one-node fleet
+    /// whose arrivals never queue serves its cold start and its j-th warm
+    /// start at exactly the cycles `calibrate` reads from one root with
+    /// `j` warm samples.
+    #[test]
+    fn calibration_is_the_head_of_the_measured_stream() {
+        const K: usize = 3;
+        let cfg = ClusterConfig {
+            nodes: 1,
+            cores_per_node: 1,
+            keep_alive: KeepAlive::Infinite,
+            ..ClusterConfig::default()
+        };
+        for sys in [SystemConfig::baseline(), SystemConfig::memento()] {
+            for name in ["aes", "html"] {
+                let spec = small_spec(name);
+                let p = calibrate(&sys, &spec, K);
+                let mut want: Vec<u64> = (1..K)
+                    .map(|j| calibrate(&sys, &spec, j).warm_cycles)
+                    .chain([p.warm_cycles, p.cold_cycles])
+                    .collect();
+                want.sort_unstable();
+                let mix = WorkloadMix::uniform(vec![spec]).expect("non-empty");
+                // Each arrival comes after the last one completed.
+                let gap = 2 * p.cold_cycles;
+                let arrivals: Vec<Arrival> = (1..=K as u64 + 1)
+                    .map(|i| Arrival {
+                        time: i * gap,
+                        workload: 0,
+                    })
+                    .collect();
+                let r = simulate(
+                    Engine::Measured(Box::new(sys.clone())),
+                    &cfg,
+                    &mix,
+                    &arrivals,
+                )
+                .expect("valid cluster run");
+                assert_eq!((r.cold_starts, r.warm_starts), (1, K as u64));
+                // `latencies` is sorted.
+                assert_eq!(r.latencies, want, "{name} under {:?}", sys.mode);
+            }
+        }
     }
 
     #[test]
