@@ -13,8 +13,9 @@
 //!   software allocators or the Memento device; executes [`memento_workloads::Event`]
 //!   streams, handles Go GC policy, context switches, and teardown.
 //! - [`scheduler`] — [`scheduler::Scheduler`]: deterministic work-stealing
-//!   distribution of invocation batches across the machine's cores
-//!   ([`Machine::run_scheduled`]), with per-core clocks and steal counters.
+//!   distribution of invocation batches across the machine's cores, with
+//!   per-core clocks and steal counters. [`Machine::run_scheduled`] is the
+//!   one entry to the batch driver; [`Machine::run`] is its one-job case.
 //! - [`stats`] — [`stats::RunStats`]: cycle attribution, DRAM traffic,
 //!   memory-usage aggregates, HOT/AAC/arena statistics.
 //!

@@ -451,24 +451,19 @@ impl Machine {
                 size,
             )
             .expect("hardware alloc within 512B");
-        let arena = self.fan_out_events(run);
-        let label = if out.hot_hit { "mm" } else { "hot_miss" };
-        self.charge(run, core, CycleBucket::HwAlloc, label, out.obj_cycles);
-        let page_label = if arena { "arena_fill" } else { "walk" };
-        self.charge(run, core, CycleBucket::HwPage, page_label, out.page_cycles);
+        self.charge_hw_op(
+            run,
+            core,
+            CycleBucket::HwAlloc,
+            out.hot_hit,
+            out.obj_cycles,
+            out.page_cycles,
+        );
         if let Some(obs) = self.obs.as_mut() {
             obs.metrics_mut()
                 .observe("hot.alloc_cycles", out.obj_cycles.raw());
         }
-        if let Some(pid) = run.shadow_pid {
-            let san = self.san.as_mut().expect("shadow pid implies sanitizer");
-            san.on_obj_alloc(pid, core, out.addr, size);
-            if san.audit_due(pid) {
-                let dev = self.device.as_ref().expect("memento mode");
-                let mproc = run.mproc.as_ref().expect("memento process");
-                san.audit(pid, dev, mproc, &self.mem);
-            }
-        }
+        self.shadow_hw_op(run, |san, pid| san.on_obj_alloc(pid, core, out.addr, size));
         out.addr
     }
 
@@ -489,23 +484,51 @@ impl Machine {
                 addr,
             )
             .expect("hardware free of live object");
-        let arena = self.fan_out_events(run);
-        let label = if out.hot_hit { "mm" } else { "hot_miss" };
-        self.charge(run, core, CycleBucket::HwFree, label, out.obj_cycles);
-        let page_label = if arena { "arena_fill" } else { "walk" };
-        self.charge(run, core, CycleBucket::HwPage, page_label, out.page_cycles);
+        self.charge_hw_op(
+            run,
+            core,
+            CycleBucket::HwFree,
+            out.hot_hit,
+            out.obj_cycles,
+            out.page_cycles,
+        );
         if let Some(obs) = self.obs.as_mut() {
             obs.metrics_mut()
                 .observe("hot.free_cycles", out.obj_cycles.raw());
         }
-        if let Some(pid) = run.shadow_pid {
-            let san = self.san.as_mut().expect("shadow pid implies sanitizer");
-            san.on_obj_free(pid, core, addr);
-            if san.audit_due(pid) {
-                let dev = self.device.as_ref().expect("memento mode");
-                let mproc = run.mproc.as_ref().expect("memento process");
-                san.audit(pid, dev, mproc, &self.mem);
-            }
+        self.shadow_hw_op(run, |san, pid| san.on_obj_free(pid, core, addr));
+    }
+
+    /// Charges one hardware object op after fanning out its device
+    /// events: its object-allocator cycles go to `bucket`, labelled by
+    /// whether it hit in the HOT, and its page-allocator cycles to
+    /// `HwPage`, labelled by whether an arena changed hands.
+    fn charge_hw_op(
+        &mut self,
+        run: &mut FunctionRun,
+        core: usize,
+        bucket: CycleBucket,
+        hot_hit: bool,
+        obj_cycles: Cycles,
+        page_cycles: Cycles,
+    ) {
+        let arena = self.fan_out_events(run);
+        let label = if hot_hit { "mm" } else { "hot_miss" };
+        self.charge(run, core, bucket, label, obj_cycles);
+        let page_label = if arena { "arena_fill" } else { "walk" };
+        self.charge(run, core, CycleBucket::HwPage, page_label, page_cycles);
+    }
+
+    /// Mirrors one hardware object op into `run`'s shadow heap, when it
+    /// has one, then audits the device if the sanitizer's period is due.
+    fn shadow_hw_op(&mut self, run: &FunctionRun, op: impl FnOnce(&mut HeapSanitizer, ShadowPid)) {
+        let Some(pid) = run.shadow_pid else { return };
+        let san = self.san.as_mut().expect("shadow pid implies sanitizer");
+        op(san, pid);
+        if san.audit_due(pid) {
+            let dev = self.device.as_ref().expect("memento mode");
+            let mproc = run.mproc.as_ref().expect("memento process");
+            san.audit(pid, dev, mproc, &self.mem);
         }
     }
 
@@ -910,62 +933,26 @@ impl Machine {
         specs: &[WorkloadSpec],
         seed: u64,
     ) -> (Vec<RunStats>, SchedStats) {
-        self.run_scheduled_with(specs, seed, |_, _| {})
+        let traces = traces_for(specs);
+        let traces = traces.iter().map(|t| &**t).collect();
+        self.run_batch(Batch::new(specs, traces, self.cfg.cores(), seed))
     }
 
-    /// [`Machine::run_scheduled`] with a fault-injection hook called once
-    /// per trace event (and once per idle spin while every core with work
-    /// is stalled), before job acquisition, with the scheduler and the
-    /// iteration number — tests use it to stall and release cores
-    /// mid-invocation.
+    /// The batch driver behind [`Machine::run_scheduled`] and
+    /// [`Machine::run_trace`].
     ///
     /// The scheduler re-decides — acquires jobs for idle cores, recounts
     /// the active cores for contention, and picks the lowest-clock core —
     /// only when one of those inputs can have changed: at the start, after
-    /// a job completes, when the hook mutated the scheduler (its
-    /// [`Scheduler::generation`] moved), or when the running core's
-    /// `(clock, index)` reaches its horizon, the smallest one among the
-    /// other runnable cores. Otherwise the running core keeps the CPU,
-    /// which is exactly what a per-event re-decision would pick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheduler wedges: no core can run, yet no stalled
-    /// work explains why (a scheduler invariant violation), or stalled
-    /// work is never released by the hook.
-    pub fn run_scheduled_with(
-        &mut self,
-        specs: &[WorkloadSpec],
-        seed: u64,
-        hook: impl FnMut(&mut Scheduler, u64),
-    ) -> (Vec<RunStats>, SchedStats) {
-        let traces = traces_for(specs);
-        let traces = traces.iter().map(|t| &**t).collect();
-        self.run_batch(Batch::new(specs, traces, self.cfg.cores(), seed), hook)
-    }
-
-    /// The batch driver behind [`Machine::run_scheduled_with`] and
-    /// [`Machine::run_trace`] (see the former for the decision rule).
-    fn run_batch(
-        &mut self,
-        mut batch: Batch<'_>,
-        mut hook: impl FnMut(&mut Scheduler, u64),
-    ) -> (Vec<RunStats>, SchedStats) {
-        let mut steps: u64 = 0;
-        let mut idle_spins: u32 = 0;
+    /// a job completes, or when the running core's `(clock, index)`
+    /// reaches its horizon, the smallest one among the other runnable
+    /// cores. Otherwise the running core keeps the CPU, which is exactly
+    /// what a per-event re-decision would pick.
+    fn run_batch(&mut self, mut batch: Batch<'_>) -> (Vec<RunStats>, SchedStats) {
         // The core holding the CPU, its job, and its horizon; `None` makes
         // the next iteration re-decide.
         let mut holder: Option<(usize, usize, (u64, usize))> = None;
         loop {
-            if holder.is_none() && batch.sched.all_done() {
-                break;
-            }
-            let generation = batch.sched.generation();
-            hook(&mut batch.sched, steps);
-            steps += 1;
-            if batch.sched.generation() != generation {
-                holder = None;
-            }
             let (core, job) = match holder {
                 Some((core, job, horizon)) if (batch.sched.clock(core), core) < horizon => {
                     (core, job)
@@ -977,12 +964,12 @@ impl Machine {
                     // penalties exactly zero-cost.
                     self.mem_sys
                         .set_active_cores(batch.sched.active_cores().max(1));
+                    // After acquisition an idle core means empty queues, so
+                    // no runnable core means the batch has drained.
                     let Some((core, horizon)) = batch.sched.next_core_and_horizon() else {
-                        holder = None;
-                        batch.assert_stalled(&mut idle_spins);
-                        continue;
+                        debug_assert!(batch.sched.all_done(), "undone work with no runnable core");
+                        break;
                     };
-                    idle_spins = 0;
                     let job = batch.sched.current(core).expect("running core has a job");
                     holder = Some((core, job, horizon));
                     (core, job)
@@ -1277,7 +1264,7 @@ impl Machine {
     /// finishes as if it had one.
     pub fn run_trace(&mut self, spec: &WorkloadSpec, trace: &Trace) -> RunStats {
         let batch = Batch::new(std::slice::from_ref(spec), vec![trace], self.cfg.cores(), 0);
-        let (mut stats, _) = self.run_batch(batch, |_, _| {});
+        let (mut stats, _) = self.run_batch(batch);
         stats.pop().expect("a one-job batch yields one run")
     }
 
@@ -1421,7 +1408,8 @@ impl Machine {
     }
 
     /// Runs several functions time-shared on one core with round-robin
-    /// quanta of `quantum_events` events (§6.6 multi-process study).
+    /// quanta of `quantum_events` events (§6.6 multi-process study). Every
+    /// quantum runs at least one event, so a quantum of 0 runs as 1.
     /// Returns per-function statistics; context-switch and HOT-flush costs
     /// are charged to the switched-out function.
     pub fn run_timeshared(
@@ -1429,6 +1417,7 @@ impl Machine {
         specs: &[WorkloadSpec],
         quantum_events: usize,
     ) -> Vec<RunStats> {
+        let quantum_events = quantum_events.max(1);
         let traces = traces_for(specs);
         let mut runs: Vec<FunctionRun> = specs.iter().map(|s| self.start(s)).collect();
         let mut cursors = vec![0usize; specs.len()];
@@ -1727,7 +1716,7 @@ const _: () = {
     assert_send::<RunStats>();
 };
 
-/// The state of one scheduled batch (see [`Machine::run_scheduled_with`]).
+/// The state of one scheduled batch (see [`Machine::run_batch`]).
 struct Batch<'a> {
     specs: &'a [WorkloadSpec],
     traces: Vec<&'a Trace>,
@@ -1749,20 +1738,6 @@ impl<'a> Batch<'a> {
             cursors: vec![0; specs.len()],
             sched: Scheduler::new(cores, specs.len(), seed),
         }
-    }
-
-    /// No core can run: only stalled work may explain that, and only for
-    /// so long.
-    fn assert_stalled(&self, idle_spins: &mut u32) {
-        assert!(
-            self.sched.has_stalled_work(),
-            "scheduler wedged: no runnable core and no stalled work"
-        );
-        *idle_spins += 1;
-        assert!(
-            *idle_spins < 1 << 20,
-            "stalled work never released (hook missing an unstall?)"
-        );
     }
 }
 
@@ -1956,6 +1931,19 @@ mod tests {
         // HOT was flushed at least once per switch.
         let hot = stats[0].hot.expect("hot stats");
         assert!(hot.flushes > 0);
+    }
+
+    #[test]
+    fn zero_quantum_timeshares_like_one_event_quanta() {
+        let specs: Vec<WorkloadSpec> = ["aes", "aes"]
+            .iter()
+            .map(|n| small_spec_n(n, 20_000))
+            .collect();
+        let run = |quantum| {
+            let stats = Machine::new(SystemConfig::memento()).run_timeshared(&specs, quantum);
+            format!("{stats:?}")
+        };
+        assert_eq!(run(0), run(1));
     }
 
     #[test]

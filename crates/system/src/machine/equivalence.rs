@@ -3,16 +3,16 @@
 //!
 //! - the per-event scheduler loop, which acquires jobs, recounts the
 //!   active cores and picks the lowest-clock core before every event
-//!   (vs. [`Machine::run_scheduled_with`]'s horizon driver);
+//!   (vs. [`Machine::run_batch`]'s horizon driver);
 //! - the serial loop, which starts the run and steps every event on
 //!   core 0 (vs. [`Machine::run_trace`]'s one-job batch);
 //! - the per-line Touch loop, which takes the full demand path, the region
 //!   check and a `locate` for every cache line (vs. span Touches).
 //!
-//! Seeded batches and cold runs on every design, with hooks that stall and
-//! unstall cores, must give the same run statistics, scheduler counters,
-//! TLB, walker and memory-system counters, demand-latency histogram,
-//! sanitizer report and, when traced, the same trace and metrics.
+//! Seeded batches and cold runs on every design must give the same run
+//! statistics, scheduler counters, TLB, walker and memory-system counters,
+//! demand-latency histogram, sanitizer report and, when traced, the same
+//! trace and metrics.
 //!
 //! A machine with both device-event consumers on (tracer and sanitizer)
 //! must also match, consumer by consumer, the machines with one of them.
@@ -50,34 +50,25 @@ impl Machine {
         }
     }
 
-    /// The per-event loop [`Machine::run_scheduled_with`] replaced, with
-    /// the scheduler's original lowest-clock scan for the next core.
+    /// The per-event loop [`Machine::run_batch`] replaced, with the
+    /// scheduler's original lowest-clock scan for the next core.
     fn run_scheduled_per_event(
         &mut self,
         specs: &[WorkloadSpec],
         seed: u64,
-        mut hook: impl FnMut(&mut Scheduler, u64),
     ) -> (Vec<RunStats>, SchedStats) {
         let traces = traces_for(specs);
         let traces = traces.iter().map(|t| &**t).collect();
         let mut batch = Batch::new(specs, traces, self.cfg.cores(), seed);
-        let mut steps: u64 = 0;
-        let mut idle_spins: u32 = 0;
         while !batch.sched.all_done() {
-            hook(&mut batch.sched, steps);
-            steps += 1;
             batch.sched.acquire_jobs();
             self.mem_sys
                 .set_active_cores(batch.sched.active_cores().max(1));
             let sched = &batch.sched;
-            let Some(core) = (0..self.cfg.cores())
-                .filter(|&c| !sched.is_stalled(c) && sched.current(c).is_some())
+            let core = (0..self.cfg.cores())
+                .filter(|&c| sched.current(c).is_some())
                 .min_by_key(|&c| sched.clock(c))
-            else {
-                batch.assert_stalled(&mut idle_spins);
-                continue;
-            };
-            idle_spins = 0;
+                .expect("undone work has a runnable core");
             let job = batch.sched.current(core).expect("running core has a job");
             self.step_job(&mut batch, core, job);
         }
@@ -96,58 +87,10 @@ impl Machine {
     }
 }
 
-/// A hook that stalls and unstalls cores at seeded iterations and, while
-/// no core can run, eventually releases every stall so the batch drains.
-/// It reads nothing but the scheduler, so two drivers that show it the
-/// same scheduler state get the same mutations back.
-struct Chaos {
-    rng: u64,
-    cores: usize,
-    calls: u64,
-    stalls: u64,
-}
-
-impl Chaos {
-    fn new(seed: u64, cores: usize) -> Self {
-        Chaos {
-            rng: seed | 1,
-            cores,
-            calls: 0,
-            stalls: 0,
-        }
-    }
-
-    fn hook(&mut self, sched: &mut Scheduler) {
-        self.calls += 1;
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        let core = (x >> 32) as usize % self.cores;
-        if x.is_multiple_of(173) {
-            // Stalling a stalled core changes nothing but the generation.
-            self.stalls += u64::from(!sched.is_stalled(core));
-            sched.stall(core);
-        } else if x.is_multiple_of(61) && sched.is_stalled(core) {
-            sched.unstall(core);
-        }
-        if sched.next_core().is_none() && x.is_multiple_of(5) {
-            for c in 0..self.cores {
-                if sched.is_stalled(c) {
-                    sched.unstall(c);
-                }
-            }
-        }
-    }
-}
-
 /// Everything the two drivers must agree on.
 struct Outcome {
     runs: Vec<String>,
     sched: SchedStats,
-    hook_calls: u64,
-    stalls: u64,
     tlbs: Vec<(TlbStats, Log2Hist)>,
     walkers: Vec<(WalkerStats, Log2Hist)>,
     mem: MemSystemStats,
@@ -159,18 +102,14 @@ struct Outcome {
 
 fn scheduled(cfg: &SystemConfig, specs: &[WorkloadSpec], seed: u64, oracle: bool) -> Outcome {
     let mut machine = Machine::new(cfg.clone());
-    let mut chaos = Chaos::new(seed, cfg.cores());
-    let hook = |sched: &mut Scheduler, _: u64| chaos.hook(sched);
     let (runs, sched) = if oracle {
         machine.per_line_touch = true;
-        machine.run_scheduled_per_event(specs, seed, hook)
+        machine.run_scheduled_per_event(specs, seed)
     } else {
-        machine.run_scheduled_with(specs, seed, hook)
+        machine.run_scheduled(specs, seed)
     };
     Outcome {
         sched,
-        hook_calls: chaos.calls,
-        stalls: chaos.stalls,
         ..outcome(&machine, &runs)
     }
 }
@@ -193,8 +132,6 @@ fn outcome(machine: &Machine, runs: &[RunStats]) -> Outcome {
     Outcome {
         runs: runs.iter().map(|r| format!("{r:?}")).collect(),
         sched: SchedStats::default(),
-        hook_calls: 0,
-        stalls: 0,
         tlbs: machine
             .tlbs
             .iter()
@@ -255,8 +192,6 @@ fn designs() -> Vec<(&'static str, SystemConfig)> {
 /// Asserts field by field, so a failure names what diverged.
 fn assert_same(new: &Outcome, old: &Outcome, what: &str) {
     assert_eq!(new.sched, old.sched, "{what}: scheduler counters");
-    assert_eq!(new.hook_calls, old.hook_calls, "{what}: hook calls");
-    assert_eq!(new.stalls, old.stalls, "{what}: stalls injected");
     assert_eq!(new.runs.len(), old.runs.len(), "{what}: jobs");
     for (i, (a, b)) in new.runs.iter().zip(&old.runs).enumerate() {
         assert_eq!(a, b, "{what}: job {i} statistics");
@@ -283,7 +218,6 @@ fn scheduled_batches_match_the_per_event_and_per_line_oracles() {
             .any(|e| matches!(e, Event::Touch { len, .. } if *len as usize > 2 * PAGE_SIZE))
     };
     assert!(specs.iter().any(long_touch), "some span crosses pages");
-    let mut stalls = 0;
     for (name, design) in designs() {
         for cores in 1..=3 {
             let cfg = design.clone().with_cores(cores);
@@ -293,10 +227,8 @@ fn scheduled_batches_match_the_per_event_and_per_line_oracles() {
             assert_same(&new, &old, &format!("{name} on {cores} cores"));
             assert!(new.trace.is_some() == name.contains("traced"));
             assert!(new.sanitizer.is_some() == name.starts_with("sanitized"));
-            stalls += new.stalls;
         }
     }
-    assert!(stalls > 0, "the hooks stalled cores");
 }
 
 #[test]

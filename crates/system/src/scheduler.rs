@@ -12,15 +12,12 @@
 //! The scheduler is a simulation artifact, not host threading: the machine
 //! advances whichever core has the *lowest simulated clock* by one trace
 //! event at a time, so cores interleave exactly as their cycle ledgers
-//! dictate. A core can be stalled mid-invocation (fault injection, or
-//! modeling a hiccup): its in-flight job stays pinned, but the jobs still
-//! queued behind it are stolen back by its siblings.
+//! dictate.
 //!
 //! The machine re-decides (acquire, count active cores, pick the next
-//! core) only when a decision input can have changed: a job completed,
-//! or a caller mutated the scheduler, which [`Scheduler::generation`]
-//! reveals. In between, the running core keeps the CPU while its
-//! `(clock, index)` stays below its horizon
+//! core) only when a decision input can have changed: at the start and
+//! after a job completed. In between, the running core keeps the CPU
+//! while its `(clock, index)` stays below its horizon
 //! ([`Scheduler::next_core_and_horizon`]), which is exactly the core
 //! [`Scheduler::next_core`] would pick.
 
@@ -47,14 +44,9 @@ pub struct Scheduler {
     current: Vec<Option<usize>>,
     /// Per-core simulated clock in cycles.
     clock: Vec<u64>,
-    /// Stalled cores hold their in-flight job but execute nothing; their
-    /// queued jobs remain stealable.
-    stalled: Vec<bool>,
     /// xorshift64 state for victim selection (never zero).
     rng: u64,
     stats: SchedStats,
-    /// Bumped by every mutating method (see [`Self::generation`]).
-    generation: u64,
 }
 
 impl Scheduler {
@@ -75,23 +67,13 @@ impl Scheduler {
             queues,
             current: vec![None; cores],
             clock: vec![0; cores],
-            stalled: vec![false; cores],
             rng: seed | 1,
             stats: SchedStats {
                 steals: 0,
                 per_core_jobs: vec![0; cores],
                 per_core_cycles: vec![0; cores],
             },
-            generation: 0,
         }
-    }
-
-    /// A counter that every mutating method bumps. Equal values before
-    /// and after a call into foreign code (the machine's fault-injection
-    /// hook) prove the scheduler was left untouched, so the machine can
-    /// keep its last decision instead of re-deciding.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -104,14 +86,13 @@ impl Scheduler {
         x
     }
 
-    /// Gives every idle, unstalled core a job: first from the front of its
-    /// own queue, otherwise stolen from the back of a seeded victim's
-    /// non-empty queue (stalled victims included — that is the steal-back
-    /// path). Cores acquire in index order, so one call is deterministic.
+    /// Gives every idle core a job: first from the front of its own queue,
+    /// otherwise stolen from the back of a seeded victim's non-empty
+    /// queue. Cores acquire in index order, so one call is deterministic.
+    /// Afterwards an idle core means every queue is empty.
     pub fn acquire_jobs(&mut self) {
-        self.generation += 1;
         for core in 0..self.queues.len() {
-            if self.stalled[core] || self.current[core].is_some() {
+            if self.current[core].is_some() {
                 continue;
             }
             let job = match self.queues[core].pop_front() {
@@ -144,9 +125,9 @@ impl Scheduler {
         None
     }
 
-    /// The core to advance next: the unstalled core with in-flight work
-    /// whose simulated clock is lowest (ties break to the lowest index).
-    /// `None` when no core can execute right now.
+    /// The core to advance next: the core with in-flight work whose
+    /// simulated clock is lowest (ties break to the lowest index). `None`
+    /// when no core has a job.
     pub fn next_core(&self) -> Option<usize> {
         self.next_core_and_horizon().map(|(core, _)| core)
     }
@@ -156,11 +137,12 @@ impl Scheduler {
     /// there is none). Until the scheduler is mutated by anything but
     /// [`Self::advance`] on the chosen core, `next_core` keeps choosing
     /// that core exactly while its `(clock, index)` is below the horizon.
+    /// Right after [`Self::acquire_jobs`], `None` means [`Self::all_done`].
     pub fn next_core_and_horizon(&self) -> Option<(usize, (u64, usize))> {
         let mut best: Option<(u64, usize)> = None;
         let mut horizon = (u64::MAX, usize::MAX);
         for c in 0..self.queues.len() {
-            if self.stalled[c] || self.current[c].is_none() {
+            if self.current[c].is_none() {
                 continue;
             }
             let key = (self.clock[c], c);
@@ -176,7 +158,7 @@ impl Scheduler {
         best.map(|(_, core)| (core, horizon))
     }
 
-    /// Cores with in-flight work (stalled or not) — the machine's
+    /// Cores with in-flight work — the machine's
     /// contention knob: how many cores are co-resident on the shared LLC
     /// and DRAM this instant.
     pub fn active_cores(&self) -> usize {
@@ -185,7 +167,6 @@ impl Scheduler {
 
     /// Advances `core`'s simulated clock by `delta` cycles.
     pub fn advance(&mut self, core: usize, delta: u64) {
-        self.generation += 1;
         self.clock[core] += delta;
         self.stats.per_core_cycles[core] += delta;
     }
@@ -193,26 +174,7 @@ impl Scheduler {
     /// Marks `core`'s in-flight job complete, freeing the core.
     pub fn complete(&mut self, core: usize) {
         debug_assert!(self.current[core].is_some(), "complete on idle core");
-        self.generation += 1;
         self.current[core] = None;
-    }
-
-    /// Stalls `core`: its in-flight job stays pinned but executes nothing
-    /// until [`Self::unstall`]; its queued jobs remain stealable.
-    pub fn stall(&mut self, core: usize) {
-        self.generation += 1;
-        self.stalled[core] = true;
-    }
-
-    /// Clears a stall injected with [`Self::stall`].
-    pub fn unstall(&mut self, core: usize) {
-        self.generation += 1;
-        self.stalled[core] = false;
-    }
-
-    /// Whether `core` is currently stalled.
-    pub fn is_stalled(&self, core: usize) -> bool {
-        self.stalled[core]
     }
 
     /// The job currently pinned to `core`.
@@ -225,21 +187,9 @@ impl Scheduler {
         self.clock[core]
     }
 
-    /// Jobs still waiting in some core's queue (dealt but not started).
-    pub fn queued_jobs(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
     /// True when every queue is drained and every core is idle.
     pub fn all_done(&self) -> bool {
         self.current.iter().all(|c| c.is_none()) && self.queues.iter().all(|q| q.is_empty())
-    }
-
-    /// True when undone work is blocked behind a stalled core — the only
-    /// legitimate reason for [`Self::next_core`] to return `None` before
-    /// [`Self::all_done`].
-    pub fn has_stalled_work(&self) -> bool {
-        !self.all_done() && self.stalled.iter().any(|&s| s)
     }
 
     /// Accumulated counters.
@@ -258,7 +208,7 @@ mod tests {
         let mut started: Vec<(usize, usize)> = Vec::new();
         while !sched.all_done() {
             sched.acquire_jobs();
-            let core = sched.next_core().expect("no stalls injected");
+            let core = sched.next_core().expect("undone work has a runnable core");
             let job = sched.current(core).expect("running core has a job");
             if started.last() != Some(&(core, job)) && !started.contains(&(core, job)) {
                 started.push((core, job));
@@ -316,40 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn stalled_core_keeps_job_pinned_but_loses_queue() {
-        // Deal: core 0 gets jobs {0, 2}, core 1 gets jobs {1, 3}.
-        let mut sched = Scheduler::new(2, 4, 3);
-        sched.acquire_jobs();
-        assert_eq!(sched.current(0), Some(0));
-        assert_eq!(sched.current(1), Some(1));
-        sched.stall(0);
-        assert_eq!(sched.next_core(), Some(1), "only core 1 runs");
-        // Core 1 drains its own queue, then steals job 2 back from the
-        // stalled core's queue.
-        for expect in [3usize, 2] {
-            sched.advance(1, 10);
-            sched.complete(1);
-            sched.acquire_jobs();
-            assert_eq!(sched.current(1), Some(expect));
-        }
-        assert_eq!(sched.stats().steals, 1, "job 2 was stolen back");
-        // Core 0's in-flight job 0 stays pinned through the stall; once
-        // core 1 finishes, only unstalling lets the batch complete.
-        assert_eq!(sched.current(0), Some(0));
-        sched.advance(1, 10);
-        sched.complete(1);
-        sched.acquire_jobs();
-        assert_eq!(sched.next_core(), None);
-        assert!(sched.has_stalled_work());
-        assert!(!sched.all_done());
-        sched.unstall(0);
-        assert_eq!(sched.next_core(), Some(0));
-        sched.advance(0, 10);
-        sched.complete(0);
-        assert!(sched.all_done());
-    }
-
-    #[test]
     fn horizon_is_the_next_runnable_key() {
         let mut sched = Scheduler::new(3, 3, 5);
         sched.acquire_jobs();
@@ -360,47 +276,18 @@ mod tests {
         assert_eq!(sched.next_core_and_horizon(), Some((2, (10, 0))));
         sched.advance(2, 10);
         assert_eq!(sched.next_core_and_horizon(), Some((0, (10, 1))));
-        // A stalled core is no horizon; a lone runnable core has none.
-        sched.stall(1);
-        sched.stall(2);
+        // An idle core is no horizon; a lone runnable core has none.
+        sched.complete(1);
+        sched.complete(2);
+        sched.acquire_jobs();
         assert_eq!(
             sched.next_core_and_horizon(),
             Some((0, (u64::MAX, usize::MAX)))
         );
-        sched.stall(0);
-        assert_eq!(sched.next_core_and_horizon(), None);
-    }
-
-    #[test]
-    fn every_mutation_bumps_the_generation() {
-        let mut sched = Scheduler::new(2, 2, 1);
-        let mut last = sched.generation();
-        let mut bumped = |sched: &Scheduler| {
-            let moved = sched.generation() != last;
-            last = sched.generation();
-            moved
-        };
-        sched.acquire_jobs();
-        assert!(bumped(&sched));
-        sched.advance(0, 1);
-        assert!(bumped(&sched));
-        sched.stall(1);
-        assert!(bumped(&sched));
-        sched.unstall(1);
-        assert!(bumped(&sched));
-        sched.complete(0);
-        assert!(bumped(&sched));
-        let _ = (sched.next_core(), sched.active_cores(), sched.all_done());
-        assert!(!bumped(&sched), "reads leave the generation alone");
-    }
-
-    #[test]
-    fn wedge_is_detectable() {
-        let mut sched = Scheduler::new(1, 1, 1);
-        sched.acquire_jobs();
-        sched.stall(0);
-        assert_eq!(sched.next_core(), None);
-        assert!(sched.has_stalled_work());
         assert!(!sched.all_done());
+        sched.complete(0);
+        sched.acquire_jobs();
+        assert_eq!(sched.next_core_and_horizon(), None);
+        assert!(sched.all_done(), "no runnable core only once drained");
     }
 }

@@ -256,50 +256,6 @@ fn attach_with_zero_grant_backend_fails_cleanly() {
 }
 
 #[test]
-fn stalled_core_mid_invocation_is_stolen_back_around() {
-    // A core wedges mid-invocation (modeling a hiccup): its in-flight job
-    // stays pinned, the jobs queued behind it are stolen back by its
-    // sibling, and once the stall clears the whole batch completes.
-    use memento_system::Scheduler;
-    let mut specs = Vec::new();
-    for i in 0..4u64 {
-        let mut s = tiny_spec();
-        s.name = format!("inject-{i}");
-        s.seed = 9 + i;
-        s.total_instructions = 40_000;
-        specs.push(s);
-    }
-    let mut machine = Machine::new(SystemConfig::memento().with_cores(2));
-    let (runs, sched) = machine.run_scheduled_with(&specs, 11, |sched: &mut Scheduler, steps| {
-        if steps == 3 {
-            sched.stall(0);
-        } else if steps > 3
-            && sched.is_stalled(0)
-            && sched.queued_jobs() == 0
-            && sched.next_core().is_none()
-        {
-            // Only the stalled core's pinned invocation remains (the hook
-            // runs before job acquisition, so an idle sibling with queued
-            // work does not count) — release the wedged core.
-            sched.unstall(0);
-        }
-    });
-    assert_eq!(runs.len(), 4);
-    for (i, r) in runs.iter().enumerate() {
-        assert!(r.total_cycles().raw() > 0, "job {i} never ran");
-    }
-    assert_eq!(sched.per_core_jobs.iter().sum::<u64>(), 4);
-    assert!(
-        sched.steals >= 1,
-        "the sibling must steal the stalled core's queue: {sched:?}"
-    );
-    assert!(
-        sched.per_core_jobs[1] >= 3,
-        "core 1 ran its own two jobs plus the steal-back: {sched:?}"
-    );
-}
-
-#[test]
 fn reservations_starve_one_core_while_frames_remain() {
     // Per-core frame earmarks: core 1 reserves part of the pool, the OS
     // then refuses further grants, and core 0 must see a typed, correctly

@@ -16,7 +16,7 @@ fn drain_counting(cores: usize, jobs: usize, seed: u64, salt: u64) -> (Vec<u32>,
     let mut guard = 0u64;
     while !sched.all_done() {
         sched.acquire_jobs();
-        let core = sched.next_core().expect("no stalls injected");
+        let core = sched.next_core().expect("undone work has a runnable core");
         let job = sched.current(core).expect("running core has a job");
         sched.advance(core, (job as u64).wrapping_mul(salt) % 997 + 1);
         sched.complete(core);
